@@ -15,6 +15,14 @@ cargo build --release
 echo "== tier-1: tests =="
 cargo test -q
 
+echo "== flake gate: obs::phase x20 =="
+# The profiler's worker-flush contract is timing-sensitive (a scoped
+# worker's thread-local destructor is not ordered before the join), so
+# one green run proves little: repeat the suite.
+for i in $(seq 1 20); do
+    cargo test -q -p obs --lib phase >/dev/null || { echo "obs::phase failed on repetition $i"; exit 1; }
+done
+
 echo "== differential: golden fixture + churn invariants (release) =="
 # The bitwise gates (golden-fixture replay, empty-fault-plan inertness,
 # churn interleaving invariance) re-run in release mode: optimisation
@@ -36,6 +44,18 @@ echo "== differential: checkpoint/restore + corruption (release) =="
 # release mode: the format is byte-exact and optimisation must not
 # perturb a single bit of a snapshot or a resumed run.
 cargo test --release -q -p librisk --test checkpoint
+
+echo "== ledger oracles: benchmark workloads at full size (release) =="
+# Each BENCHMARK.json workload replays once, traced, through the
+# ledger's full oracle set: the seed-1 pins, the drive_trace bitwise
+# check, and the partner and engine-decomposition cross-checks, at the
+# full 100k/50k-job size. An engine change that moves one bit fails
+# here; the ledger exits non-zero on any disagreement.
+for w in $(python3 -c 'import json; print(" ".join(w["name"] for w in json.load(open("BENCHMARK.json"))["workloads"]))'); do
+    echo "-- $w"
+    cargo run --release --offline --quiet --manifest-path crates/bench/src/bin/ledger/Cargo.toml -- \
+        --workload "$w" --seed 1 --seconds 0 --trace 1 >/dev/null
+done
 
 echo "== lint: rustfmt =="
 cargo fmt --check

@@ -230,6 +230,10 @@ pub struct ProportionalCluster {
     /// immutable after construction, so the cached value is the bitwise
     /// same factor every recompute would otherwise re-derive.
     speeds: Vec<f64>,
+    /// The one speed factor every node shares, when all are bitwise
+    /// equal (finite and positive); lets a gang's rate come from its
+    /// busiest member alone (see [`ProportionalCluster::gang_rate`]).
+    uniform_speed: Option<f64>,
     // ---- slot arena (parallel vectors indexed by slot) ----
     /// Owning job id per slot (stale for free slots).
     ids: Vec<JobId>,
@@ -303,8 +307,7 @@ pub struct ProportionalCluster {
     node_min_dl: Vec<f64>,
     /// Occupancy bitmask over nodes (bit = node hosts ≥1 resident),
     /// maintained by admit/unlink; serves O(1) occupancy tests for
-    /// [`ProportionalCluster::node_epoch`]'s time component and the
-    /// occupancy-guarded share-total reads.
+    /// [`ProportionalCluster::node_epoch`]'s time component.
     occ_mask: Vec<u64>,
     /// Bumped whenever *any* node epoch is bumped — an O(1) "did anything
     /// change since I last looked" check for cluster-wide caches like the
@@ -321,19 +324,20 @@ pub struct ProportionalCluster {
     /// makes same-instant event batches cost one recompute, not one each.
     rates_clean: bool,
     /// `true` while `share_scratch`/`totals_scratch` hold the values the
-    /// last *fast-path* recompute produced (valid per the lazy-zeroing
-    /// contract). [`ProportionalCluster::recompute_rates_reference`]
+    /// last *fast-path* recompute produced (every node's lane, zero for
+    /// unoccupied nodes). [`ProportionalCluster::recompute_rates_reference`]
     /// computes its totals into a local buffer — it produces bitwise the
     /// same rates but leaves the engine scratch stale, so incremental
     /// paths that extend the scratch (`admit`'s pass-1 shortcut, the
-    /// occupancy-guarded share-total read) must check this flag, not just
+    /// share-total read) must check this flag, not just
     /// `rates_clean`, and fall back to a full recompute when it is down.
     scratch_valid: bool,
     /// Reusable worklist for completions discovered by the progress pass.
     completed_scratch: Vec<u32>,
     /// Reusable worklist for `fail_node` victims.
     victims_scratch: Vec<u32>,
-    /// Reusable per-node share totals for the recompute passes.
+    /// Reusable per-node share totals for the recompute passes, zeroed
+    /// with one `fill` per recompute.
     totals_scratch: Vec<f64>,
     /// Interior-mutable because it is a pure cache over engine state:
     /// refreshing it through a `&self` query does not change anything
@@ -376,13 +380,17 @@ impl ProportionalCluster {
     /// Creates an engine over the given cluster.
     pub fn new(cluster: Cluster, cfg: ProportionalConfig) -> Self {
         let n = cluster.len();
-        let speeds = (0..n)
+        let speeds: Vec<f64> = (0..n)
             .map(|i| cluster.speed_factor(NodeId(i as u32)))
             .collect();
+        let uniform_speed = speeds.first().copied().filter(|&v| {
+            v.is_finite() && v > 0.0 && speeds.iter().all(|w| w.to_bits() == v.to_bits())
+        });
         ProportionalCluster {
             cluster,
             cfg,
             speeds,
+            uniform_speed,
             ids: Vec::new(),
             rate: Vec::new(),
             remaining_work: Vec::new(),
@@ -559,13 +567,6 @@ impl ProportionalCluster {
             assert!(self.node_is_up(*n), "cannot admit {} onto down {n}", job.id);
             let ni = n.0 as usize;
             let list = &mut self.node_jobs[ni];
-            if list.is_empty() {
-                // Unoccupied lanes hold stale totals (the recompute only
-                // zeroes occupied nodes); the incremental pass-1 below
-                // accumulates into this lane, so restore its zero on the
-                // empty→occupied transition.
-                self.totals_scratch[ni] = 0.0;
-            }
             slots.push(list.len() as u32);
             list.push(s);
             self.gang_nodes.push(n.0);
@@ -705,7 +706,7 @@ impl ProportionalCluster {
                     shares[i] = re[i].max(EPS_WORK) / rd;
                 }
             }
-            self.zero_touched_totals();
+            self.totals_scratch.fill(0.0);
             let mut fused = true;
             for &s in &self.order {
                 let si = s as usize;
@@ -1114,15 +1115,7 @@ impl ProportionalCluster {
     pub fn node_share_total_now(&self, node: NodeId) -> f64 {
         let ni = node.0 as usize;
         if self.rates_clean && self.scratch_valid {
-            // The recompute zeroes and refills only occupied nodes'
-            // lanes (see [`ProportionalCluster::zero_touched_totals`]);
-            // an unoccupied node's lane may hold a stale total, but its
-            // true share total is identically zero.
-            if self.occ_mask[ni / 64] >> (ni % 64) & 1 == 1 {
-                self.totals_scratch[ni]
-            } else {
-                0.0
-            }
+            self.totals_scratch[ni]
         } else {
             self.node_total_share(node, None)
         }
@@ -1366,31 +1359,6 @@ impl ProportionalCluster {
         self.order.len() * 3 >= self.ids.len()
     }
 
-    /// Zeroes exactly the per-node total lanes the recompute's ordered
-    /// accumulation will touch. A full `fill(0.0)` dirties 8·nodes bytes
-    /// of cache on every advance however few nodes are occupied; lanes
-    /// of unoccupied nodes can instead stay stale because every reader
-    /// is occupancy-guarded (`node_share_total_now`) or walks `order`.
-    /// Falls back to the contiguous fill when most nodes are in play.
-    #[inline]
-    fn zero_touched_totals(&mut self) {
-        if self.order.len() * 2 >= self.cluster.len() {
-            self.totals_scratch.fill(0.0);
-            return;
-        }
-        for &s in &self.order {
-            let si = s as usize;
-            if self.width[si] == 1 {
-                self.totals_scratch[self.node0[si] as usize] = 0.0;
-            } else {
-                let start = self.gang_start[si] as usize;
-                for &ni in &self.gang_nodes[start..start + self.width[si] as usize] {
-                    self.totals_scratch[ni as usize] = 0.0;
-                }
-            }
-        }
-    }
-
     fn recompute_rates(&mut self) {
         let now = self.last_update.as_secs();
         // Pass 1: every live slot's Eq. 1 share from current beliefs.
@@ -1418,7 +1386,7 @@ impl ProportionalCluster {
         }
         // Per-node totals accumulate in the reference's ascending job-id
         // order (float sums are fold-order-sensitive).
-        self.zero_touched_totals();
+        self.totals_scratch.fill(0.0);
         for &s in &self.order {
             let si = s as usize;
             let share = self.share_scratch[si];
@@ -1522,36 +1490,7 @@ impl ProportionalCluster {
                 });
                 continue;
             }
-            let share = self.share_scratch[si];
-            let rate = {
-                let start = self.gang_start[si] as usize;
-                let mut rate = f64::INFINITY;
-                // Gang members frequently land on nodes with identical
-                // share totals and speeds (gangs overlap on the same node
-                // sets). `share / denom * speed` is a pure function of
-                // those bits, so replaying the previous member's rate on
-                // a bitwise-equal (total, speed) pair is exact — the min
-                // fold sees identical values in identical order.
-                let mut last_key = (u64::MAX, u64::MAX);
-                let mut last_rate = f64::INFINITY;
-                for &ni in &self.gang_nodes[start..start + self.width[si] as usize] {
-                    let ni = ni as usize;
-                    let total = self.totals_scratch[ni];
-                    let speed = self.speeds[ni];
-                    let key = (total.to_bits(), speed.to_bits());
-                    let node_rate = if key == last_key {
-                        last_rate
-                    } else {
-                        let denom = if strict { total.max(1.0) } else { total };
-                        let r = share / denom * speed;
-                        last_key = key;
-                        last_rate = r;
-                        r
-                    };
-                    rate = rate.min(node_rate);
-                }
-                rate
-            };
+            let rate = self.gang_rate(si, strict);
             // The share (and hence the rate) can underflow to exactly
             // zero when a co-resident share is astronomically inflated;
             // `event_dt` and the projection kernel tolerate that.
@@ -1567,6 +1506,52 @@ impl ProportionalCluster {
         }
         self.next_dt = min_dt;
         self.rates_clean = true;
+    }
+
+    /// A gang's rate: the min over its member nodes of
+    /// `share / denom * speed`, from the totals pass 1 left in scratch.
+    ///
+    /// With one speed for every node, the min is the busiest member's:
+    /// IEEE division by a positive denominator and multiplication by a
+    /// positive speed are both monotone (correctly rounded, so a larger
+    /// exact result never rounds below a smaller one), and the member
+    /// holding the max denominator yields exactly its own bits — so one
+    /// max over the member totals and one division replace a division
+    /// per member without moving a bit. Both folds skip NaN (the max
+    /// through its `>` test, the min through `f64::min`), so NaN totals
+    /// drop out of either alike. The member-wise loop stays for mixed
+    /// speeds and for the degenerate denominators (zero, infinite, or no
+    /// non-NaN total) and shares (NaN) where the argument does not hold.
+    #[inline]
+    fn gang_rate(&self, si: usize, strict: bool) -> f64 {
+        let share = self.share_scratch[si];
+        let start = self.gang_start[si] as usize;
+        let members = &self.gang_nodes[start..start + self.width[si] as usize];
+        let denom_of = |total: f64| if strict { total.max(1.0) } else { total };
+        if let Some(speed) = self.uniform_speed {
+            // `t > m` skips a NaN total just as `f64::max` would, but
+            // lowers to one max instruction instead of a NaN-aware
+            // select sequence on the fold's dependency chain.
+            let busiest = members.iter().fold(f64::NEG_INFINITY, |m, &ni| {
+                let t = self.totals_scratch[ni as usize];
+                if t > m {
+                    t
+                } else {
+                    m
+                }
+            });
+            let denom = denom_of(busiest);
+            let rate = share / denom * speed;
+            if denom > 0.0 && denom < f64::INFINITY && !rate.is_nan() {
+                return rate;
+            }
+        }
+        let mut rate = f64::INFINITY;
+        for &ni in members {
+            let ni = ni as usize;
+            rate = rate.min(share / denom_of(self.totals_scratch[ni]) * self.speeds[ni]);
+        }
+        rate
     }
 
     /// Reference implementation of
@@ -1770,6 +1755,7 @@ impl ProportionalCluster {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::node::Node;
     use sim::SimDuration;
     use workload::Urgency;
 
@@ -1932,6 +1918,69 @@ mod tests {
         // 0 = 0.5/1.3; node 1: share 0.5 alone → rate 0.5. Gang = min.
         let gang = e.rate_of(JobId(1)).unwrap();
         assert!((gang - 0.5 / 1.3).abs() < 1e-9, "gang rate {gang}");
+    }
+
+    #[test]
+    fn gang_rate_falls_back_member_wise_on_degenerate_inputs() {
+        // The member-wise min over `share / denom * speed`, as
+        // `recompute_rates_reference` folds it.
+        fn member_wise(e: &ProportionalCluster, si: usize, strict: bool) -> f64 {
+            let share = e.share_scratch[si];
+            let m = e.meta[si].as_ref().unwrap();
+            m.nodes.iter().fold(f64::INFINITY, |rate, n| {
+                let total = e.totals_scratch[n.0 as usize];
+                let denom = if strict { total.max(1.0) } else { total };
+                rate.min(share / denom * e.cluster.speed_factor(*n))
+            })
+        }
+        let mixed = Cluster::new(
+            vec![
+                Node::new(NodeId(0), 84.0),
+                Node::new(NodeId(1), 336.0),
+                Node::new(NodeId(2), 168.0),
+            ],
+            168.0,
+        );
+        for (c, uniform) in [(cluster(3), true), (mixed, false)] {
+            let mut e = ProportionalCluster::new(c, ProportionalConfig::default());
+            assert_eq!(e.uniform_speed.is_some(), uniform);
+            e.admit(
+                job(0, 0.0, 100.0, 100.0, 3, 400.0),
+                vec![NodeId(2), NodeId(0), NodeId(1)],
+                SimTime::ZERO,
+            );
+            let si = e.slot_of(JobId(0)).unwrap();
+            // (share, member totals): a zero share over zero totals (the
+            // one-division form would give 0/0 = NaN where every member
+            // is skipped), zero totals under a positive share, an
+            // infinite member total, one and only NaN member totals, a
+            // NaN share, and the ordinary case.
+            let cases = [
+                (0.0, [0.0, 0.0, 0.0]),
+                (0.25, [0.0, 0.0, 0.0]),
+                (0.25, [0.5, f64::INFINITY, 0.25]),
+                (0.25, [f64::NAN, 0.5, 0.25]),
+                (0.25, [f64::NAN, f64::NAN, f64::NAN]),
+                (0.0, [0.5, 2.0, 0.25]),
+                (f64::NAN, [0.5, 2.0, 0.25]),
+                (0.25, [0.5, 2.0, 0.25]),
+            ];
+            for (share, totals) in cases {
+                e.share_scratch[si] = share;
+                e.totals_scratch.copy_from_slice(&totals);
+                for strict in [false, true] {
+                    assert_eq!(
+                        e.gang_rate(si, strict).to_bits(),
+                        member_wise(&e, si, strict).to_bits(),
+                        "share {share}, totals {totals:?}, strict {strict}, uniform {uniform}"
+                    );
+                }
+            }
+            // Work-conserving 0/0 lands on the fallback's +inf, not NaN.
+            e.share_scratch[si] = 0.0;
+            e.totals_scratch.fill(0.0);
+            assert_eq!(e.gang_rate(si, false), f64::INFINITY);
+        }
     }
 
     #[test]

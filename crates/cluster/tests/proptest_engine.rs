@@ -3,7 +3,7 @@
 
 use cluster::projection::{self, node_risk, project_finishes, ProjectedJob, ShareDiscipline};
 use cluster::proportional::{ProportionalCluster, ProportionalConfig};
-use cluster::{Cluster, NodeId, SpaceSharedCluster};
+use cluster::{Cluster, Node, NodeId, SpaceSharedCluster};
 use proptest::prelude::*;
 use sim::{SimDuration, SimTime};
 use workload::{Job, JobId, Urgency};
@@ -436,5 +436,127 @@ proptest! {
             prop_assert!(guard < 200_000, "engines failed to converge");
         }
         prop_assert!(single.next_event_time_scan().is_none());
+    }
+}
+
+#[derive(Debug, Clone)]
+struct WideJob {
+    runtime: f64,
+    est_factor: f64,
+    deadline: f64,
+    width: u32,
+    offset: u32,
+}
+
+fn wide_job() -> impl Strategy<Value = WideJob> {
+    (
+        1.0..5_000.0f64,
+        0.2..6.0f64,
+        10.0..20_000.0f64,
+        1u32..17,
+        0u32..16,
+    )
+        .prop_map(|(runtime, est_factor, deadline, width, offset)| WideJob {
+            runtime,
+            est_factor,
+            deadline,
+            width,
+            offset,
+        })
+}
+
+/// 16 nodes: unit speed, one shared non-unit speed, or mixed ratings.
+fn cluster16(kind: u32) -> Cluster {
+    let rating = |i: u32| match kind {
+        0 => 168.0,
+        1 => 100.0,
+        _ => [84.0, 168.0, 200.0, 336.0][i as usize % 4],
+    };
+    Cluster::new(
+        (0..16).map(|i| Node::new(NodeId(i), rating(i))).collect(),
+        168.0,
+    )
+}
+
+/// Bitwise view of everything the fast and reference paths must agree
+/// on: every rate, the cached and scanned next event, and the snapshot
+/// (whose `Debug` form prints each f64 in round-trip precision).
+fn assert_twins(fast: &ProportionalCluster, twin: &ProportionalCluster, ids: u64, ctx: &str) {
+    for id in 0..ids {
+        let id = JobId(id);
+        assert_eq!(
+            fast.rate_of(id).map(f64::to_bits),
+            twin.rate_of(id).map(f64::to_bits),
+            "rate of {id} diverged {ctx}"
+        );
+    }
+    let bits = |t: Option<SimTime>| t.map(|t| t.as_secs().to_bits());
+    assert_eq!(
+        bits(fast.next_event_time()),
+        bits(twin.next_event_time_scan()),
+        "next event diverged {ctx}"
+    );
+    assert_eq!(
+        bits(fast.next_event_time()),
+        bits(fast.next_event_time_scan()),
+        "cached next event diverged from the scan {ctx}"
+    );
+    assert_eq!(
+        format!("{:?}", fast.snapshot()),
+        format!("{:?}", twin.snapshot()),
+        "snapshot diverged {ctx}"
+    );
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+    #[test]
+    fn wide_gangs_match_the_reference_bitwise(
+        raws in proptest::collection::vec(wide_job(), 1..24),
+        gaps in proptest::collection::vec(0.0..1.5f64, 1..24),
+        kind in 0u32..3,
+        disc in discipline(),
+    ) {
+        // Differential: gangs up to the full 16-node width, on uniform
+        // and mixed-speed clusters, through the incremental engine
+        // against a twin whose every rate comes from
+        // `recompute_rates_reference` (directly after each admit, and
+        // inside `advance_reference`).
+        let cfg = ProportionalConfig { discipline: disc, ..Default::default() };
+        let mut fast = ProportionalCluster::new(cluster16(kind), cfg);
+        let mut twin = ProportionalCluster::new(cluster16(kind), cfg);
+        let ids = raws.len() as u64;
+        let mut buf = Vec::new();
+        let done_bits = |done: &[cluster::CompletedJob]| -> Vec<(u64, u64)> {
+            done.iter().map(|d| (d.job.id.0, d.finish.as_secs().to_bits())).collect()
+        };
+        for (i, r) in raws.iter().enumerate() {
+            let now = fast.now();
+            let mut j = job(i as u64, r.runtime, r.runtime * r.est_factor, r.width, r.deadline);
+            j.submit = now;
+            let nodes: Vec<NodeId> = (0..r.width).map(|k| NodeId((r.offset + k) % 16)).collect();
+            fast.admit(j.clone(), nodes.clone(), now);
+            twin.admit(j, nodes, now);
+            twin.recompute_rates_reference();
+            assert_twins(&fast, &twin, ids, "after admit");
+            if let Some(next) = fast.next_event_time() {
+                let dt = (next - now).as_secs() * gaps[i % gaps.len()].min(1.0);
+                let to = now + SimDuration::from_secs(dt);
+                fast.advance_into(to, &mut buf);
+                let want = twin.advance_reference(to);
+                prop_assert_eq!(done_bits(&buf), done_bits(&want), "completions diverged");
+                assert_twins(&fast, &twin, ids, "after advance");
+            }
+        }
+        let mut guard = 0;
+        while let Some(t) = fast.next_event_time() {
+            fast.advance_into(t, &mut buf);
+            let want = twin.advance_reference(t);
+            prop_assert_eq!(done_bits(&buf), done_bits(&want), "drain completions diverged");
+            assert_twins(&fast, &twin, ids, "while draining");
+            guard += 1;
+            prop_assert!(guard < 200_000, "engines failed to converge");
+        }
+        prop_assert!(twin.next_event_time_scan().is_none());
     }
 }

@@ -322,6 +322,20 @@ impl ProportionalBackend<'_> {
         self.engine.restore_node(node, at);
     }
 
+    /// Brings the engine to an arrival at `now`: every internal event
+    /// up to it, then the arrival-instant advance the batch loop
+    /// performed at every dispatched event (dt ≥ 0).
+    fn sync(&mut self, now: SimTime, events: &mut Vec<JobEvent>) {
+        self.catch_up(now, events);
+        self.advance_engine(now, events);
+    }
+
+    /// Whether `id` is resident (admitted and not yet resolved).
+    fn holds(&self, id: JobId) -> bool {
+        self.seq_of.contains_key(&id)
+    }
+
+    /// Decides an arrival the engine has been [`Self::sync`]ed to.
     fn submit(
         &mut self,
         seq: u64,
@@ -330,10 +344,6 @@ impl ProportionalBackend<'_> {
         events: &mut Vec<JobEvent>,
         obs: Obs<'_>,
     ) -> Decision {
-        self.catch_up(now, events);
-        // The arrival-instant advance the batch loop performed at every
-        // dispatched event: brings the engine to the present (dt ≥ 0).
-        self.advance_engine(now, events);
         // Audit state is gathered *around* `decide`, never inside it:
         // LibraRisk may answer from its whole-decision replay memo, and a
         // memo hit must still produce a complete audit record.
@@ -574,6 +584,12 @@ impl QueuedBackend {
         }
     }
 
+    /// Whether `id` is running or waiting in the queue.
+    fn holds(&self, id: JobId) -> bool {
+        self.seq_of.contains_key(&id) || self.queue.iter().any(|q| q.job.id == id)
+    }
+
+    /// Queues an arrival once completions before `now` are caught up.
     fn submit(
         &mut self,
         seq: u64,
@@ -582,7 +598,6 @@ impl QueuedBackend {
         events: &mut Vec<JobEvent>,
         obs: Obs<'_>,
     ) -> Decision {
-        self.catch_up(Some(now), events);
         let recording = obs.as_ref().is_some_and(|r| r.enabled());
         let started = recording.then(std::time::Instant::now);
         let depth_before = self.queue.len();
@@ -813,6 +828,12 @@ impl QopsBackend {
         }
     }
 
+    /// Whether `id` is running or waiting in the queue.
+    fn holds(&self, id: JobId) -> bool {
+        self.seq_of.contains_key(&id) || self.queue.iter().any(|q| q.job.id == id)
+    }
+
+    /// Tests an arrival once completions before `now` are caught up.
     fn submit(
         &mut self,
         seq: u64,
@@ -821,7 +842,6 @@ impl QopsBackend {
         events: &mut Vec<JobEvent>,
         obs: Obs<'_>,
     ) -> Decision {
-        self.catch_up(Some(now), events);
         let recording = obs.as_ref().is_some_and(|r| r.enabled());
         let started = recording.then(std::time::Instant::now);
         let depth_before = self.queue.len();
@@ -1063,7 +1083,11 @@ impl<'p> ShardState<'p> {
     /// processors, negative submit time — see [`Job::validate`]) are
     /// rejected here, before any backend state is touched: an RMS
     /// front-end faces untrusted submissions, and a nonsensical SLA must
-    /// produce a verdict, not a panic deep inside an engine.
+    /// produce a verdict, not a panic deep inside an engine. So is a job
+    /// whose id is still in flight (resident, running or queued once the
+    /// backend has caught up to `now`): it would otherwise collide with
+    /// its namesake's bookkeeping. Both reject with
+    /// [`RejectReason::InvalidJob`].
     ///
     /// # Panics
     /// Panics if `now` precedes an earlier submission or advance.
@@ -1092,27 +1116,26 @@ impl<'p> ShardState<'p> {
             }
         }
         if job.validate().is_err() {
-            let reason = RejectReason::InvalidJob;
-            let job_id = job.id.0;
-            self.events.push(JobEvent::new(
-                seq,
-                job,
-                Outcome::Rejected { at: now, reason },
-            ));
-            if let Some(rec) = self.recorder.as_deref_mut() {
-                if rec.enabled() {
-                    note_decision(
-                        rec,
-                        now,
-                        seq,
-                        job_id,
-                        Decision::Rejected(reason),
-                        DecisionAudit::default(),
-                        0,
-                    );
-                }
+            return self.reject_invalid(seq, job, now);
+        }
+        // Catch up to the arrival first, so a job that resolved by `now`
+        // no longer counts as in flight.
+        let in_flight = match &mut self.backend {
+            ExecutionBackend::Proportional(b) => {
+                b.sync(now, &mut self.events);
+                b.holds(job.id)
             }
-            return Decision::Rejected(reason);
+            ExecutionBackend::Queued(b) => {
+                b.catch_up(Some(now), &mut self.events);
+                b.holds(job.id)
+            }
+            ExecutionBackend::Qops(b) => {
+                b.catch_up(Some(now), &mut self.events);
+                b.holds(job.id)
+            }
+        };
+        if in_flight {
+            return self.reject_invalid(seq, job, now);
         }
         let rec = reborrow(&mut self.recorder);
         match &mut self.backend {
@@ -1120,6 +1143,32 @@ impl<'p> ShardState<'p> {
             ExecutionBackend::Queued(b) => b.submit(seq, job, now, &mut self.events, rec),
             ExecutionBackend::Qops(b) => b.submit(seq, job, now, &mut self.events, rec),
         }
+    }
+
+    /// Rejects a submission no backend may see — malformed, or reusing
+    /// the id of a job still in flight — with [`RejectReason::InvalidJob`].
+    fn reject_invalid(&mut self, seq: u64, job: Job, now: SimTime) -> Decision {
+        let reason = RejectReason::InvalidJob;
+        let job_id = job.id.0;
+        self.events.push(JobEvent::new(
+            seq,
+            job,
+            Outcome::Rejected { at: now, reason },
+        ));
+        if let Some(rec) = self.recorder.as_deref_mut() {
+            if rec.enabled() {
+                note_decision(
+                    rec,
+                    now,
+                    seq,
+                    job_id,
+                    Decision::Rejected(reason),
+                    DecisionAudit::default(),
+                    0,
+                );
+            }
+        }
+        Decision::Rejected(reason)
     }
 
     /// Advances virtual time to `to` and streams every job outcome that
@@ -1684,6 +1733,66 @@ mod tests {
             assert_eq!(
                 rms.submit(job(1, 10.0, 50.0, 50.0, 1, 200.0), t(10.0)),
                 Decision::Accepted
+            );
+        }
+    }
+
+    #[test]
+    fn duplicate_in_flight_ids_are_rejected_before_any_backend() {
+        use crate::policy::PolicyKind;
+        for kind in PolicyKind::ALL {
+            let mut rms = kind.rms(&Cluster::homogeneous(4, 168.0));
+            let mut events: Vec<JobEvent> = Vec::new();
+            // A full-width job keeps every node busy; job 7 then runs
+            // beside it (proportional) or waits behind it (queued).
+            let first = rms.submit(job(1, 0.0, 100.0, 100.0, 4, 10_000.0), t(0.0));
+            assert!(
+                !matches!(first, Decision::Rejected(_)),
+                "{kind:?}: {first:?}"
+            );
+            let seven = rms.submit(job(7, 0.0, 100.0, 100.0, 1, 10_000.0), t(0.0));
+            assert!(
+                !matches!(seven, Decision::Rejected(_)),
+                "{kind:?}: {seven:?}"
+            );
+            events.extend(rms.advance(t(1.0)));
+            assert_eq!(
+                rms.submit(job(7, 1.0, 100.0, 100.0, 1, 10_000.0), t(1.0)),
+                Decision::Rejected(RejectReason::InvalidJob),
+                "{kind:?}: an in-flight id must be refused"
+            );
+            assert_eq!(
+                rms.in_flight(),
+                2,
+                "{kind:?}: the refused job reached a backend"
+            );
+            // Once job 7 resolved, its id is free again.
+            events.extend(rms.advance(t(20_000.0)));
+            let again = rms.submit(job(7, 20_000.0, 100.0, 100.0, 1, 10_000.0), t(20_000.0));
+            assert_ne!(
+                again,
+                Decision::Rejected(RejectReason::InvalidJob),
+                "{kind:?}"
+            );
+            events.extend(rms.drain());
+            let mut seqs: Vec<u64> = events.iter().map(|e| e.seq).collect();
+            seqs.sort_unstable();
+            assert_eq!(
+                seqs,
+                vec![0, 1, 2, 3],
+                "{kind:?}: every submission resolves once"
+            );
+            let dup = events
+                .iter()
+                .find(|e| e.seq == 2)
+                .expect("duplicate resolved");
+            assert_eq!(
+                dup.record.outcome,
+                Outcome::Rejected {
+                    at: t(1.0),
+                    reason: RejectReason::InvalidJob
+                },
+                "{kind:?}"
             );
         }
     }

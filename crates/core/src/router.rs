@@ -433,7 +433,7 @@ impl<'p> ShardedRms<'p> {
                 handles.push((
                     i,
                     scope.spawn(move || {
-                        catch_unwind(AssertUnwindSafe(|| match to {
+                        let result = catch_unwind(AssertUnwindSafe(|| match to {
                             Some(t) => pump(shard.advance(t), map, mb),
                             None => pump(shard.drain(), map, mb),
                         }))
@@ -442,7 +442,12 @@ impl<'p> ShardedRms<'p> {
                             // the consumer so the merge can terminate.
                             mb.close();
                             panic_message(payload.as_ref())
-                        })
+                        });
+                        // Fold this worker's profiler spans into the
+                        // globals before the join: the scope does not
+                        // order thread-local destructors before it.
+                        obs::phase::flush();
+                        result
                     }),
                 ));
             }
@@ -576,6 +581,7 @@ mod tests {
                     mb.send((base * 4..base * 4 + 4).collect());
                 }
                 mb.close();
+                obs::phase::flush();
             });
             let mut got = Vec::new();
             while let Some(chunk) = mb.recv() {

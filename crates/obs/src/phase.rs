@@ -295,9 +295,13 @@ impl Local {
     }
 }
 
-/// Flush-on-thread-exit wrapper: a router worker dying at the end of
-/// its `thread::scope` folds its counts into the global view without
-/// anyone having to remember to call [`flush`] on that thread.
+/// Flush-on-thread-exit backstop: a thread that never calls [`flush`]
+/// still folds its counts into the global view when its thread-locals
+/// are destroyed. That happens at some point after the thread's closure
+/// returns — `std::thread::scope` does not order thread-local
+/// destructors before its join, so a reader right after the scope may
+/// miss them. Scoped workers whose counts must be visible at the join
+/// (the router's) call [`flush`] as their last statement.
 struct LocalOwner(Local);
 
 impl Drop for LocalOwner {
@@ -856,18 +860,25 @@ mod tests {
 
     #[test]
     fn worker_thread_flushes_on_exit() {
+        // Workers flush explicitly as their last statement, so every
+        // span is visible right after the join — on every repetition,
+        // not only when the thread-local destructor happens to win the
+        // race against the scope's return.
         with_profiler(|| {
-            std::thread::scope(|s| {
-                s.spawn(|| {
-                    let _g = span(Phase::CandidateScan);
-                    busy(30);
-                    // No explicit flush: thread exit must fold the
-                    // span into the globals.
+            for round in 1..=200u64 {
+                std::thread::scope(|s| {
+                    s.spawn(|| {
+                        {
+                            let _g = span(Phase::CandidateScan);
+                            busy(30);
+                        }
+                        flush();
+                    });
                 });
-            });
-            let snap = snapshot();
-            assert_eq!(snap.calls(Phase::CandidateScan), 1);
-            assert!(snap.ns(Phase::CandidateScan) > 0);
+                let snap = snapshot();
+                assert_eq!(snap.calls(Phase::CandidateScan), round, "round {round}");
+                assert!(snap.ns(Phase::CandidateScan) > 0);
+            }
         });
     }
 
