@@ -37,6 +37,16 @@ echo "== differential: shard router (release) =="
 # merged stream either.
 cargo test --release -q -p librisk --test sharded_rms
 
+echo "== differential: decisions vs reference + risk screen (release) =="
+# The cached decide against decide_reference (randomized, under churn,
+# and the 5k-arrival overload replay) and both pre-kernel screens
+# against the projection kernel re-run in release mode: the screens are
+# proofs about float arithmetic, so they must hold in the optimised
+# build, not only in debug.
+cargo test --release -q -p librisk --test proptest_decisions
+cargo test --release -q -p cluster --lib projection
+cargo test --release -q -p cluster --test proptest_engine
+
 echo "== differential: checkpoint/restore + corruption (release) =="
 # The crash-safety gates (checkpoint-at-random-instant bitwise resume
 # for every policy, truncation/bit-flip corruption detection, N->M

@@ -165,13 +165,30 @@ impl RiskSummary {
 /// order exactly like the values and the sort needs no float comparator.
 pub fn canonical_class_keys(jobs: &[ProjectedJob], keys: &mut Vec<(u64, u64)>) -> u64 {
     keys.clear();
-    keys.extend(
-        jobs.iter()
-            .map(|j| (j.abs_deadline.to_bits(), j.remaining_est.to_bits())),
-    );
+    keys.extend(jobs.iter().map(class_key_bits));
     keys.sort_unstable();
-    let mut h = 0xcbf2_9ce4_8422_2325u64 ^ (keys.len() as u64);
-    for &(dl, rem) in keys.iter() {
+    class_hash(keys.iter().copied(), keys.len())
+}
+
+/// The class hash of a job list *already in canonical order* (see
+/// [`canonicalize_projection`]): bitwise the hash
+/// [`canonical_class_keys`] returns for any permutation of it, without
+/// materialising or sorting the key list.
+pub fn canonical_class_hash(canonical: &[ProjectedJob]) -> u64 {
+    debug_assert!(canonical
+        .windows(2)
+        .all(|w| class_key_bits(&w[0]) <= class_key_bits(&w[1])));
+    class_hash(canonical.iter().map(class_key_bits), canonical.len())
+}
+
+/// A job's canonical sort key: its `(abs_deadline, remaining_est)` bits.
+fn class_key_bits(j: &ProjectedJob) -> (u64, u64) {
+    (j.abs_deadline.to_bits(), j.remaining_est.to_bits())
+}
+
+fn class_hash(keys: impl Iterator<Item = (u64, u64)>, len: usize) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64 ^ (len as u64);
+    for (dl, rem) in keys {
         h = (h.rotate_left(23) ^ dl).wrapping_mul(0x9E37_79B9_7F4A_7C15);
         h = (h.rotate_left(23) ^ rem).wrapping_mul(0x9E37_79B9_7F4A_7C15);
     }
@@ -219,7 +236,7 @@ pub fn first_segment_shares(jobs: &[ProjectedJob], now: f64, shares: &mut Vec<f6
 /// floats: bit order = value order) — no allocation, so it is safe in
 /// the zero-allocation decision path.
 pub fn canonicalize_projection(jobs: &mut [ProjectedJob]) {
-    jobs.sort_unstable_by_key(|j| (j.abs_deadline.to_bits(), j.remaining_est.to_bits()));
+    jobs.sort_unstable_by_key(class_key_bits);
 }
 
 /// Earliest absolute deadline among `jobs` (+∞ for an empty node).
@@ -283,6 +300,137 @@ pub fn screens_zero_risk(
     let min_rd = min_resident_deadline.min(candidate.abs_deadline) - now;
     // NaN anywhere fails every comparison → conservative `false`.
     headroom >= SCREEN_HEADROOM && min_rd.is_finite() && min_rd * headroom >= EPS_DEADLINE
+}
+
+/// Magnitude guard of [`screens_risky`]: `|now|`, the node's total work
+/// and its drain time must stay within 2³⁰ (seconds, or
+/// reference-seconds of work — about 34 years), and the speed factor
+/// too. Under it an ulp of any time or work value the kernel touches is
+/// at most 2⁻²², far below [`EPS_WORK`].
+pub const RISK_SCREEN_GUARD: f64 = 1_073_741_824.0;
+
+/// The pre-kernel **risk screen**, the mirror image of
+/// [`screens_zero_risk`]: `true` when "`residents` + `candidate`" is
+/// *provably* risky — the projection kernel would compute
+/// `σ_j ≥ SIGMA_ZERO` — so the candidate scan may mark the node
+/// unsuitable without projecting. The rule ignores resident order.
+///
+/// **Bounds.** With `rem_k = max(remaining_est, EPS_WORK)` and `dd_k(f)`
+/// the Eq. 4 value of a finish `f` (computed as the kernel's summary
+/// does, with `rd_k = max(dl_k − now, EPS_DEADLINE)`):
+///
+/// * *No job outruns its node.* A kernel rate is `share / Σshares ·
+///   speed`, and a float sum of non-negative terms is at least each
+///   term, so every rate is at most `speed`, bitwise. Job `k` cannot
+///   finish before `now + rem_k/speed`: `lb_k = dd_k(now + rem_k/speed)`.
+/// * *A work-conserving node drains by `T = now + Σrem/speed`*: its
+///   rates sum to `speed` while any job is alive. `ub_k = dd_k(T)`.
+///
+/// `dd_k` is non-decreasing in the finish, so `lb_k ≤ dd_k ≤ ub_k`.
+/// `ub_k` decreases in `dl_k`, so the smallest `ub` is the latest
+/// deadline's and the largest (`D` below) the earliest deadline's: one
+/// pass over the jobs suffices. If `max lb − min ub ≥ g`, the two
+/// extremes are distinct jobs (one job has `lb ≤ ub`) whose
+/// deadline-delays differ by at least `g`, so, as at
+/// [`VERDICT_BAIL_GAP`], the population variance is at least `g²/(2n)`.
+///
+/// **Float allowance.** The bounds hold for real-number dynamics; the
+/// kernel runs a float trajectory. With `u = 2⁻⁵³`, `M = max(|now|, |T|)`
+/// and at most `2n` segments (see the guard below): each segment rounds
+/// `t` by at most `u·M` and each remaining work by at most `2u·rem_k`; a
+/// finishing job may leave up to `EPS_WORK` unserved; the rates sum to
+/// `speed·(1 ± (n+2)u)`. Every float finish therefore lies within
+/// `slack = EPS_WORK/speed + 32(n+2)·u·(M+1)` of its real bound (the
+/// count is about `10n + 16` ulps of `M`; 32 leaves a 3× margin). Since
+/// `rd ≥ EPS_DEADLINE = 1`, a deadline-delay moves no more than its
+/// finish, and evaluating one (in the kernel or here) adds at most
+/// `3.1u·D`. Finally the kernel's σ comes from its float
+/// deadline-delays through Eq. 5/6, whose cancellation costs at most
+/// `4(n+2)u·D²` of variance, with `D = max ub + slack` bounding every
+/// deadline-delay. The screen fires when
+///
+/// `max lb − min ub ≥ VERDICT_BAIL_GAP + 2·slack + 16u·D + D·√(16n(n+2)u)`.
+///
+/// The kernel's deadline-delays then differ by `g ≥ VERDICT_BAIL_GAP +
+/// D·√(16n(n+2)u)`, so its computed variance is at least
+/// `g²/(2n) − 4(n+2)u·D² ≥ VERDICT_BAIL_GAP²/(2n) ≥ 1.2e-14` for
+/// `n ≤ VERDICT_BAIL_MAX_JOBS` — far above `SIGMA_ZERO² = 1e-18`. The
+/// node is unsuitable under every decision variant, as the full
+/// projection (or a verdict kernel that bails first) would conclude.
+///
+/// **Preconditions**, each needed by the argument:
+///
+/// * [`ShareDiscipline::WorkConserving`]: under `Strict` an under-loaded
+///   node idles, so `T` bounds nothing.
+/// * A finite `speed` in `(0, RISK_SCREEN_GUARD]`: the rate bound, and a
+///   normal-range `dt ≥ EPS_WORK/speed`.
+/// * `2 ≤ n ≤ VERDICT_BAIL_MAX_JOBS`, counting the candidate: a lone
+///   job's σ is exactly zero, and the variance floor needs the cap.
+/// * Finite deadlines, and `|now|`, `Σrem` and `T` within
+///   [`RISK_SCREEN_GUARD`]. Under this guard every kernel segment
+///   retires a completion or a deadline crossing, so the kernel ends
+///   within `n + n ≤ 2n < 2n + 8` segments and never takes its fuzz
+///   fallback, which would pin survivors to a finish before their `lb`:
+///   - `dt` is finite and positive: the largest share has rate at least
+///     `speed/(n+1)`, so its completion candidate is finite, and every
+///     candidate is positive;
+///   - if job `c`'s completion ends the segment, `dt = rem_c/r_c`
+///     rounded, and `rem_c − r_c·dt` leaves at most `2.2u·rem_c ≤
+///     2.2u·Σrem < EPS_WORK`, so `c` completes;
+///   - if job `c`'s deadline ends it, `t + (dl_c − t)` rounded lands
+///     within `3.1u·M < EPS_WORK` of `dl_c` (which is at most `T` plus
+///     slack, or it would not be the first event), so `c` is past its
+///     deadline for the rest of the run.
+///
+/// NaN or infinite inputs fail a guard: the screen then declines.
+pub fn screens_risky(
+    discipline: ShareDiscipline,
+    speed_factor: f64,
+    residents: impl ExactSizeIterator<Item = ProjectedJob>,
+    candidate: ProjectedJob,
+    now: f64,
+) -> bool {
+    let n = residents.len() + 1;
+    // Written so that a NaN anywhere fails a comparison and declines.
+    let admissible = matches!(discipline, ShareDiscipline::WorkConserving)
+        && speed_factor > 0.0
+        && speed_factor <= RISK_SCREEN_GUARD
+        && (2..=VERDICT_BAIL_MAX_JOBS).contains(&n)
+        && now.abs() <= RISK_SCREEN_GUARD;
+    if !admissible {
+        return false;
+    }
+    let mut work = 0.0;
+    let mut max_lb = f64::NEG_INFINITY;
+    let mut min_dl = f64::INFINITY;
+    let mut max_dl = f64::NEG_INFINITY;
+    for j in residents.chain(std::iter::once(candidate)) {
+        let (rem, dl) = (j.remaining_est.max(EPS_WORK), j.abs_deadline);
+        if !dl.is_finite() {
+            return false;
+        }
+        work += rem;
+        let lb = deadline_delay((now + rem / speed_factor - dl).max(0.0), dl, now);
+        if lb > max_lb {
+            max_lb = lb;
+        }
+        min_dl = min_dl.min(dl);
+        max_dl = max_dl.max(dl);
+    }
+    let t_end = now + work / speed_factor;
+    let bounded = work <= RISK_SCREEN_GUARD && t_end <= RISK_SCREEN_GUARD;
+    if !bounded {
+        return false;
+    }
+    let min_ub = deadline_delay((t_end - max_dl).max(0.0), max_dl, now);
+    let max_ub = deadline_delay((t_end - min_dl).max(0.0), min_dl, now);
+    let u = f64::EPSILON / 2.0;
+    let nf = n as f64;
+    let slack =
+        EPS_WORK / speed_factor + 32.0 * (nf + 2.0) * u * (t_end.abs().max(now.abs()) + 1.0);
+    let d = max_ub + slack;
+    let allowance = 2.0 * slack + 16.0 * u * d + d * (16.0 * nf * (nf + 2.0) * u).sqrt();
+    max_lb - min_ub >= VERDICT_BAIL_GAP + allowance
 }
 
 /// Caller-owned scratch buffers for the projection kernel.
@@ -734,7 +882,12 @@ fn projection_kernel(
         // completion or first deadline crossing. One fused pass: each
         // rate is computed once and fed into the running `dt` minimum in
         // the same ascending-index order the split loops used, so every
-        // comparison sees identical values.
+        // comparison sees identical values. The minimum is a plain `<`
+        // fold rather than `f64::min`: candidates are never NaN (positive
+        // work over a positive rate, or a deadline gap above `EPS_WORK`),
+        // and even a NaN would be ignored by both forms alike, so the
+        // fold is bitwise the same without `min`'s NaN handling on the
+        // dependency chain.
         let mut dt = f64::INFINITY;
         for i in 0..n {
             if !alive[i] {
@@ -747,11 +900,14 @@ fn projection_kernel(
             // contributes no completion candidate — `min(x, ∞)` is `x`,
             // so skipping is bitwise-neutral when rates are positive.
             if r > 0.0 {
-                dt = dt.min(rem[i] / r);
+                let x = rem[i] / r;
+                if x < dt {
+                    dt = x;
+                }
             }
             let to_deadline = jobs[i].abs_deadline - t;
-            if to_deadline > EPS_WORK {
-                dt = dt.min(to_deadline);
+            if to_deadline > EPS_WORK && to_deadline < dt {
+                dt = to_deadline;
             }
         }
         if !(dt.is_finite() && dt > 0.0) {
@@ -901,11 +1057,16 @@ fn projection_verdict_kernel(
             let r = shares[i] / denom * speed_factor;
             rates[i] = r;
             if r > 0.0 {
-                dt = dt.min(rem[i] / r);
+                let x = rem[i] / r;
+                if x < dt {
+                    dt = x;
+                }
             }
             let to_deadline = jobs[i].abs_deadline - t;
             if to_deadline > EPS_WORK {
-                dt = dt.min(to_deadline);
+                if to_deadline < dt {
+                    dt = to_deadline;
+                }
             } else if bail && min_fin.is_finite() {
                 // Alive past its deadline: finish ≥ t, so its eventual
                 // dd is at least this (rd measured from `now`, exactly
@@ -1619,6 +1780,118 @@ mod tests {
             cand,
             now,
         ));
+    }
+
+    #[test]
+    fn risk_screen_fires_on_a_late_job_beside_a_slack_one() {
+        // Resident: 300 s of work due in 100 s, so dd ≥ 3 whatever
+        // happens. Candidate: due in 1000 s, and the node drains all 310
+        // s of work long before that, so its dd is exactly 1.
+        let residents = [pj(300.0, 100.0)];
+        let cand = pj(10.0, 1000.0);
+        let wc = ShareDiscipline::WorkConserving;
+        assert!(screens_risky(wc, 1.0, residents.iter().copied(), cand, 0.0));
+        let (_, sigma) = node_risk(&[residents[0], cand], 0.0, 1.0, wc);
+        assert!(!is_zero_risk(sigma), "sigma {sigma}");
+        // The same node with the resident on time reads zero-risk, and
+        // the screen must not fire.
+        assert!(!screens_risky(
+            wc,
+            1.0,
+            [pj(30.0, 100.0)].into_iter(),
+            cand,
+            0.0
+        ));
+    }
+
+    #[test]
+    fn risk_screen_declines_strict_bad_speeds_the_guard_and_lone_jobs() {
+        let residents = [pj(300.0, 100.0)];
+        let cand = pj(10.0, 1000.0);
+        let wc = ShareDiscipline::WorkConserving;
+        let fires = |disc, speed: f64, now: f64| {
+            let shifted = residents.map(|j| pj(j.remaining_est, j.abs_deadline + now));
+            let cand = pj(cand.remaining_est, cand.abs_deadline + now);
+            screens_risky(disc, speed, shifted.into_iter(), cand, now)
+        };
+        assert!(fires(wc, 1.0, 0.0), "the baseline case fires");
+        // Strict shares idle an under-loaded node: T bounds nothing.
+        assert!(!fires(ShareDiscipline::Strict, 1.0, 0.0));
+        // Zero, negative and non-finite speeds.
+        for speed in [0.0, -1.0, f64::INFINITY, f64::NAN] {
+            assert!(!fires(wc, speed, 0.0), "speed {speed}");
+        }
+        // Past the magnitude guard: `now` itself, or the drain time.
+        assert!(fires(wc, 1.0, RISK_SCREEN_GUARD - 1000.0));
+        assert!(
+            !fires(wc, 1.0, RISK_SCREEN_GUARD - 100.0),
+            "T beyond the guard"
+        );
+        assert!(!fires(wc, 1.0, 2.0 * RISK_SCREEN_GUARD));
+        assert!(!fires(wc, 1.0, f64::NAN));
+        assert!(!screens_risky(
+            wc,
+            1.0,
+            [pj(2.0 * RISK_SCREEN_GUARD, 100.0)].into_iter(),
+            cand,
+            0.0
+        ));
+        // A lone job has nothing to disperse against, however late.
+        assert!(!screens_risky(
+            wc,
+            1.0,
+            std::iter::empty(),
+            pj(300.0, 100.0),
+            0.0
+        ));
+        // A non-finite deadline anywhere.
+        assert!(!screens_risky(
+            wc,
+            1.0,
+            [pj(300.0, f64::INFINITY)].into_iter(),
+            cand,
+            0.0
+        ));
+    }
+
+    #[test]
+    fn risk_screen_bounds_hold_and_it_fires_often() {
+        // A dense deterministic sweep of overloaded and past-deadline
+        // nodes at several speeds: every projected finish lies between
+        // the screen's bounds (no job outruns its node; the node drains
+        // by `now + Σrem/speed`), and wherever the screen fires the
+        // kernel reads risk.
+        let wc = ShareDiscipline::WorkConserving;
+        let mut fired = 0usize;
+        for i in 0..2000u64 {
+            let r = |k: u64| {
+                let x = (i.wrapping_mul(0x9E37_79B9_7F4A_7C15).rotate_left(29) ^ k)
+                    .wrapping_mul(0x2545_F491_4F6C_DD1D);
+                (x >> 11) as f64 / (1u64 << 53) as f64
+            };
+            let now = r(1) * 1e5;
+            let speed = 0.25 + r(2) * 3.0;
+            let n = 2 + (r(3) * 12.0) as usize;
+            let jobs: Vec<ProjectedJob> = (0..n as u64)
+                .map(|k| pj(1.0 + r(10 + k) * 400.0, now - 50.0 + r(30 + k) * 600.0))
+                .collect();
+            let (residents, cand) = (&jobs[..n - 1], jobs[n - 1]);
+            let f = project_finishes(&jobs, now, speed, wc);
+            let drain = now + jobs.iter().map(|j| j.remaining_est).sum::<f64>() / speed;
+            for (j, &fin) in jobs.iter().zip(&f) {
+                assert!(
+                    fin >= now + j.remaining_est / speed - 1e-6,
+                    "case {i}: outran"
+                );
+                assert!(fin <= drain + 1e-6, "case {i}: {fin} after drain {drain}");
+            }
+            if screens_risky(wc, speed, residents.iter().copied(), cand, now) {
+                fired += 1;
+                let (_, sigma) = node_risk(&jobs, now, speed, wc);
+                assert!(!is_zero_risk(sigma), "case {i}: {jobs:?}");
+            }
+        }
+        assert!(fired > 500, "screen fired only {fired} times");
     }
 
     #[test]

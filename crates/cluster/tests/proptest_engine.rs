@@ -306,6 +306,85 @@ proptest! {
     }
 }
 
+/// `(remaining_est, deadline offset from now)`: tiny to large work, with
+/// a deadline already past, inside the `EPS_DEADLINE` floor, near the
+/// work itself (shares around 1) or far ahead.
+fn risk_job() -> impl Strategy<Value = (f64, f64)> {
+    (
+        prop_oneof![1e-8..1e-3f64, 0.5..500.0f64, 100.0..50_000.0f64],
+        0u32..4,
+        -5_000.0..-0.5f64,
+        -0.5..2.0f64,
+        prop_oneof![0.3..3.0f64, 0.97..1.08f64],
+        1.0..80_000.0f64,
+    )
+        .prop_map(|(rem, kind, past, edge, per_work, far)| {
+            let offset = match kind {
+                0 => past,
+                1 => edge,
+                2 => rem * per_work,
+                _ => far,
+            };
+            (rem, offset)
+        })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    // The risk screen is a proof, not a heuristic: whenever it fires,
+    // the kernel — in any resident order, full or verdict form — must
+    // not read the node as zero-risk. Past-deadline residents,
+    // overloaded nodes, speeds other than 1, `now` up to the magnitude
+    // guard and up to 64 jobs are all in range.
+    #[test]
+    fn risk_screen_never_disagrees_with_the_kernel(
+        residents in prop_oneof![
+            proptest::collection::vec(risk_job(), 1..4),
+            proptest::collection::vec(risk_job(), 1..64),
+        ],
+        candidates in proptest::collection::vec(risk_job(), 1..4),
+        now in prop_oneof![
+            Just(0.0),
+            0.0..2e6f64,
+            (projection::RISK_SCREEN_GUARD - 3e5)..projection::RISK_SCREEN_GUARD,
+        ],
+        speed in prop_oneof![Just(1.0), 0.05..1.0f64, 1.0..8.0f64],
+    ) {
+        let wc = ShareDiscipline::WorkConserving;
+        let pj = |&(rem, off): &(f64, f64)| ProjectedJob { remaining_est: rem, abs_deadline: now + off };
+        let base: Vec<ProjectedJob> = residents.iter().map(pj).collect();
+        let mut canon = base.clone();
+        projection::canonicalize_projection(&mut canon);
+        let mut shares = Vec::new();
+        let sum = projection::first_segment_shares(&canon, now, &mut shares);
+        let mut ws = projection::ProjectionWorkspace::new();
+        for cand in candidates.iter().map(pj) {
+            let fired = projection::screens_risky(wc, speed, base.iter().copied(), cand, now);
+            prop_assert!(
+                !projection::screens_risky(ShareDiscipline::Strict, speed, base.iter().copied(), cand, now),
+                "the screen must decline strict shares"
+            );
+            if !fired {
+                continue;
+            }
+            for order in [&base, &canon] {
+                let mut all = order.clone();
+                all.push(cand);
+                let (_, sigma) = node_risk(&all, now, speed, wc);
+                prop_assert!(
+                    !projection::is_zero_risk(sigma),
+                    "screened risky, kernel σ = {:e}: {:?} at now {} speed {}",
+                    sigma, all, now, speed
+                );
+            }
+            if let Some(s) = ws.node_risk_verdict_prefixed(&canon, &shares, sum, cand, now, speed, wc) {
+                prop_assert!(!projection::is_zero_risk(s.sigma), "verdict kernel σ = {:e}", s.sigma);
+            }
+        }
+    }
+}
+
 #[test]
 fn projection_matches_engine_for_feasible_accurate_jobs() {
     // When estimates are exact and the node is feasible, the engine's

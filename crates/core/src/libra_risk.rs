@@ -23,8 +23,9 @@
 use crate::policy::{DecisionStats, ShareAdmission};
 use crate::risk_cache::{class_key, CandidateMemo, ClassTable};
 use cluster::projection::{
-    canonical_class_keys, canonicalize_projection, first_segment_shares, is_zero_risk, node_risk,
-    node_risk_single_segment, screens_zero_risk, ProjectedJob, ProjectionWorkspace, RiskSummary,
+    canonical_class_hash, canonicalize_projection, first_segment_shares, is_zero_risk,
+    min_abs_deadline, node_risk, node_risk_single_segment, screens_risky, screens_zero_risk,
+    ProjectedJob, ProjectionWorkspace, RiskSummary, EPS_DEADLINE,
 };
 use cluster::proportional::{projected_job, ProportionalCluster};
 use cluster::NodeId;
@@ -61,15 +62,13 @@ pub const MU_EPSILON: f64 = 1e-9;
 #[derive(Clone, Debug, Default)]
 struct NodeRiskCache {
     epoch: Option<(u64, u64)>,
+    /// The residents' projection input in canonical `(deadline,
+    /// remaining)` bit order — also the node's load fingerprint: two
+    /// nodes with bitwise-equal lists (and equal speed) are in the same
+    /// equivalence class, so they share one `(μ_j, σ_j)` verdict.
     jobs: Vec<ProjectedJob>,
-    /// Canonical load fingerprint of `jobs` — the sorted
-    /// `(deadline, remaining)` bit keys from
-    /// [`canonical_class_keys`]. Two nodes with equal lists (and equal
-    /// speed) are in the same equivalence class: their projections are a
-    /// permutation of each other, so they share one `(μ_j, σ_j)` verdict.
-    class_keys: Vec<(u64, u64)>,
-    /// Length-seeded hash of `class_keys` — the cheap prescreen before
-    /// the exact list compare.
+    /// Length-seeded hash of `jobs` ([`canonical_class_hash`]) — the
+    /// cheap prescreen before the exact list compare.
     class_hash: u64,
     /// The projection kernel's first-segment shares of `jobs` at this
     /// epoch's `now`, plus their left-to-right sum — the warm prefix the
@@ -91,7 +90,8 @@ struct NodeRiskCache {
     /// remaining)` order — `jobs` is emitted by walking this permutation.
     /// Valid per *membership* epoch (slot identity survives plain
     /// advances), which is what lets the cross-decision pairing check
-    /// re-read current projection bits through it without rebuilding.
+    /// re-read current projection bits through it, and a refresh keep it
+    /// unless an advance reordered the remaining-work tie-breaks.
     perm: Vec<u32>,
     /// [`ProportionalCluster::node_membership_epoch`] the permutation was
     /// built at; `None` before the first refresh.
@@ -222,6 +222,24 @@ impl Default for LibraRisk {
     fn default() -> Self {
         Self::paper()
     }
+}
+
+/// A resident's projection input, read from its engine arena slot.
+fn slot_job(engine: &ProportionalCluster, s: u32) -> ProjectedJob {
+    let (dl, rem) = engine.slot_projection_bits(s);
+    ProjectedJob {
+        remaining_est: f64::from_bits(rem),
+        abs_deadline: f64::from_bits(dl),
+    }
+}
+
+/// `true` when two projection inputs are equal bit for bit.
+fn jobs_bits_eq(a: &[ProjectedJob], b: &[ProjectedJob]) -> bool {
+    a.len() == b.len()
+        && a.iter().zip(b).all(|(x, y)| {
+            x.abs_deadline.to_bits() == y.abs_deadline.to_bits()
+                && x.remaining_est.to_bits() == y.remaining_est.to_bits()
+        })
 }
 
 /// Outcome of a cross-decision pairing probe (see
@@ -387,10 +405,9 @@ impl LibraRisk {
 
     /// Revalidates one node's cache against its engine epoch: on a
     /// mismatch the resident projection input is rebuilt — along with the
-    /// canonical class signature, the kernel's first-segment share prefix
-    /// and the earliest resident deadline, all derived in the same pass —
-    /// and everything keyed to the old state (base contribution,
-    /// candidate memo) is dropped.
+    /// class hash, the kernel's first-segment share prefix and the
+    /// earliest resident deadline — and everything keyed to the old state
+    /// (base contribution, candidate memo) is dropped.
     ///
     /// Caching the share prefix against the epoch is sound because an
     /// *occupied* node's epoch pins `(residents, now)` — any `dt > 0`
@@ -399,42 +416,62 @@ impl LibraRisk {
     /// `+∞` deadline) is independent of `now` altogether.
     fn refresh_node(c: &mut NodeRiskCache, engine: &ProportionalCluster, node: NodeId, now: f64) {
         let epoch = engine.node_epoch(node);
-        if c.epoch != Some(epoch) {
-            // Canonical evaluation order: every projection (and hence
-            // every (μ_j, σ_j) bit pattern) becomes a function of the
-            // resident *multiset* — equal-class nodes replay each other's
-            // kernel results exactly, and `decide_reference` (which
-            // canonicalizes too) stays a bitwise oracle. The slot
-            // permutation is sorted by the same `(deadline, remaining)`
-            // bit key `canonicalize_projection` uses, so emitting `jobs`
-            // through it reproduces that order bitwise while also
-            // capturing slot identity for the cross-decision pairing
-            // compare.
+        if c.epoch == Some(epoch) {
+            return;
+        }
+        // Canonical evaluation order: every projection (and hence every
+        // (μ_j, σ_j) bit pattern) becomes a function of the resident
+        // *multiset* — equal-class nodes replay each other's kernel
+        // results exactly, and `decide_reference` (which canonicalizes
+        // too) stays a bitwise oracle. The slot permutation is sorted by
+        // the same `(deadline, remaining)` bit key
+        // `canonicalize_projection` uses, so emitting `jobs` through it
+        // reproduces that order bitwise while also capturing slot
+        // identity for the cross-decision pairing compare. While the
+        // membership holds only remaining work moves (an advance shrinks
+        // it, an overrun re-arm grows it) and the deadline leads the key,
+        // so at most equal-deadline ties reorder: the old permutation is
+        // re-read and re-sorted only if it fell out of order. (Slots with
+        // equal keys emit equal jobs, so which of them comes first never
+        // shows in `jobs`.)
+        let membership = engine.node_membership_epoch(node);
+        let sort_key = |&s: &u32| engine.slot_projection_bits(s);
+        if c.perm_epoch != Some(membership) {
             c.perm.clear();
             c.perm.extend_from_slice(engine.node_slots(node));
-            c.perm
-                .sort_unstable_by_key(|&s| engine.slot_projection_bits(s));
-            c.perm_epoch = Some(engine.node_membership_epoch(node));
-            c.jobs.clear();
-            let mut min_dl = f64::INFINITY;
-            for &s in &c.perm {
-                let (dl_bits, rem_bits) = engine.slot_projection_bits(s);
-                let abs_deadline = f64::from_bits(dl_bits);
-                min_dl = min_dl.min(abs_deadline);
-                c.jobs.push(ProjectedJob {
-                    remaining_est: f64::from_bits(rem_bits),
-                    abs_deadline,
-                });
-            }
-            c.min_deadline = min_dl;
-            c.class_hash = canonical_class_keys(&c.jobs, &mut c.class_keys);
-            c.share_sum = first_segment_shares(&c.jobs, now, &mut c.first_shares);
-            c.epoch = Some(epoch);
-            c.base = None;
-            if !c.memo.is_empty() {
-                c.memo.clear();
-            }
+            c.perm.sort_unstable_by_key(sort_key);
+            c.perm_epoch = Some(membership);
+            Self::emit_jobs(c, engine);
+        } else if !Self::emit_jobs(c, engine) {
+            c.perm.sort_unstable_by_key(sort_key);
+            Self::emit_jobs(c, engine);
         }
+        c.min_deadline = min_abs_deadline(&c.jobs);
+        c.class_hash = canonical_class_hash(&c.jobs);
+        c.share_sum = first_segment_shares(&c.jobs, now, &mut c.first_shares);
+        c.epoch = Some(epoch);
+        c.base = None;
+        if !c.memo.is_empty() {
+            c.memo.clear();
+        }
+    }
+
+    /// Refills `c.jobs` by walking `c.perm` over the live projection
+    /// bits; returns whether the walk found them in canonical order.
+    fn emit_jobs(c: &mut NodeRiskCache, engine: &ProportionalCluster) -> bool {
+        c.jobs.clear();
+        let mut prev = (0, 0);
+        let mut sorted = true;
+        for &s in &c.perm {
+            let key = engine.slot_projection_bits(s);
+            sorted &= prev <= key;
+            prev = key;
+            c.jobs.push(ProjectedJob {
+                abs_deadline: f64::from_bits(key.0),
+                remaining_est: f64::from_bits(key.1),
+            });
+        }
+        sorted
     }
 
     /// Probes this node's cross-decision pairing: checks that neither
@@ -481,7 +518,8 @@ impl LibraRisk {
     /// `(class hash, share sum, min resident deadline, canonical keys)`.
     /// Must always equal a from-scratch rebuild via
     /// [`ProportionalCluster::node_projection`] +
-    /// [`canonical_class_keys`] / [`first_segment_shares`] — if the epoch
+    /// [`cluster::projection::canonical_class_keys`] /
+    /// [`first_segment_shares`] — if the epoch
     /// machinery ever failed to invalidate on churn, requeue or advance,
     /// this would hand back the stale signature and the oracle would
     /// catch it.
@@ -494,12 +532,12 @@ impl LibraRisk {
         let now = engine.now().as_secs();
         let c = &mut self.cache[node.0 as usize];
         Self::refresh_node(c, engine, node, now);
-        (
-            c.class_hash,
-            c.share_sum,
-            c.min_deadline,
-            c.class_keys.clone(),
-        )
+        let keys = c
+            .jobs
+            .iter()
+            .map(|j| (j.abs_deadline.to_bits(), j.remaining_est.to_bits()))
+            .collect();
+        (c.class_hash, c.share_sum, c.min_deadline, keys)
     }
 
     /// The cluster-wide risk aggregate over *resident* jobs only (no
@@ -674,12 +712,14 @@ impl ShareAdmission for LibraRisk {
         // tentatively added — proving most verdicts *without* running the
         // projection kernel. Per node, cheapest sufficient evidence wins:
         // the zero-risk screen settles nodes with provable headroom in a
-        // handful of flops; the equivalence-class table replays the
-        // verdict of any node whose resident multiset and speed were
-        // already evaluated this decision; the exact candidate memo
-        // replays prior kernel outputs at this epoch; and only what
-        // survives all three runs the kernel (warm-started from the
-        // cached first-segment share prefix).
+        // handful of flops; the risk screen settles nodes whose
+        // finish-time bounds alone prove dispersion in one pass over the
+        // residents; the equivalence-class table replays the verdict of
+        // any node whose resident multiset and speed were already
+        // evaluated this decision; the exact candidate memo replays prior
+        // kernel outputs at this epoch; and only what survives all four
+        // runs the kernel (warm-started from the cached first-segment
+        // share prefix).
         self.zero_risk.clear();
         self.classes.clear();
         let mut stats = DecisionStats::default();
@@ -691,6 +731,7 @@ impl ShareAdmission for LibraRisk {
         let fine = obs::phase::decision_sampled();
         let scan_span = fine.then(|| obs::phase::span(obs::phase::Phase::CandidateScan));
         let total_nodes = engine.cluster().len();
+        let cand_share = tentative.remaining_est / (tentative.abs_deadline - now).max(EPS_DEADLINE);
         for (scanned, node) in engine.cluster().nodes().iter().enumerate() {
             // Certain-rejection early-exit: even if this node and every
             // later one turned out suitable, fewer than `want` could
@@ -743,6 +784,37 @@ impl ShareAdmission for LibraRisk {
                 // μ = dd, which is exactly 0.0 too, so skipping the
                 // projection cannot flip a decision.
                 true
+            } else if self.classifier
+                && !self.naive_projection
+                && (share_total + cand_share > speed
+                    || min_dl.min(tentative.abs_deadline) - now < EPS_DEADLINE)
+                && screens_risky(
+                    discipline,
+                    speed,
+                    engine
+                        .node_slots(node.id)
+                        .iter()
+                        .map(|&s| slot_job(engine, s)),
+                    tentative,
+                    now,
+                )
+            {
+                // Risk screen, the dominance screen's mirror: no job
+                // outruns its node and the node drains all its work by
+                // `now + Σrem/speed`, and when those bounds alone put two
+                // deadline-delays further apart than the verdict kernel's
+                // bail-out gap (plus a float allowance) σ_j is provably
+                // nonzero (proof at [`screens_risky`]) — unsuitable under
+                // every variant the screen runs for. The bounds ignore
+                // resident order, so the residents are read straight off
+                // the engine's slots: a screened node skips the refresh,
+                // the class table and the kernel. It can only fire when
+                // some job is late even at full speed, which takes a
+                // share above the node's speed or a deadline inside the
+                // `EPS_DEADLINE` floor: the O(1) pre-check on the engine's
+                // share total keeps under-loaded nodes off the pass.
+                stats.risk_screen_hits += 1;
+                false
             } else {
                 // Cross-decision pairing: a previous decision proved this
                 // node's resident multiset bitwise equal to a
@@ -772,8 +844,8 @@ impl ShareAdmission for LibraRisk {
                     // (candidate, now, discipline) are fixed for this
                     // decision the verdict is a pure function of
                     // (canonical class, speed). The hash is a prescreen;
-                    // a hit is confirmed by comparing the canonical key
-                    // lists exactly, so a 64-bit collision degrades to a
+                    // a hit is confirmed by comparing the canonical job
+                    // lists bitwise, so a 64-bit collision degrades to a
                     // recomputation, never a wrong replay. A confirmed
                     // hit also establishes the pairing that lets the
                     // *next* decision skip the refresh and hash entirely.
@@ -785,7 +857,7 @@ impl ShareAdmission for LibraRisk {
                     let ck = class_key(c.class_hash, speed);
                     if self.classifier {
                         if let Some((rep, mu, sigma)) = self.classes.get(ck) {
-                            if self.cache[rep as usize].class_keys == self.cache[idx].class_keys {
+                            if jobs_bits_eq(&self.cache[rep as usize].jobs, &self.cache[idx].jobs) {
                                 known = Some((mu, sigma));
                                 let rep_ep = engine.node_membership_epoch(NodeId(rep));
                                 let my_ep = engine.node_membership_epoch(node.id);
@@ -927,6 +999,7 @@ impl ShareAdmission for LibraRisk {
         if obs::phase::enabled() {
             use obs::phase::Counter as C;
             obs::phase::add(C::DominanceScreens, stats.screen_hits);
+            obs::phase::add(C::RiskScreens, stats.risk_screen_hits);
             obs::phase::add(C::PairingHits, stats.pairing_hits);
             obs::phase::add(C::EquivClassHits, stats.class_hits);
             obs::phase::add(C::EquivClassMisses, stats.projections_run);

@@ -14,8 +14,8 @@ use workload::{Job, Trace};
 
 /// Evaluation-volume accounting for one admission decision: how many
 /// nodes the candidate scan looked at and how much projection work the
-/// pre-kernel machinery (dominance screen, equivalence classes, memos)
-/// avoided. Costless to maintain — a handful of counter bumps per
+/// pre-kernel machinery (dominance and risk screens, equivalence
+/// classes, memos) avoided. Costless to maintain — a handful of counter bumps per
 /// decision — so policies keep it unconditionally and the facade samples
 /// it into the metrics registry when a recorder is enabled.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -26,6 +26,8 @@ pub struct DecisionStats {
     pub projections_run: u64,
     /// Nodes proven suitable by the pre-kernel dominance screen alone.
     pub screen_hits: u64,
+    /// Nodes proven unsuitable by the pre-kernel risk screen alone.
+    pub risk_screen_hits: u64,
     /// Nodes resolved by replaying another class member's evaluation
     /// (same-decision hash-confirmed hits plus cross-decision pairing
     /// replays).

@@ -180,8 +180,8 @@ const CLASS_VACANT: ClassSlot = ClassSlot {
 /// membership is only meaningful at one `(now, candidate)` point, and
 /// clearing sidesteps invalidation entirely. Keys are 64-bit hashes, so
 /// a colliding pair of *different* classes is possible in principle; the
-/// caller therefore confirms a hit by comparing the canonical key list
-/// against the representative's before trusting it, and treats a failed
+/// caller therefore confirms a hit by comparing the canonical job list
+/// bitwise against the representative's before trusting it, and treats a failed
 /// confirmation as a miss (same discipline as the bitwise candidate
 /// memo: a hit can never change a decision, only skip recomputation).
 #[derive(Clone, Debug, Default)]

@@ -405,13 +405,14 @@ impl ProportionalBackend<'_> {
             note_decision(rec, now, seq, job_id, decision, audit, latency_ns);
             // Evaluation-volume counters (kernel-volume experiment):
             // how much projection work the decision ran vs avoided via
-            // the dominance screen / equivalence classes / memos.
+            // the dominance and risk screens / equivalence classes / memos.
             if let Some(stats) = self.policy.last_decision_stats() {
                 if let Some(reg) = rec.registry_mut() {
                     reg.add(keys::PROJECTIONS_RUN_TOTAL, stats.projections_run);
                     reg.add(keys::PROJECTIONS_AVOIDED_TOTAL, stats.projections_avoided());
                     reg.add(keys::DECISION_CLASSES_TOTAL, stats.distinct_classes);
                     reg.add(keys::SCREENED_ZERO_RISK_TOTAL, stats.screen_hits);
+                    reg.add(keys::SCREENED_RISKY_TOTAL, stats.risk_screen_hits);
                 }
             }
         }
@@ -971,6 +972,16 @@ impl<'p> ShardState<'p> {
         self.next_seq
     }
 
+    /// Whether `id` is resident, running or queued as of the last
+    /// instant the backend caught up to.
+    pub(crate) fn holds(&self, id: JobId) -> bool {
+        match &self.backend {
+            ExecutionBackend::Proportional(b) => b.holds(id),
+            ExecutionBackend::Queued(b) => b.holds(id),
+            ExecutionBackend::Qops(b) => b.holds(id),
+        }
+    }
+
     /// Jobs currently resident, running, or waiting in a queue.
     pub fn in_flight(&self) -> usize {
         match &self.backend {
@@ -1430,6 +1441,12 @@ impl<'p> ClusterRms<'p> {
     /// Jobs currently resident, running, or waiting in a queue.
     pub fn in_flight(&self) -> usize {
         self.state.in_flight()
+    }
+
+    /// Whether `id` is in flight as of the last instant the RMS caught
+    /// up to (a job that resolved since then still counts).
+    pub(crate) fn holds(&self, id: JobId) -> bool {
+        self.state.holds(id)
     }
 
     /// Mean processor utilisation up to the last processed instant

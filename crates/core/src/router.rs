@@ -311,6 +311,17 @@ impl<'p> ShardedRms<'p> {
     }
 
     fn pick_shard(&mut self, job: &Job) -> usize {
+        // An id some shard still holds goes back to that shard, whose own
+        // in-flight check then rejects it as `InvalidJob` instead of a
+        // second shard admitting a namesake. (The hash route always maps
+        // an id to the same shard.) A holder that has not yet caught up
+        // to a resolution just decides the job itself; a pinned arrival
+        // does not take a round-robin turn.
+        if self.route != RouteBy::JobHash {
+            if let Some(i) = self.shards.iter().position(|s| s.holds(job.id)) {
+                return i;
+            }
+        }
         match self.route {
             RouteBy::JobHash => job_hash_shard(job.id, self.shards.len()),
             RouteBy::LeastLoaded => self
@@ -607,6 +618,52 @@ mod tests {
         assert_eq!(ll.submit_routed(job(1, 0.0, 50.0, 1, 500.0), t(0.0)).0, 1);
         assert_eq!(ll.submit_routed(job(2, 0.0, 50.0, 1, 500.0), t(0.0)).0, 0);
         assert_eq!(ll.in_flight(), 3);
+    }
+
+    #[test]
+    fn duplicate_in_flight_ids_go_back_to_their_shard() {
+        use crate::report::Outcome;
+        use obs::RejectReason;
+        for route in [RouteBy::LeastLoaded, RouteBy::RoundRobin] {
+            let mut rms = ShardedRms::new(vec![shard(), shard()], route).unwrap();
+            let mut events = Vec::new();
+            let (home, first) = rms.submit_routed(job(7, 0.0, 100.0, 1, 10_000.0), t(0.0));
+            assert_eq!(first, Decision::Accepted, "{route:?}");
+            events.extend(rms.advance(t(1.0)).unwrap());
+            // Both routes would pick the other shard for a fresh id.
+            let (shard, dup) = rms.submit_routed(job(7, 1.0, 100.0, 1, 10_000.0), t(1.0));
+            assert_eq!(
+                dup,
+                Decision::Rejected(RejectReason::InvalidJob),
+                "{route:?}: an in-flight id must be refused"
+            );
+            assert_eq!(shard, home, "{route:?}");
+            assert_eq!(rms.in_flight(), 1, "{route:?}: the duplicate was admitted");
+            // Once job 7 resolved, its id is free again.
+            events.extend(rms.advance(t(20_000.0)).unwrap());
+            let again = rms.submit(job(7, 20_000.0, 100.0, 1, 10_000.0), t(20_000.0));
+            assert_eq!(again, Decision::Accepted, "{route:?}");
+            events.extend(rms.drain().unwrap());
+            let mut seqs: Vec<u64> = events.iter().map(|e| e.seq).collect();
+            seqs.sort_unstable();
+            assert_eq!(
+                seqs,
+                vec![0, 1, 2],
+                "{route:?}: every submission resolves once"
+            );
+            let dup = events
+                .iter()
+                .find(|e| e.seq == 1)
+                .expect("duplicate resolved");
+            assert_eq!(
+                dup.record.outcome,
+                Outcome::Rejected {
+                    at: t(1.0),
+                    reason: RejectReason::InvalidJob
+                },
+                "{route:?}"
+            );
+        }
     }
 
     #[test]

@@ -408,3 +408,57 @@ proptest! {
         }
     }
 }
+
+/// The risk screen against the from-scratch reference on the load it
+/// was built for: 5,000 arrivals of the synthetic SDSC-SP2 trace at a
+/// quarter of the inter-arrival gaps (4x the paper's load), with trace
+/// estimates and the default deadline model, on the paper's 128 nodes.
+/// Every decision must equal `decide_reference`, and the screen must
+/// actually have settled nodes along the way.
+#[test]
+fn overload_replay_matches_reference_and_exercises_the_risk_screen() {
+    use sim::Rng64;
+    use workload::deadlines::DeadlineModel;
+    use workload::params::{SDSC_SP2_NODES, SDSC_SP2_SPEC_RATING};
+    use workload::synthetic::SyntheticSdscSp2;
+
+    let seed = 1;
+    let mut trace = SyntheticSdscSp2 {
+        jobs: 5_000,
+        ..Default::default()
+    }
+    .generate(seed);
+    let mut deadline_rng = Rng64::new(seed).split("deadline-model");
+    DeadlineModel::default().assign(&mut deadline_rng, trace.jobs_mut());
+    trace.scale_arrivals(0.25);
+
+    let cluster = Cluster::homogeneous(SDSC_SP2_NODES, SDSC_SP2_SPEC_RATING);
+    let mut engine = ProportionalCluster::new(cluster, ProportionalConfig::default());
+    let mut lr = LibraRisk::paper();
+    let (mut risk_screens, mut accepted) = (0u64, 0usize);
+    for (i, job) in trace.jobs().iter().enumerate() {
+        while let Some(t) = engine.next_event_time() {
+            if t > job.submit {
+                break;
+            }
+            engine.advance(t);
+        }
+        engine.advance(job.submit);
+        let cached = lr.decide(&engine, job);
+        risk_screens += lr.last_decision_stats().expect("stats").risk_screen_hits;
+        assert_eq!(
+            cached,
+            lr.decide_reference(&engine, job),
+            "arrival {i} diverged from the reference"
+        );
+        if let Some(nodes) = cached {
+            accepted += 1;
+            engine.admit(job.clone(), nodes, job.submit);
+        }
+    }
+    assert!(risk_screens > 0, "the risk screen never fired");
+    assert!(
+        accepted < trace.len(),
+        "an overloaded replay must reject some arrivals"
+    );
+}

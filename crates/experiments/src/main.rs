@@ -272,17 +272,18 @@ fn main() -> ExitCode {
                 println!("# Projection-kernel volume — classifier off vs on\n");
                 println!(
                     "| classifier | jobs | decisions | projections run | avoided | \
-                     profiles/decision | avoided ratio | fulfilled |"
+                     risk screens | profiles/decision | avoided ratio | fulfilled |"
                 );
-                println!("| --- | --- | --- | --- | --- | --- | --- | --- |");
+                println!("| --- | --- | --- | --- | --- | --- | --- | --- | --- |");
                 for r in &rows {
                     println!(
-                        "| {} | {} | {} | {} | {} | {:.2} | {:.1}% | {} |",
+                        "| {} | {} | {} | {} | {} | {} | {:.2} | {:.1}% | {} |",
                         if r.classifier { "on" } else { "off" },
                         r.jobs,
                         r.decisions,
                         r.projections_run,
                         r.projections_avoided,
+                        r.screened_risky,
                         r.profiles_per_decision(),
                         r.avoided_ratio() * 100.0,
                         r.fulfilled,

@@ -256,7 +256,8 @@ mod tests {
 /// of the standard trace at one size, with the equivalence classifier
 /// either off (the "before" arm — every considered node pays a
 /// projection, though signatures are still counted) or on (the shipped
-/// decision path: dominance screen, class replay, pairing, memos).
+/// decision path: dominance and risk screens, class replay, pairing,
+/// memos).
 #[derive(Debug, Clone, Copy)]
 pub struct KernelVolumeRow {
     /// Whether the equivalence classifier was enabled for this arm.
@@ -277,6 +278,9 @@ pub struct KernelVolumeRow {
     /// Evaluations settled by the zero-risk dominance screen
     /// ([`obs::keys::SCREENED_ZERO_RISK_TOTAL`]).
     pub screened: u64,
+    /// Evaluations settled by the provably-risky screen
+    /// ([`obs::keys::SCREENED_RISKY_TOTAL`]).
+    pub screened_risky: u64,
     /// Deadline-fulfilled completions — the anchor that both arms decide
     /// identically (the classifier only changes *how* verdicts are
     /// proven, never the verdicts).
@@ -334,6 +338,7 @@ pub fn kernel_volume(cfg: &FigureConfig) -> Vec<KernelVolumeRow> {
                 projections_avoided: reg.counter(obs::keys::PROJECTIONS_AVOIDED_TOTAL),
                 classes_total: reg.counter(obs::keys::DECISION_CLASSES_TOTAL),
                 screened: reg.counter(obs::keys::SCREENED_ZERO_RISK_TOTAL),
+                screened_risky: reg.counter(obs::keys::SCREENED_RISKY_TOTAL),
                 fulfilled: sink.fulfilled(),
             });
         }
@@ -369,11 +374,12 @@ pub fn kernel_volume_svg(rows: &[KernelVolumeRow]) -> String {
 pub fn kernel_volume_csv(rows: &[KernelVolumeRow]) -> String {
     let mut out = String::from(
         "classifier,jobs,decisions,projections_run,projections_avoided,\
-         classes_total,screened_zero_risk,fulfilled,profiles_per_decision,avoided_ratio\n",
+         classes_total,screened_zero_risk,screened_risky,fulfilled,profiles_per_decision,\
+         avoided_ratio\n",
     );
     for r in rows {
         out.push_str(&format!(
-            "{},{},{},{},{},{},{},{},{:.3},{:.3}\n",
+            "{},{},{},{},{},{},{},{},{},{:.3},{:.3}\n",
             if r.classifier { "on" } else { "off" },
             r.jobs,
             r.decisions,
@@ -381,6 +387,7 @@ pub fn kernel_volume_csv(rows: &[KernelVolumeRow]) -> String {
             r.projections_avoided,
             r.classes_total,
             r.screened,
+            r.screened_risky,
             r.fulfilled,
             r.profiles_per_decision(),
             r.avoided_ratio(),

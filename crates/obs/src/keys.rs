@@ -33,6 +33,8 @@ pub const PROJECTIONS_AVOIDED_TOTAL: &str = "librarisk_projections_avoided_total
 pub const DECISION_CLASSES_TOTAL: &str = "librarisk_decision_classes_total";
 /// Node evaluations proven zero-risk by the pre-kernel dominance screen.
 pub const SCREENED_ZERO_RISK_TOTAL: &str = "librarisk_screened_zero_risk_total";
+/// Node evaluations proven risky by the pre-kernel risk screen.
+pub const SCREENED_RISKY_TOTAL: &str = "librarisk_screened_risky_total";
 
 /// Mean utilization of up capacity so far (gauge).
 pub const UTILIZATION: &str = "rms_utilization";
@@ -122,6 +124,7 @@ pub fn intern(name: &str) -> Option<&'static str> {
         PROJECTIONS_AVOIDED_TOTAL,
         DECISION_CLASSES_TOTAL,
         SCREENED_ZERO_RISK_TOTAL,
+        SCREENED_RISKY_TOTAL,
         UTILIZATION,
         IN_FLIGHT,
         DECIDE_LATENCY,

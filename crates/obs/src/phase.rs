@@ -50,7 +50,7 @@ use std::time::Instant;
 /// Number of named phases (see [`Phase::ALL`]).
 pub const N_PHASES: usize = 12;
 /// Number of cache-machinery counters (see [`Counter::ALL`]).
-pub const N_COUNTERS: usize = 8;
+pub const N_COUNTERS: usize = 9;
 
 /// A named hot-path phase.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -165,14 +165,16 @@ pub enum Counter {
     ReplayMemoHits = 2,
     /// Node evaluations settled by the zero-risk dominance screen.
     DominanceScreens = 3,
+    /// Node evaluations settled by the provably-risky screen.
+    RiskScreens = 4,
     /// Node evaluations answered by cross-decision pairing replay.
-    PairingHits = 4,
+    PairingHits = 5,
     /// Node evaluations answered by the per-node candidate memo.
-    CandidateMemoHits = 5,
+    CandidateMemoHits = 6,
     /// Verdict-kernel runs that bailed at the first σ certification.
-    KernelBails = 6,
+    KernelBails = 7,
     /// Projection-kernel executions.
-    ProjectionsRun = 7,
+    ProjectionsRun = 8,
 }
 
 impl Counter {
@@ -182,6 +184,7 @@ impl Counter {
         Counter::EquivClassMisses,
         Counter::ReplayMemoHits,
         Counter::DominanceScreens,
+        Counter::RiskScreens,
         Counter::PairingHits,
         Counter::CandidateMemoHits,
         Counter::KernelBails,
@@ -199,6 +202,7 @@ const COUNTER_KEYS: [&str; N_COUNTERS] = [
     "phase_equiv_class_misses_total",
     "phase_replay_memo_hits_total",
     "phase_dominance_screens_total",
+    "phase_risk_screens_total",
     "phase_pairing_hits_total",
     "phase_candidate_memo_hits_total",
     "phase_kernel_bails_total",
