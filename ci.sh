@@ -83,6 +83,11 @@ echo "== lint: clippy (core incl. router, all targets) =="
 # and its test targets to -D warnings explicitly as well.
 cargo clippy -p librisk --all-targets -- -D warnings
 
+echo "== lint: rustdoc =="
+# Every intra-doc link must resolve, private items included, so a
+# deleted or renamed item cannot leave a dangling link behind.
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --document-private-items
+
 echo "== obs smoke: trace exports =="
 # A small ring-recorder churn run; the subcommand itself re-parses the
 # JSONL and Chrome trace_event exports and exits non-zero on malformed

@@ -964,8 +964,8 @@ fn main() {
     // the pre-kernel classifier off and on, each decision preceded by a
     // tiny epoch-moving advance so whole-decision memos can never answer
     // and the per-decision evaluation volume is real. The interesting
-    // numbers are distinct profiles projected per decision (the classifier
-    // collapses equal-signature nodes to one kernel run) and the fraction
+    // numbers are distinct profiles projected per decision (the set table
+    // evaluates each resident set once) and the fraction
     // of node evaluations settled without the kernel at all.
     let eq_decisions = (decisions / 4).clamp(256, 4_096);
     eprintln!(
@@ -998,7 +998,6 @@ fn main() {
                     agg.projections_run += s.projections_run;
                     agg.screen_hits += s.screen_hits;
                     agg.class_hits += s.class_hits;
-                    agg.pairing_hits += s.pairing_hits;
                     agg.kernel_bails += s.kernel_bails;
                     agg.memo_hits += s.memo_hits;
                     agg.distinct_classes += s.distinct_classes;
@@ -1009,7 +1008,7 @@ fn main() {
             let avoided = agg.projections_avoided();
             let avoided_ratio = avoided as f64 / (agg.nodes_considered.max(1)) as f64;
             eprintln!(
-                "    classifier {}: {:.2} profiles/decision, {:.2} classes/decision, \
+                "    classifier {}: {:.2} profiles/decision, {:.2} sets evaluated/decision, \
                  {:.1}% of node evaluations avoided the kernel",
                 if classifier { "on " } else { "off" },
                 agg.projections_run as f64 / n,
@@ -1021,9 +1020,9 @@ fn main() {
                  \"nodes_considered\": {}, \"projections_run\": {}, \
                  \"projections_avoided\": {avoided}, \
                  \"profiles_per_decision\": {:.2}, \
-                 \"classes_per_decision\": {:.2}, \
+                 \"sets_evaluated_per_decision\": {:.2}, \
                  \"avoided_ratio\": {avoided_ratio:.3}, \
-                 \"screen_hits\": {}, \"class_hits\": {}, \"pairing_hits\": {}, \
+                 \"screen_hits\": {}, \"class_hits\": {}, \
                  \"memo_hits\": {}, \"kernel_bails\": {} }}",
                 if classifier { "on" } else { "off" },
                 agg.nodes_considered,
@@ -1032,7 +1031,6 @@ fn main() {
                 agg.distinct_classes as f64 / n,
                 agg.screen_hits,
                 agg.class_hits,
-                agg.pairing_hits,
                 agg.memo_hits,
                 agg.kernel_bails,
             )

@@ -153,13 +153,11 @@ impl RiskSummary {
 /// to float summation order*: two permutations of the same multiset can
 /// differ in the last ulp, which matters precisely where `σ_j` sits at
 /// cancellation-noise scale near the zero-risk threshold. Admission
-/// layers therefore first rewrite every projection input into canonical
-/// order ([`canonicalize_projection`]) — making the computed bits a
-/// function of the multiset, not of arbitrary resident slot order — and
-/// then use the hash as an equivalence-class prescreen with the key
-/// sequence as exact confirmation, so one kernel run per class serves
-/// every member node bit-exactly (see DESIGN.md "Node equivalence &
-/// dominance").
+/// layers therefore rewrite every projection input into canonical order
+/// ([`canonicalize_projection`]), making the computed bits a function of
+/// the multiset, not of arbitrary resident slot order; the fingerprint
+/// lets diagnostics and tests check a cached canonical list against a
+/// from-scratch one.
 ///
 /// Deadlines and remaining work are positive finite, so the bit patterns
 /// order exactly like the values and the sort needs no float comparator.
@@ -168,17 +166,6 @@ pub fn canonical_class_keys(jobs: &[ProjectedJob], keys: &mut Vec<(u64, u64)>) -
     keys.extend(jobs.iter().map(class_key_bits));
     keys.sort_unstable();
     class_hash(keys.iter().copied(), keys.len())
-}
-
-/// The class hash of a job list *already in canonical order* (see
-/// [`canonicalize_projection`]): bitwise the hash
-/// [`canonical_class_keys`] returns for any permutation of it, without
-/// materialising or sorting the key list.
-pub fn canonical_class_hash(canonical: &[ProjectedJob]) -> u64 {
-    debug_assert!(canonical
-        .windows(2)
-        .all(|w| class_key_bits(&w[0]) <= class_key_bits(&w[1])));
-    class_hash(canonical.iter().map(class_key_bits), canonical.len())
 }
 
 /// A job's canonical sort key: its `(abs_deadline, remaining_est)` bits.

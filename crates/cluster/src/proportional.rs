@@ -257,9 +257,12 @@ pub struct ProportionalCluster {
     /// `gang_nodes[gang_start[s]..gang_start[s] + width[s]]`, in
     /// allocation order — the same order `meta[s].nodes` holds, so hot
     /// loops walking the arena visit nodes in the reference order without
-    /// the `meta` box + `Vec` double indirection. Released slots leak
-    /// their run; the arena resets whenever the engine drains empty.
+    /// the `meta` box + `Vec` double indirection. Released slots leave
+    /// their run behind as dead entries; `admit` compacts the arena once
+    /// dead entries outnumber live ones (see `compact_gang_nodes`).
     gang_nodes: Vec<u32>,
+    /// Live entries of `gang_nodes`: the summed width of resident slots.
+    gang_live: usize,
     /// Per-slot Eq. 1 share computed by recompute pass 1 and consumed by
     /// pass 2 (engine-owned scratch; garbage between recomputes).
     share_scratch: Vec<f64>,
@@ -305,6 +308,10 @@ pub struct ProportionalCluster {
     /// `node_jobs` per candidate. Deadlines are fixed per job, so plain
     /// advances and estimate re-arms cannot move it.
     node_min_dl: Vec<f64>,
+    /// Per-node XOR of [`slot_mix`] over the node's resident slots
+    /// (`0` when empty), maintained in O(1) wherever a slot joins or
+    /// leaves a node's list: see [`ProportionalCluster::node_set_hash`].
+    set_hash: Vec<u64>,
     /// Occupancy bitmask over nodes (bit = node hosts ≥1 resident),
     /// maintained by admit/unlink; serves O(1) occupancy tests for
     /// [`ProportionalCluster::node_epoch`]'s time component.
@@ -376,6 +383,25 @@ fn event_dt(
     dt
 }
 
+/// A slot's contribution to [`ProportionalCluster::node_set_hash`]: the
+/// splitmix64 finaliser of the slot index, so sets that differ in one
+/// slot always hash apart and the low bits are usable as a table index.
+#[inline]
+fn slot_mix(s: u32) -> u64 {
+    let mut z = (s as u64).wrapping_add(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// The set hash of a slot list: the XOR of each slot's mixed hash.
+/// [`ProportionalCluster::node_set_hash`] maintains exactly this value
+/// of [`ProportionalCluster::node_slots`] incrementally; this from-scratch
+/// form is its differential oracle.
+pub fn slot_set_hash(slots: &[u32]) -> u64 {
+    slots.iter().fold(0, |h, &s| h ^ slot_mix(s))
+}
+
 impl ProportionalCluster {
     /// Creates an engine over the given cluster.
     pub fn new(cluster: Cluster, cfg: ProportionalConfig) -> Self {
@@ -402,6 +428,7 @@ impl ProportionalCluster {
             node0: Vec::new(),
             gang_start: Vec::new(),
             gang_nodes: Vec::new(),
+            gang_live: 0,
             share_scratch: Vec::new(),
             dt_scratch: Vec::new(),
             meta: Vec::new(),
@@ -415,6 +442,7 @@ impl ProportionalCluster {
             node_epochs: vec![0; n],
             membership_epoch: vec![0; n],
             node_min_dl: vec![f64::INFINITY; n],
+            set_hash: vec![0; n],
             occ_mask: vec![0; n.div_ceil(64)],
             global_epoch: 0,
             next_dt: f64::INFINITY,
@@ -477,6 +505,18 @@ impl ProportionalCluster {
         &self.node_jobs[node.0 as usize]
     }
 
+    /// Order-free fingerprint of a node's resident *set*: the XOR of a
+    /// mixed hash of each slot in [`ProportionalCluster::node_slots`]
+    /// (`0` for an empty node). Equal sets always hash equal, whatever
+    /// their list order; unequal sets may collide, so a caller that
+    /// groups nodes by this value must confirm the sets themselves.
+    /// Maintained in O(1) per slot by `admit`, `remove_from_node` and
+    /// `from_snapshot` — the only places a slot joins or leaves a list.
+    #[inline]
+    pub fn node_set_hash(&self, node: NodeId) -> u64 {
+        self.set_hash[node.0 as usize]
+    }
+
     /// Cached speed factor of a node — bitwise the same value
     /// `cluster().speed_factor(node)` re-derives on every call (the
     /// cluster is immutable after construction), without the division.
@@ -527,7 +567,26 @@ impl ProportionalCluster {
             .expect("released job in iteration order");
         self.order.remove(pos);
         self.free_slots.push(s);
+        self.gang_live -= self.width[s as usize] as usize;
         self.meta[s as usize].take().expect("released job resident")
+    }
+
+    /// Rewrites `gang_nodes` with only the live runs, each copied in its
+    /// member order, and repoints `gang_start`. Called by `admit` once
+    /// dead entries outnumber live ones: the copy costs the live entries,
+    /// which the dead ones it reclaims already paid for, so the arena
+    /// stays within about twice its live size at amortised O(1) per entry
+    /// — also under sustained load that never drains the engine empty.
+    fn compact_gang_nodes(&mut self) {
+        let mut packed = Vec::with_capacity(2 * self.gang_live + 16);
+        for &s in &self.order {
+            let si = s as usize;
+            let start = self.gang_start[si] as usize;
+            self.gang_start[si] = packed.len() as u32;
+            packed.extend_from_slice(&self.gang_nodes[start..start + self.width[si] as usize]);
+        }
+        debug_assert_eq!(packed.len(), self.gang_live);
+        self.gang_nodes = packed;
     }
 
     /// Places a job on the given nodes and starts it immediately.
@@ -554,13 +613,12 @@ impl ProportionalCluster {
         let was_clean = self.rates_clean;
         let est = job.estimate.as_secs().max(EPS_WORK);
         let work = job.runtime.as_secs().max(EPS_WORK);
-        if self.order.is_empty() {
-            // Released slots leak their gang-node runs; an empty engine is
-            // the natural point to reclaim the arena wholesale.
-            self.gang_nodes.clear();
+        if self.gang_nodes.len() - self.gang_live > self.gang_live {
+            self.compact_gang_nodes();
         }
         let s = self.alloc_slot();
         self.gang_start[s as usize] = self.gang_nodes.len() as u32;
+        self.gang_live += nodes.len();
         let dl = job.absolute_deadline().as_secs();
         let mut slots = Vec::with_capacity(nodes.len());
         for n in &nodes {
@@ -570,6 +628,7 @@ impl ProportionalCluster {
             slots.push(list.len() as u32);
             list.push(s);
             self.gang_nodes.push(n.0);
+            self.set_hash[ni] ^= slot_mix(s);
             self.occ_mask[ni / 64] |= 1u64 << (ni % 64);
             self.node_epochs[ni] += 1;
             self.membership_epoch[ni] += 1;
@@ -638,6 +697,30 @@ impl ProportionalCluster {
     /// [`ProportionalCluster::advance`] into a caller-owned buffer
     /// (cleared first) — the allocation-free variant for driver hot loops.
     /// In steady state (warm buffers) this performs zero heap allocations.
+    ///
+    /// One sweep over `order` (ascending job id) applies progress and
+    /// builds recompute pass 1 — every survivor's Eq. 1 share at `to`,
+    /// summed into the per-node totals — so only pass 2 runs afterwards,
+    /// whatever the sweep completed or re-armed. Bitwise equal to
+    /// [`ProportionalCluster::advance_reference`], which sums the totals
+    /// from zero over the survivors in ascending job-id order *after*
+    /// removing the completed jobs:
+    ///
+    /// * a job that completes in the sweep adds no share, so each node's
+    ///   total is the left fold, from `0.0`, of exactly the survivors'
+    ///   shares in ascending job-id order — the reference's fold, term
+    ///   for term (removing a completed slot later changes no survivor's
+    ///   share or order);
+    /// * a re-armed job's share is computed in place from its re-armed
+    ///   estimate — the same expression on the same operands the
+    ///   reference evaluates after the sweep;
+    /// * every other survivor's share reads the post-progress estimate,
+    ///   exactly as the reference does.
+    ///
+    /// Each gang's member list is walked once per advance: `node_busy`
+    /// and the totals accumulate in the same loop (a completing gang
+    /// walks for busy time only). Per node, both sums still receive one
+    /// term per resident in ascending job-id order, so neither moves a bit.
     pub fn advance_into(&mut self, to: SimTime, out: &mut Vec<CompletedJob>) {
         out.clear();
         assert!(to >= self.last_update, "cannot advance backwards");
@@ -655,36 +738,19 @@ impl ProportionalCluster {
         }
         if dt > 0.0 && !self.order.is_empty() {
             self.global_epoch += 1;
-            self.rates_clean = false;
             let now_s = now.as_secs();
             let mut completed = std::mem::take(&mut self.completed_scratch);
             completed.clear();
-            // Progress pass, ascending job-id order: `busy_integral` and
-            // `node_busy` accumulate in the reference's summation order.
-            //
-            // Fusion: most advances complete and re-arm nothing — for
-            // those, recompute pass 1 (the Eq. 1 share of each survivor
-            // at `to`, summed into per-node totals) is computed here,
-            // inside the same sweep, in the same ascending job-id order
-            // and from the same post-progress beliefs the standalone
-            // pass would read — bitwise identical by construction. The
-            // first completion or re-arm poisons the fused totals
-            // (earlier accumulations assumed a survivor set that just
-            // changed), so `fused` drops and the tail of the sweep skips
-            // share work; the full recompute below then rebuilds totals
-            // from zero exactly as before.
             // Dense pre-pass (arena densely populated only): apply
-            // progress to every arena slot and compute each survivor's
-            // candidate post-progress share. Free-list lanes advance
-            // stale beliefs into garbage nothing reads (the bookkeeping
-            // fold below walks `order`; a reused slot is fully
-            // re-initialised by `admit`); live lanes see bitwise the
-            // subtraction and quotient the ordered loop computes inline
-            // in the sparse case — same operands, same expressions —
-            // while the branch-free sweeps pipeline the divisions. A
-            // slot this advance completes or re-arms gets a garbage
-            // share too, but those poison `fused` and force the full
-            // recompute anyway.
+            // progress to every arena slot and compute each lane's
+            // post-progress share. Free-list lanes advance stale beliefs
+            // into garbage nothing reads (the sweep below walks `order`;
+            // a reused slot is fully re-initialised by `admit`); live
+            // lanes see bitwise the subtraction and quotient the sweep
+            // computes inline in the sparse case — same operands, same
+            // expressions — while the branch-free loops pipeline the
+            // divisions. The sweep ignores a completing lane's share and
+            // recomputes a re-armed lane's.
             let n_slots = self.ids.len();
             let dense = self.dense_sweeps_pay();
             if dense {
@@ -707,61 +773,60 @@ impl ProportionalCluster {
                 }
             }
             self.totals_scratch.fill(0.0);
-            let mut fused = true;
             for &s in &self.order {
                 let si = s as usize;
                 let progress = self.rate[si] * dt;
                 self.busy_integral += progress * self.width_f[si];
-                if self.width[si] == 1 {
-                    self.node_busy[self.node0[si] as usize] += progress;
-                } else {
-                    let start = self.gang_start[si] as usize;
-                    for &ni in &self.gang_nodes[start..start + self.width[si] as usize] {
-                        self.node_busy[ni as usize] += progress;
-                    }
-                }
                 if !dense {
                     self.remaining_work[si] -= progress;
                     self.remaining_est[si] -= progress;
                 }
-                if self.remaining_work[si] <= EPS_WORK {
+                let start = self.gang_start[si] as usize;
+                let members = &self.gang_nodes[start..start + self.width[si] as usize];
+                let done = self.remaining_work[si] <= EPS_WORK;
+                let share = if done {
                     completed.push(s);
-                    fused = false;
+                    0.0 // never added: a completing job holds no share
                 } else if self.remaining_est[si] <= EPS_WORK {
                     // Overrun: the scheduler's belief was exhausted but the
                     // job is still running — re-arm a residual estimate.
-                    self.remaining_est[si] = (self.cfg.residual_fraction * self.estimate_secs[si])
+                    let re = (self.cfg.residual_fraction * self.estimate_secs[si])
                         .max(self.cfg.residual_floor);
+                    self.remaining_est[si] = re;
                     self.meta[si].as_mut().expect("resident has meta").overruns += 1;
                     // A re-arm is a discontinuous belief change, not a
                     // proportional drift — membership-keyed caches must
                     // drop the node.
-                    if self.width[si] == 1 {
-                        self.membership_epoch[self.node0[si] as usize] += 1;
-                    } else {
-                        let start = self.gang_start[si] as usize;
-                        for &ni in &self.gang_nodes[start..start + self.width[si] as usize] {
-                            self.membership_epoch[ni as usize] += 1;
-                        }
+                    for &ni in members {
+                        self.membership_epoch[ni as usize] += 1;
                     }
-                    fused = false;
-                } else if fused {
-                    let share = if dense {
-                        // Already computed by the dense pre-pass.
-                        self.share_scratch[si]
-                    } else {
-                        let rd = (self.abs_deadline[si] - now_s).max(EPS_DEADLINE);
-                        let share = self.remaining_est[si].max(EPS_WORK) / rd;
-                        self.share_scratch[si] = share;
-                        share
-                    };
-                    if self.width[si] == 1 {
-                        self.totals_scratch[self.node0[si] as usize] += share;
-                    } else {
-                        let start = self.gang_start[si] as usize;
-                        for &ni in &self.gang_nodes[start..start + self.width[si] as usize] {
-                            self.totals_scratch[ni as usize] += share;
-                        }
+                    let rd = (self.abs_deadline[si] - now_s).max(EPS_DEADLINE);
+                    let share = re.max(EPS_WORK) / rd;
+                    self.share_scratch[si] = share;
+                    share
+                } else if dense {
+                    // Already computed by the dense pre-pass.
+                    self.share_scratch[si]
+                } else {
+                    let rd = (self.abs_deadline[si] - now_s).max(EPS_DEADLINE);
+                    let share = self.remaining_est[si].max(EPS_WORK) / rd;
+                    self.share_scratch[si] = share;
+                    share
+                };
+                if self.width[si] == 1 {
+                    let ni = self.node0[si] as usize;
+                    self.node_busy[ni] += progress;
+                    if !done {
+                        self.totals_scratch[ni] += share;
+                    }
+                } else if done {
+                    for &ni in members {
+                        self.node_busy[ni as usize] += progress;
+                    }
+                } else {
+                    for &ni in members {
+                        self.node_busy[ni as usize] += progress;
+                        self.totals_scratch[ni as usize] += share;
                     }
                 }
             }
@@ -788,20 +853,17 @@ impl ProportionalCluster {
             self.completed_scratch = completed;
             obs::phase::lap_mark(obs::phase::Phase::CompletionEmit);
             self.last_update = now;
-            if fused {
-                // Totals and shares are already current (rebuilt from the
-                // post-progress beliefs above, reading no prior scratch) —
-                // run pass 2 only (it flips `rates_clean` back on).
-                self.scratch_valid = true;
-                self.recompute_pass2();
-            }
+            // Totals and shares are current for exactly the survivors
+            // (see above) — run pass 2 only.
+            self.scratch_valid = true;
+            self.recompute_pass2();
         }
         self.last_update = now;
         if !self.rates_clean {
             self.recompute_rates();
         }
-        // Covers `recompute_pass2` (fused) or the full recompute; on a
-        // zero-width advance it absorbs only the entry/guard sliver.
+        // Covers `recompute_pass2`; on a zero-width advance it absorbs
+        // only the entry/guard sliver.
         obs::phase::lap_mark(obs::phase::Phase::RecomputeSweep);
     }
 
@@ -959,6 +1021,7 @@ impl ProportionalCluster {
         let list = &mut self.node_jobs[ni];
         debug_assert_eq!(list[pos], s, "slot bookkeeping out of sync");
         list.swap_remove(pos);
+        self.set_hash[ni] ^= slot_mix(s);
         if list.is_empty() {
             self.occ_mask[ni / 64] &= !(1u64 << (ni % 64));
         }
@@ -1522,6 +1585,15 @@ impl ProportionalCluster {
     /// drop out of either alike. The member-wise loop stays for mixed
     /// speeds and for the degenerate denominators (zero, infinite, or no
     /// non-NaN total) and shares (NaN) where the argument does not hold.
+    ///
+    /// The max runs as four independent `>` accumulators over strided
+    /// members, combined at the end, so the compare chain no longer
+    /// serialises the walk. That equals the serial fold bitwise: a max
+    /// over non-NaN values is exact and independent of grouping, `>`
+    /// skips NaN in every accumulator alike, and the one case where
+    /// order could pick different bits — a `+0.0`/`-0.0` tie — yields a
+    /// zero denominator either way (the member-wise fallback under
+    /// `WorkConserving`, `1.0` under `Strict`).
     #[inline]
     fn gang_rate(&self, si: usize, strict: bool) -> f64 {
         let share = self.share_scratch[si];
@@ -1532,14 +1604,29 @@ impl ProportionalCluster {
             // `t > m` skips a NaN total just as `f64::max` would, but
             // lowers to one max instruction instead of a NaN-aware
             // select sequence on the fold's dependency chain.
-            let busiest = members.iter().fold(f64::NEG_INFINITY, |m, &ni| {
-                let t = self.totals_scratch[ni as usize];
-                if t > m {
-                    t
-                } else {
-                    m
+            let totals = &self.totals_scratch;
+            let mut acc = [f64::NEG_INFINITY; 4];
+            let mut quads = members.chunks_exact(4);
+            for q in &mut quads {
+                for k in 0..4 {
+                    let t = totals[q[k] as usize];
+                    if t > acc[k] {
+                        acc[k] = t;
+                    }
                 }
-            });
+            }
+            for (k, &ni) in quads.remainder().iter().enumerate() {
+                let t = totals[ni as usize];
+                if t > acc[k] {
+                    acc[k] = t;
+                }
+            }
+            let mut busiest = acc[0];
+            for &a in &acc[1..] {
+                if a > busiest {
+                    busiest = a;
+                }
+            }
             let denom = denom_of(busiest);
             let rate = share / denom * speed;
             if denom > 0.0 && denom < f64::INFINITY && !rate.is_nan() {
@@ -1554,8 +1641,8 @@ impl ProportionalCluster {
         rate
     }
 
-    /// Reference implementation of
-    /// [`ProportionalCluster::recompute_rates`]: fresh totals allocation,
+    /// Reference implementation of the engine's private rate recompute
+    /// (`recompute_rates`): fresh totals allocation,
     /// no single-node fast path, and the event-gap minimum recovered by a
     /// separate full scan. Kept as the differential-test oracle.
     pub fn recompute_rates_reference(&mut self) {
@@ -1720,6 +1807,7 @@ impl ProportionalCluster {
                 }
                 list[pos] = s;
                 eng.gang_nodes.push(node.0);
+                eng.set_hash[ni] ^= slot_mix(s);
                 eng.occ_mask[ni / 64] |= 1u64 << (ni % 64);
                 eng.node_min_dl[ni] = eng.node_min_dl[ni].min(dl);
             }
@@ -1729,6 +1817,7 @@ impl ProportionalCluster {
             eng.abs_deadline[slot] = dl;
             eng.estimate_secs[slot] = r.job.estimate.as_secs();
             eng.width[slot] = r.nodes.len() as u32;
+            eng.gang_live += r.nodes.len();
             eng.width_f[slot] = r.nodes.len() as f64;
             eng.node0[slot] = r.nodes[0].0;
             eng.meta[slot] = Some(ResidentMeta {
@@ -2510,6 +2599,74 @@ mod tests {
             }
             assert_eq!(fast.utilization().to_bits(), refr.utilization().to_bits());
         }
+    }
+
+    #[test]
+    fn gang_arena_stays_bounded_under_load_that_never_drains() {
+        // A resident that outlives the run keeps the engine from ever
+        // draining, so only `admit`'s compaction can reclaim the runs
+        // completed gangs leave behind. Rates stay bitwise equal to a
+        // twin driven through the reference paths.
+        let mut fast = ProportionalCluster::new(cluster(8), ProportionalConfig::default());
+        let mut refr = ProportionalCluster::new(cluster(8), ProportionalConfig::default());
+        let anchor = job(0, 0.0, 1e9, 1e9, 2, 2e9);
+        fast.admit(anchor.clone(), vec![NodeId(6), NodeId(7)], SimTime::ZERO);
+        refr.admit(anchor, vec![NodeId(6), NodeId(7)], SimTime::ZERO);
+        let (mut admitted, mut compactions) = (2usize, 0);
+        for i in 1..1500u64 {
+            let now = fast.now();
+            let width = 1 + (i % 6) as u32;
+            let nodes: Vec<NodeId> = (0..width).map(|k| NodeId((i as u32 + k) % 8)).collect();
+            let j = job(i, now.as_secs(), 5.0 + (i % 7) as f64, 8.0, width, 400.0);
+            let before = fast.gang_nodes.len();
+            fast.admit(j.clone(), nodes.clone(), now);
+            refr.admit(j, nodes, now);
+            refr.recompute_rates_reference();
+            admitted += width as usize;
+            if fast.gang_nodes.len() < before {
+                compactions += 1;
+            }
+            assert!(
+                fast.gang_nodes.len() <= 2 * fast.gang_live + 6,
+                "arena {} entries for {} live at admission {i}",
+                fast.gang_nodes.len(),
+                fast.gang_live
+            );
+            // Six seconds between arrivals: about 60% load on the free
+            // nodes, so gangs complete as fast as they arrive.
+            let target = now + SimDuration::from_secs(6.0);
+            loop {
+                let next = fast
+                    .next_event_time()
+                    .expect("anchor keeps the engine busy");
+                let to = next.min(target);
+                let a = fast.advance(to);
+                let b = refr.advance_reference(to);
+                assert_eq!(a.len(), b.len());
+                if to == target {
+                    break;
+                }
+            }
+            // Jobs finish within a few dozen admissions; the anchor stays.
+            for id in std::iter::once(0).chain(i.saturating_sub(64)..=i) {
+                assert_eq!(
+                    fast.rate_of(JobId(id)).map(f64::to_bits),
+                    refr.rate_of(JobId(id)).map(f64::to_bits),
+                    "rate of job {id} diverged at admission {i}"
+                );
+            }
+        }
+        let live: usize = fast
+            .order
+            .iter()
+            .map(|&s| fast.width[s as usize] as usize)
+            .sum();
+        assert_eq!(fast.gang_live, live);
+        assert!(compactions > 0, "the arena was never compacted");
+        assert!(
+            fast.gang_nodes.len() * 10 < admitted,
+            "the arena kept dead runs"
+        );
     }
 
     #[test]

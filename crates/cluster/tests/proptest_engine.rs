@@ -2,7 +2,7 @@
 //! projection.
 
 use cluster::projection::{self, node_risk, project_finishes, ProjectedJob, ShareDiscipline};
-use cluster::proportional::{ProportionalCluster, ProportionalConfig};
+use cluster::proportional::{slot_set_hash, ProportionalCluster, ProportionalConfig};
 use cluster::{Cluster, Node, NodeId, SpaceSharedCluster};
 use proptest::prelude::*;
 use sim::{SimDuration, SimTime};
@@ -637,5 +637,146 @@ proptest! {
             prop_assert!(guard < 200_000, "engines failed to converge");
         }
         prop_assert!(twin.next_event_time_scan().is_none());
+    }
+}
+
+/// One step of the set-hash churn: admit a gang, advance, fail or
+/// restore a node, or round-trip the engine through a snapshot.
+#[derive(Debug, Clone)]
+enum SetOp {
+    Admit(WideJob),
+    Advance(f64),
+    Fail(u32),
+    Restore(u32),
+    Snapshot,
+}
+
+fn set_op() -> impl Strategy<Value = SetOp> {
+    // Admissions and advances listed twice: drawn twice as often.
+    prop_oneof![
+        wide_job().prop_map(SetOp::Admit),
+        wide_job().prop_map(SetOp::Admit),
+        (0.0..1.5f64).prop_map(SetOp::Advance),
+        (0.0..1.5f64).prop_map(SetOp::Advance),
+        (0u32..16).prop_map(SetOp::Fail),
+        (0u32..16).prop_map(SetOp::Restore),
+        Just(SetOp::Snapshot),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+    #[test]
+    fn node_set_hash_matches_a_scan_of_the_slots(
+        ops in proptest::collection::vec(set_op(), 1..48),
+        kind in 0u32..3,
+        disc in discipline(),
+    ) {
+        // The O(1)-maintained set hash against the from-scratch XOR over
+        // each node's slot list, after every kind of membership change.
+        let cfg = ProportionalConfig { discipline: disc, ..Default::default() };
+        let mut engine = ProportionalCluster::new(cluster16(kind), cfg);
+        for (i, op) in ops.iter().enumerate() {
+            let now = engine.now();
+            match op {
+                SetOp::Admit(r) => {
+                    let nodes: Vec<NodeId> = (0..16)
+                        .map(|k| NodeId((r.offset + k) % 16))
+                        .filter(|&n| engine.node_is_up(n))
+                        .take(r.width as usize)
+                        .collect();
+                    if nodes.len() == r.width as usize {
+                        let est = r.runtime * r.est_factor;
+                        let mut j = job(i as u64, r.runtime, est, r.width, r.deadline);
+                        j.submit = now;
+                        engine.admit(j, nodes, now);
+                    }
+                }
+                SetOp::Advance(frac) => {
+                    if let Some(next) = engine.next_event_time() {
+                        let dt = (next - now).as_secs() * frac.min(1.0);
+                        engine.advance(now + SimDuration::from_secs(dt));
+                    }
+                }
+                SetOp::Fail(n) => {
+                    if engine.node_is_up(NodeId(*n)) {
+                        engine.fail_node(NodeId(*n), now);
+                    }
+                }
+                SetOp::Restore(n) => {
+                    if !engine.node_is_up(NodeId(*n)) {
+                        engine.restore_node(NodeId(*n), now);
+                    }
+                }
+                SetOp::Snapshot => {
+                    let snap = engine.snapshot();
+                    engine = ProportionalCluster::from_snapshot(cluster16(kind), cfg, &snap)
+                        .expect("a live snapshot restores");
+                }
+            }
+            for n in 0..16 {
+                let node = NodeId(n);
+                prop_assert_eq!(
+                    engine.node_set_hash(node),
+                    slot_set_hash(engine.node_slots(node)),
+                    "set hash of {} stale after op {} ({:?})",
+                    node,
+                    i,
+                    op
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn same_sweep_completions_and_rearms_match_the_reference_bitwise(
+        pairs in proptest::collection::vec(wide_job(), 1..10),
+        kind in 0u32..3,
+        disc in discipline(),
+    ) {
+        // Each pair puts two gangs on one node set with one estimate and
+        // one deadline: equal shares, hence equal rates, so both exhaust
+        // the estimate in the same advance — the first (runtime equal to
+        // the estimate) completes while the second (runtime larger)
+        // overruns and re-arms. Landing on every event, the engine must
+        // match a twin driven through `advance_reference` bitwise.
+        let cfg = ProportionalConfig { discipline: disc, ..Default::default() };
+        let mut fast = ProportionalCluster::new(cluster16(kind), cfg);
+        let mut twin = ProportionalCluster::new(cluster16(kind), cfg);
+        let ids = 2 * pairs.len() as u64;
+        for (i, r) in pairs.iter().enumerate() {
+            let nodes: Vec<NodeId> = (0..r.width).map(|k| NodeId((r.offset + k) % 16)).collect();
+            let est = r.runtime;
+            let done = job(2 * i as u64, est, est, r.width, r.deadline);
+            let overrun = job(2 * i as u64 + 1, est * (1.5 + r.est_factor), est, r.width, r.deadline);
+            for j in [done, overrun] {
+                fast.admit(j.clone(), nodes.clone(), SimTime::ZERO);
+                twin.admit(j, nodes.clone(), SimTime::ZERO);
+            }
+        }
+        twin.recompute_rates_reference();
+        assert_twins(&fast, &twin, ids, "after admission");
+        let (mut buf, mut both) = (Vec::new(), 0);
+        let mut guard = 0;
+        while let Some(t) = fast.next_event_time() {
+            let overruns = |e: &ProportionalCluster| -> u32 {
+                e.snapshot().residents.iter().map(|r| r.overruns).sum()
+            };
+            let overruns_before = overruns(&fast);
+            fast.advance_into(t, &mut buf);
+            let want = twin.advance_reference(t);
+            let bits = |d: &[cluster::CompletedJob]| -> Vec<(u64, u64)> {
+                d.iter().map(|d| (d.job.id.0, d.finish.as_secs().to_bits())).collect()
+            };
+            prop_assert_eq!(bits(&buf), bits(&want), "completions diverged");
+            assert_twins(&fast, &twin, ids, "after advance");
+            let survivors_rearmed = overruns(&fast) > overruns_before;
+            if survivors_rearmed && !buf.is_empty() {
+                both += 1;
+            }
+            guard += 1;
+            prop_assert!(guard < 200_000, "engines failed to converge");
+        }
+        prop_assert!(both > 0, "no advance completed and re-armed jobs together");
     }
 }

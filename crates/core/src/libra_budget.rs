@@ -1,5 +1,5 @@
 //! The economic half of the original Libra system (Sherwani et al.,
-//! SP&E 2004 — the paper's ref [14]).
+//! SP&E 2004 — the paper's ref \[14\]).
 //!
 //! The published Libra is a *computational-economy* scheduler: a user
 //! submits a job with a deadline **and a budget**, the cluster quotes a

@@ -21,9 +21,9 @@
 //!    delays and is avoided, where Libra would happily keep loading it.
 
 use crate::policy::{DecisionStats, ShareAdmission};
-use crate::risk_cache::{class_key, CandidateMemo, ClassTable};
+use crate::risk_cache::{CandidateMemo, SetTable};
 use cluster::projection::{
-    canonical_class_hash, canonicalize_projection, first_segment_shares, is_zero_risk,
+    canonical_class_keys, canonicalize_projection, first_segment_shares, is_zero_risk,
     min_abs_deadline, node_risk, node_risk_single_segment, screens_risky, screens_zero_risk,
     ProjectedJob, ProjectionWorkspace, RiskSummary, EPS_DEADLINE,
 };
@@ -63,13 +63,8 @@ pub const MU_EPSILON: f64 = 1e-9;
 struct NodeRiskCache {
     epoch: Option<(u64, u64)>,
     /// The residents' projection input in canonical `(deadline,
-    /// remaining)` bit order — also the node's load fingerprint: two
-    /// nodes with bitwise-equal lists (and equal speed) are in the same
-    /// equivalence class, so they share one `(μ_j, σ_j)` verdict.
+    /// remaining)` bit order.
     jobs: Vec<ProjectedJob>,
-    /// Length-seeded hash of `jobs` ([`canonical_class_hash`]) — the
-    /// cheap prescreen before the exact list compare.
-    class_hash: u64,
     /// The projection kernel's first-segment shares of `jobs` at this
     /// epoch's `now`, plus their left-to-right sum — the warm prefix the
     /// kernel starts from instead of recomputing the opening share pass
@@ -89,28 +84,12 @@ struct NodeRiskCache {
     /// The node's resident arena slots in canonical `(deadline,
     /// remaining)` order — `jobs` is emitted by walking this permutation.
     /// Valid per *membership* epoch (slot identity survives plain
-    /// advances), which is what lets the cross-decision pairing check
-    /// re-read current projection bits through it, and a refresh keep it
-    /// unless an advance reordered the remaining-work tie-breaks.
+    /// advances), which lets a refresh keep it unless an advance
+    /// reordered the remaining-work tie-breaks.
     perm: Vec<u32>,
     /// [`ProportionalCluster::node_membership_epoch`] the permutation was
     /// built at; `None` before the first refresh.
     perm_epoch: Option<u64>,
-    /// Cross-decision equivalence pairing: `(representative node,
-    /// representative's membership epoch, this node's membership epoch)`
-    /// captured when a confirmed class hit proved the two resident
-    /// multisets bitwise equal. The pairing is *self-verifying*: a replay
-    /// re-compares the current projection bits of both nodes through
-    /// their permutations, so it can only ever skip work, never import a
-    /// stale verdict.
-    pair: Option<(u32, u64, u64)>,
-    /// Decision sequence number of the last `(μ_j, σ_j)` evaluation
-    /// recorded below (`0` = never) — pairing replays only trust a
-    /// representative evaluated for *this* decision's candidate.
-    eval_stamp: u64,
-    /// `(μ_j, σ_j)` of "residents + candidate" recorded at `eval_stamp`.
-    eval_mu: f64,
-    eval_sigma: f64,
 }
 
 /// Cluster-wide aggregate of per-node resident risk contributions,
@@ -196,26 +175,18 @@ pub struct LibraRisk {
     /// instead of re-walking the cluster.
     gauge_stamp: Option<(u64, u64)>,
     gauge_memo: f64,
-    /// Per-decision equivalence-class table: one entry per *distinct*
-    /// `(canonical load class, speed)` profile that needed a projection
-    /// so far in the current node loop. This subsumes the old slot-list
-    /// dedupe (gang jobs leave bitwise-equal projection inputs) and goes
-    /// further: nodes whose residents are a *permutation* of each
-    /// other's — different slots, different admission order — also share
-    /// one kernel run, because `(μ_j, σ_j)` are symmetric in the job set.
-    /// Cleared at the top of each decision; never reused across engine
-    /// states.
-    classes: ClassTable,
-    /// When `false`, the pre-kernel zero-risk screen and class-result
-    /// reuse are disabled (signatures are still counted) — the "before"
-    /// arm of the kernel-volume experiment.
+    /// Per-decision resident-set table: `(set hash, speed)` → the first
+    /// node evaluated with that resident set and its verdict, so each
+    /// distinct set is evaluated once per decision (see
+    /// [`same_resident_set`] for why a confirmed hit replays exactly the
+    /// verdict an evaluation would return). Cleared at the top of each
+    /// decision; never reused across engine states.
+    sets: SetTable,
+    /// When `false`, the pre-kernel screens and the set table are
+    /// disabled — the "before" arm of the kernel-volume experiment.
     classifier: bool,
     /// Evaluation-volume counters of the most recent `decide` call.
     stats: DecisionStats,
-    /// Monotone decision counter — the validity stamp of per-node
-    /// `eval_*` records (a pairing replay only trusts a representative
-    /// evaluated for the current decision's candidate).
-    decide_seq: u64,
 }
 
 impl Default for LibraRisk {
@@ -233,28 +204,29 @@ fn slot_job(engine: &ProportionalCluster, s: u32) -> ProjectedJob {
     }
 }
 
-/// `true` when two projection inputs are equal bit for bit.
-fn jobs_bits_eq(a: &[ProjectedJob], b: &[ProjectedJob]) -> bool {
-    a.len() == b.len()
-        && a.iter().zip(b).all(|(x, y)| {
-            x.abs_deadline.to_bits() == y.abs_deadline.to_bits()
-                && x.remaining_est.to_bits() == y.remaining_est.to_bits()
-        })
-}
-
-/// Outcome of a cross-decision pairing probe (see
-/// [`NodeRiskCache::pair`]).
-enum PairingCheck {
-    /// Both memberships unchanged, the representative already holds a
-    /// verdict for this decision, and the live projection bits of the two
-    /// nodes compare equal — replay `(μ_j, σ_j)`.
-    Replay(f64, f64),
-    /// The pairing can no longer hold (membership moved, or the bits
-    /// diverged) — drop it.
-    Invalid,
-    /// The pairing may still be good but the representative has not been
-    /// evaluated for this decision yet — leave it in place.
-    NotReady,
+/// `true` when nodes `a` and `b` have bitwise-equal speeds and hold the
+/// same resident set — the confirmation behind every set-table hit.
+///
+/// A node's verdict is a function of its resident *multiset* (and the
+/// speed, the candidate, `now` and the discipline, all fixed within one
+/// decision): the kernel and the single-segment projection read the
+/// canonical `(deadline, remaining)` order, as `decide_reference` does,
+/// and every shortcut in front of them — both screens, the empty-node
+/// path, the candidate memo — returns the verdict they would. While
+/// `decide` holds the engine borrowed, a slot names one resident in one
+/// state, so equal slot sets are equal multisets, and replaying the
+/// verdict of a node with the same set returns exactly the verdict
+/// evaluating this one would.
+///
+/// Resident lists hold distinct slots, so equal lengths plus `a ⊆ b`
+/// prove the sets equal; lists usually agree in order too (a gang lands
+/// on its members in one admission order), which the slice compare
+/// settles before the O(k²) containment walk.
+fn same_resident_set(engine: &ProportionalCluster, a: NodeId, b: NodeId) -> bool {
+    let (sa, sb) = (engine.node_slots(a), engine.node_slots(b));
+    engine.node_speed(a).to_bits() == engine.node_speed(b).to_bits()
+        && sa.len() == sb.len()
+        && (sa == sb || sa.iter().all(|s| sb.contains(s)))
 }
 
 impl LibraRisk {
@@ -272,10 +244,9 @@ impl LibraRisk {
             decision_stamp: None,
             gauge_stamp: None,
             gauge_memo: 0.0,
-            classes: ClassTable::new(),
+            sets: SetTable::new(),
             classifier: true,
             stats: DecisionStats::default(),
-            decide_seq: 0,
         }
     }
 
@@ -384,13 +355,11 @@ impl LibraRisk {
     }
 
     /// Measurement knob for the kernel-volume experiment: with the
-    /// classifier off, the pre-kernel zero-risk screen and
-    /// class-result reuse are disabled — every evaluated node runs its
-    /// own projection (modulo the exact candidate memo) — while class
-    /// signatures are still computed and counted, so
-    /// [`DecisionStats::distinct_classes`] measures the same quantity in
-    /// both arms. Decisions are identical either way; only the work to
-    /// reach them changes. Defaults to on.
+    /// classifier off, the pre-kernel screens and the set table are
+    /// disabled — every considered node runs its own projection (modulo
+    /// the exact candidate memo), and [`DecisionStats::distinct_classes`]
+    /// counts every considered node. Decisions are identical either way;
+    /// only the work to reach them changes. Defaults to on.
     pub fn with_classifier(mut self, on: bool) -> Self {
         self.classifier = on;
         self
@@ -405,8 +374,8 @@ impl LibraRisk {
 
     /// Revalidates one node's cache against its engine epoch: on a
     /// mismatch the resident projection input is rebuilt — along with the
-    /// class hash, the kernel's first-segment share prefix and the
-    /// earliest resident deadline — and everything keyed to the old state
+    /// kernel's first-segment share prefix and the earliest resident
+    /// deadline — and everything keyed to the old state
     /// (base contribution, candidate memo) is dropped.
     ///
     /// Caching the share prefix against the epoch is sound because an
@@ -421,13 +390,12 @@ impl LibraRisk {
         }
         // Canonical evaluation order: every projection (and hence every
         // (μ_j, σ_j) bit pattern) becomes a function of the resident
-        // *multiset* — equal-class nodes replay each other's kernel
-        // results exactly, and `decide_reference` (which canonicalizes
+        // *multiset* — nodes with the same set replay each other's
+        // verdicts exactly, and `decide_reference` (which canonicalizes
         // too) stays a bitwise oracle. The slot permutation is sorted by
         // the same `(deadline, remaining)` bit key
         // `canonicalize_projection` uses, so emitting `jobs` through it
-        // reproduces that order bitwise while also capturing slot
-        // identity for the cross-decision pairing compare. While the
+        // reproduces that order bitwise. While the
         // membership holds only remaining work moves (an advance shrinks
         // it, an overrun re-arm grows it) and the deadline leads the key,
         // so at most equal-deadline ties reorder: the old permutation is
@@ -447,7 +415,6 @@ impl LibraRisk {
             Self::emit_jobs(c, engine);
         }
         c.min_deadline = min_abs_deadline(&c.jobs);
-        c.class_hash = canonical_class_hash(&c.jobs);
         c.share_sum = first_segment_shares(&c.jobs, now, &mut c.first_shares);
         c.epoch = Some(epoch);
         c.base = None;
@@ -474,51 +441,14 @@ impl LibraRisk {
         sorted
     }
 
-    /// Probes this node's cross-decision pairing: checks that neither
-    /// node's membership moved since the pairing was recorded, that the
-    /// representative already holds a verdict for this decision's
-    /// candidate, and finally that the two resident multisets *still*
-    /// compare bitwise equal when read live through the canonical slot
-    /// permutations. O(residents), touches no cache state — the pairing
-    /// never trusts the evolution of the pair, only what the engine says
-    /// right now, so a replay is exactly as sound as the confirmed class
-    /// hit that created it.
-    fn pairing_replay(&self, engine: &ProportionalCluster, idx: usize, seq: u64) -> PairingCheck {
-        let c = &self.cache[idx];
-        let Some((rep, rep_ep, my_ep)) = c.pair else {
-            return PairingCheck::NotReady;
-        };
-        if engine.node_membership_epoch(NodeId(idx as u32)) != my_ep
-            || engine.node_membership_epoch(NodeId(rep)) != rep_ep
-            || c.perm_epoch != Some(my_ep)
-        {
-            return PairingCheck::Invalid;
-        }
-        let r = &self.cache[rep as usize];
-        if r.eval_stamp != seq {
-            return PairingCheck::NotReady;
-        }
-        if r.perm_epoch != Some(rep_ep)
-            || r.perm.len() != c.perm.len()
-            || engine.node_speed(NodeId(rep)).to_bits()
-                != engine.node_speed(NodeId(idx as u32)).to_bits()
-        {
-            return PairingCheck::Invalid;
-        }
-        for (&a, &b) in c.perm.iter().zip(&r.perm) {
-            if engine.slot_projection_bits(a) != engine.slot_projection_bits(b) {
-                return PairingCheck::Invalid;
-            }
-        }
-        PairingCheck::Replay(r.eval_mu, r.eval_sigma)
-    }
-
     /// Diagnostic accessor for the staleness oracle tests: revalidates
     /// `node`'s cache at the current engine state and returns its
     /// `(class hash, share sum, min resident deadline, canonical keys)`.
+    /// The keys come in cached order; the hash is derived from them by
+    /// [`canonical_class_keys`].
     /// Must always equal a from-scratch rebuild via
     /// [`ProportionalCluster::node_projection`] +
-    /// [`cluster::projection::canonical_class_keys`] /
+    /// [`canonical_class_keys`] /
     /// [`first_segment_shares`] — if the epoch
     /// machinery ever failed to invalidate on churn, requeue or advance,
     /// this would hand back the stale signature and the oracle would
@@ -537,7 +467,8 @@ impl LibraRisk {
             .iter()
             .map(|j| (j.abs_deadline.to_bits(), j.remaining_est.to_bits()))
             .collect();
-        (c.class_hash, c.share_sum, c.min_deadline, keys)
+        let hash = canonical_class_keys(&c.jobs, &mut Vec::new());
+        (hash, c.share_sum, c.min_deadline, keys)
     }
 
     /// The cluster-wide risk aggregate over *resident* jobs only (no
@@ -677,8 +608,6 @@ impl ShareAdmission for LibraRisk {
             return None;
         }
         self.ensure_cache(engine.cluster().len());
-        self.decide_seq += 1;
-        let seq = self.decide_seq;
         let now = engine.now().as_secs();
         let discipline = engine.config().discipline;
         let tentative = projected_job(job);
@@ -711,17 +640,17 @@ impl ShareAdmission for LibraRisk {
         // Algorithm 1, lines 1–11: evaluate σ_j per node with the new job
         // tentatively added — proving most verdicts *without* running the
         // projection kernel. Per node, cheapest sufficient evidence wins:
-        // the zero-risk screen settles nodes with provable headroom in a
+        // the set table replays the verdict of any node with the same
+        // resident set and speed evaluated earlier this decision; the
+        // zero-risk screen settles nodes with provable headroom in a
         // handful of flops; the risk screen settles nodes whose
         // finish-time bounds alone prove dispersion in one pass over the
-        // residents; the equivalence-class table replays the verdict of
-        // any node whose resident multiset and speed were already
-        // evaluated this decision; the exact candidate memo replays prior
-        // kernel outputs at this epoch; and only what survives all four
-        // runs the kernel (warm-started from the cached first-segment
-        // share prefix).
+        // residents; the exact candidate memo replays prior kernel
+        // outputs at this epoch; and only what survives all four runs the
+        // kernel (warm-started from the cached first-segment share
+        // prefix).
         self.zero_risk.clear();
-        self.classes.clear();
+        self.sets.begin(engine.cluster().len());
         let mut stats = DecisionStats::default();
         // Profiler: the scan span brackets the whole node loop; the
         // classify/kernel spans below nest inside it (they are a
@@ -730,6 +659,11 @@ impl ShareAdmission for LibraRisk {
         // inside the <10% throughput budget.
         let fine = obs::phase::decision_sampled();
         let scan_span = fine.then(|| obs::phase::span(obs::phase::Phase::CandidateScan));
+        // One classify span covers each run of pre-kernel work — set
+        // table lookups and both screens — and closes before a node's
+        // refresh and kernel: a span per lookup would cost more than the
+        // lookups it times.
+        let mut classify = None;
         let total_nodes = engine.cluster().len();
         let cand_share = tentative.remaining_est / (tentative.abs_deadline - now).max(EPS_DEADLINE);
         for (scanned, node) in engine.cluster().nodes().iter().enumerate() {
@@ -749,9 +683,27 @@ impl ShareAdmission for LibraRisk {
             let idx = node.id.0 as usize;
             stats.nodes_considered += 1;
             let speed = engine.node_speed(node.id);
+            // Set table: one evaluation per distinct resident set. The
+            // key is the engine's O(1) set hash mixed with the speed; a
+            // hit is confirmed against the representative's slots, so a
+            // hash collision only costs the evaluation below.
+            let set_key = engine.node_set_hash(node.id) ^ speed.to_bits().rotate_left(32);
+            let known = if self.classifier {
+                if classify.is_none() {
+                    classify = fine.then(|| obs::phase::span(obs::phase::Phase::EquivClassify));
+                }
+                self.sets.get(set_key, |rep| {
+                    same_resident_set(engine, NodeId(rep), node.id)
+                })
+            } else {
+                None
+            };
             let share_total = engine.node_share_total_now(node.id);
             let min_dl = engine.node_min_deadline(node.id);
-            let suitable = if self.classifier
+            let suitable = if let Some(suitable) = known {
+                stats.class_hits += 1;
+                suitable
+            } else if self.classifier
                 && screens_zero_risk(discipline, speed, share_total, min_dl, tentative, now)
             {
                 // Dominance screen: enough capacity headroom that every
@@ -807,8 +759,8 @@ impl ShareAdmission for LibraRisk {
                 // nonzero (proof at [`screens_risky`]) — unsuitable under
                 // every variant the screen runs for. The bounds ignore
                 // resident order, so the residents are read straight off
-                // the engine's slots: a screened node skips the refresh,
-                // the class table and the kernel. It can only fire when
+                // the engine's slots: a screened node skips the refresh
+                // and the kernel. It can only fire when
                 // some job is late even at full speed, which takes a
                 // share above the node's speed or a deadline inside the
                 // `EPS_DEADLINE` floor: the O(1) pre-check on the engine's
@@ -816,132 +768,53 @@ impl ShareAdmission for LibraRisk {
                 stats.risk_screen_hits += 1;
                 false
             } else {
-                // Cross-decision pairing: a previous decision proved this
-                // node's resident multiset bitwise equal to a
-                // representative's. If both memberships are unchanged and
-                // the representative was already evaluated for *this*
-                // candidate, re-verify the equality against live engine
-                // bits and replay — no cache refresh, no hashing, no
-                // kernel. The compare walks both canonical slot
-                // permutations, so a stale pairing can only cost a
-                // recomputation, never import a wrong verdict.
-                let mut known = None;
-                if self.classifier {
-                    match self.pairing_replay(engine, idx, seq) {
-                        PairingCheck::Replay(mu, sigma) => {
-                            stats.pairing_hits += 1;
-                            known = Some((mu, sigma));
+                classify = None;
+                Self::refresh_node(&mut self.cache[idx], engine, node.id, now);
+                let _kernel = fine.then(|| obs::phase::span(obs::phase::Phase::VerdictKernel));
+                let c = &self.cache[idx];
+                let (mu, sigma) = if self.naive_projection {
+                    stats.projections_run += 1;
+                    let stage = self.ws.stage();
+                    stage.extend_from_slice(&c.jobs);
+                    stage.push(tentative);
+                    node_risk_single_segment(self.ws.staged(), now, speed, discipline)
+                } else if c.jobs.is_empty() {
+                    // An empty node's projection depends on `now`, which
+                    // its (never-bumped) epoch does not track — compute
+                    // directly, never memoise per-node.
+                    stats.projections_run += 1;
+                    let s = self.ws.node_risk_delta_prefixed(
+                        &c.jobs,
+                        &c.first_shares,
+                        c.share_sum,
+                        tentative,
+                        now,
+                        speed,
+                        discipline,
+                    );
+                    (s.mu, s.sigma)
+                } else {
+                    // Occupied node: its epoch pins (residents, now), so
+                    // the evaluation is a pure function of the candidate
+                    // signature. A memo hit replays the exact kernel
+                    // output computed earlier at this epoch; `memo_live`
+                    // keeps a fresh stamp's guaranteed misses off the
+                    // table.
+                    let key = (
+                        tentative.remaining_est.to_bits(),
+                        tentative.abs_deadline.to_bits(),
+                    );
+                    let memoised = if memo_live { c.memo.get(key) } else { None };
+                    let s = match memoised {
+                        Some(s) => {
+                            stats.memo_hits += 1;
+                            s
                         }
-                        PairingCheck::Invalid => self.cache[idx].pair = None,
-                        PairingCheck::NotReady => {}
-                    }
-                }
-                if known.is_none() {
-                    let _classify =
-                        fine.then(|| obs::phase::span(obs::phase::Phase::EquivClassify));
-                    // Equivalence class: (μ_j, σ_j) are symmetric
-                    // functions of the resident job multiset, so once
-                    // (candidate, now, discipline) are fixed for this
-                    // decision the verdict is a pure function of
-                    // (canonical class, speed). The hash is a prescreen;
-                    // a hit is confirmed by comparing the canonical job
-                    // lists bitwise, so a 64-bit collision degrades to a
-                    // recomputation, never a wrong replay. A confirmed
-                    // hit also establishes the pairing that lets the
-                    // *next* decision skip the refresh and hash entirely.
-                    {
-                        let c = &mut self.cache[idx];
-                        Self::refresh_node(c, engine, node.id, now);
-                    }
-                    let c = &self.cache[idx];
-                    let ck = class_key(c.class_hash, speed);
-                    if self.classifier {
-                        if let Some((rep, mu, sigma)) = self.classes.get(ck) {
-                            if jobs_bits_eq(&self.cache[rep as usize].jobs, &self.cache[idx].jobs) {
-                                known = Some((mu, sigma));
-                                let rep_ep = engine.node_membership_epoch(NodeId(rep));
-                                let my_ep = engine.node_membership_epoch(node.id);
-                                self.cache[idx].pair = Some((rep, rep_ep, my_ep));
-                            }
-                        }
-                    }
-                }
-                let (mu, sigma) = match known {
-                    Some(ms) => {
-                        stats.class_hits += 1;
-                        ms
-                    }
-                    None => {
-                        let _kernel =
-                            fine.then(|| obs::phase::span(obs::phase::Phase::VerdictKernel));
-                        let (mu, sigma) = if self.naive_projection {
+                        None => {
                             stats.projections_run += 1;
-                            let c = &self.cache[idx];
-                            let stage = self.ws.stage();
-                            stage.extend_from_slice(&c.jobs);
-                            stage.push(tentative);
-                            node_risk_single_segment(self.ws.staged(), now, speed, discipline)
-                        } else if self.cache[idx].jobs.is_empty() {
-                            // An empty node's projection depends on `now`,
-                            // which its (never-bumped) epoch does not track
-                            // — compute directly, never memoise per-node.
-                            stats.projections_run += 1;
-                            let c = &self.cache[idx];
-                            let s = self.ws.node_risk_delta_prefixed(
-                                &c.jobs,
-                                &c.first_shares,
-                                c.share_sum,
-                                tentative,
-                                now,
-                                speed,
-                                discipline,
-                            );
-                            (s.mu, s.sigma)
-                        } else if memo_live {
-                            // Occupied node: its epoch pins (residents,
-                            // now), so the evaluation is a pure function of
-                            // the candidate signature. A memo hit replays
-                            // the exact kernel output computed earlier at
-                            // this epoch.
-                            let key = (
-                                tentative.remaining_est.to_bits(),
-                                tentative.abs_deadline.to_bits(),
-                            );
-                            let s = match self.cache[idx].memo.get(key) {
-                                Some(s) => {
-                                    stats.memo_hits += 1;
-                                    s
-                                }
-                                None => {
-                                    stats.projections_run += 1;
-                                    let c = &self.cache[idx];
-                                    // Verdict kernel: an early σ
-                                    // certification memoises (and
-                                    // replays) the same unsuitable
-                                    // verdict the full run would.
-                                    let s = self
-                                        .ws
-                                        .node_risk_verdict_prefixed(
-                                            &c.jobs,
-                                            &c.first_shares,
-                                            c.share_sum,
-                                            tentative,
-                                            now,
-                                            speed,
-                                            discipline,
-                                        )
-                                        .unwrap_or_else(|| {
-                                            stats.kernel_bails += 1;
-                                            RiskSummary::PROVABLY_RISKY
-                                        });
-                                    self.cache[idx].memo.insert(key, s);
-                                    s
-                                }
-                            };
-                            (s.mu, s.sigma)
-                        } else {
-                            stats.projections_run += 1;
-                            let c = &self.cache[idx];
+                            // Verdict kernel: an early σ certification
+                            // memoises (and replays) the same unsuitable
+                            // verdict the full run would.
                             let s = self
                                 .ws
                                 .node_risk_verdict_prefixed(
@@ -957,27 +830,22 @@ impl ShareAdmission for LibraRisk {
                                     stats.kernel_bails += 1;
                                     RiskSummary::PROVABLY_RISKY
                                 });
-                            (s.mu, s.sigma)
-                        };
-                        // Record the class even with the classifier off:
-                        // the "before" arm of the kernel-volume experiment
-                        // counts signatures without reusing results.
-                        let ck = class_key(self.cache[idx].class_hash, speed);
-                        self.classes.insert(ck, node.id.0, mu, sigma);
-                        (mu, sigma)
-                    }
+                            if memo_live {
+                                self.cache[idx].memo.insert(key, s);
+                            }
+                            s
+                        }
+                    };
+                    (s.mu, s.sigma)
                 };
-                // Every resolved node (kernel, hash hit or pairing
-                // replay) records its verdict for this decision so it can
-                // serve as a pairing representative itself.
-                {
-                    let c = &mut self.cache[idx];
-                    c.eval_stamp = seq;
-                    c.eval_mu = mu;
-                    c.eval_sigma = sigma;
-                }
                 is_zero_risk(sigma) && (!self.require_unit_mu || (mu - 1.0).abs() <= MU_EPSILON)
             };
+            if known.is_none() {
+                stats.distinct_classes += 1;
+                if self.classifier {
+                    self.sets.insert(set_key, node.id.0, suitable);
+                }
+            }
             if suitable {
                 self.zero_risk.push(node.id);
                 // Under ById ordering the final answer is "the first
@@ -993,14 +861,13 @@ impl ShareAdmission for LibraRisk {
                 }
             }
         }
+        drop(classify);
         drop(scan_span);
-        stats.distinct_classes = self.classes.len() as u64;
         self.stats = stats;
         if obs::phase::enabled() {
             use obs::phase::Counter as C;
             obs::phase::add(C::DominanceScreens, stats.screen_hits);
             obs::phase::add(C::RiskScreens, stats.risk_screen_hits);
-            obs::phase::add(C::PairingHits, stats.pairing_hits);
             obs::phase::add(C::EquivClassHits, stats.class_hits);
             obs::phase::add(C::EquivClassMisses, stats.projections_run);
             obs::phase::add(C::CandidateMemoHits, stats.memo_hits);
@@ -1270,6 +1137,43 @@ mod tests {
         let mut lr = LibraRisk::paper();
         let e = engine(2);
         assert!(lr.decide(&e, &job(0, 1.0, 3, 100.0)).is_none());
+    }
+
+    #[test]
+    fn set_table_hits_confirm_the_resident_set() {
+        // Node 0 holds {1, 2}; node 1 holds the same set in the other
+        // list order (job 3 leaving swaps 2 to the front); nodes 2 and 3
+        // both hold {4, 5}, a different set of the same size.
+        let mut e = engine(4);
+        let long = |id| job(id, 1e6, 1, 1e7);
+        e.admit(job(3, 1.0, 1, 2.0), vec![NodeId(1)], SimTime::ZERO);
+        for id in [1, 2] {
+            let mut j = long(id);
+            j.procs = 2;
+            e.admit(j, vec![NodeId(0), NodeId(1)], SimTime::ZERO);
+        }
+        for id in [4, 5] {
+            let mut j = long(id);
+            j.procs = 2;
+            e.admit(j, vec![NodeId(2), NodeId(3)], SimTime::ZERO);
+        }
+        while e.resident_count(NodeId(1)) == 3 {
+            let t = e.next_event_time().unwrap();
+            e.advance(t);
+        }
+        assert_eq!(e.len(), 4, "only job 3 completed");
+        assert_ne!(e.node_slots(NodeId(0)), e.node_slots(NodeId(1)));
+        let same = |a: u32, b: u32| same_resident_set(&e, NodeId(a), NodeId(b));
+        assert!(same(0, 1) && same(2, 3));
+        assert!(!same(0, 2) && !same(1, 3));
+        // Force both sets under one key: each gets back its own verdict.
+        let mut sets = SetTable::new();
+        sets.begin(4);
+        sets.insert(7, 0, true);
+        assert_eq!(sets.get(7, |rep| same(rep, 2)), None);
+        sets.insert(7, 2, false);
+        assert_eq!(sets.get(7, |rep| same(rep, 1)), Some(true));
+        assert_eq!(sets.get(7, |rep| same(rep, 3)), Some(false));
     }
 
     #[test]

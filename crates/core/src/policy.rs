@@ -14,8 +14,8 @@ use workload::{Job, Trace};
 
 /// Evaluation-volume accounting for one admission decision: how many
 /// nodes the candidate scan looked at and how much projection work the
-/// pre-kernel machinery (dominance and risk screens, equivalence
-/// classes, memos) avoided. Costless to maintain — a handful of counter bumps per
+/// pre-kernel machinery (dominance and risk screens, the resident-set
+/// table, memos) avoided. Costless to maintain — a handful of counter bumps per
 /// decision — so policies keep it unconditionally and the facade samples
 /// it into the metrics registry when a recorder is enabled.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -28,21 +28,21 @@ pub struct DecisionStats {
     pub screen_hits: u64,
     /// Nodes proven unsuitable by the pre-kernel risk screen alone.
     pub risk_screen_hits: u64,
-    /// Nodes resolved by replaying another class member's evaluation
-    /// (same-decision hash-confirmed hits plus cross-decision pairing
-    /// replays).
+    /// Nodes settled by the verdict of an earlier node with the same
+    /// resident set (and speed) in this decision — the set table's hits.
     pub class_hits: u64,
-    /// The subset of `class_hits` resolved by a cross-decision pairing —
-    /// no refresh, no hashing, just a live bitwise multiset compare
-    /// against the representative.
+    /// Retired: always `0`. It counted cross-decision pairing replays,
+    /// which the per-decision set table subsumed; kept so records that
+    /// read it keep their shape.
     pub pairing_hits: u64,
     /// Kernel runs (counted in `projections_run`) that ended in an early
     /// σ certification instead of a full timeline simulation.
     pub kernel_bails: u64,
     /// Nodes resolved from the per-node exact candidate memo.
     pub memo_hits: u64,
-    /// Distinct `(load class, speed)` profiles that needed a projection
-    /// this decision.
+    /// Resident sets evaluated this decision: the considered nodes the
+    /// set table did not settle (every considered node when the table is
+    /// off).
     pub distinct_classes: u64,
 }
 

@@ -18,6 +18,11 @@
 //! bump the failed node's epoch (and the global epoch), so any memo keyed
 //! to the pre-fault resident state is discarded on the next decision —
 //! a fault can never replay a stale risk summary.
+//!
+//! [`SetTable`] is the per-decision companion: within one decision it
+//! maps each distinct resident set to the verdict of the first node
+//! evaluated with it, so nodes holding the same set share one
+//! evaluation.
 
 use cluster::projection::RiskSummary;
 
@@ -144,144 +149,100 @@ impl CandidateMemo {
     }
 }
 
-/// Combines a node's canonical load-class hash
-/// ([`cluster::projection::canonical_class_keys`]) with its speed factor
-/// into the lookup key of a [`ClassTable`]. Risk is a function of
-/// (resident multiset, speed, candidate, now); within one decision the
-/// candidate and `now` are fixed, so this pair identifies the evaluation.
-#[inline]
-pub fn class_key(class_hash: u64, speed_factor: f64) -> u64 {
-    class_hash ^ speed_factor.to_bits().rotate_left(32)
-}
-
 #[derive(Clone, Copy, Debug)]
-struct ClassSlot {
+struct SetSlot {
     key: u64,
-    /// Representative node index; `u32::MAX` marks a vacant slot (node
-    /// indices are bounded by the cluster size, far below the sentinel).
+    /// Generation the entry was written in; any other value marks the
+    /// slot vacant, so [`SetTable::begin`] clears the table in O(1).
+    generation: u64,
+    /// Node whose resident set the verdict was computed for.
     rep: u32,
-    mu: f64,
-    sigma: f64,
+    suitable: bool,
 }
 
-const CLASS_VACANT: ClassSlot = ClassSlot {
+const SET_VACANT: SetSlot = SetSlot {
     key: 0,
-    rep: u32::MAX,
-    mu: 0.0,
-    sigma: 0.0,
+    generation: 0,
+    rep: 0,
+    suitable: false,
 };
 
-/// Per-decision equivalence-class table: load-class key → the first node
-/// evaluated in that class (the *representative*) and the `(μ, σ)` its
-/// projection produced. Nodes whose canonical signature and speed match
-/// the representative share its result without running the kernel.
+/// Per-decision resident-set table: `(set hash, speed)` key → the first
+/// node evaluated with that key (the *representative*) and its verdict.
 ///
-/// The table is scratch, cleared at the start of every decision — class
-/// membership is only meaningful at one `(now, candidate)` point, and
-/// clearing sidesteps invalidation entirely. Keys are 64-bit hashes, so
-/// a colliding pair of *different* classes is possible in principle; the
-/// caller therefore confirms a hit by comparing the canonical job list
-/// bitwise against the representative's before trusting it, and treats a failed
-/// confirmation as a miss (same discipline as the bitwise candidate
-/// memo: a hit can never change a decision, only skip recomputation).
+/// Keys are 64-bit hashes, so two different sets may share one. A
+/// lookup therefore asks the caller to confirm each key-matching
+/// representative against the node at hand and takes the first that
+/// confirms; an insert after a failed confirmation adds a second entry
+/// under the same key. A collision can only cost an evaluation, never
+/// hand one set another set's verdict.
 #[derive(Clone, Debug, Default)]
-pub struct ClassTable {
-    slots: Vec<ClassSlot>,
+pub struct SetTable {
+    slots: Vec<SetSlot>,
+    generation: u64,
     len: usize,
 }
 
-impl ClassTable {
-    /// An empty table; storage is allocated on first insert.
+impl SetTable {
+    /// An empty table; storage is allocated by the first
+    /// [`SetTable::begin`].
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Number of distinct classes inserted since the last [`Self::clear`].
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// `true` when no class has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Drops every entry (keeps the allocation) — call at decision start.
-    pub fn clear(&mut self) {
-        self.slots.fill(CLASS_VACANT);
+    /// Starts a new decision: drops every entry (by bumping the
+    /// generation) and sizes the table so that `capacity` inserts keep
+    /// it at most half full.
+    pub fn begin(&mut self, capacity: usize) {
+        self.generation += 1;
         self.len = 0;
+        let cap = (2 * capacity).next_power_of_two().max(16);
+        if self.slots.len() < cap {
+            self.slots = vec![SET_VACANT; cap];
+        }
     }
 
-    /// The representative and `(μ, σ)` recorded for `key`, if any.
-    pub fn get(&self, key: u64) -> Option<(u32, f64, f64)> {
-        if self.len == 0 {
-            return None;
-        }
+    /// The verdict of the first entry under `key` whose representative
+    /// `confirm` accepts.
+    pub fn get(&self, key: u64, mut confirm: impl FnMut(u32) -> bool) -> Option<bool> {
         let mask = self.slots.len() - 1;
-        let mut i = key.wrapping_mul(0x9E37_79B9_7F4A_7C15) as usize & mask;
-        loop {
+        let mut i = index(key, mask);
+        while self.slots[i].generation == self.generation {
             let s = &self.slots[i];
-            if s.rep != u32::MAX && s.key == key {
-                return Some((s.rep, s.mu, s.sigma));
-            }
-            if s.rep == u32::MAX {
-                return None;
+            if s.key == key && confirm(s.rep) {
+                return Some(s.suitable);
             }
             i = (i + 1) & mask;
         }
+        None
     }
 
-    /// Records `rep` as the class representative for `key` (first writer
-    /// wins within a decision; an overwrite after a hash collision is
-    /// harmless because hits are confirmed against the representative).
-    pub fn insert(&mut self, key: u64, rep: u32, mu: f64, sigma: f64) {
-        debug_assert_ne!(
-            rep,
-            u32::MAX,
-            "representative collides with the vacancy sentinel"
+    /// Records `rep`'s verdict under `key`. Call only after a
+    /// [`SetTable::get`] miss for the same node, so no entry holds its
+    /// set, and at most `capacity` times per [`SetTable::begin`].
+    pub fn insert(&mut self, key: u64, rep: u32, suitable: bool) {
+        assert!(
+            2 * self.len < self.slots.len(),
+            "more inserts than begin() sized for"
         );
-        if self.len >= MAX_ENTRIES {
-            self.clear();
-        }
-        if self.slots.len() < 2 * (self.len + 1) {
-            self.grow();
-        }
         let mask = self.slots.len() - 1;
-        let mut i = key.wrapping_mul(0x9E37_79B9_7F4A_7C15) as usize & mask;
-        loop {
-            let s = &mut self.slots[i];
-            if s.rep != u32::MAX && s.key == key {
-                return; // first writer wins
-            }
-            if s.rep == u32::MAX {
-                *s = ClassSlot {
-                    key,
-                    rep,
-                    mu,
-                    sigma,
-                };
-                self.len += 1;
-                return;
-            }
+        let mut i = index(key, mask);
+        while self.slots[i].generation == self.generation {
             i = (i + 1) & mask;
         }
+        self.slots[i] = SetSlot {
+            key,
+            generation: self.generation,
+            rep,
+            suitable,
+        };
+        self.len += 1;
     }
+}
 
-    fn grow(&mut self) {
-        let new_cap = (self.slots.len() * 2).max(16);
-        let old = std::mem::replace(&mut self.slots, vec![CLASS_VACANT; new_cap]);
-        let mask = new_cap - 1;
-        for s in old {
-            if s.rep == u32::MAX {
-                continue;
-            }
-            let mut i = s.key.wrapping_mul(0x9E37_79B9_7F4A_7C15) as usize & mask;
-            while self.slots[i].rep != u32::MAX {
-                i = (i + 1) & mask;
-            }
-            self.slots[i] = s;
-        }
-    }
+#[inline]
+fn index(key: u64, mask: usize) -> usize {
+    key.wrapping_mul(0x9E37_79B9_7F4A_7C15) as usize & mask
 }
 
 #[cfg(test)]
@@ -345,43 +306,34 @@ mod tests {
     }
 
     #[test]
-    fn class_table_first_writer_wins_and_clears() {
-        let mut t = ClassTable::new();
-        let k = class_key(0xdead_beef, 1.0);
-        assert!(t.get(k).is_none());
-        t.insert(k, 3, 1.5, 0.25);
-        t.insert(k, 9, 9.9, 9.9); // later writer ignored
-        let (rep, mu, sigma) = t.get(k).unwrap();
-        assert_eq!((rep, mu, sigma), (3, 1.5, 0.25));
-        assert_eq!(t.len(), 1);
-        t.clear();
-        assert!(t.is_empty());
-        assert!(t.get(k).is_none());
+    fn set_table_keeps_colliding_sets_apart_and_clears() {
+        let mut t = SetTable::new();
+        t.begin(4);
+        // Nodes 3 and 8 hold different sets under one key; each
+        // representative confirms only for its own set.
+        let set_of = |node: u32| node % 2;
+        assert_eq!(t.get(7, |rep| set_of(rep) == set_of(3)), None);
+        t.insert(7, 3, true);
+        assert_eq!(t.get(7, |rep| set_of(rep) == set_of(8)), None);
+        t.insert(7, 8, false);
+        assert_eq!(t.get(7, |rep| set_of(rep) == set_of(5)), Some(true));
+        assert_eq!(t.get(7, |rep| set_of(rep) == set_of(10)), Some(false));
+        t.begin(4);
+        assert_eq!(t.get(7, |_| true), None);
     }
 
     #[test]
-    fn class_table_survives_growth() {
-        let mut t = ClassTable::new();
-        for i in 0..600u64 {
-            t.insert(
-                class_key(i.wrapping_mul(0x1234_5678_9abc), 1.0),
-                i as u32,
-                i as f64,
-                0.0,
-            );
+    fn set_table_holds_its_capacity() {
+        let mut t = SetTable::new();
+        for _ in 0..3 {
+            t.begin(600);
+            for i in 0..600u32 {
+                t.insert(u64::from(i).wrapping_mul(0x1234_5678_9abc), i, i % 3 == 0);
+            }
+            for i in 0..600u32 {
+                let key = u64::from(i).wrapping_mul(0x1234_5678_9abc);
+                assert_eq!(t.get(key, |rep| rep == i), Some(i % 3 == 0), "set {i}");
+            }
         }
-        assert_eq!(t.len(), 600);
-        for i in 0..600u64 {
-            let (rep, mu, _) = t
-                .get(class_key(i.wrapping_mul(0x1234_5678_9abc), 1.0))
-                .unwrap();
-            assert_eq!((rep, mu), (i as u32, i as f64), "class {i}");
-        }
-    }
-
-    #[test]
-    fn class_key_separates_speeds() {
-        assert_ne!(class_key(42, 1.0), class_key(42, 2.0));
-        assert_ne!(class_key(42, 1.0), class_key(43, 1.0));
     }
 }

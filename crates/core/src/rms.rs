@@ -405,7 +405,7 @@ impl ProportionalBackend<'_> {
             note_decision(rec, now, seq, job_id, decision, audit, latency_ns);
             // Evaluation-volume counters (kernel-volume experiment):
             // how much projection work the decision ran vs avoided via
-            // the dominance and risk screens / equivalence classes / memos.
+            // the set table / dominance and risk screens / memos.
             if let Some(stats) = self.policy.last_decision_stats() {
                 if let Some(reg) = rec.registry_mut() {
                     reg.add(keys::PROJECTIONS_RUN_TOTAL, stats.projections_run);
@@ -1210,7 +1210,7 @@ impl<'p> ShardState<'p> {
 
     /// Records the advance span, the resolutions it streamed, and the
     /// post-span utilisation/in-flight gauges. Called after
-    /// [`ClusterRms::finalize_churn`] so the audited records are the ones
+    /// `ClusterRms::finalize_churn` so the audited records are the ones
     /// the caller observes.
     fn record_span(&mut self, from: SimTime, to: SimTime) {
         if !self.recorder.as_ref().is_some_and(|r| r.enabled()) {

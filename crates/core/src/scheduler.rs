@@ -8,7 +8,7 @@
 //! simply counts as unfulfilled).
 //!
 //! [`run_proportional`] and [`run_queued`] are thin wrappers over the
-//! online [`ClusterRms`](crate::rms::ClusterRms) facade driven by
+//! online [`ClusterRms`] facade driven by
 //! [`drive_trace`](crate::rms::drive_trace) — one generic loop for every
 //! policy. The bespoke per-engine event loops this module once carried
 //! are gone; their behaviour is pinned bitwise by the golden fixture in

@@ -462,3 +462,56 @@ fn overload_replay_matches_reference_and_exercises_the_risk_screen() {
         "an overloaded replay must reject some arrivals"
     );
 }
+
+/// The set table against the from-scratch reference on gang-heavy load:
+/// 2,000 arrivals of the synthetic SDSC-SP2 trace (17-processor gangs on
+/// average) at the paper's load on its 128 nodes, under the id and
+/// load orderings (the latter always sweeps every node). Every decision
+/// must equal `decide_reference`, and the table must have settled nodes
+/// by replaying an earlier node's verdict for the same resident set.
+#[test]
+fn gang_replay_matches_reference_and_hits_the_set_table() {
+    use sim::Rng64;
+    use workload::deadlines::DeadlineModel;
+    use workload::params::{SDSC_SP2_NODES, SDSC_SP2_SPEC_RATING};
+    use workload::synthetic::SyntheticSdscSp2;
+
+    let seed = 3;
+    let mut trace = SyntheticSdscSp2 {
+        jobs: 2_000,
+        ..Default::default()
+    }
+    .generate(seed);
+    let mut deadline_rng = Rng64::new(seed).split("deadline-model");
+    DeadlineModel::default().assign(&mut deadline_rng, trace.jobs_mut());
+
+    for mut lr in [
+        LibraRisk::paper(),
+        LibraRisk::paper().with_ordering(NodeOrdering::MostLoadedFirst),
+    ] {
+        let cluster = Cluster::homogeneous(SDSC_SP2_NODES, SDSC_SP2_SPEC_RATING);
+        let mut engine = ProportionalCluster::new(cluster, ProportionalConfig::default());
+        let mut set_hits = 0u64;
+        for (i, job) in trace.jobs().iter().enumerate() {
+            while let Some(t) = engine.next_event_time() {
+                if t > job.submit {
+                    break;
+                }
+                engine.advance(t);
+            }
+            engine.advance(job.submit);
+            let cached = lr.decide(&engine, job);
+            set_hits += lr.last_decision_stats().expect("stats").class_hits;
+            assert_eq!(
+                cached,
+                lr.decide_reference(&engine, job),
+                "{} arrival {i} diverged from the reference",
+                lr.name()
+            );
+            if let Some(nodes) = cached {
+                engine.admit(job.clone(), nodes, job.submit);
+            }
+        }
+        assert!(set_hits > 0, "{}: the set table never hit", lr.name());
+    }
+}

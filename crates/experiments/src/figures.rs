@@ -669,7 +669,7 @@ pub fn trace_analysis_tables(cfg: &FigureConfig) -> Vec<Table> {
 }
 
 /// Budget-gated admission (the economic half of the original Libra
-/// system, ref [14] of the paper): revenue and fulfilment when every job
+/// system, ref \[14\] of the paper): revenue and fulfilment when every job
 /// carries a budget against Libra's published cost function. Shows that
 /// the risk-aware deadline test also earns more — it wastes less of the
 /// budget-feasible demand.

@@ -253,14 +253,13 @@ mod tests {
 }
 
 /// One measured arm of the kernel-volume experiment: a fault-free replay
-/// of the standard trace at one size, with the equivalence classifier
-/// either off (the "before" arm — every considered node pays a
-/// projection, though signatures are still counted) or on (the shipped
-/// decision path: dominance and risk screens, class replay, pairing,
-/// memos).
+/// of the standard trace at one size, with the classifier either off
+/// (the "before" arm — every considered node pays a projection) or on
+/// (the shipped decision path: the resident-set table, dominance and
+/// risk screens, memos).
 #[derive(Debug, Clone, Copy)]
 pub struct KernelVolumeRow {
-    /// Whether the equivalence classifier was enabled for this arm.
+    /// Whether the classifier (screens + set table) was enabled.
     pub classifier: bool,
     /// Jobs driven through the facade.
     pub jobs: usize,
@@ -272,9 +271,10 @@ pub struct KernelVolumeRow {
     /// Node evaluations settled without the kernel
     /// ([`obs::keys::PROJECTIONS_AVOIDED_TOTAL`]).
     pub projections_avoided: u64,
-    /// Distinct `(class, speed)` profiles per decision, summed
+    /// Resident sets evaluated, summed over decisions: considered nodes
+    /// the set table did not settle
     /// ([`obs::keys::DECISION_CLASSES_TOTAL`]).
-    pub classes_total: u64,
+    pub sets_evaluated: u64,
     /// Evaluations settled by the zero-risk dominance screen
     /// ([`obs::keys::SCREENED_ZERO_RISK_TOTAL`]).
     pub screened: u64,
@@ -291,6 +291,11 @@ impl KernelVolumeRow {
     /// Mean distinct profiles projected per decision.
     pub fn profiles_per_decision(&self) -> f64 {
         self.projections_run as f64 / self.decisions.max(1) as f64
+    }
+
+    /// Mean resident sets evaluated per decision.
+    pub fn sets_per_decision(&self) -> f64 {
+        self.sets_evaluated as f64 / self.decisions.max(1) as f64
     }
 
     /// Fraction of considered nodes settled without running the kernel.
@@ -336,7 +341,7 @@ pub fn kernel_volume(cfg: &FigureConfig) -> Vec<KernelVolumeRow> {
                 decisions: reg.counter(obs::keys::DECISIONS),
                 projections_run: reg.counter(obs::keys::PROJECTIONS_RUN_TOTAL),
                 projections_avoided: reg.counter(obs::keys::PROJECTIONS_AVOIDED_TOTAL),
-                classes_total: reg.counter(obs::keys::DECISION_CLASSES_TOTAL),
+                sets_evaluated: reg.counter(obs::keys::DECISION_CLASSES_TOTAL),
                 screened: reg.counter(obs::keys::SCREENED_ZERO_RISK_TOTAL),
                 screened_risky: reg.counter(obs::keys::SCREENED_RISKY_TOTAL),
                 fulfilled: sink.fulfilled(),
@@ -374,7 +379,7 @@ pub fn kernel_volume_svg(rows: &[KernelVolumeRow]) -> String {
 pub fn kernel_volume_csv(rows: &[KernelVolumeRow]) -> String {
     let mut out = String::from(
         "classifier,jobs,decisions,projections_run,projections_avoided,\
-         classes_total,screened_zero_risk,screened_risky,fulfilled,profiles_per_decision,\
+         sets_evaluated,screened_zero_risk,screened_risky,fulfilled,profiles_per_decision,\
          avoided_ratio\n",
     );
     for r in rows {
@@ -385,7 +390,7 @@ pub fn kernel_volume_csv(rows: &[KernelVolumeRow]) -> String {
             r.decisions,
             r.projections_run,
             r.projections_avoided,
-            r.classes_total,
+            r.sets_evaluated,
             r.screened,
             r.screened_risky,
             r.fulfilled,

@@ -26,10 +26,11 @@ pub const NODE_UP: &str = "rms_node_up_total";
 /// Projection-kernel executions across all decisions (LibraRisk family).
 pub const PROJECTIONS_RUN_TOTAL: &str = "librarisk_projections_run_total";
 /// Node evaluations settled *without* running the projection kernel —
-/// dominance screen, equivalence-class replay or exact candidate memo.
+/// dominance screen, resident-set table or exact candidate memo.
 pub const PROJECTIONS_AVOIDED_TOTAL: &str = "librarisk_projections_avoided_total";
-/// Distinct `(load class, speed)` profiles that needed a projection,
-/// summed over decisions (divide by [`DECISIONS`] for classes/decision).
+/// Resident sets evaluated (considered nodes the set table did not
+/// settle), summed over decisions (divide by [`DECISIONS`] for
+/// sets/decision).
 pub const DECISION_CLASSES_TOTAL: &str = "librarisk_decision_classes_total";
 /// Node evaluations proven zero-risk by the pre-kernel dominance screen.
 pub const SCREENED_ZERO_RISK_TOTAL: &str = "librarisk_screened_zero_risk_total";

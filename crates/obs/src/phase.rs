@@ -50,7 +50,7 @@ use std::time::Instant;
 /// Number of named phases (see [`Phase::ALL`]).
 pub const N_PHASES: usize = 12;
 /// Number of cache-machinery counters (see [`Counter::ALL`]).
-pub const N_COUNTERS: usize = 9;
+pub const N_COUNTERS: usize = 8;
 
 /// A named hot-path phase.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -69,7 +69,8 @@ pub enum Phase {
     AdvanceTotal = 4,
     /// The decide-path walk over candidate nodes.
     CandidateScan = 5,
-    /// Equivalence-class refresh + signature classification.
+    /// Pre-kernel classification: resident-set table lookups and the
+    /// dominance and risk screens.
     EquivClassify = 6,
     /// Risk-projection verdict kernel executions.
     VerdictKernel = 7,
@@ -157,7 +158,8 @@ const PHASE_META: [PhaseMeta; N_PHASES] = [
 /// A cache-machinery event counter.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Counter {
-    /// Node evaluations answered by equivalence-class replay.
+    /// Node evaluations answered by the verdict of an earlier node with
+    /// the same resident set (the per-decision set table).
     EquivClassHits = 0,
     /// Distinct class profiles that had to run the kernel.
     EquivClassMisses = 1,
@@ -167,14 +169,12 @@ pub enum Counter {
     DominanceScreens = 3,
     /// Node evaluations settled by the provably-risky screen.
     RiskScreens = 4,
-    /// Node evaluations answered by cross-decision pairing replay.
-    PairingHits = 5,
     /// Node evaluations answered by the per-node candidate memo.
-    CandidateMemoHits = 6,
+    CandidateMemoHits = 5,
     /// Verdict-kernel runs that bailed at the first σ certification.
-    KernelBails = 7,
+    KernelBails = 6,
     /// Projection-kernel executions.
-    ProjectionsRun = 8,
+    ProjectionsRun = 7,
 }
 
 impl Counter {
@@ -185,7 +185,6 @@ impl Counter {
         Counter::ReplayMemoHits,
         Counter::DominanceScreens,
         Counter::RiskScreens,
-        Counter::PairingHits,
         Counter::CandidateMemoHits,
         Counter::KernelBails,
         Counter::ProjectionsRun,
@@ -203,7 +202,6 @@ const COUNTER_KEYS: [&str; N_COUNTERS] = [
     "phase_replay_memo_hits_total",
     "phase_dominance_screens_total",
     "phase_risk_screens_total",
-    "phase_pairing_hits_total",
     "phase_candidate_memo_hits_total",
     "phase_kernel_bails_total",
     "phase_projections_run_total",
