@@ -60,11 +60,19 @@ echo "== ledger oracles: benchmark workloads at full size (release) =="
 # ledger's full oracle set: the seed-1 pins, the drive_trace bitwise
 # check, and the partner and engine-decomposition cross-checks, at the
 # full 100k/50k-job size. An engine change that moves one bit fails
-# here; the ledger exits non-zero on any disagreement.
+# here; the ledger exits non-zero on any disagreement. The retired
+# decide counters (`memo_hits`, `pairing_hits`) must read 0 on every
+# workload: a nonzero value means a deleted layer came back.
 for w in $(python3 -c 'import json; print(" ".join(w["name"] for w in json.load(open("BENCHMARK.json"))["workloads"]))'); do
     echo "-- $w"
-    cargo run --release --offline --quiet --manifest-path crates/bench/src/bin/ledger/Cargo.toml -- \
-        --workload "$w" --seed 1 --seconds 0 --trace 1 >/dev/null
+    ledger_out="$(cargo run --release --offline --quiet --manifest-path crates/bench/src/bin/ledger/Cargo.toml -- \
+        --workload "$w" --seed 1 --seconds 0 --trace 1)"
+    for key in decide.memo_hits decide.pairing_hits; do
+        printf '%s\n' "$ledger_out" | awk -v k="$key" '
+            $2 == k { seen = 1; if ($3 != 0) bad = 1 }
+            END { exit (seen && !bad) ? 0 : 1 }' \
+            || { echo "$w: retired counter $key is missing or nonzero"; exit 1; }
+    done
 done
 
 echo "== lint: rustfmt =="

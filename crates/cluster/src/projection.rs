@@ -142,44 +142,9 @@ impl RiskSummary {
     }
 }
 
-/// Fills `keys` with the node's **canonical load fingerprint**: the
-/// `(abs_deadline, remaining_est)` bit patterns of every resident job,
-/// sorted ascending. Returns a length-seeded fx-style hash of the
-/// canonical sequence.
-///
-/// Two nodes with equal canonical keys hold the same multiset of
-/// projected jobs, so — at a fixed `(now, speed, discipline, candidate)`
-/// — the projection kernel computes the same `(μ_j, σ_j)` for them *up
-/// to float summation order*: two permutations of the same multiset can
-/// differ in the last ulp, which matters precisely where `σ_j` sits at
-/// cancellation-noise scale near the zero-risk threshold. Admission
-/// layers therefore rewrite every projection input into canonical order
-/// ([`canonicalize_projection`]), making the computed bits a function of
-/// the multiset, not of arbitrary resident slot order; the fingerprint
-/// lets diagnostics and tests check a cached canonical list against a
-/// from-scratch one.
-///
-/// Deadlines and remaining work are positive finite, so the bit patterns
-/// order exactly like the values and the sort needs no float comparator.
-pub fn canonical_class_keys(jobs: &[ProjectedJob], keys: &mut Vec<(u64, u64)>) -> u64 {
-    keys.clear();
-    keys.extend(jobs.iter().map(class_key_bits));
-    keys.sort_unstable();
-    class_hash(keys.iter().copied(), keys.len())
-}
-
 /// A job's canonical sort key: its `(abs_deadline, remaining_est)` bits.
 fn class_key_bits(j: &ProjectedJob) -> (u64, u64) {
     (j.abs_deadline.to_bits(), j.remaining_est.to_bits())
-}
-
-fn class_hash(keys: impl Iterator<Item = (u64, u64)>, len: usize) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64 ^ (len as u64);
-    for (dl, rem) in keys {
-        h = (h.rotate_left(23) ^ dl).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        h = (h.rotate_left(23) ^ rem).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    }
-    h
 }
 
 /// Computes the kernel's *first-segment* shares for a resident job list —
@@ -207,17 +172,17 @@ pub fn first_segment_shares(jobs: &[ProjectedJob], now: f64, shares: &mut Vec<f6
 }
 
 /// Rewrites a projection input into **canonical order**: ascending
-/// `(abs_deadline, remaining_est)` bit patterns — the same order
-/// [`canonical_class_keys`] fingerprints.
+/// `(abs_deadline, remaining_est)` bit patterns.
 ///
 /// `(μ_j, σ_j)` are symmetric functions of the job multiset, but their
 /// floating-point evaluation is not: summation order leaks the node's
 /// arbitrary resident slot order (admission history) into the last ulp,
 /// which can flip a verdict when `σ_j` sits at cancellation-noise scale
 /// near the zero-risk threshold. Canonicalizing before every projection
-/// makes the computed bits order-free, so (a) equal-class nodes replay
-/// each other's results bit-exactly, and (b) a node's risk verdict no
-/// longer depends on the order jobs happened to be admitted in.
+/// makes the computed bits order-free, so (a) nodes holding the same
+/// multiset replay each other's results bit-exactly, and (b) a node's
+/// risk verdict no longer depends on the order jobs happened to be
+/// admitted in.
 ///
 /// The sort is in-place, unstable and comparator-free (positive finite
 /// floats: bit order = value order) — no allocation, so it is safe in
@@ -1538,30 +1503,6 @@ mod tests {
     }
 
     #[test]
-    fn canonical_class_keys_are_order_invariant_and_length_seeded() {
-        let a = [pj(80.0, 90.0), pj(20.0, 400.0), pj(100.0, 120.0)];
-        let b = [pj(100.0, 120.0), pj(80.0, 90.0), pj(20.0, 400.0)];
-        let mut ka = Vec::new();
-        let mut kb = Vec::new();
-        let ha = canonical_class_keys(&a, &mut ka);
-        let hb = canonical_class_keys(&b, &mut kb);
-        assert_eq!(ha, hb, "permutations share a class");
-        assert_eq!(ka, kb);
-        // A strict prefix is a different class even though every element
-        // matches (length seeding).
-        let hp = canonical_class_keys(&a[..2], &mut kb);
-        assert_ne!(ha, hp);
-        // Different loads are different classes.
-        let c = [pj(80.0, 90.0), pj(20.0, 400.0), pj(100.0, 121.0)];
-        let hc = canonical_class_keys(&c, &mut kb);
-        assert_ne!(ha, hc);
-        assert_eq!(canonical_class_keys(&[], &mut ka), {
-            let mut k = Vec::new();
-            canonical_class_keys(&[], &mut k)
-        });
-    }
-
-    #[test]
     fn first_segment_shares_match_kernel_opening_pass_bitwise() {
         let jobs = [pj(80.0, 90.0), pj(20.0, 400.0), pj(1e-9, 0.5)];
         let now = 3.0;
@@ -1621,7 +1562,6 @@ mod tests {
         // values straddling the screen's margin condition.
         let mut ws = ProjectionWorkspace::new();
         let mut shares = Vec::new();
-        let mut keys = Vec::new();
         let mut fired = 0usize;
         for i in 0..2000u64 {
             let r = |k: u64| {
@@ -1661,11 +1601,15 @@ mod tests {
                 assert_eq!(sig1.to_bits(), 0.0f64.to_bits(), "case {i} (naive)");
                 assert_eq!(mu1.to_bits(), 1.0f64.to_bits(), "case {i} (naive)");
             }
-            // The class fingerprint must be insensitive to job order.
-            let h = canonical_class_keys(&jobs, &mut keys);
+            // Canonical order must be insensitive to input order.
+            let bits =
+                |v: &[ProjectedJob]| -> Vec<(u64, u64)> { v.iter().map(class_key_bits).collect() };
+            let mut fwd = jobs.clone();
             let mut rev = jobs.clone();
             rev.reverse();
-            assert_eq!(h, canonical_class_keys(&rev, &mut keys));
+            canonicalize_projection(&mut fwd);
+            canonicalize_projection(&mut rev);
+            assert_eq!(bits(&fwd), bits(&rev), "case {i}");
         }
         assert!(
             fired > 100,

@@ -21,20 +21,15 @@
 //!    delays and is avoided, where Libra would happily keep loading it.
 
 use crate::policy::{DecisionStats, ShareAdmission};
-use crate::risk_cache::{CandidateMemo, SetTable};
+use crate::risk_cache::SetTable;
 use cluster::projection::{
-    canonical_class_keys, canonicalize_projection, first_segment_shares, is_zero_risk,
-    min_abs_deadline, node_risk, node_risk_single_segment, screens_risky, screens_zero_risk,
-    ProjectedJob, ProjectionWorkspace, RiskSummary, EPS_DEADLINE,
+    canonicalize_projection, first_segment_shares, is_zero_risk, min_abs_deadline, node_risk,
+    node_risk_single_segment, screens_risky, screens_zero_risk, ProjectedJob, ProjectionWorkspace,
+    RiskSummary, EPS_DEADLINE,
 };
 use cluster::proportional::{projected_job, ProportionalCluster};
 use cluster::NodeId;
-use std::collections::HashMap;
 use workload::Job;
-
-/// Cap on the per-epoch whole-decision replay memo (distinct candidate
-/// signatures between engine changes).
-const DECISION_MEMO_MAX: usize = 8192;
 
 /// How suitable (zero-risk) nodes are ordered before taking the first
 /// `numproc` of them.
@@ -55,10 +50,9 @@ pub enum NodeOrdering {
 pub const MU_EPSILON: f64 = 1e-9;
 
 /// Per-node incremental risk state, valid for one engine epoch: the
-/// node's scheduler-visible projection input, its resident-only risk
+/// node's scheduler-visible projection input and its resident-only risk
 /// contribution (computed lazily, on the first [`LibraRisk::cluster_risk`]
-/// query at this epoch), and an exact-result memo of candidate
-/// evaluations against this frozen resident state.
+/// query at this epoch).
 #[derive(Clone, Debug, Default)]
 struct NodeRiskCache {
     epoch: Option<(u64, u64)>,
@@ -77,10 +71,6 @@ struct NodeRiskCache {
     /// Resident-only [`RiskSummary`] — the node's cluster-risk
     /// contribution. `None` until queried at the current epoch.
     base: Option<RiskSummary>,
-    /// Candidate signature → exact kernel output for "residents +
-    /// candidate" at this epoch. Hits replay bit-identical results; a
-    /// hit can therefore never flip a decision.
-    memo: CandidateMemo,
     /// The node's resident arena slots in canonical `(deadline,
     /// remaining)` order — `jobs` is emitted by walking this permutation.
     /// Valid per *membership* epoch (slot identity survives plain
@@ -156,23 +146,13 @@ pub struct LibraRisk {
     cache: Vec<NodeRiskCache>,
     ws: ProjectionWorkspace,
     zero_risk: Vec<NodeId>,
-    /// Whole-decision replay memo: candidate signature → the decision
-    /// computed earlier at the same engine state. The candidate reaches
-    /// the evaluation only through [`projected_job`] (remaining estimate
-    /// and absolute deadline) and its `procs` count, so within one
-    /// `decision_stamp` the decision is a pure function of this key and a
-    /// hit replays the identical node list.
-    decision_memo: HashMap<(u64, u64, u32), Option<Vec<NodeId>>>,
-    /// Engine state the memo is valid for: `(global_epoch, now)`. The
-    /// global epoch pins every occupied node and the aggregate ranking
-    /// inputs; `now` additionally covers advances over an empty cluster,
-    /// which move time without bumping any epoch.
-    decision_stamp: Option<(u64, u64)>,
     /// Audit-gauge memo: the last [`LibraRisk::cluster_risk_mean_dd`]
-    /// answer, keyed on the same `(global_epoch, now)` stamp shape as
-    /// `decision_stamp`. A rejected decision leaves the engine
-    /// untouched, so the post-decision audit replays this value in O(1)
-    /// instead of re-walking the cluster.
+    /// answer, keyed on the engine's `(global_epoch, now)` stamp. The
+    /// global epoch pins every occupied node; `now` additionally covers
+    /// advances over an empty cluster, which move time without bumping
+    /// any epoch. A rejected decision leaves the engine untouched, so the
+    /// post-decision audit replays this value in O(1) instead of
+    /// re-walking the cluster.
     gauge_stamp: Option<(u64, u64)>,
     gauge_memo: f64,
     /// Per-decision resident-set table: `(set hash, speed)` → the first
@@ -211,12 +191,12 @@ fn slot_job(engine: &ProportionalCluster, s: u32) -> ProjectedJob {
 /// speed, the candidate, `now` and the discipline, all fixed within one
 /// decision): the kernel and the single-segment projection read the
 /// canonical `(deadline, remaining)` order, as `decide_reference` does,
-/// and every shortcut in front of them — both screens, the empty-node
-/// path, the candidate memo — returns the verdict they would. While
-/// `decide` holds the engine borrowed, a slot names one resident in one
-/// state, so equal slot sets are equal multisets, and replaying the
-/// verdict of a node with the same set returns exactly the verdict
-/// evaluating this one would.
+/// and every shortcut in front of them — both screens and the empty-node
+/// path — returns the verdict they would. While `decide` holds the
+/// engine borrowed, a slot names one resident in one state, so equal
+/// slot sets are equal multisets, and replaying the verdict of a node
+/// with the same set returns exactly the verdict evaluating this one
+/// would.
 ///
 /// Resident lists hold distinct slots, so equal lengths plus `a ⊆ b`
 /// prove the sets equal; lists usually agree in order too (a gang lands
@@ -240,8 +220,6 @@ impl LibraRisk {
             cache: Vec::new(),
             ws: ProjectionWorkspace::new(),
             zero_risk: Vec::new(),
-            decision_memo: HashMap::new(),
-            decision_stamp: None,
             gauge_stamp: None,
             gauge_memo: 0.0,
             sets: SetTable::new(),
@@ -356,10 +334,10 @@ impl LibraRisk {
 
     /// Measurement knob for the kernel-volume experiment: with the
     /// classifier off, the pre-kernel screens and the set table are
-    /// disabled — every considered node runs its own projection (modulo
-    /// the exact candidate memo), and [`DecisionStats::distinct_classes`]
-    /// counts every considered node. Decisions are identical either way;
-    /// only the work to reach them changes. Defaults to on.
+    /// disabled — every considered node runs its own projection, and
+    /// [`DecisionStats::distinct_classes`] counts every considered node.
+    /// Decisions are identical either way; only the work to reach them
+    /// changes. Defaults to on.
     pub fn with_classifier(mut self, on: bool) -> Self {
         self.classifier = on;
         self
@@ -375,8 +353,8 @@ impl LibraRisk {
     /// Revalidates one node's cache against its engine epoch: on a
     /// mismatch the resident projection input is rebuilt — along with the
     /// kernel's first-segment share prefix and the earliest resident
-    /// deadline — and everything keyed to the old state
-    /// (base contribution, candidate memo) is dropped.
+    /// deadline — and the base contribution keyed to the old state is
+    /// dropped.
     ///
     /// Caching the share prefix against the epoch is sound because an
     /// *occupied* node's epoch pins `(residents, now)` — any `dt > 0`
@@ -418,9 +396,6 @@ impl LibraRisk {
         c.share_sum = first_segment_shares(&c.jobs, now, &mut c.first_shares);
         c.epoch = Some(epoch);
         c.base = None;
-        if !c.memo.is_empty() {
-            c.memo.clear();
-        }
     }
 
     /// Refills `c.jobs` by walking `c.perm` over the live projection
@@ -443,21 +418,19 @@ impl LibraRisk {
 
     /// Diagnostic accessor for the staleness oracle tests: revalidates
     /// `node`'s cache at the current engine state and returns its
-    /// `(class hash, share sum, min resident deadline, canonical keys)`.
-    /// The keys come in cached order; the hash is derived from them by
-    /// [`canonical_class_keys`].
+    /// `(share sum, min resident deadline, canonical keys)`, the keys as
+    /// `(deadline, remaining)` bit pairs in cached order.
     /// Must always equal a from-scratch rebuild via
     /// [`ProportionalCluster::node_projection`] +
-    /// [`canonical_class_keys`] /
-    /// [`first_segment_shares`] — if the epoch
-    /// machinery ever failed to invalidate on churn, requeue or advance,
-    /// this would hand back the stale signature and the oracle would
-    /// catch it.
+    /// [`canonicalize_projection`] / [`first_segment_shares`] — if the
+    /// epoch machinery ever failed to invalidate on churn, requeue or
+    /// advance, this would hand back the stale state and the oracle
+    /// would catch it.
     pub fn node_class_state(
         &mut self,
         engine: &ProportionalCluster,
         node: NodeId,
-    ) -> (u64, f64, f64, Vec<(u64, u64)>) {
+    ) -> (f64, f64, Vec<(u64, u64)>) {
         self.ensure_cache(engine.cluster().len());
         let now = engine.now().as_secs();
         let c = &mut self.cache[node.0 as usize];
@@ -467,8 +440,7 @@ impl LibraRisk {
             .iter()
             .map(|j| (j.abs_deadline.to_bits(), j.remaining_est.to_bits()))
             .collect();
-        let hash = canonical_class_keys(&c.jobs, &mut Vec::new());
-        (hash, c.share_sum, c.min_deadline, keys)
+        (c.share_sum, c.min_deadline, keys)
     }
 
     /// The cluster-wide risk aggregate over *resident* jobs only (no
@@ -599,9 +571,8 @@ impl ShareAdmission for LibraRisk {
     }
 
     fn decide(&mut self, engine: &ProportionalCluster, job: &Job) -> Option<Vec<NodeId>> {
-        // Decisions that return before the node loop (width screen,
-        // whole-decision replay) evaluated nothing — report zeros rather
-        // than a stale prior decision's counters.
+        // A decision that returns at the width screen evaluated nothing —
+        // report zeros rather than a stale prior decision's counters.
         self.stats = DecisionStats::default();
         let want = job.procs as usize;
         if want > engine.up_nodes() {
@@ -611,32 +582,6 @@ impl ShareAdmission for LibraRisk {
         let now = engine.now().as_secs();
         let discipline = engine.config().discipline;
         let tentative = projected_job(job);
-        // Replay memo: if this exact candidate shape was already decided
-        // at this exact engine state, hand back the identical answer
-        // without touching a single node. When the stamp is *fresh* (at
-        // least one dt>0 advance or churn event happened since the last
-        // decision), every occupied node's epoch was bumped by that very
-        // event, so all per-node candidate memos are guaranteed misses:
-        // `memo_live` gates those lookups (and the inserts nothing at
-        // this stamp has read yet) off the hot path. A second decision at
-        // the same stamp re-enables them and warms the memos itself.
-        let stamp = (engine.global_epoch(), now.to_bits());
-        let memo_live = self.decision_stamp == Some(stamp);
-        if !memo_live {
-            self.decision_stamp = Some(stamp);
-            self.decision_memo.clear();
-        }
-        let decision_key = (
-            tentative.remaining_est.to_bits(),
-            tentative.abs_deadline.to_bits(),
-            job.procs,
-        );
-        if memo_live {
-            if let Some(d) = self.decision_memo.get(&decision_key) {
-                obs::phase::add(obs::phase::Counter::ReplayMemoHits, 1);
-                return d.clone();
-            }
-        }
         // Algorithm 1, lines 1–11: evaluate σ_j per node with the new job
         // tentatively added — proving most verdicts *without* running the
         // projection kernel. Per node, cheapest sufficient evidence wins:
@@ -645,10 +590,8 @@ impl ShareAdmission for LibraRisk {
         // zero-risk screen settles nodes with provable headroom in a
         // handful of flops; the risk screen settles nodes whose
         // finish-time bounds alone prove dispersion in one pass over the
-        // residents; the exact candidate memo replays prior kernel
-        // outputs at this epoch; and only what survives all four runs the
-        // kernel (warm-started from the cached first-segment share
-        // prefix).
+        // residents; and only what survives all three runs the kernel
+        // (warm-started from the cached first-segment share prefix).
         self.zero_risk.clear();
         self.sets.begin(engine.cluster().len());
         let mut stats = DecisionStats::default();
@@ -779,9 +722,8 @@ impl ShareAdmission for LibraRisk {
                     stage.push(tentative);
                     node_risk_single_segment(self.ws.staged(), now, speed, discipline)
                 } else if c.jobs.is_empty() {
-                    // An empty node's projection depends on `now`, which
-                    // its (never-bumped) epoch does not track — compute
-                    // directly, never memoise per-node.
+                    // The full delta kernel, not the verdict kernel: the
+                    // Strict variant reads the lone candidate's μ bits.
                     stats.projections_run += 1;
                     let s = self.ws.node_risk_delta_prefixed(
                         &c.jobs,
@@ -794,48 +736,24 @@ impl ShareAdmission for LibraRisk {
                     );
                     (s.mu, s.sigma)
                 } else {
-                    // Occupied node: its epoch pins (residents, now), so
-                    // the evaluation is a pure function of the candidate
-                    // signature. A memo hit replays the exact kernel
-                    // output computed earlier at this epoch; `memo_live`
-                    // keeps a fresh stamp's guaranteed misses off the
-                    // table.
-                    let key = (
-                        tentative.remaining_est.to_bits(),
-                        tentative.abs_deadline.to_bits(),
-                    );
-                    let memoised = if memo_live { c.memo.get(key) } else { None };
-                    let s = match memoised {
-                        Some(s) => {
-                            stats.memo_hits += 1;
-                            s
-                        }
-                        None => {
-                            stats.projections_run += 1;
-                            // Verdict kernel: an early σ certification
-                            // memoises (and replays) the same unsuitable
-                            // verdict the full run would.
-                            let s = self
-                                .ws
-                                .node_risk_verdict_prefixed(
-                                    &c.jobs,
-                                    &c.first_shares,
-                                    c.share_sum,
-                                    tentative,
-                                    now,
-                                    speed,
-                                    discipline,
-                                )
-                                .unwrap_or_else(|| {
-                                    stats.kernel_bails += 1;
-                                    RiskSummary::PROVABLY_RISKY
-                                });
-                            if memo_live {
-                                self.cache[idx].memo.insert(key, s);
-                            }
-                            s
-                        }
-                    };
+                    // Verdict kernel: an early σ certification stands for
+                    // the same unsuitable verdict the full run would give.
+                    stats.projections_run += 1;
+                    let s = self
+                        .ws
+                        .node_risk_verdict_prefixed(
+                            &c.jobs,
+                            &c.first_shares,
+                            c.share_sum,
+                            tentative,
+                            now,
+                            speed,
+                            discipline,
+                        )
+                        .unwrap_or_else(|| {
+                            stats.kernel_bails += 1;
+                            RiskSummary::PROVABLY_RISKY
+                        });
                     (s.mu, s.sigma)
                 };
                 is_zero_risk(sigma) && (!self.require_unit_mu || (mu - 1.0).abs() <= MU_EPSILON)
@@ -870,28 +788,18 @@ impl ShareAdmission for LibraRisk {
             obs::phase::add(C::RiskScreens, stats.risk_screen_hits);
             obs::phase::add(C::EquivClassHits, stats.class_hits);
             obs::phase::add(C::EquivClassMisses, stats.projections_run);
-            obs::phase::add(C::CandidateMemoHits, stats.memo_hits);
             obs::phase::add(C::KernelBails, stats.kernel_bails);
             obs::phase::add(C::ProjectionsRun, stats.projections_run);
         }
         // Lines 12–18: accept iff enough suitable nodes exist.
-        let decision = if self.zero_risk.len() < want {
-            None
-        } else {
-            let mut ranked = std::mem::take(&mut self.zero_risk);
-            self.order_nodes(&mut ranked, engine);
-            let out: Vec<NodeId> = ranked.iter().take(want).copied().collect();
-            self.zero_risk = ranked; // hand the warm buffer back for reuse
-            Some(out)
-        };
-        // The whole-decision memo only pays off when a later decision
-        // arrives at the same stamp; the first decision at a fresh stamp
-        // skips the insert (and its clone) — a same-stamp successor
-        // recomputes once and warms the memo itself.
-        if memo_live && self.decision_memo.len() < DECISION_MEMO_MAX {
-            self.decision_memo.insert(decision_key, decision.clone());
+        if self.zero_risk.len() < want {
+            return None;
         }
-        decision
+        let mut ranked = std::mem::take(&mut self.zero_risk);
+        self.order_nodes(&mut ranked, engine);
+        let out: Vec<NodeId> = ranked.iter().take(want).copied().collect();
+        self.zero_risk = ranked; // hand the warm buffer back for reuse
+        Some(out)
     }
 }
 
@@ -1066,26 +974,25 @@ mod tests {
     }
 
     #[test]
-    fn decision_replay_memo_respects_state_changes() {
+    fn repeated_decisions_match_reference_across_state_changes() {
         let mut lr = LibraRisk::paper();
         let mut e = engine(2);
         let j = job(0, 80.0, 1, 100.0);
         let first = lr.decide(&e, &j);
         // Same engine state, same candidate shape under a different id:
-        // the replayed decision must equal both the first answer and the
+        // the repeated decision must equal both the first answer and the
         // from-scratch reference.
         let j2 = job(99, 80.0, 1, 100.0);
         assert_eq!(lr.decide(&e, &j2), first);
         assert_eq!(lr.decide(&e, &j2), lr.decide_reference(&e, &j2));
-        // An admission bumps the global epoch and must flush the memo.
+        // After an admission the decision follows the new state.
         e.admit(job(1, 90.0, 1, 100.0), vec![NodeId(0)], SimTime::ZERO);
         assert_eq!(lr.decide(&e, &j2), lr.decide_reference(&e, &j2));
 
         // Advancing an *empty* cluster moves `now` without bumping any
-        // epoch; the (epoch, now) stamp must still invalidate the memo.
-        // Shape chosen so the strict decision flips: at t=0 the job
-        // finishes by its deadline (μ = 1 → accept), at t=30 it cannot
-        // (μ > 1 → reject) — a stale replay would return the accept.
+        // epoch, and the decision must still follow `now`. Shape chosen
+        // so the strict decision flips: at t=0 the job finishes by its
+        // deadline (μ = 1 → accept), at t=30 it cannot (μ > 1 → reject).
         let mut strict = LibraRisk::paper().require_unit_mu(true);
         let mut e2 = engine(2);
         let ja = job(5, 80.0, 1, 100.0);

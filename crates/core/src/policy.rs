@@ -15,7 +15,7 @@ use workload::{Job, Trace};
 /// Evaluation-volume accounting for one admission decision: how many
 /// nodes the candidate scan looked at and how much projection work the
 /// pre-kernel machinery (dominance and risk screens, the resident-set
-/// table, memos) avoided. Costless to maintain — a handful of counter bumps per
+/// table) avoided. Costless to maintain — a handful of counter bumps per
 /// decision — so policies keep it unconditionally and the facade samples
 /// it into the metrics registry when a recorder is enabled.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -38,7 +38,8 @@ pub struct DecisionStats {
     /// Kernel runs (counted in `projections_run`) that ended in an early
     /// σ certification instead of a full timeline simulation.
     pub kernel_bails: u64,
-    /// Nodes resolved from the per-node exact candidate memo.
+    /// Retired: always `0`; kept so records that read it keep their
+    /// shape.
     pub memo_hits: u64,
     /// Resident sets evaluated this decision: the considered nodes the
     /// set table did not settle (every considered node when the table is

@@ -1,153 +1,14 @@
-//! Exact-result memoisation for per-node risk evaluations.
+//! Per-decision resident-set table for LibraRisk's node loop.
 //!
 //! LibraRisk evaluates `σ_j` for "node j + candidate" on every node for
-//! every arriving job. Between engine changes a node's resident state is
-//! frozen (pinned by its epoch counter), so the evaluation result is a
-//! pure function of the candidate's `(remaining_est, abs_deadline)`
-//! pair. [`CandidateMemo`] caches those results **exactly** — keys are
-//! the raw `f64` bit patterns and values are previously computed kernel
-//! outputs — so a hit replays a bit-identical answer and can never flip
-//! a decision relative to the from-scratch path.
-//!
-//! The map is a tiny open-addressing table (linear probing, power-of-two
-//! capacity, fx-style multiplicative hash) rather than `std::HashMap`:
-//! the admission loop performs one lookup per node per decision, and
-//! SipHash dominates at that grain.
-//!
-//! The epoch contract extends to node churn: `fail_node`/`restore_node`
-//! bump the failed node's epoch (and the global epoch), so any memo keyed
-//! to the pre-fault resident state is discarded on the next decision —
-//! a fault can never replay a stale risk summary.
-//!
-//! [`SetTable`] is the per-decision companion: within one decision it
-//! maps each distinct resident set to the verdict of the first node
-//! evaluated with it, so nodes holding the same set share one
-//! evaluation.
-
-use cluster::projection::RiskSummary;
-
-/// Sentinel meaning "slot empty". `u64::MAX` is the bit pattern of a NaN
-/// with a set sign bit and full payload; candidate estimates and
-/// deadlines are always finite, so no real key collides with it.
-const EMPTY_KEY: (u64, u64) = (u64::MAX, u64::MAX);
-
-/// Hard cap on stored entries. A workload whose candidates never repeat
-/// would otherwise grow the table without bound; past the cap the memo
-/// is cleared and refilled (the table is per-node scratch, not state —
-/// dropping it only costs recomputation).
-const MAX_ENTRIES: usize = 4096;
-
-#[derive(Clone, Copy, Debug)]
-struct Slot {
-    key: (u64, u64),
-    value: RiskSummary,
-}
-
-const VACANT: Slot = Slot {
-    key: EMPTY_KEY,
-    value: RiskSummary::EMPTY,
-};
-
-/// An exact-key memo from candidate signature
-/// `(remaining_est.to_bits(), abs_deadline.to_bits())` to the
-/// [`RiskSummary`] the projection kernel produced for that candidate on
-/// one node's frozen resident state.
-#[derive(Clone, Debug, Default)]
-pub struct CandidateMemo {
-    slots: Vec<Slot>,
-    len: usize,
-}
-
-#[inline]
-fn hash(key: (u64, u64)) -> u64 {
-    // fx-style multiplicative mix; plenty for bit patterns of similar
-    // floats, which differ in low mantissa bits.
-    (key.0.rotate_left(26) ^ key.1).wrapping_mul(0x9E37_79B9_7F4A_7C15)
-}
-
-impl CandidateMemo {
-    /// An empty memo; the table is allocated on first insert.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Number of cached candidate evaluations.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// `true` when nothing is cached.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Drops every cached entry (keeps the allocation).
-    pub fn clear(&mut self) {
-        self.slots.fill(VACANT);
-        self.len = 0;
-    }
-
-    /// Looks up a previously stored summary for this exact key.
-    pub fn get(&self, key: (u64, u64)) -> Option<RiskSummary> {
-        if self.len == 0 {
-            return None;
-        }
-        let mask = self.slots.len() - 1;
-        let mut i = hash(key) as usize & mask;
-        loop {
-            let s = &self.slots[i];
-            if s.key == key {
-                return Some(s.value);
-            }
-            if s.key == EMPTY_KEY {
-                return None;
-            }
-            i = (i + 1) & mask;
-        }
-    }
-
-    /// Stores `value` under `key` (overwrites an existing entry bitwise —
-    /// by construction both are the same kernel output).
-    pub fn insert(&mut self, key: (u64, u64), value: RiskSummary) {
-        if self.len >= MAX_ENTRIES {
-            self.clear();
-        }
-        if self.slots.len() < 2 * (self.len + 1) {
-            self.grow();
-        }
-        let mask = self.slots.len() - 1;
-        let mut i = hash(key) as usize & mask;
-        loop {
-            let s = &mut self.slots[i];
-            if s.key == key {
-                s.value = value;
-                return;
-            }
-            if s.key == EMPTY_KEY {
-                *s = Slot { key, value };
-                self.len += 1;
-                return;
-            }
-            i = (i + 1) & mask;
-        }
-    }
-
-    fn grow(&mut self) {
-        let new_cap = (self.slots.len() * 2).max(16);
-        let old = std::mem::replace(&mut self.slots, vec![VACANT; new_cap]);
-        let mask = new_cap - 1;
-        for s in old {
-            if s.key == EMPTY_KEY {
-                continue;
-            }
-            let mut i = hash(s.key) as usize & mask;
-            while self.slots[i].key != EMPTY_KEY {
-                i = (i + 1) & mask;
-            }
-            self.slots[i] = s;
-        }
-    }
-}
+//! every arriving job. Within one decision a node's verdict depends only
+//! on its resident set and speed (the candidate, `now` and the
+//! discipline are fixed), so nodes holding the same set share one
+//! evaluation: [`SetTable`] maps each distinct set to the verdict of the
+//! first node evaluated with it. The table is an open-addressing map
+//! (linear probing, power-of-two capacity, multiplicative hash) that
+//! [`SetTable::begin`] clears in O(1) by bumping a generation, so the
+//! loop pays one probe per node and allocates only to grow.
 
 #[derive(Clone, Copy, Debug)]
 struct SetSlot {
@@ -248,62 +109,6 @@ fn index(key: u64, mask: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn summary(mu: f64) -> RiskSummary {
-        RiskSummary {
-            count: 1,
-            dd_sum: mu,
-            dd_sq_sum: mu * mu,
-            mu,
-            sigma: 0.0,
-        }
-    }
-
-    #[test]
-    fn get_insert_roundtrip() {
-        let mut m = CandidateMemo::new();
-        let k = (1.5f64.to_bits(), 200.0f64.to_bits());
-        assert!(m.get(k).is_none());
-        m.insert(k, summary(2.0));
-        assert!(m.get(k).unwrap().bits_eq(&summary(2.0)));
-        assert_eq!(m.len(), 1);
-        // Overwrite keeps len stable.
-        m.insert(k, summary(2.0));
-        assert_eq!(m.len(), 1);
-    }
-
-    #[test]
-    fn survives_growth_with_many_keys() {
-        let mut m = CandidateMemo::new();
-        let keys: Vec<(u64, u64)> = (0..500)
-            .map(|i| {
-                (
-                    (100.0 + i as f64).to_bits(),
-                    (900.0 + i as f64 * 7.0).to_bits(),
-                )
-            })
-            .collect();
-        for (i, &k) in keys.iter().enumerate() {
-            m.insert(k, summary(i as f64));
-        }
-        assert_eq!(m.len(), 500);
-        for (i, &k) in keys.iter().enumerate() {
-            assert!(m.get(k).unwrap().bits_eq(&summary(i as f64)), "key {i}");
-        }
-        assert!(m.get((7u64, 7u64)).is_none());
-    }
-
-    #[test]
-    fn clears_when_cap_is_hit() {
-        let mut m = CandidateMemo::new();
-        for i in 0..(MAX_ENTRIES + 10) {
-            m.insert(((i as u64) << 1, i as u64), summary(1.0));
-        }
-        assert!(m.len() <= MAX_ENTRIES, "cap enforced, len {}", m.len());
-        assert!(!m.is_empty());
-        m.clear();
-        assert!(m.is_empty());
-    }
 
     #[test]
     fn set_table_keeps_colliding_sets_apart_and_clears() {

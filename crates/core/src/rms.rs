@@ -344,9 +344,8 @@ impl ProportionalBackend<'_> {
         events: &mut Vec<JobEvent>,
         obs: Obs<'_>,
     ) -> Decision {
-        // Audit state is gathered *around* `decide`, never inside it:
-        // LibraRisk may answer from its whole-decision replay memo, and a
-        // memo hit must still produce a complete audit record.
+        // Audit state is gathered *around* `decide`, never inside it, so
+        // a recorded run decides exactly as an unrecorded one.
         let recording = obs.as_ref().is_some_and(|r| r.enabled());
         // Policy audit gauges (share/risk sweeps) are the one hook with
         // a real price — recorders opt in per `wants_audit_gauges`.
@@ -405,7 +404,7 @@ impl ProportionalBackend<'_> {
             note_decision(rec, now, seq, job_id, decision, audit, latency_ns);
             // Evaluation-volume counters (kernel-volume experiment):
             // how much projection work the decision ran vs avoided via
-            // the set table / dominance and risk screens / memos.
+            // the set table / dominance and risk screens.
             if let Some(stats) = self.policy.last_decision_stats() {
                 if let Some(reg) = rec.registry_mut() {
                     reg.add(keys::PROJECTIONS_RUN_TOTAL, stats.projections_run);

@@ -1,15 +1,17 @@
 //! Steady-state allocation audit for the *decision* path: once caches
 //! are warm, `decide` must not touch the heap beyond the accepted node
-//! list it hands back — no per-decision worklists, no class-table or
-//! memo growth, no workspace churn. Rejections return `None` and must
-//! therefore be exactly zero-allocation; acceptances may allocate only
-//! the returned `Vec<NodeId>` (one allocation). The class-index
-//! maintenance path is deliberately on the measured path: a `dt > 0`
-//! advance between decisions moves every occupied node's epoch pair, so
-//! each measured decision rebuilds signatures, re-hashes classes and
-//! re-runs the verdict kernel instead of replaying a whole-decision
-//! memo. A counting global allocator makes the claim checkable; the
-//! allocator is process-global, so this file holds a single `#[test]`.
+//! list it hands back — no per-decision worklists, no set-table growth,
+//! no workspace churn. Rejections return `None` and must therefore be
+//! exactly zero-allocation; acceptances may allocate only the returned
+//! `Vec<NodeId>` (one allocation). The cache refresh path is
+//! deliberately on the measured path: a `dt > 0` advance between
+//! decisions moves every occupied node's epoch, so each measured
+//! decision rebuilds the per-node projection inputs and re-runs the
+//! screens and the verdict kernel. Decisions repeated at one unchanged
+//! engine state, as when several jobs arrive at the same instant, are
+//! measured too. A counting global allocator makes the claim checkable;
+//! the allocator is process-global, so this file holds a single
+//! `#[test]`.
 
 use cluster::proportional::{ProportionalCluster, ProportionalConfig};
 use cluster::{Cluster, NodeId};
@@ -56,9 +58,9 @@ fn job(id: u64, runtime: f64, estimate: f64, deadline: f64, submit: SimTime) -> 
 }
 
 /// Advances by a tiny positive step (well under the next event gap, so
-/// residency never changes) purely to move the engine's global epoch:
-/// the next decision lands on a fresh stamp, misses every whole-decision
-/// memo, and exercises the full class rebuild + kernel path.
+/// residency never changes) purely to move every occupied node's epoch:
+/// the next decision finds every per-node cache stale and exercises the
+/// full refresh + kernel path.
 fn nudge(engine: &mut ProportionalCluster) {
     let now = engine.now();
     let gap = engine
@@ -68,22 +70,25 @@ fn nudge(engine: &mut ProportionalCluster) {
     engine.advance(now + SimDuration::from_secs((gap * 0.001).clamp(1e-6, 1.0)));
 }
 
-/// Runs `iters` varied decisions against `engine`, interleaved with
-/// epoch-moving nudges, and returns `(allocations, accepts)` counted
-/// around the `decide` calls only.
+/// Runs `iters` varied decisions against `engine`, each preceded by an
+/// epoch-moving nudge when `fresh` is set (otherwise all at the current
+/// engine state), and returns `(allocations, accepts)` counted around
+/// the `decide` calls only.
 fn measure<P: ShareAdmission>(
     policy: &mut P,
     engine: &mut ProportionalCluster,
     iters: usize,
     base_est: f64,
     deadline: f64,
+    fresh: bool,
 ) -> (u64, u64) {
     let mut allocs = 0u64;
     let mut accepts = 0u64;
     for i in 0..iters {
-        nudge(engine);
-        // Vary the estimate so the candidate signature differs every
-        // iteration: no memo can answer, classes are re-proven live.
+        if fresh {
+            nudge(engine);
+        }
+        // Vary the estimate so the candidate differs every iteration.
         let j = job(
             90_000 + i as u64,
             100.0,
@@ -104,9 +109,9 @@ fn measure<P: ShareAdmission>(
 #[test]
 fn steady_state_decide_allocates_only_accepted_node_lists() {
     // Saturated regime: every node carries one heavy resident whose
-    // estimate dwarfs its deadline, in 16 distinct shapes so the class
-    // table, pairing and verdict kernel all stay busy. A tight-deadline
-    // candidate is provably risky everywhere -> every decision rejects.
+    // estimate dwarfs its deadline, in 16 distinct shapes so the screens
+    // and the verdict kernel stay busy. A tight-deadline candidate is
+    // provably risky everywhere -> every decision rejects.
     let mut engine = ProportionalCluster::new(Cluster::sdsc_sp2(), ProportionalConfig::default());
     let nodes = engine.cluster().len();
     for i in 0..nodes {
@@ -119,17 +124,25 @@ fn steady_state_decide_allocates_only_accepted_node_lists() {
     }
     let mut lr = LibraRisk::paper();
     let mut libra = Libra::new();
-    // Warm-up sizes every cache: per-node class caches, class table,
+    // Warm-up sizes every cache: per-node risk caches, set table,
     // projection workspace, the suitable-node worklist.
-    measure(&mut lr, &mut engine, 48, 5_000.0, 800.0);
-    measure(&mut libra, &mut engine, 48, 5_000.0, 800.0);
-    let (lr_allocs, lr_accepts) = measure(&mut lr, &mut engine, 256, 5_000.0, 800.0);
+    measure(&mut lr, &mut engine, 48, 5_000.0, 800.0, true);
+    measure(&mut libra, &mut engine, 48, 5_000.0, 800.0, true);
+    let (lr_allocs, lr_accepts) = measure(&mut lr, &mut engine, 256, 5_000.0, 800.0, true);
     assert_eq!(lr_accepts, 0, "saturated cluster accepted a risky job");
     assert_eq!(
         lr_allocs, 0,
         "LibraRisk reject path allocated {lr_allocs} times over 256 decisions"
     );
-    let (l_allocs, l_accepts) = measure(&mut libra, &mut engine, 256, 5_000.0, 800.0);
+    // The same reject path with every decision at one unchanged engine
+    // state: nothing may be kept per repeated state either.
+    let (lr_allocs, lr_accepts) = measure(&mut lr, &mut engine, 256, 5_000.0, 800.0, false);
+    assert_eq!(lr_accepts, 0, "saturated cluster accepted a risky job");
+    assert_eq!(
+        lr_allocs, 0,
+        "LibraRisk same-state reject path allocated {lr_allocs} times over 256 decisions"
+    );
+    let (l_allocs, l_accepts) = measure(&mut libra, &mut engine, 256, 5_000.0, 800.0, true);
     assert_eq!(l_accepts, 0, "saturated cluster accepted an infeasible job");
     assert_eq!(
         l_allocs, 0,
@@ -150,15 +163,15 @@ fn steady_state_decide_allocates_only_accepted_node_lists() {
     }
     let mut lr = LibraRisk::paper();
     let mut libra = Libra::new();
-    measure(&mut lr, &mut light, 48, 10.0, 50_000.0);
-    measure(&mut libra, &mut light, 48, 10.0, 50_000.0);
-    let (lr_allocs, lr_accepts) = measure(&mut lr, &mut light, 256, 10.0, 50_000.0);
+    measure(&mut lr, &mut light, 48, 10.0, 50_000.0, true);
+    measure(&mut libra, &mut light, 48, 10.0, 50_000.0, true);
+    let (lr_allocs, lr_accepts) = measure(&mut lr, &mut light, 256, 10.0, 50_000.0, true);
     assert_eq!(lr_accepts, 256, "light cluster rejected a safe job");
     assert!(
         lr_allocs <= lr_accepts,
         "LibraRisk accept path allocated {lr_allocs} times for {lr_accepts} node lists"
     );
-    let (l_allocs, l_accepts) = measure(&mut libra, &mut light, 256, 10.0, 50_000.0);
+    let (l_allocs, l_accepts) = measure(&mut libra, &mut light, 256, 10.0, 50_000.0, true);
     assert_eq!(l_accepts, 256, "light cluster rejected a feasible job");
     assert!(
         l_allocs <= l_accepts,

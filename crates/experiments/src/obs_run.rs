@@ -256,7 +256,7 @@ mod tests {
 /// of the standard trace at one size, with the classifier either off
 /// (the "before" arm — every considered node pays a projection) or on
 /// (the shipped decision path: the resident-set table, dominance and
-/// risk screens, memos).
+/// risk screens).
 #[derive(Debug, Clone, Copy)]
 pub struct KernelVolumeRow {
     /// Whether the classifier (screens + set table) was enabled.

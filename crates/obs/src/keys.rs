@@ -26,7 +26,7 @@ pub const NODE_UP: &str = "rms_node_up_total";
 /// Projection-kernel executions across all decisions (LibraRisk family).
 pub const PROJECTIONS_RUN_TOTAL: &str = "librarisk_projections_run_total";
 /// Node evaluations settled *without* running the projection kernel —
-/// dominance screen, resident-set table or exact candidate memo.
+/// dominance and risk screens, resident-set table or empty-node path.
 pub const PROJECTIONS_AVOIDED_TOTAL: &str = "librarisk_projections_avoided_total";
 /// Resident sets evaluated (considered nodes the set table did not
 /// settle), summed over decisions (divide by [`DECISIONS`] for

@@ -50,7 +50,7 @@ use std::time::Instant;
 /// Number of named phases (see [`Phase::ALL`]).
 pub const N_PHASES: usize = 12;
 /// Number of cache-machinery counters (see [`Counter::ALL`]).
-pub const N_COUNTERS: usize = 8;
+pub const N_COUNTERS: usize = 6;
 
 /// A named hot-path phase.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -163,18 +163,14 @@ pub enum Counter {
     EquivClassHits = 0,
     /// Distinct class profiles that had to run the kernel.
     EquivClassMisses = 1,
-    /// Whole decisions answered by the exact replay memo.
-    ReplayMemoHits = 2,
     /// Node evaluations settled by the zero-risk dominance screen.
-    DominanceScreens = 3,
+    DominanceScreens = 2,
     /// Node evaluations settled by the provably-risky screen.
-    RiskScreens = 4,
-    /// Node evaluations answered by the per-node candidate memo.
-    CandidateMemoHits = 5,
+    RiskScreens = 3,
     /// Verdict-kernel runs that bailed at the first σ certification.
-    KernelBails = 6,
+    KernelBails = 4,
     /// Projection-kernel executions.
-    ProjectionsRun = 7,
+    ProjectionsRun = 5,
 }
 
 impl Counter {
@@ -182,10 +178,8 @@ impl Counter {
     pub const ALL: [Counter; N_COUNTERS] = [
         Counter::EquivClassHits,
         Counter::EquivClassMisses,
-        Counter::ReplayMemoHits,
         Counter::DominanceScreens,
         Counter::RiskScreens,
-        Counter::CandidateMemoHits,
         Counter::KernelBails,
         Counter::ProjectionsRun,
     ];
@@ -199,10 +193,8 @@ impl Counter {
 const COUNTER_KEYS: [&str; N_COUNTERS] = [
     "phase_equiv_class_hits_total",
     "phase_equiv_class_misses_total",
-    "phase_replay_memo_hits_total",
     "phase_dominance_screens_total",
     "phase_risk_screens_total",
-    "phase_candidate_memo_hits_total",
     "phase_kernel_bails_total",
     "phase_projections_run_total",
 ];
@@ -782,7 +774,7 @@ mod tests {
         assert!(!enabled());
         lap_resync();
         lap_mark(Phase::ProgressPass);
-        add(Counter::ReplayMemoHits, 3);
+        add(Counter::KernelBails, 3);
         let _s = span(Phase::VerdictKernel);
         drop(_s);
         let snap = snapshot();
@@ -790,7 +782,7 @@ mod tests {
             assert_eq!(snap.ns(p), 0);
             assert_eq!(snap.calls(p), 0);
         }
-        assert_eq!(snap.counter(Counter::ReplayMemoHits), 0);
+        assert_eq!(snap.counter(Counter::KernelBails), 0);
     }
 
     #[test]
@@ -846,7 +838,7 @@ mod tests {
                 busy(20);
             }
             add(Counter::DominanceScreens, 7);
-            add(Counter::ReplayMemoHits, 2);
+            add(Counter::KernelBails, 2);
             observe_mailbox_depth(3);
             observe_mailbox_depth(8);
             let snap = snapshot();
@@ -854,7 +846,7 @@ mod tests {
             assert_eq!(snap.calls(Phase::VerdictKernel), 1);
             assert!(snap.ns(Phase::MailboxSendWait) > 0);
             assert_eq!(snap.counter(Counter::DominanceScreens), 7);
-            assert_eq!(snap.counter(Counter::ReplayMemoHits), 2);
+            assert_eq!(snap.counter(Counter::KernelBails), 2);
             assert_eq!(snap.mailbox_depth_count(), 2);
             assert!(snap.quantile_ns(Phase::MailboxSendWait, 0.99) > 0.0);
         });
