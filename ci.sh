@@ -1,11 +1,12 @@
 #!/usr/bin/env bash
-# Tier-1 gate plus a benchmark smoke run.
+# Tier-1 gate plus release-mode oracles, timing gates and a perf floor.
 #
 #   ./ci.sh
 #
 # Fails on any build error, test failure, lint warning, formatting
-# drift, or a panic inside the admission benchmark (including its
-# built-in heap-vs-scan and decision-differential assertions).
+# drift, ledger oracle disagreement, or an overhead gate (empty fault
+# plan, recorders, phase profiler) over its bound. The ledger-based perf
+# floor only warns unless CI_PERF_STRICT=1.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -31,7 +32,7 @@ cargo test --release -q -p librisk --test differential_rms
 
 echo "== differential: shard router (release) =="
 # The shard-router oracles (1-shard bitwise identity incl. the
-# fulfilled=1563 bench-golden pin, N-shard union-of-independent-runs
+# fulfilled=1563 golden pin, N-shard union-of-independent-runs
 # under churn, aggregate merge laws) also re-run in release mode: the
 # fan-out/merge path is threaded, and optimisation must not perturb the
 # merged stream either.
@@ -149,59 +150,40 @@ health="$(curl -fsS "http://$addr/healthz")"
 curl -fsS "http://$addr/shutdown" >/dev/null
 wait "$serve_pid" || { echo "serve exited non-zero after /shutdown"; exit 1; }
 
-echo "== bench smoke: admission =="
-# Small counts; writes to a scratch path so the committed
-# BENCH_admission.json baseline (full-size run) is not clobbered.
-smoke_out="$(mktemp /tmp/bench_smoke.XXXXXX.json)"
-trap 'rm -f "$smoke_out" "$serve_log" ; rm -rf "$obs_out"' EXIT
-# The trailing 20000 keeps the sharded-driver sweep a smoke run too
-# (the committed baseline is the full 10M-job sweep).
-cargo run --release -p bench --bin bench_admission -- 200 2 400 "$smoke_out" 20000 >/dev/null
+echo "== timing gates: overhead of inert features (release) =="
+# An empty fault plan, the noop and ring recorders, and the phase
+# profiler must each cost the unified driver only a bounded share of its
+# throughput on the 2,000-job golden trace (interleaved rounds; bounds in
+# the test file). Wall-clock tests: release only, one at a time.
+cargo test --release -q -p librisk --test overhead_gates -- --ignored --test-threads=1
 
-echo "== perf floor: unified-driver + sharded-driver throughput =="
-# Compares the smoke run's LibraRisk jobs/sec — both the plain unified
-# driver and the 1-shard sharded path — against the committed full-size
-# baseline. A shortfall below half the recorded figure emits a
+echo "== perf floor: ledger throughput vs baseline.json =="
+# One untraced ledger replay each of `paper-100k` (the unified driver)
+# and `sharded-batch` (the shard router), against half the jobs_per_s
+# median of the committed ledger record. A shortfall emits a
 # machine-readable PERF_REGRESSION line per metric; by default that is a
-# soft gate (CI machines vary wildly), but CI_PERF_STRICT=1 turns any
-# PERF_REGRESSION line — unified or sharded — into a hard failure for
-# runners with a known-stable perf envelope. The sharded floor is
-# deliberately gated on the 1-shard cell: it shares the baseline's perf
-# envelope (no fan-out threads), so a regression there is router
-# overhead, not machine noise. (The smoke sweep replays far fewer jobs
-# than the committed 10M baseline, so per-shard-count throughput is not
-# comparable beyond the 1-shard cell.)
-perf_out="$(python3 - "$smoke_out" BENCH_admission.json <<'PYEOF'
+# soft gate (a shared host's speed varies), but CI_PERF_STRICT=1 turns
+# any PERF_REGRESSION line into a hard failure for runners with a
+# known-stable perf envelope. A failed ledger oracle fails here too.
+perf_got=""
+for w in paper-100k sharded-batch; do
+    got="$(cargo run --release --offline --quiet --manifest-path crates/bench/src/bin/ledger/Cargo.toml -- \
+        --workload "$w" --seed 1 --seconds 0 --trace 0 | awk '$2 == "jobs_per_s" { print $3 }')"
+    perf_got+="$w $got"$'\n'
+done
+perf_out="$(printf '%s' "$perf_got" | python3 -c '
 import json, sys
-try:
-    smoke = json.load(open(sys.argv[1]))
-    base = json.load(open(sys.argv[2]))
-except (OSError, ValueError) as e:
-    print(f"perf floor: skipped ({e})")
-    sys.exit(0)
-
-def cell1(doc):
-    return next(c["jobs_per_sec"] for c in doc["sharded_driver"]["cells"]
-                if c["shards"] == 1)
-
-checks = [
-    ("unified_driver.LibraRisk.jobs_per_sec",
-     lambda d: d["unified_driver"]["policies"]["LibraRisk"]["jobs_per_sec"]),
-    ("sharded_driver.shards1.jobs_per_sec", cell1),
-]
-for metric, read in checks:
-    try:
-        got, want = read(smoke), read(base)
-    except (KeyError, StopIteration) as e:
-        print(f"perf floor: {metric} skipped ({e!r})")
-        continue
+base = json.load(open("crates/bench/src/bin/ledger/baseline.json"))
+medians = {w["name"]: w["end_to_end"]["jobs_per_s"]["median"] for w in base["workloads"]}
+for line in sys.stdin:
+    w, got = line.split()
+    metric, got, want = f"{w}.jobs_per_s", float(got), medians[w]
     if got < want / 2:
         print(f"PERF_REGRESSION metric={metric} "
               f"got={got:.0f} baseline={want:.0f} floor={want / 2:.0f}")
     else:
         print(f"perf floor: {metric} ok ({got:.0f} jobs/s vs baseline {want:.0f})")
-PYEOF
-)" || true
+')"
 echo "$perf_out"
 if printf '%s\n' "$perf_out" | grep -q '^PERF_REGRESSION '; then
     if [ "${CI_PERF_STRICT:-0}" = "1" ]; then

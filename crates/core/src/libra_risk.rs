@@ -162,9 +162,6 @@ pub struct LibraRisk {
     /// verdict an evaluation would return). Cleared at the top of each
     /// decision; never reused across engine states.
     sets: SetTable,
-    /// When `false`, the pre-kernel screens and the set table are
-    /// disabled — the "before" arm of the kernel-volume experiment.
-    classifier: bool,
     /// Evaluation-volume counters of the most recent `decide` call.
     stats: DecisionStats,
 }
@@ -223,7 +220,6 @@ impl LibraRisk {
             gauge_stamp: None,
             gauge_memo: 0.0,
             sets: SetTable::new(),
-            classifier: true,
             stats: DecisionStats::default(),
         }
     }
@@ -329,17 +325,6 @@ impl LibraRisk {
         if on && self.name == "LibraRisk" {
             self.name = "LibraRisk-Strict".to_string();
         }
-        self
-    }
-
-    /// Measurement knob for the kernel-volume experiment: with the
-    /// classifier off, the pre-kernel screens and the set table are
-    /// disabled — every considered node runs its own projection, and
-    /// [`DecisionStats::distinct_classes`] counts every considered node.
-    /// Decisions are identical either way; only the work to reach them
-    /// changes. Defaults to on.
-    pub fn with_classifier(mut self, on: bool) -> Self {
-        self.classifier = on;
         self
     }
 
@@ -631,24 +616,18 @@ impl ShareAdmission for LibraRisk {
             // hit is confirmed against the representative's slots, so a
             // hash collision only costs the evaluation below.
             let set_key = engine.node_set_hash(node.id) ^ speed.to_bits().rotate_left(32);
-            let known = if self.classifier {
-                if classify.is_none() {
-                    classify = fine.then(|| obs::phase::span(obs::phase::Phase::EquivClassify));
-                }
-                self.sets.get(set_key, |rep| {
-                    same_resident_set(engine, NodeId(rep), node.id)
-                })
-            } else {
-                None
-            };
+            if classify.is_none() {
+                classify = fine.then(|| obs::phase::span(obs::phase::Phase::EquivClassify));
+            }
+            let known = self.sets.get(set_key, |rep| {
+                same_resident_set(engine, NodeId(rep), node.id)
+            });
             let share_total = engine.node_share_total_now(node.id);
             let min_dl = engine.node_min_deadline(node.id);
             let suitable = if let Some(suitable) = known {
                 stats.class_hits += 1;
                 suitable
-            } else if self.classifier
-                && screens_zero_risk(discipline, speed, share_total, min_dl, tentative, now)
-            {
+            } else if screens_zero_risk(discipline, speed, share_total, min_dl, tentative, now) {
                 // Dominance screen: enough capacity headroom that every
                 // resident plus the candidate provably finishes at least
                 // `EPS_DEADLINE` early, which forces dd = 1.0 for every
@@ -679,8 +658,7 @@ impl ShareAdmission for LibraRisk {
                 // μ = dd, which is exactly 0.0 too, so skipping the
                 // projection cannot flip a decision.
                 true
-            } else if self.classifier
-                && !self.naive_projection
+            } else if !self.naive_projection
                 && (share_total + cand_share > speed
                     || min_dl.min(tentative.abs_deadline) - now < EPS_DEADLINE)
                 && screens_risky(
@@ -760,9 +738,7 @@ impl ShareAdmission for LibraRisk {
             };
             if known.is_none() {
                 stats.distinct_classes += 1;
-                if self.classifier {
-                    self.sets.insert(set_key, node.id.0, suitable);
-                }
+                self.sets.insert(set_key, node.id.0, suitable);
             }
             if suitable {
                 self.zero_risk.push(node.id);

@@ -42,8 +42,7 @@ pub struct DecisionStats {
     /// shape.
     pub memo_hits: u64,
     /// Resident sets evaluated this decision: the considered nodes the
-    /// set table did not settle (every considered node when the table is
-    /// off).
+    /// set table did not settle.
     pub distinct_classes: u64,
 }
 
@@ -95,8 +94,8 @@ pub trait ShareAdmission {
 
     /// Evaluation-volume counters of the most recent
     /// [`ShareAdmission::decide`] call, for the facade's metrics and the
-    /// kernel-volume experiment. `None` when the policy does not track
-    /// them (queue-based policies, external implementations).
+    /// benchmark's `decide.*` counters. `None` when the policy does not
+    /// track them (queue-based policies, external implementations).
     fn last_decision_stats(&self) -> Option<DecisionStats> {
         None
     }

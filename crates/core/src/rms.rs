@@ -402,9 +402,9 @@ impl ProportionalBackend<'_> {
                 gauge,
             };
             note_decision(rec, now, seq, job_id, decision, audit, latency_ns);
-            // Evaluation-volume counters (kernel-volume experiment):
-            // how much projection work the decision ran vs avoided via
-            // the set table / dominance and risk screens.
+            // Evaluation-volume counters: how much projection work the
+            // decision ran vs avoided via the set table / dominance and
+            // risk screens.
             if let Some(stats) = self.policy.last_decision_stats() {
                 if let Some(reg) = rec.registry_mut() {
                     reg.add(keys::PROJECTIONS_RUN_TOTAL, stats.projections_run);

@@ -5,9 +5,9 @@
 //! 1. **1-shard bitwise identity.** A router over a single shard must
 //!    reproduce a plain [`ClusterRms`] run event-for-event — same seqs,
 //!    same outcome instants to the bit — both on the full policy
-//!    catalogue (the golden-fixture scenario) and on the bench workload,
-//!    where LibraRisk's fulfilled count is pinned at the committed
-//!    golden value (1563, see `BENCH_admission.json`).
+//!    catalogue (the golden-fixture scenario) and on the 2,000-job golden
+//!    workload, where LibraRisk's fulfilled count is pinned at 1563 (the
+//!    benchmark ledger's `GOLDEN_FULFILLED`, in its `oracle.rs`).
 //!
 //! 2. **Union-of-independent-runs.** With [`RouteBy::JobHash`], a job's
 //!    placement depends only on its id, so an N-shard run must be
@@ -43,9 +43,8 @@ fn synthetic_trace(jobs: usize, seed: u64) -> Trace {
     trace
 }
 
-/// The bench workload behind the committed `unified_driver` numbers:
-/// 2000 SDSC-SP2-like jobs (trace seed 11, deadline seed 12) on the full
-/// 128-node machine.
+/// The golden workload: 2000 SDSC-SP2-like jobs (trace seed 11,
+/// deadline seed 12) on the full 128-node machine.
 fn bench_trace() -> Trace {
     let mut trace = SyntheticSdscSp2 {
         jobs: 2000,
@@ -153,7 +152,7 @@ fn one_shard_router_reproduces_bench_golden_fulfilled() {
     assert_eq!(
         fulfilled(&sharded),
         1563,
-        "golden fulfilled count (BENCH_admission.json unified_driver)"
+        "golden fulfilled count (the ledger's GOLDEN_FULFILLED, oracle.rs)"
     );
     assert_eq!(fulfilled(&plain), 1563);
     assert_eq!(router.submitted(), trace.len() as u64);

@@ -35,7 +35,7 @@ impl Default for FigureConfig {
 }
 
 impl FigureConfig {
-    /// A fast configuration for smoke tests and benches.
+    /// A fast configuration for smoke tests and `--quick` runs.
     pub fn quick() -> Self {
         FigureConfig {
             jobs: 300,

@@ -1,9 +1,10 @@
 //! CLI regenerating the paper's figures and tables.
 //!
 //! ```text
-//! experiments <fig1|fig2|fig3|fig4|ablation|trace-stats|all>
-//!             [--jobs N] [--seeds 1,2,3] [--threads N] [--out DIR] [--quick]
+//! experiments <command> [--jobs N] [--seeds 1,2,3] [--threads N] [--out DIR] [--quick]
 //! ```
+//!
+//! The commands are listed in [`COMMANDS`]; an unknown one prints them.
 
 use experiments::figures::{self, FigureConfig};
 use experiments::report;
@@ -92,14 +93,58 @@ fn parse_args() -> Result<Args, String> {
     })
 }
 
+/// Every subcommand, in the order the usage string lists them: the one
+/// list that builds [`usage`] and validates the command line. Each name
+/// but `all` has a [`handler`].
+const COMMANDS: &[&str] = &[
+    "fig1",
+    "fig2",
+    "fig3",
+    "fig4",
+    "ablation",
+    "robustness",
+    "heterogeneity",
+    "churn",
+    "budget",
+    "risk-profile",
+    "convergence",
+    "summary",
+    "trace-stats",
+    "timeline",
+    "trace",
+    "shard-scaling",
+    "checkpoint",
+    "profile",
+    "serve",
+    "all",
+];
+
+/// What `experiments all` runs, in order: the paper's figures and
+/// tables.
+const ALL: &[&str] = &[
+    "trace-stats",
+    "fig1",
+    "fig2",
+    "fig3",
+    "fig4",
+    "ablation",
+    "robustness",
+    "heterogeneity",
+    "churn",
+    "budget",
+    "risk-profile",
+    "convergence",
+    "summary",
+];
+
 fn usage() -> String {
-    "usage: experiments <fig1|fig2|fig3|fig4|ablation|robustness|heterogeneity|churn|\
-     budget|risk-profile|convergence|summary|trace-stats|timeline|trace|kernel-volume|\
-     shard-scaling|checkpoint|profile|serve|all> \
-     [--jobs N] [--seeds 1,2,3] [--threads N] [--out DIR] [--charts] [--quick]\n\
-     serve only: [--shards N] [--for-secs S]\n\
-     profile always replays the committed 2000-job bench workload"
-        .to_string()
+    format!(
+        "usage: experiments <{}> \
+         [--jobs N] [--seeds 1,2,3] [--threads N] [--out DIR] [--charts] [--quick]\n\
+         serve only: [--shards N] [--for-secs S]\n\
+         profile always replays the 2000-job golden workload",
+        COMMANDS.join("|")
+    )
 }
 
 fn emit_figure(fig: &figures::Figure, out: &Option<PathBuf>, charts: bool) {
@@ -128,6 +173,327 @@ fn emit_figure(fig: &figures::Figure, out: &Option<PathBuf>, charts: bool) {
     }
 }
 
+/// The body of one subcommand; `None` for a name with no handler, and
+/// for `all`, which `main` expands into [`ALL`].
+fn handler(which: &str) -> Option<fn(&Args)> {
+    let run: fn(&Args) = match which {
+        "trace-stats" => |args| {
+            let cfg = &args.cfg;
+            let t = figures::trace_stats_table(cfg);
+            print!("{}", t.to_markdown());
+            if args.charts {
+                for table in figures::trace_analysis_tables(cfg) {
+                    println!();
+                    print!("{}", table.to_markdown());
+                }
+            }
+            if let Some(dir) = &args.out {
+                let path = dir.join("trace_stats.csv");
+                if let Err(e) = report::write_table_csv(&t, &path) {
+                    eprintln!("cannot write CSV: {e}");
+                } else {
+                    eprintln!("wrote {}", path.display());
+                }
+            }
+        },
+        "summary" => |args| {
+            let cfg = &args.cfg;
+            let t = figures::policy_summary_table(cfg);
+            print!("{}", t.to_markdown());
+            if let Some(dir) = &args.out {
+                let path = dir.join("policy_summary.csv");
+                if let Err(e) = report::write_table_csv(&t, &path) {
+                    eprintln!("cannot write CSV: {e}");
+                } else {
+                    eprintln!("wrote {}", path.display());
+                }
+            }
+        },
+        "fig1" => |args| emit_figure(&figures::fig1(&args.cfg), &args.out, args.charts),
+        "fig2" => |args| emit_figure(&figures::fig2(&args.cfg), &args.out, args.charts),
+        "fig3" => |args| emit_figure(&figures::fig3(&args.cfg), &args.out, args.charts),
+        "fig4" => |args| emit_figure(&figures::fig4(&args.cfg), &args.out, args.charts),
+        "ablation" => |args| emit_figure(&figures::ablation(&args.cfg), &args.out, args.charts),
+        "robustness" => |args| emit_figure(&figures::robustness(&args.cfg), &args.out, args.charts),
+        "heterogeneity" => {
+            |args| emit_figure(&figures::heterogeneity(&args.cfg), &args.out, args.charts)
+        }
+        "churn" => |args| emit_figure(&figures::churn(&args.cfg), &args.out, args.charts),
+        "convergence" => |args| {
+            let cfg = &args.cfg;
+            let t = figures::convergence_table(cfg);
+            print!("{}", t.to_markdown());
+            if let Some(dir) = &args.out {
+                let path = dir.join("convergence.csv");
+                if let Err(e) = report::write_table_csv(&t, &path) {
+                    eprintln!("cannot write CSV: {e}");
+                } else {
+                    eprintln!("wrote {}", path.display());
+                }
+            }
+        },
+        "budget" => |args| {
+            let cfg = &args.cfg;
+            let t = figures::budget_table(cfg);
+            print!("{}", t.to_markdown());
+            if let Some(dir) = &args.out {
+                let path = dir.join("budget.csv");
+                if let Err(e) = report::write_table_csv(&t, &path) {
+                    eprintln!("cannot write CSV: {e}");
+                } else {
+                    eprintln!("wrote {}", path.display());
+                }
+            }
+        },
+        "timeline" => |args| {
+            let cfg = &args.cfg;
+            use experiments::obs_run;
+            let policy = librisk::PolicyKind::LibraRisk;
+            let scenario = obs_run::obs_scenario(cfg);
+            let t = obs_run::timeline(&scenario, policy);
+            println!(
+                "# Gauge timeline — {policy:?} under churn, {} jobs\n",
+                t.jobs
+            );
+            println!("| curve | points |");
+            println!("| --- | --- |");
+            println!("| utilization | {} |", t.utilization.len());
+            println!("| in-flight / nodes | {} |", t.in_flight.len());
+            if let Some(g) = &t.gauge {
+                println!("| {} | {} |", g.name(), g.len());
+            }
+            if let Some(dir) = &args.out {
+                let path = dir.join("timeline.svg");
+                match std::fs::create_dir_all(dir)
+                    .and_then(|()| std::fs::write(&path, t.to_svg(policy)))
+                {
+                    Ok(()) => eprintln!("wrote {}", path.display()),
+                    Err(e) => eprintln!("cannot write SVG: {e}"),
+                }
+            }
+        },
+        "trace" => |args| {
+            let cfg = &args.cfg;
+            use experiments::obs_run;
+            let policy = librisk::PolicyKind::LibraRisk;
+            let scenario = obs_run::obs_scenario(cfg);
+            let (rec, report) = obs_run::trace_run(&scenario, policy, 1 << 16);
+            if let Err(e) = obs_run::validate_exports(&rec) {
+                eprintln!("export validation failed: {e}");
+                std::process::exit(1);
+            }
+            println!("# Decision trace — {policy:?} under churn\n");
+            println!("| metric | value |");
+            println!("| --- | --- |");
+            println!("| events retained | {} |", rec.len());
+            println!("| events dropped | {} |", rec.dropped());
+            println!("| submitted | {} |", report.submitted());
+            println!("| fulfilled | {} |", report.fulfilled());
+            println!("| rejected | {} |", report.rejected());
+            println!(
+                "| decisions counted | {} |",
+                rec.registry().counter(obs::keys::DECISIONS)
+            );
+            if let Some(dir) = &args.out {
+                let write = |name: &str, body: String| {
+                    let path = dir.join(name);
+                    match std::fs::write(&path, body) {
+                        Ok(()) => eprintln!("wrote {}", path.display()),
+                        Err(e) => eprintln!("cannot write {name}: {e}"),
+                    }
+                };
+                if let Err(e) = std::fs::create_dir_all(dir) {
+                    eprintln!("cannot create {}: {e}", dir.display());
+                } else {
+                    write("events.jsonl", rec.to_jsonl());
+                    write("trace.json", rec.to_chrome_trace());
+                    write("metrics.prom", rec.registry().to_prometheus());
+                }
+            }
+        },
+        "shard-scaling" => |args| {
+            let cfg = &args.cfg;
+            use experiments::shard_scaling;
+            let rows = shard_scaling::shard_scaling(cfg);
+            println!("# Sharded router — throughput vs shard count\n");
+            println!("| shards | jobs | jobs/s | fulfilled | oracle fulfilled | identity |");
+            println!("| --- | --- | --- | --- | --- | --- |");
+            for r in &rows {
+                println!(
+                    "| {} | {} | {:.0} | {} | {} | {} |",
+                    r.shards,
+                    r.jobs,
+                    r.jobs_per_sec,
+                    r.fulfilled,
+                    r.oracle_fulfilled,
+                    if r.identity_ok() { "ok" } else { "MISMATCH" },
+                );
+            }
+            if let Some(dir) = &args.out {
+                if let Err(e) = std::fs::create_dir_all(dir) {
+                    eprintln!("cannot create {}: {e}", dir.display());
+                } else {
+                    for (name, body) in [
+                        ("shard_scaling.csv", shard_scaling::shard_scaling_csv(&rows)),
+                        ("shard_scaling.svg", shard_scaling::shard_scaling_svg(&rows)),
+                    ] {
+                        let path = dir.join(name);
+                        match std::fs::write(&path, body) {
+                            Ok(()) => eprintln!("wrote {}", path.display()),
+                            Err(e) => eprintln!("cannot write {name}: {e}"),
+                        }
+                    }
+                }
+            }
+        },
+        "checkpoint" => |args| {
+            let cfg = &args.cfg;
+            use experiments::checkpoint_run;
+            let probe = checkpoint_run::checkpoint_probe(cfg);
+            println!("# Checkpoint/restore — LibraRisk under churn\n");
+            println!("| metric | value |");
+            println!("| --- | --- |");
+            println!("| jobs (snapshot at) | {} ({}) |", probe.jobs, probe.cut);
+            println!("| snapshot size | {} bytes |", probe.snapshot_bytes);
+            println!("| save latency | {:.1} µs |", probe.save_us);
+            println!("| load latency | {:.1} µs |", probe.load_us);
+            println!("| restore latency | {:.1} µs |", probe.restore_us);
+            println!(
+                "| resumed == unbroken | ok ({} fulfilled) |",
+                probe.fulfilled
+            );
+            println!(
+                "| corruption detected | {} |",
+                if probe.corruption_detected {
+                    "ok"
+                } else {
+                    "MISSED"
+                }
+            );
+            if let Some(dir) = &args.out {
+                if let Err(e) = std::fs::create_dir_all(dir) {
+                    eprintln!("cannot create {}: {e}", dir.display());
+                } else {
+                    let path = dir.join("checkpoint.csv");
+                    match std::fs::write(&path, probe.to_csv()) {
+                        Ok(()) => eprintln!("wrote {}", path.display()),
+                        Err(e) => eprintln!("cannot write checkpoint.csv: {e}"),
+                    }
+                }
+            }
+        },
+        "profile" => |args| {
+            use experiments::telemetry_run::{self, ADVANCE_TILES};
+            let report = telemetry_run::profile_probe(telemetry_run::GOLDEN_JOBS);
+            println!("# Hot-path phase profile — LibraRisk, 2000-job golden workload\n");
+            println!("| metric | value |");
+            println!("| --- | --- |");
+            println!("| jobs | {} |", report.jobs);
+            println!("| fulfilled | {} |", report.fulfilled);
+            println!("| wall clock | {:.2} s |", report.wall_secs);
+            println!(
+                "| advance bracket (sampled 1-in-{}) | {:.1} ms |",
+                obs::phase::SAMPLE_STRIDE,
+                report.advance_ns as f64 / 1e6
+            );
+            println!(
+                "| phase coverage of advance | {:.1}% |",
+                report.coverage * 100.0
+            );
+            println!();
+            println!("| phase | total | calls | share of advance | p99 |");
+            println!("| --- | --- | --- | --- | --- |");
+            for r in &report.rows {
+                let tiled = ADVANCE_TILES.contains(&r.phase);
+                println!(
+                    "| {} | {:.2} ms | {} | {} | {:.0} µs |",
+                    r.phase.name(),
+                    r.ns as f64 / 1e6,
+                    r.calls,
+                    if tiled {
+                        format!("{:.1}%", r.share_of_advance * 100.0)
+                    } else {
+                        "—".to_string()
+                    },
+                    r.p99_ns / 1e3,
+                );
+            }
+            if !report.counters.is_empty() {
+                println!();
+                println!("| decision counter | value |");
+                println!("| --- | --- |");
+                for (k, v) in &report.counters {
+                    println!("| {k} | {v} |");
+                }
+            }
+            if let Some(dir) = &args.out {
+                if let Err(e) = std::fs::create_dir_all(dir) {
+                    eprintln!("cannot create {}: {e}", dir.display());
+                } else {
+                    for (name, body) in [
+                        ("profile.csv", report.to_csv()),
+                        ("profile_counters.csv", report.counters_csv()),
+                        ("profile.svg", report.to_svg()),
+                    ] {
+                        let path = dir.join(name);
+                        match std::fs::write(&path, body) {
+                            Ok(()) => eprintln!("wrote {}", path.display()),
+                            Err(e) => eprintln!("cannot write {name}: {e}"),
+                        }
+                    }
+                }
+            }
+        },
+        "serve" => |args| {
+            let cfg = &args.cfg;
+            use experiments::telemetry_run::{self, ServeOptions};
+            let opts = ServeOptions {
+                jobs: cfg.jobs.min(20_000),
+                shards: args.shards,
+                linger_secs: args.for_secs,
+                seed: cfg.seeds.first().copied().unwrap_or(1),
+            };
+            match telemetry_run::serve(&opts) {
+                Ok(s) => {
+                    println!("# Telemetry serve — {} shards\n", opts.shards);
+                    println!("| metric | value |");
+                    println!("| --- | --- |");
+                    println!("| submitted | {} |", s.submitted);
+                    println!("| fulfilled | {} |", s.fulfilled);
+                    println!("| publish rounds | {} |", s.publishes);
+                    println!(
+                        "| ended by | {} |",
+                        if s.shut_down_remotely {
+                            "GET /shutdown"
+                        } else {
+                            "--for-secs timeout"
+                        }
+                    );
+                }
+                Err(e) => {
+                    eprintln!("serve failed: {e}");
+                    std::process::exit(1);
+                }
+            }
+        },
+        "risk-profile" => |args| {
+            let cfg = &args.cfg;
+            let t = figures::risk_profile_table(cfg);
+            print!("{}", t.to_markdown());
+            if let Some(dir) = &args.out {
+                let path = dir.join("risk_profile.csv");
+                if let Err(e) = report::write_table_csv(&t, &path) {
+                    eprintln!("cannot write CSV: {e}");
+                } else {
+                    eprintln!("wrote {}", path.display());
+                }
+            }
+        },
+        _ => return None,
+    };
+    Some(run)
+}
+
 fn main() -> ExitCode {
     let args = match parse_args() {
         Ok(a) => a,
@@ -136,384 +502,35 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let cfg = &args.cfg;
+    let cmd = args.command.as_str();
+    if !COMMANDS.contains(&cmd) {
+        eprintln!("unknown command {cmd}\n{}", usage());
+        return ExitCode::FAILURE;
+    }
+    let one = [cmd];
     let start = std::time::Instant::now();
-    let run = |which: &str| {
-        match which {
-            "trace-stats" => {
-                let t = figures::trace_stats_table(cfg);
-                print!("{}", t.to_markdown());
-                if args.charts {
-                    for table in figures::trace_analysis_tables(cfg) {
-                        println!();
-                        print!("{}", table.to_markdown());
-                    }
-                }
-                if let Some(dir) = &args.out {
-                    let path = dir.join("trace_stats.csv");
-                    if let Err(e) = report::write_table_csv(&t, &path) {
-                        eprintln!("cannot write CSV: {e}");
-                    } else {
-                        eprintln!("wrote {}", path.display());
-                    }
-                }
-            }
-            "summary" => {
-                let t = figures::policy_summary_table(cfg);
-                print!("{}", t.to_markdown());
-                if let Some(dir) = &args.out {
-                    let path = dir.join("policy_summary.csv");
-                    if let Err(e) = report::write_table_csv(&t, &path) {
-                        eprintln!("cannot write CSV: {e}");
-                    } else {
-                        eprintln!("wrote {}", path.display());
-                    }
-                }
-            }
-            "fig1" => emit_figure(&figures::fig1(cfg), &args.out, args.charts),
-            "fig2" => emit_figure(&figures::fig2(cfg), &args.out, args.charts),
-            "fig3" => emit_figure(&figures::fig3(cfg), &args.out, args.charts),
-            "fig4" => emit_figure(&figures::fig4(cfg), &args.out, args.charts),
-            "ablation" => emit_figure(&figures::ablation(cfg), &args.out, args.charts),
-            "robustness" => emit_figure(&figures::robustness(cfg), &args.out, args.charts),
-            "heterogeneity" => emit_figure(&figures::heterogeneity(cfg), &args.out, args.charts),
-            "churn" => emit_figure(&figures::churn(cfg), &args.out, args.charts),
-            "convergence" => {
-                let t = figures::convergence_table(cfg);
-                print!("{}", t.to_markdown());
-                if let Some(dir) = &args.out {
-                    let path = dir.join("convergence.csv");
-                    if let Err(e) = report::write_table_csv(&t, &path) {
-                        eprintln!("cannot write CSV: {e}");
-                    } else {
-                        eprintln!("wrote {}", path.display());
-                    }
-                }
-            }
-            "budget" => {
-                let t = figures::budget_table(cfg);
-                print!("{}", t.to_markdown());
-                if let Some(dir) = &args.out {
-                    let path = dir.join("budget.csv");
-                    if let Err(e) = report::write_table_csv(&t, &path) {
-                        eprintln!("cannot write CSV: {e}");
-                    } else {
-                        eprintln!("wrote {}", path.display());
-                    }
-                }
-            }
-            "timeline" => {
-                use experiments::obs_run;
-                let policy = librisk::PolicyKind::LibraRisk;
-                let scenario = obs_run::obs_scenario(cfg);
-                let t = obs_run::timeline(&scenario, policy);
-                println!(
-                    "# Gauge timeline — {policy:?} under churn, {} jobs\n",
-                    t.jobs
-                );
-                println!("| curve | points |");
-                println!("| --- | --- |");
-                println!("| utilization | {} |", t.utilization.len());
-                println!("| in-flight / nodes | {} |", t.in_flight.len());
-                if let Some(g) = &t.gauge {
-                    println!("| {} | {} |", g.name(), g.len());
-                }
-                if let Some(dir) = &args.out {
-                    let path = dir.join("timeline.svg");
-                    match std::fs::create_dir_all(dir)
-                        .and_then(|()| std::fs::write(&path, t.to_svg(policy)))
-                    {
-                        Ok(()) => eprintln!("wrote {}", path.display()),
-                        Err(e) => eprintln!("cannot write SVG: {e}"),
-                    }
-                }
-            }
-            "trace" => {
-                use experiments::obs_run;
-                let policy = librisk::PolicyKind::LibraRisk;
-                let scenario = obs_run::obs_scenario(cfg);
-                let (rec, report) = obs_run::trace_run(&scenario, policy, 1 << 16);
-                if let Err(e) = obs_run::validate_exports(&rec) {
-                    eprintln!("export validation failed: {e}");
-                    std::process::exit(1);
-                }
-                println!("# Decision trace — {policy:?} under churn\n");
-                println!("| metric | value |");
-                println!("| --- | --- |");
-                println!("| events retained | {} |", rec.len());
-                println!("| events dropped | {} |", rec.dropped());
-                println!("| submitted | {} |", report.submitted());
-                println!("| fulfilled | {} |", report.fulfilled());
-                println!("| rejected | {} |", report.rejected());
-                println!(
-                    "| decisions counted | {} |",
-                    rec.registry().counter(obs::keys::DECISIONS)
-                );
-                if let Some(dir) = &args.out {
-                    let write = |name: &str, body: String| {
-                        let path = dir.join(name);
-                        match std::fs::write(&path, body) {
-                            Ok(()) => eprintln!("wrote {}", path.display()),
-                            Err(e) => eprintln!("cannot write {name}: {e}"),
-                        }
-                    };
-                    if let Err(e) = std::fs::create_dir_all(dir) {
-                        eprintln!("cannot create {}: {e}", dir.display());
-                    } else {
-                        write("events.jsonl", rec.to_jsonl());
-                        write("trace.json", rec.to_chrome_trace());
-                        write("metrics.prom", rec.registry().to_prometheus());
-                    }
-                }
-            }
-            "kernel-volume" => {
-                use experiments::obs_run;
-                let rows = obs_run::kernel_volume(cfg);
-                println!("# Projection-kernel volume — classifier off vs on\n");
-                println!(
-                    "| classifier | jobs | decisions | projections run | avoided | \
-                     risk screens | sets/decision | profiles/decision | avoided ratio | \
-                     fulfilled |"
-                );
-                println!("| --- | --- | --- | --- | --- | --- | --- | --- | --- | --- |");
-                for r in &rows {
-                    println!(
-                        "| {} | {} | {} | {} | {} | {} | {:.2} | {:.2} | {:.1}% | {} |",
-                        if r.classifier { "on" } else { "off" },
-                        r.jobs,
-                        r.decisions,
-                        r.projections_run,
-                        r.projections_avoided,
-                        r.screened_risky,
-                        r.sets_per_decision(),
-                        r.profiles_per_decision(),
-                        r.avoided_ratio() * 100.0,
-                        r.fulfilled,
-                    );
-                }
-                if let Some(dir) = &args.out {
-                    if let Err(e) = std::fs::create_dir_all(dir) {
-                        eprintln!("cannot create {}: {e}", dir.display());
-                    } else {
-                        for (name, body) in [
-                            ("kernel_volume.csv", obs_run::kernel_volume_csv(&rows)),
-                            ("kernel_volume.svg", obs_run::kernel_volume_svg(&rows)),
-                        ] {
-                            let path = dir.join(name);
-                            match std::fs::write(&path, body) {
-                                Ok(()) => eprintln!("wrote {}", path.display()),
-                                Err(e) => eprintln!("cannot write {name}: {e}"),
-                            }
-                        }
-                    }
-                }
-            }
-            "shard-scaling" => {
-                use experiments::shard_scaling;
-                let rows = shard_scaling::shard_scaling(cfg);
-                println!("# Sharded router — throughput vs shard count\n");
-                println!("| shards | jobs | jobs/s | fulfilled | oracle fulfilled | identity |");
-                println!("| --- | --- | --- | --- | --- | --- |");
-                for r in &rows {
-                    println!(
-                        "| {} | {} | {:.0} | {} | {} | {} |",
-                        r.shards,
-                        r.jobs,
-                        r.jobs_per_sec,
-                        r.fulfilled,
-                        r.oracle_fulfilled,
-                        if r.identity_ok() { "ok" } else { "MISMATCH" },
-                    );
-                }
-                if let Some(dir) = &args.out {
-                    if let Err(e) = std::fs::create_dir_all(dir) {
-                        eprintln!("cannot create {}: {e}", dir.display());
-                    } else {
-                        for (name, body) in [
-                            ("shard_scaling.csv", shard_scaling::shard_scaling_csv(&rows)),
-                            ("shard_scaling.svg", shard_scaling::shard_scaling_svg(&rows)),
-                        ] {
-                            let path = dir.join(name);
-                            match std::fs::write(&path, body) {
-                                Ok(()) => eprintln!("wrote {}", path.display()),
-                                Err(e) => eprintln!("cannot write {name}: {e}"),
-                            }
-                        }
-                    }
-                }
-            }
-            "checkpoint" => {
-                use experiments::checkpoint_run;
-                let probe = checkpoint_run::checkpoint_probe(cfg);
-                println!("# Checkpoint/restore — LibraRisk under churn\n");
-                println!("| metric | value |");
-                println!("| --- | --- |");
-                println!("| jobs (snapshot at) | {} ({}) |", probe.jobs, probe.cut);
-                println!("| snapshot size | {} bytes |", probe.snapshot_bytes);
-                println!("| save latency | {:.1} µs |", probe.save_us);
-                println!("| load latency | {:.1} µs |", probe.load_us);
-                println!("| restore latency | {:.1} µs |", probe.restore_us);
-                println!(
-                    "| resumed == unbroken | ok ({} fulfilled) |",
-                    probe.fulfilled
-                );
-                println!(
-                    "| corruption detected | {} |",
-                    if probe.corruption_detected {
-                        "ok"
-                    } else {
-                        "MISSED"
-                    }
-                );
-                if let Some(dir) = &args.out {
-                    if let Err(e) = std::fs::create_dir_all(dir) {
-                        eprintln!("cannot create {}: {e}", dir.display());
-                    } else {
-                        let path = dir.join("checkpoint.csv");
-                        match std::fs::write(&path, probe.to_csv()) {
-                            Ok(()) => eprintln!("wrote {}", path.display()),
-                            Err(e) => eprintln!("cannot write checkpoint.csv: {e}"),
-                        }
-                    }
-                }
-            }
-            "profile" => {
-                use experiments::telemetry_run::{self, ADVANCE_TILES};
-                let report = telemetry_run::profile_probe(telemetry_run::GOLDEN_JOBS);
-                println!("# Hot-path phase profile — LibraRisk, committed bench workload\n");
-                println!("| metric | value |");
-                println!("| --- | --- |");
-                println!("| jobs | {} |", report.jobs);
-                println!("| fulfilled | {} |", report.fulfilled);
-                println!("| wall clock | {:.2} s |", report.wall_secs);
-                println!(
-                    "| advance bracket (sampled 1-in-{}) | {:.1} ms |",
-                    obs::phase::SAMPLE_STRIDE,
-                    report.advance_ns as f64 / 1e6
-                );
-                println!(
-                    "| phase coverage of advance | {:.1}% |",
-                    report.coverage * 100.0
-                );
-                println!();
-                println!("| phase | total | calls | share of advance | p99 |");
-                println!("| --- | --- | --- | --- | --- |");
-                for r in &report.rows {
-                    let tiled = ADVANCE_TILES.contains(&r.phase);
-                    println!(
-                        "| {} | {:.2} ms | {} | {} | {:.0} µs |",
-                        r.phase.name(),
-                        r.ns as f64 / 1e6,
-                        r.calls,
-                        if tiled {
-                            format!("{:.1}%", r.share_of_advance * 100.0)
-                        } else {
-                            "—".to_string()
-                        },
-                        r.p99_ns / 1e3,
-                    );
-                }
-                if !report.counters.is_empty() {
-                    println!();
-                    println!("| decision counter | value |");
-                    println!("| --- | --- |");
-                    for (k, v) in &report.counters {
-                        println!("| {k} | {v} |");
-                    }
-                }
-                if let Some(dir) = &args.out {
-                    if let Err(e) = std::fs::create_dir_all(dir) {
-                        eprintln!("cannot create {}: {e}", dir.display());
-                    } else {
-                        for (name, body) in [
-                            ("profile.csv", report.to_csv()),
-                            ("profile_counters.csv", report.counters_csv()),
-                            ("profile.svg", report.to_svg()),
-                        ] {
-                            let path = dir.join(name);
-                            match std::fs::write(&path, body) {
-                                Ok(()) => eprintln!("wrote {}", path.display()),
-                                Err(e) => eprintln!("cannot write {name}: {e}"),
-                            }
-                        }
-                    }
-                }
-            }
-            "serve" => {
-                use experiments::telemetry_run::{self, ServeOptions};
-                let opts = ServeOptions {
-                    jobs: cfg.jobs.min(20_000),
-                    shards: args.shards,
-                    linger_secs: args.for_secs,
-                    seed: cfg.seeds.first().copied().unwrap_or(1),
-                };
-                match telemetry_run::serve(&opts) {
-                    Ok(s) => {
-                        println!("# Telemetry serve — {} shards\n", opts.shards);
-                        println!("| metric | value |");
-                        println!("| --- | --- |");
-                        println!("| submitted | {} |", s.submitted);
-                        println!("| fulfilled | {} |", s.fulfilled);
-                        println!("| publish rounds | {} |", s.publishes);
-                        println!(
-                            "| ended by | {} |",
-                            if s.shut_down_remotely {
-                                "GET /shutdown"
-                            } else {
-                                "--for-secs timeout"
-                            }
-                        );
-                    }
-                    Err(e) => {
-                        eprintln!("serve failed: {e}");
-                        std::process::exit(1);
-                    }
-                }
-            }
-            "risk-profile" => {
-                let t = figures::risk_profile_table(cfg);
-                print!("{}", t.to_markdown());
-                if let Some(dir) = &args.out {
-                    let path = dir.join("risk_profile.csv");
-                    if let Err(e) = report::write_table_csv(&t, &path) {
-                        eprintln!("cannot write CSV: {e}");
-                    } else {
-                        eprintln!("wrote {}", path.display());
-                    }
-                }
-            }
-            _ => unreachable!("validated below"),
-        }
+    for which in if cmd == "all" { ALL } else { &one } {
+        handler(which).expect("every listed command has a handler")(&args);
         eprintln!("[{which} done at {:.1}s]", start.elapsed().as_secs_f64());
-    };
-    match args.command.as_str() {
-        "all" => {
-            for which in [
-                "trace-stats",
-                "fig1",
-                "fig2",
-                "fig3",
-                "fig4",
-                "ablation",
-                "robustness",
-                "heterogeneity",
-                "churn",
-                "budget",
-                "risk-profile",
-                "convergence",
-                "summary",
-            ] {
-                run(which);
-            }
-        }
-        cmd @ ("trace-stats" | "fig1" | "fig2" | "fig3" | "fig4" | "ablation" | "robustness"
-        | "heterogeneity" | "churn" | "budget" | "risk-profile" | "convergence"
-        | "summary" | "timeline" | "trace" | "kernel-volume" | "shard-scaling"
-        | "checkpoint" | "profile" | "serve") => run(cmd),
-        other => {
-            eprintln!("unknown command {other}\n{}", usage());
-            return ExitCode::FAILURE;
-        }
     }
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn every_listed_command_dispatches() {
+        for name in COMMANDS.iter().filter(|&&c| c != "all") {
+            assert!(
+                handler(name).is_some(),
+                "{name} is listed but not dispatched"
+            );
+        }
+        for name in ALL {
+            assert!(COMMANDS.contains(name), "all runs unlisted {name}");
+        }
+        assert!(handler("all").is_none() && handler("bogus").is_none());
+    }
 }

@@ -251,152 +251,3 @@ mod tests {
         validate_exports(&rec).expect("truncated ring still exports cleanly");
     }
 }
-
-/// One measured arm of the kernel-volume experiment: a fault-free replay
-/// of the standard trace at one size, with the classifier either off
-/// (the "before" arm — every considered node pays a projection) or on
-/// (the shipped decision path: the resident-set table, dominance and
-/// risk screens).
-#[derive(Debug, Clone, Copy)]
-pub struct KernelVolumeRow {
-    /// Whether the classifier (screens + set table) was enabled.
-    pub classifier: bool,
-    /// Jobs driven through the facade.
-    pub jobs: usize,
-    /// Admission decisions taken ([`obs::keys::DECISIONS`]).
-    pub decisions: u64,
-    /// Projection-kernel executions ([`obs::keys::PROJECTIONS_RUN_TOTAL`]) —
-    /// the distinct node profiles actually evaluated.
-    pub projections_run: u64,
-    /// Node evaluations settled without the kernel
-    /// ([`obs::keys::PROJECTIONS_AVOIDED_TOTAL`]).
-    pub projections_avoided: u64,
-    /// Resident sets evaluated, summed over decisions: considered nodes
-    /// the set table did not settle
-    /// ([`obs::keys::DECISION_CLASSES_TOTAL`]).
-    pub sets_evaluated: u64,
-    /// Evaluations settled by the zero-risk dominance screen
-    /// ([`obs::keys::SCREENED_ZERO_RISK_TOTAL`]).
-    pub screened: u64,
-    /// Evaluations settled by the provably-risky screen
-    /// ([`obs::keys::SCREENED_RISKY_TOTAL`]).
-    pub screened_risky: u64,
-    /// Deadline-fulfilled completions — the anchor that both arms decide
-    /// identically (the classifier only changes *how* verdicts are
-    /// proven, never the verdicts).
-    pub fulfilled: u64,
-}
-
-impl KernelVolumeRow {
-    /// Mean distinct profiles projected per decision.
-    pub fn profiles_per_decision(&self) -> f64 {
-        self.projections_run as f64 / self.decisions.max(1) as f64
-    }
-
-    /// Mean resident sets evaluated per decision.
-    pub fn sets_per_decision(&self) -> f64 {
-        self.sets_evaluated as f64 / self.decisions.max(1) as f64
-    }
-
-    /// Fraction of considered nodes settled without running the kernel.
-    pub fn avoided_ratio(&self) -> f64 {
-        let considered = self.projections_run + self.projections_avoided;
-        self.projections_avoided as f64 / considered.max(1) as f64
-    }
-}
-
-/// Runs the kernel-volume experiment: the standard trace at a ladder of
-/// sizes, each driven twice (classifier off / on) through the online
-/// facade with a metrics registry attached, reading the evaluation-volume
-/// counters the decision hook feeds.
-pub fn kernel_volume(cfg: &FigureConfig) -> Vec<KernelVolumeRow> {
-    use cluster::proportional::ProportionalConfig;
-    use librisk::{ClusterRms, LibraRisk};
-    let base = cfg.jobs.max(400);
-    let sizes = [base / 4, base / 2, (base * 3) / 4, base];
-    let seed = cfg.seeds.first().copied().unwrap_or(1);
-    let mut rows = Vec::new();
-    for &jobs in &sizes {
-        for classifier in [false, true] {
-            let scenario = Scenario {
-                jobs,
-                seed,
-                ..Default::default()
-            };
-            let trace = scenario.build_trace();
-            let cluster = scenario.cluster();
-            let mut recorder = TraceRecorder::new(1024);
-            let mut sink = OnlineReport::new();
-            {
-                let policy = LibraRisk::paper().with_classifier(classifier);
-                let mut rms =
-                    ClusterRms::proportional(cluster, ProportionalConfig::default(), policy)
-                        .with_recorder(&mut recorder);
-                drive_trace(&mut rms, &trace, &mut sink);
-            }
-            let reg = recorder.registry();
-            rows.push(KernelVolumeRow {
-                classifier,
-                jobs,
-                decisions: reg.counter(obs::keys::DECISIONS),
-                projections_run: reg.counter(obs::keys::PROJECTIONS_RUN_TOTAL),
-                projections_avoided: reg.counter(obs::keys::PROJECTIONS_AVOIDED_TOTAL),
-                sets_evaluated: reg.counter(obs::keys::DECISION_CLASSES_TOTAL),
-                screened: reg.counter(obs::keys::SCREENED_ZERO_RISK_TOTAL),
-                screened_risky: reg.counter(obs::keys::SCREENED_RISKY_TOTAL),
-                fulfilled: sink.fulfilled(),
-            });
-        }
-    }
-    rows
-}
-
-/// Renders the two arms' distinct-profiles-per-decision curves (x = jobs
-/// driven) as one standalone SVG document.
-pub fn kernel_volume_svg(rows: &[KernelVolumeRow]) -> String {
-    let mut before = Series::new("classifier off (profiles/decision)");
-    let mut after = Series::new("classifier on (profiles/decision)");
-    for r in rows {
-        let s = if r.classifier {
-            &mut after
-        } else {
-            &mut before
-        };
-        s.observe(r.jobs as f64, r.profiles_per_decision());
-    }
-    svg::render(
-        &[&before, &after],
-        &SvgOptions {
-            title: "Distinct node profiles projected per decision".into(),
-            x_label: "jobs driven".into(),
-            y_label: "profiles / decision".into(),
-            ..Default::default()
-        },
-    )
-}
-
-/// The kernel-volume rows as CSV.
-pub fn kernel_volume_csv(rows: &[KernelVolumeRow]) -> String {
-    let mut out = String::from(
-        "classifier,jobs,decisions,projections_run,projections_avoided,\
-         sets_evaluated,screened_zero_risk,screened_risky,fulfilled,profiles_per_decision,\
-         avoided_ratio\n",
-    );
-    for r in rows {
-        out.push_str(&format!(
-            "{},{},{},{},{},{},{},{},{},{:.3},{:.3}\n",
-            if r.classifier { "on" } else { "off" },
-            r.jobs,
-            r.decisions,
-            r.projections_run,
-            r.projections_avoided,
-            r.sets_evaluated,
-            r.screened,
-            r.screened_risky,
-            r.fulfilled,
-            r.profiles_per_decision(),
-            r.avoided_ratio(),
-        ));
-    }
-    out
-}

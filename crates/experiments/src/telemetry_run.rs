@@ -1,15 +1,15 @@
 //! Telemetry-plane runners: the `experiments profile` hot-path phase
 //! breakdown and the `experiments serve` live HTTP drive.
 //!
-//! `profile` replays the committed bench workload (the golden 2000-job
-//! SDSC-SP2 trace behind `BENCH_admission.json`) through the plain
-//! LibraRisk facade with the [`obs::phase`] profiler enabled, then
-//! reports where the wall clock went. Two invariants are enforced, not
-//! just reported: the lap-tiled advance phases must cover ≥ 90 % of the
-//! bracketing `advance_total` time (otherwise the taxonomy has a hole
-//! and the breakdown is a lie), and the run must still fulfil exactly
-//! the golden deadline count (the profiler is behaviourally inert — a
-//! drifted count means a hook leaked into the engine).
+//! `profile` replays the golden 2000-job SDSC-SP2 trace (trace seed 11,
+//! deadline seed 12; the one the benchmark ledger checks before timing)
+//! through the plain LibraRisk facade with the [`obs::phase`] profiler
+//! enabled, then reports where the wall clock went. Two invariants are
+//! enforced, not just reported: the lap-tiled advance phases must cover
+//! ≥ 90 % of the bracketing `advance_total` time (otherwise the taxonomy
+//! has a hole and the breakdown is a lie), and the run must still fulfil
+//! exactly the golden deadline count (the profiler is behaviourally
+//! inert — a drifted count means a hook leaked into the engine).
 //!
 //! `serve` drives a [`ShardedRms`] over a synthetic workload while
 //! publishing to a [`TelemetryHub`] served over HTTP by a
@@ -34,10 +34,10 @@ use workload::deadlines::DeadlineModel;
 use workload::synthetic::SyntheticSdscSp2;
 use workload::Trace;
 
-/// Jobs in the committed bench workload the profile replays.
+/// Jobs in the golden workload the profile replays.
 pub const GOLDEN_JOBS: usize = 2_000;
-/// The pinned fulfilled count for that workload (see
-/// `BENCH_admission.json` and `sharded_rms.rs`).
+/// The pinned fulfilled count for that workload (see the ledger's
+/// `oracle.rs` and `sharded_rms.rs`).
 pub const GOLDEN_FULFILLED: u64 = 1_563;
 
 /// The lap-tiled advance phases — together they must cover the
@@ -49,7 +49,7 @@ pub const ADVANCE_TILES: [Phase; 4] = [
     Phase::CompletionEmit,
 ];
 
-/// The bench workload behind the committed golden numbers: SDSC-SP2-like
+/// The golden workload: SDSC-SP2-like
 /// jobs (trace seed 11, deadline seed 12) on the full 128-node machine.
 fn bench_trace(jobs: usize) -> Trace {
     let mut trace = SyntheticSdscSp2 {
@@ -99,7 +99,7 @@ pub struct ProfileReport {
     pub counters: Vec<(&'static str, u64)>,
 }
 
-/// Replays `jobs` of the bench workload through the plain LibraRisk
+/// Replays `jobs` of the golden workload through the plain LibraRisk
 /// facade with the phase profiler on and assembles the breakdown.
 ///
 /// # Panics

@@ -754,13 +754,15 @@ mod tests {
     use super::*;
 
     /// Global profiler state is shared across the test binary's
-    /// threads, so every test that toggles it runs under this lock.
+    /// threads, so every test that toggles or reads it holds this lock.
+    fn profiler_lock() -> std::sync::MutexGuard<'static, ()> {
+        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        LOCK.lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
     fn with_profiler(f: impl FnOnce()) {
-        use std::sync::Mutex;
-        static LOCK: Mutex<()> = Mutex::new(());
-        let _g = LOCK
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let _g = profiler_lock();
         reset();
         set_enabled(true);
         f();
@@ -771,6 +773,7 @@ mod tests {
     #[test]
     fn disabled_profiler_records_nothing() {
         // No with_profiler: the default state is off.
+        let _g = profiler_lock();
         assert!(!enabled());
         lap_resync();
         lap_mark(Phase::ProgressPass);
