@@ -61,19 +61,62 @@ echo "== ledger oracles: benchmark workloads at full size (release) =="
 # ledger's full oracle set: the seed-1 pins, the drive_trace bitwise
 # check, and the partner and engine-decomposition cross-checks, at the
 # full 100k/50k-job size. An engine change that moves one bit fails
-# here; the ledger exits non-zero on any disagreement. The retired
-# decide counters (`memo_hits`, `pairing_hits`) must read 0 on every
-# workload: a nonzero value means a deleted layer came back.
+# here; the ledger exits non-zero on any disagreement.
+#
+# The traced counters below are deterministic at seed 1 (counts, not
+# times), so they are pinned exactly: a missing or different value
+# fails. A refactor must leave every one of them unchanged; a change
+# that moves one on purpose updates this table and says why. The
+# retired decide counters (`memo_hits`, `pairing_hits`) are pinned at 0:
+# a nonzero value means a deleted layer came back.
+traced_counts='key                      paper-100k  overload-4x  churn-requeue
+rms.advance_calls            100000        50000          50000
+rms.advance_fault_calls           0            0          17017
+engine.advance_calls         318865       134060         158825
+engine.next_event_calls      318866       134061         158826
+engine.admit_calls            85577        29196          43029
+decide.calls                 100000        50000          50000
+decide.nodes_considered     4954648      3863542        2461415
+decide.projections_run       420592      1139799         209245
+decide.screen_hits           209617       144801         104417
+decide.class_hits           3950108      1382891        1963692
+decide.kernel_bails          420450      1139642         209171
+decide.memo_hits                  0            0              0
+decide.pairing_hits               0            0              0
+router.fanouts               100001        50001          50001
+router.events_merged         100000        50000          50000
+report.records               100000        50000          50000
+fault.node_failures               0            0          14857
+fault.node_restores               0            0          14855
+fault.requeues                    0            0          19286
+fault.requeue_rejects             0            0            378
+fault.kills                       0            0              0
+'
 for w in $(python3 -c 'import json; print(" ".join(w["name"] for w in json.load(open("BENCHMARK.json"))["workloads"]))'); do
     echo "-- $w"
     ledger_out="$(cargo run --release --offline --quiet --manifest-path crates/bench/src/bin/ledger/Cargo.toml -- \
         --workload "$w" --seed 1 --seconds 0 --trace 1)"
-    for key in decide.memo_hits decide.pairing_hits; do
-        printf '%s\n' "$ledger_out" | awk -v k="$key" '
-            $2 == k { seen = 1; if ($3 != 0) bad = 1 }
-            END { exit (seen && !bad) ? 0 : 1 }' \
-            || { echo "$w: retired counter $key is missing or nonzero"; exit 1; }
-    done
+    printf '%s\n' "$ledger_out" | awk -v w="$w" '
+        NR == FNR {
+            if (FNR == 1) {
+                for (i = 2; i <= NF; i++) if ($i == w) col = i
+            } else if (NF && col) {
+                want[$1] = $col
+            }
+            next
+        }
+        $1 == w && ($2 in want) { got[$2] = $3 }
+        END {
+            if (!col) { printf "%s: no column in the traced-count table\n", w; exit 1 }
+            for (k in want) {
+                if (!(k in got)) { printf "%s: traced %s is missing\n", w, k; bad = 1 }
+                else if (got[k] != want[k]) {
+                    printf "%s: traced %s is %s, pinned %s\n", w, k, got[k], want[k]; bad = 1
+                }
+            }
+            exit bad
+        }' <(printf '%s' "$traced_counts") - \
+        || { echo "$w: traced counts differ from the pinned table"; exit 1; }
 done
 
 echo "== lint: rustfmt =="

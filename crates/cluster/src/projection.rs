@@ -61,12 +61,12 @@ pub enum ShareDiscipline {
 }
 
 /// A node's projected deadline-delay summary — the **risk contribution**
-/// admission layers cache per node and aggregate cluster-wide.
+/// admission layers aggregate cluster-wide.
 ///
 /// Stores the raw moments of the node's deadline-delay values (`Σdd`,
 /// `Σdd²`, count) alongside the derived `(μ_j, σ_j)` pair. The derived
 /// values are computed with exactly the same operations, in the same
-/// order, as [`risk`] — so a cached summary reproduces the from-scratch
+/// order, as [`risk`] — so a summary reproduces [`node_risk`]'s
 /// `(μ, σ)` bitwise, and two summaries can be compared for exact
 /// equality in differential tests.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -97,7 +97,7 @@ impl RiskSummary {
 
     /// Sentinel for a node whose projection was cut short because its
     /// risk was *certified* nonzero mid-run (see
-    /// [`ProjectionWorkspace::node_risk_verdict_prefixed`]): `σ = +∞`
+    /// [`ProjectionWorkspace::node_risk_verdict_with`]): `σ = +∞`
     /// fails every zero-risk test and `μ = +∞` fails every unit-mean
     /// test, so the sentinel decides exactly like the exact summary
     /// would — the raw moments are deliberately infinite too, so any
@@ -145,30 +145,6 @@ impl RiskSummary {
 /// A job's canonical sort key: its `(abs_deadline, remaining_est)` bits.
 fn class_key_bits(j: &ProjectedJob) -> (u64, u64) {
     (j.abs_deadline.to_bits(), j.remaining_est.to_bits())
-}
-
-/// Computes the kernel's *first-segment* shares for a resident job list —
-/// `remaining_est.max(EPS_WORK) / (abs_deadline − now).max(EPS_DEADLINE)`
-/// per job, in job order — into `shares`, and returns their left-to-right
-/// sum: exactly the float operations, in exactly the order, the
-/// projection kernel's opening share pass performs.
-///
-/// Admission layers cache the result per node (valid while the node's
-/// epoch — which pins both residents and `now` for occupied nodes —
-/// is unchanged) and hand it back via
-/// [`ProjectionWorkspace::node_risk_delta_prefixed`], so the shared
-/// prefix of every "residents + candidate" evaluation is computed once
-/// per node state instead of once per candidate.
-pub fn first_segment_shares(jobs: &[ProjectedJob], now: f64, shares: &mut Vec<f64>) -> f64 {
-    shares.clear();
-    let mut sum = 0.0;
-    for j in jobs {
-        let rd = (j.abs_deadline - now).max(EPS_DEADLINE);
-        let s = j.remaining_est.max(EPS_WORK) / rd;
-        shares.push(s);
-        sum += s;
-    }
-    sum
 }
 
 /// Rewrites a projection input into **canonical order**: ascending
@@ -401,8 +377,6 @@ pub fn screens_risky(
 /// pin that equivalence.
 #[derive(Clone, Debug, Default)]
 pub struct ProjectionWorkspace {
-    /// Staging buffer for callers assembling a job list (see [`Self::stage`]).
-    jobs: Vec<ProjectedJob>,
     rem: Vec<f64>,
     alive: Vec<bool>,
     shares: Vec<f64>,
@@ -435,19 +409,6 @@ impl ProjectionWorkspace {
         Self::default()
     }
 
-    /// Clears and returns the staging buffer, for callers that need to
-    /// assemble a job list without allocating one. Fill it, then call
-    /// [`Self::node_risk_staged`] (or [`Self::staged_finishes_into`]).
-    pub fn stage(&mut self) -> &mut Vec<ProjectedJob> {
-        self.jobs.clear();
-        &mut self.jobs
-    }
-
-    /// The currently staged jobs (what [`Self::stage`] was filled with).
-    pub fn staged(&self) -> &[ProjectedJob] {
-        &self.jobs
-    }
-
     /// [`project_finishes`] into a caller-owned output buffer, reusing
     /// this workspace's scratch. `finish` is cleared and refilled; no
     /// heap allocation happens once buffers have warmed up to the node
@@ -460,35 +421,32 @@ impl ProjectionWorkspace {
         discipline: ShareDiscipline,
         finish: &mut Vec<f64>,
     ) {
-        projection_kernel(
+        let Self {
+            rem,
+            alive,
+            shares,
+            rates,
+            ..
+        } = self;
+        let bailed = projection_kernel(
             jobs,
             now,
             speed_factor,
             discipline,
-            None,
-            &mut self.rem,
-            &mut self.alive,
-            &mut self.shares,
-            &mut self.rates,
+            false,
+            rem,
+            alive,
+            shares,
+            rates,
             finish,
         );
+        debug_assert!(!bailed);
     }
 
-    /// [`node_risk`] without allocation: projects finishes and derives
-    /// `(μ_j, σ_j)` entirely inside this workspace's buffers.
-    pub fn node_risk_with(
-        &mut self,
-        jobs: &[ProjectedJob],
-        now: f64,
-        speed_factor: f64,
-        discipline: ShareDiscipline,
-    ) -> (f64, f64) {
-        let s = self.node_risk_summary_with(jobs, now, speed_factor, discipline);
-        (s.mu, s.sigma)
-    }
-
-    /// [`Self::node_risk_with`] returning the full [`RiskSummary`]
-    /// (raw deadline-delay moments plus the derived `(μ, σ)`).
+    /// [`node_risk`] without allocation, returning the full
+    /// [`RiskSummary`] (raw deadline-delay moments plus the derived
+    /// `(μ, σ)`): projects finishes and summarises them entirely inside
+    /// this workspace's buffers.
     pub fn node_risk_summary_with(
         &mut self,
         jobs: &[ProjectedJob],
@@ -496,208 +454,40 @@ impl ProjectionWorkspace {
         speed_factor: f64,
         discipline: ShareDiscipline,
     ) -> RiskSummary {
-        let Self {
-            rem,
-            alive,
-            shares,
-            rates,
-            finish,
-            dds,
-            ..
-        } = self;
-        projection_kernel(
-            jobs,
-            now,
-            speed_factor,
-            discipline,
-            None,
-            rem,
-            alive,
-            shares,
-            rates,
-            finish,
-        );
-        summarize_into(jobs, finish, now, dds)
+        self.summarize(jobs, now, speed_factor, discipline, false)
+            .expect("the full projection never bails out")
     }
 
-    /// [`Self::node_risk_with`] over the staged job list.
-    pub fn node_risk_staged(
+    /// [`Self::node_risk_summary_with`] for admission *verdicts*: returns
+    /// `None` as soon as the partial projection certifies the node risky
+    /// (σ provably far above [`SIGMA_ZERO`] — see [`VERDICT_BAIL_GAP`]
+    /// for the bound), and the exact summary otherwise. `None` and the
+    /// exact summary produce the same admission verdict under every
+    /// decision variant, so callers that only consume the verdict (not
+    /// the raw moments) may use this interchangeably with the exact entry
+    /// point; overloaded nodes — precisely the expensive projections —
+    /// usually certify within the first few segments instead of
+    /// simulating their whole timeline. A single job never bails (a
+    /// bail-out needs two distinct deadline-delays), so a one-job slice
+    /// always gets its exact summary.
+    pub fn node_risk_verdict_with(
         &mut self,
-        now: f64,
-        speed_factor: f64,
-        discipline: ShareDiscipline,
-    ) -> (f64, f64) {
-        let s = self.node_risk_summary_staged(now, speed_factor, discipline);
-        (s.mu, s.sigma)
-    }
-
-    /// [`Self::node_risk_staged`] returning the full [`RiskSummary`].
-    pub fn node_risk_summary_staged(
-        &mut self,
-        now: f64,
-        speed_factor: f64,
-        discipline: ShareDiscipline,
-    ) -> RiskSummary {
-        let Self {
-            jobs,
-            rem,
-            alive,
-            shares,
-            rates,
-            finish,
-            dds,
-        } = self;
-        projection_kernel(
-            jobs,
-            now,
-            speed_factor,
-            discipline,
-            None,
-            rem,
-            alive,
-            shares,
-            rates,
-            finish,
-        );
-        summarize_into(jobs, finish, now, dds)
-    }
-
-    /// Delta-projection entry point for the admission hot path: evaluates
-    /// "node `base` + one hypothetical job" in a single call, warm-starting
-    /// from a node's cached base projection input instead of making the
-    /// caller re-assemble a job list.
-    ///
-    /// `base` is the node's resident projection input (what decision
-    /// layers cache per node against the engine's epoch counter); `extra`
-    /// is the tentative candidate, appended last — the same order
-    /// `ProportionalCluster::node_projection(node, Some(job))` produces,
-    /// so the result is bitwise identical to the from-scratch path.
-    pub fn node_risk_delta(
-        &mut self,
-        base: &[ProjectedJob],
-        extra: ProjectedJob,
-        now: f64,
-        speed_factor: f64,
-        discipline: ShareDiscipline,
-    ) -> RiskSummary {
-        let stage = self.stage();
-        stage.extend_from_slice(base);
-        stage.push(extra);
-        self.node_risk_summary_staged(now, speed_factor, discipline)
-    }
-
-    /// [`Self::node_risk_delta`] with a **shared-prefix warm start**: the
-    /// caller supplies the base jobs' first-segment shares and their
-    /// left-to-right sum (from [`first_segment_shares`], computed once
-    /// per node state), and the kernel's opening share pass runs only
-    /// for the appended candidate. Bitwise identical to the cold path —
-    /// the cached prefix replays the same float values and the same
-    /// summation order.
-    #[allow(clippy::too_many_arguments)]
-    pub fn node_risk_delta_prefixed(
-        &mut self,
-        base: &[ProjectedJob],
-        base_shares: &[f64],
-        base_share_sum: f64,
-        extra: ProjectedJob,
-        now: f64,
-        speed_factor: f64,
-        discipline: ShareDiscipline,
-    ) -> RiskSummary {
-        debug_assert_eq!(base.len(), base_shares.len());
-        let stage = self.stage();
-        stage.extend_from_slice(base);
-        stage.push(extra);
-        let Self {
-            jobs,
-            rem,
-            alive,
-            shares,
-            rates,
-            finish,
-            dds,
-        } = self;
-        projection_kernel(
-            jobs,
-            now,
-            speed_factor,
-            discipline,
-            Some((base_shares, base_share_sum)),
-            rem,
-            alive,
-            shares,
-            rates,
-            finish,
-        );
-        summarize_into(jobs, finish, now, dds)
-    }
-
-    /// [`Self::node_risk_delta_prefixed`] for the admission *verdict*
-    /// path: returns `None` as soon as the partial projection certifies
-    /// the node risky (σ provably far above [`SIGMA_ZERO`] — see
-    /// [`VERDICT_BAIL_GAP`] for the bound), and the exact summary
-    /// otherwise. `None` and the exact summary produce the same
-    /// admission verdict under every decision variant, so callers that
-    /// only consume the verdict (not the raw moments) may use this
-    /// interchangeably with the exact entry point; overloaded nodes —
-    /// precisely the expensive projections — usually certify within the
-    /// first few segments instead of simulating their whole timeline.
-    #[allow(clippy::too_many_arguments)]
-    pub fn node_risk_verdict_prefixed(
-        &mut self,
-        base: &[ProjectedJob],
-        base_shares: &[f64],
-        base_share_sum: f64,
-        extra: ProjectedJob,
+        jobs: &[ProjectedJob],
         now: f64,
         speed_factor: f64,
         discipline: ShareDiscipline,
     ) -> Option<RiskSummary> {
-        debug_assert_eq!(base.len(), base_shares.len());
-        let stage = self.stage();
-        stage.extend_from_slice(base);
-        stage.push(extra);
-        let Self {
-            jobs,
-            rem,
-            alive,
-            shares,
-            rates,
-            finish,
-            dds,
-        } = self;
-        let bailed = projection_verdict_kernel(
-            jobs,
-            now,
-            speed_factor,
-            discipline,
-            Some((base_shares, base_share_sum)),
-            rem,
-            alive,
-            shares,
-            rates,
-            finish,
-        );
-        if bailed {
-            None
-        } else {
-            Some(summarize_into(jobs, finish, now, dds))
-        }
+        self.summarize(jobs, now, speed_factor, discipline, true)
     }
 
-    /// [`Self::node_risk_summary_with`] with every first-segment share
-    /// precomputed (the resident-only evaluation admission layers cache
-    /// per node): the kernel skips its whole opening share pass.
-    pub fn node_risk_summary_prefixed(
+    fn summarize(
         &mut self,
         jobs: &[ProjectedJob],
-        first_shares: &[f64],
-        share_sum: f64,
         now: f64,
         speed_factor: f64,
         discipline: ShareDiscipline,
-    ) -> RiskSummary {
-        debug_assert_eq!(jobs.len(), first_shares.len());
+        verdict: bool,
+    ) -> Option<RiskSummary> {
         let Self {
             rem,
             alive,
@@ -705,84 +495,89 @@ impl ProjectionWorkspace {
             rates,
             finish,
             dds,
-            ..
         } = self;
-        projection_kernel(
+        let bailed = projection_kernel(
             jobs,
             now,
             speed_factor,
             discipline,
-            Some((first_shares, share_sum)),
+            verdict,
             rem,
             alive,
             shares,
             rates,
             finish,
         );
-        summarize_into(jobs, finish, now, dds)
-    }
-
-    /// [`Self::project_finishes_into`] over the staged job list.
-    pub fn staged_finishes_into(
-        &mut self,
-        now: f64,
-        speed_factor: f64,
-        discipline: ShareDiscipline,
-        finish: &mut Vec<f64>,
-    ) {
-        let Self {
-            jobs,
-            rem,
-            alive,
-            shares,
-            rates,
-            ..
-        } = self;
-        projection_kernel(
-            jobs,
-            now,
-            speed_factor,
-            discipline,
-            None,
-            rem,
-            alive,
-            shares,
-            rates,
-            finish,
-        );
+        (!bailed).then(|| summarize_into(jobs, finish, now, dds))
     }
 }
 
+/// Minimum separation between two projected deadline-delay values that
+/// certifies `σ_j` nonzero without finishing the projection.
+///
+/// Soundness: a population of `n` values containing two entries that
+/// differ by `g` has variance at least `g²/(2n)` (both entries deviate
+/// from any mean by a combined squared distance of `g²/2`), so
+/// `σ ≥ g/√(2n)`. With `g = 1e-5` and `n ≤` [`VERDICT_BAIL_MAX_JOBS`],
+/// that floor is `≥ 1.1e-7` — two orders of magnitude above
+/// [`SIGMA_ZERO`] — and it holds for the *full* projection's σ as well:
+/// the deadline-delays the bail-out compares are bitwise the values the
+/// full run would feed into [`RiskSummary::from_dds`] (the early exit
+/// changes which operations are skipped, never the ones performed), and
+/// the full run's computed σ can undercut the mathematical floor only
+/// by summation-cancellation noise of a few ulp of 1.0 (~1e-15 in the
+/// variance), far below `g²/(2n) ≥ 1.2e-14`. A certified-risky node is
+/// therefore unsuitable under every decision variant, exactly as the
+/// finished projection would have concluded.
+pub const VERDICT_BAIL_GAP: f64 = 1e-5;
+
+/// Job-count ceiling for the early bail-out: past this, the
+/// `g²/(2n)` variance floor approaches summation-noise scale, so the
+/// kernel just runs to completion (exactness over speed).
+pub const VERDICT_BAIL_MAX_JOBS: usize = 4096;
+
 /// The piecewise-constant-rate projection over caller-owned buffers.
 ///
-/// Scratch buffers (`rem`, `alive`, `shares`) and the output (`finish`)
-/// are cleared and refilled; their capacity is reused across calls.
+/// Scratch buffers (`rem`, `alive`, `shares`, `rates`) and the output
+/// (`finish`) are cleared and refilled; their capacity is reused across
+/// calls. Returns `true` when the run stopped early, which only a
+/// `verdict` run does.
 ///
-/// `warm` optionally carries precomputed first-segment shares for a
-/// *prefix* of `jobs` together with their left-to-right sum (what
-/// [`first_segment_shares`] produced for the same prefix at the same
-/// `now`): the opening share pass then starts from the cached sum and
-/// computes shares only for the suffix — the same float operations in
-/// the same order, so the warm start is bitwise-neutral.
+/// With `verdict` set the kernel does the identical float work in the
+/// identical order, but stops as soon as the partial projection
+/// certifies `σ_j ≥` a sound floor far above [`SIGMA_ZERO`] (see
+/// [`VERDICT_BAIL_GAP`]). Two separation witnesses are tracked on the
+/// way:
+///
+/// - a *finished* job's deadline-delay is exact (its remaining segments
+///   cannot move a finish time already emitted), and
+/// - a job still alive past its deadline has `dd ≥ (t − dl + rd)/rd`
+///   (its finish can only be later than the current segment start).
+///
+/// A positive gap between the smallest exact delay and the largest
+/// lower bound always involves two distinct jobs (any one job's bound
+/// never exceeds its own exact value), which is what the variance floor
+/// needs. A run that does not stop early leaves in `finish` exactly what
+/// the full run produces.
 #[allow(clippy::too_many_arguments)]
 fn projection_kernel(
     jobs: &[ProjectedJob],
     now: f64,
     speed_factor: f64,
     discipline: ShareDiscipline,
-    warm: Option<(&[f64], f64)>,
+    verdict: bool,
     rem: &mut Vec<f64>,
     alive: &mut Vec<bool>,
     shares: &mut Vec<f64>,
     rates: &mut Vec<f64>,
     finish: &mut Vec<f64>,
-) {
+) -> bool {
     assert!(speed_factor > 0.0);
     let n = jobs.len();
     finish.clear();
     finish.resize(n, 0.0);
     if n == 0 {
-        return;
+        return false;
     }
     rem.clear();
     rem.extend(jobs.iter().map(|j| j.remaining_est.max(EPS_WORK)));
@@ -798,22 +593,19 @@ fn projection_kernel(
     let (jobs, rem) = (&jobs[..n], &mut rem[..n]);
     let (alive, shares, rates) = (&mut alive[..n], &mut shares[..n], &mut rates[..n]);
     let strict = matches!(discipline, ShareDiscipline::Strict);
+    let bail = verdict && n <= VERDICT_BAIL_MAX_JOBS;
+    // Smallest exact deadline-delay among finished jobs / largest lower
+    // bound over any job's eventual delay (tracked only when `bail`).
+    let mut min_fin = f64::INFINITY;
+    let mut max_low = f64::NEG_INFINITY;
     let mut alive_count = n;
     let mut t = now;
     // Shares for the first segment; later segments refresh theirs inside
     // the advance pass below (the advance already walks the same indices
     // in the same order, so folding the share refresh in saves a whole
-    // pass per segment without reordering any float op). A warm prefix
-    // replays its cached shares and running sum instead of recomputing.
+    // pass per segment without reordering any float op).
     let mut total_share = 0.0;
-    let mut first = 0;
-    if let Some((pre, pre_sum)) = warm {
-        debug_assert!(pre.len() <= n, "warm prefix longer than the job list");
-        first = pre.len().min(n);
-        shares[..first].copy_from_slice(&pre[..first]);
-        total_share = pre_sum;
-    }
-    for i in first..n {
+    for i in 0..n {
         let rd = (jobs[i].abs_deadline - t).max(EPS_DEADLINE);
         shares[i] = rem[i] / rd;
         total_share += shares[i];
@@ -833,13 +625,12 @@ fn projection_kernel(
         // Rates are fixed per segment; the segment length is the first
         // completion or first deadline crossing. One fused pass: each
         // rate is computed once and fed into the running `dt` minimum in
-        // the same ascending-index order the split loops used, so every
-        // comparison sees identical values. The minimum is a plain `<`
-        // fold rather than `f64::min`: candidates are never NaN (positive
-        // work over a positive rate, or a deadline gap above `EPS_WORK`),
-        // and even a NaN would be ignored by both forms alike, so the
-        // fold is bitwise the same without `min`'s NaN handling on the
-        // dependency chain.
+        // ascending-index order. The minimum is a plain `<` fold rather
+        // than `f64::min`: candidates are never NaN (positive work over a
+        // positive rate, or a deadline gap above `EPS_WORK`), and even a
+        // NaN would be ignored by both forms alike, so the fold is
+        // bitwise the same without `min`'s NaN handling on the dependency
+        // chain.
         let mut dt = f64::INFINITY;
         for i in 0..n {
             if !alive[i] {
@@ -851,163 +642,6 @@ fn projection_kernel(
             // an astronomically inflated co-resident share); such a job
             // contributes no completion candidate — `min(x, ∞)` is `x`,
             // so skipping is bitwise-neutral when rates are positive.
-            if r > 0.0 {
-                let x = rem[i] / r;
-                if x < dt {
-                    dt = x;
-                }
-            }
-            let to_deadline = jobs[i].abs_deadline - t;
-            if to_deadline > EPS_WORK && to_deadline < dt {
-                dt = to_deadline;
-            }
-        }
-        if !(dt.is_finite() && dt > 0.0) {
-            // Every surviving job is rate-starved with no deadline
-            // crossing ahead: nothing will ever complete. Stop and let
-            // the fallback below pin survivors at the current time.
-            break;
-        }
-        // Advance the segment, refreshing each survivor's share for the
-        // next segment in the same ascending-index walk: the share values
-        // and the `total_share` summation order are exactly those the
-        // standalone share pass produced.
-        let t_next = t + dt;
-        total_share = 0.0;
-        for i in 0..n {
-            if !alive[i] {
-                continue;
-            }
-            rem[i] -= rates[i] * dt;
-            if rem[i] <= EPS_WORK {
-                alive[i] = false;
-                alive_count -= 1;
-                finish[i] = t_next;
-            } else {
-                let rd = (jobs[i].abs_deadline - t_next).max(EPS_DEADLINE);
-                shares[i] = rem[i] / rd;
-                total_share += shares[i];
-            }
-        }
-        t = t_next;
-    }
-    // Pathological fuzz fallback: finish whatever survived "now".
-    for i in 0..n {
-        if alive[i] {
-            finish[i] = t;
-        }
-    }
-}
-
-/// Minimum separation between two projected deadline-delay values that
-/// certifies `σ_j` nonzero without finishing the projection.
-///
-/// Soundness: a population of `n` values containing two entries that
-/// differ by `g` has variance at least `g²/(2n)` (both entries deviate
-/// from any mean by a combined squared distance of `g²/2`), so
-/// `σ ≥ g/√(2n)`. With `g = 1e-5` and `n ≤` [`VERDICT_BAIL_MAX_JOBS`],
-/// that floor is `≥ 1.1e-7` — two orders of magnitude above
-/// [`SIGMA_ZERO`] — and it holds for the *reference* kernel's σ as well:
-/// the deadline-delays the bail-out compares are bitwise the values the
-/// full run would feed into [`RiskSummary::from_dds`] (the early exit
-/// changes which operations are skipped, never the ones performed), and
-/// the reference's computed σ can undercut the mathematical floor only
-/// by summation-cancellation noise of a few ulp of 1.0 (~1e-15 in the
-/// variance), far below `g²/(2n) ≥ 1.2e-14`. A certified-risky node is
-/// therefore unsuitable under every decision variant, exactly as the
-/// finished projection would have concluded.
-pub const VERDICT_BAIL_GAP: f64 = 1e-5;
-
-/// Job-count ceiling for the early bail-out: past this, the
-/// `g²/(2n)` variance floor approaches summation-noise scale, so the
-/// kernel just runs to completion (exactness over speed).
-pub const VERDICT_BAIL_MAX_JOBS: usize = 4096;
-
-/// [`projection_kernel`] specialised for admission *verdicts*: identical
-/// float work in identical order, but it stops — returning `true` — as
-/// soon as the partial projection certifies `σ_j ≥` a sound floor far
-/// above [`SIGMA_ZERO`] (see [`VERDICT_BAIL_GAP`]). Two separation
-/// witnesses are tracked on the way:
-///
-/// - a *finished* job's deadline-delay is exact (its remaining segments
-///   cannot move a finish time already emitted), and
-/// - a job still alive past its deadline has `dd ≥ (t − dl + rd)/rd`
-///   (its finish can only be later than the current segment start).
-///
-/// A positive gap between the smallest exact delay and the largest
-/// lower bound always involves two distinct jobs (any one job's bound
-/// never exceeds its own exact value), which is what the variance floor
-/// needs. Returns `false` when the projection ran to completion, in
-/// which case `finish` holds exactly what [`projection_kernel`] would
-/// have produced.
-#[allow(clippy::too_many_arguments)]
-fn projection_verdict_kernel(
-    jobs: &[ProjectedJob],
-    now: f64,
-    speed_factor: f64,
-    discipline: ShareDiscipline,
-    warm: Option<(&[f64], f64)>,
-    rem: &mut Vec<f64>,
-    alive: &mut Vec<bool>,
-    shares: &mut Vec<f64>,
-    rates: &mut Vec<f64>,
-    finish: &mut Vec<f64>,
-) -> bool {
-    assert!(speed_factor > 0.0);
-    let n = jobs.len();
-    finish.clear();
-    finish.resize(n, 0.0);
-    if n == 0 {
-        return false;
-    }
-    rem.clear();
-    rem.extend(jobs.iter().map(|j| j.remaining_est.max(EPS_WORK)));
-    alive.clear();
-    alive.resize(n, true);
-    shares.clear();
-    shares.resize(n, 0.0);
-    rates.clear();
-    rates.resize(n, 0.0);
-    let (jobs, rem) = (&jobs[..n], &mut rem[..n]);
-    let (alive, shares, rates) = (&mut alive[..n], &mut shares[..n], &mut rates[..n]);
-    let strict = matches!(discipline, ShareDiscipline::Strict);
-    let bail = n <= VERDICT_BAIL_MAX_JOBS;
-    // Smallest exact deadline-delay among finished jobs / largest lower
-    // bound over any job's eventual delay.
-    let mut min_fin = f64::INFINITY;
-    let mut max_low = f64::NEG_INFINITY;
-    let mut alive_count = n;
-    let mut t = now;
-    let mut total_share = 0.0;
-    let mut first = 0;
-    if let Some((pre, pre_sum)) = warm {
-        debug_assert!(pre.len() <= n, "warm prefix longer than the job list");
-        first = pre.len().min(n);
-        shares[..first].copy_from_slice(&pre[..first]);
-        total_share = pre_sum;
-    }
-    for i in first..n {
-        let rd = (jobs[i].abs_deadline - t).max(EPS_DEADLINE);
-        shares[i] = rem[i] / rd;
-        total_share += shares[i];
-    }
-    let max_steps = 2 * n + 8;
-    for _ in 0..max_steps {
-        if alive_count == 0 {
-            break;
-        }
-        let denom = if strict {
-            total_share.max(1.0)
-        } else {
-            total_share
-        };
-        let mut dt = f64::INFINITY;
-        for i in 0..n {
-            if !alive[i] {
-                continue;
-            }
-            let r = shares[i] / denom * speed_factor;
-            rates[i] = r;
             if r > 0.0 {
                 let x = rem[i] / r;
                 if x < dt {
@@ -1034,8 +668,15 @@ fn projection_verdict_kernel(
             }
         }
         if !(dt.is_finite() && dt > 0.0) {
+            // Every surviving job is rate-starved with no deadline
+            // crossing ahead: nothing will ever complete. Stop and let
+            // the fallback below pin survivors at the current time.
             break;
         }
+        // Advance the segment, refreshing each survivor's share for the
+        // next segment in the same ascending-index walk: the share values
+        // and the `total_share` summation order are exactly those the
+        // standalone share pass produced.
         let t_next = t + dt;
         total_share = 0.0;
         for i in 0..n {
@@ -1069,6 +710,7 @@ fn projection_verdict_kernel(
         }
         t = t_next;
     }
+    // Pathological fuzz fallback: finish whatever survived "now".
     for i in 0..n {
         if alive[i] {
             finish[i] = t;
@@ -1219,7 +861,8 @@ pub fn node_risk(
     speed_factor: f64,
     discipline: ShareDiscipline,
 ) -> (f64, f64) {
-    ProjectionWorkspace::new().node_risk_with(jobs, now, speed_factor, discipline)
+    let s = ProjectionWorkspace::new().node_risk_summary_with(jobs, now, speed_factor, discipline);
+    (s.mu, s.sigma)
 }
 
 /// `true` when `sigma` counts as zero risk.
@@ -1237,6 +880,14 @@ mod tests {
             remaining_est,
             abs_deadline,
         }
+    }
+
+    /// The kernel's opening share total: each job's floored share, summed
+    /// left to right.
+    fn share_sum(jobs: &[ProjectedJob], now: f64) -> f64 {
+        jobs.iter().fold(0.0, |sum, j| {
+            sum + j.remaining_est.max(EPS_WORK) / (j.abs_deadline - now).max(EPS_DEADLINE)
+        })
     }
 
     #[test]
@@ -1418,9 +1069,9 @@ mod tests {
                         "finishes must be bitwise identical"
                     );
                     let (mu_a, sig_a) = node_risk(jobs, now, 1.5, disc);
-                    let (mu_b, sig_b) = ws.node_risk_with(jobs, now, 1.5, disc);
-                    assert_eq!(mu_a.to_bits(), mu_b.to_bits());
-                    assert_eq!(sig_a.to_bits(), sig_b.to_bits());
+                    let b = ws.node_risk_summary_with(jobs, now, 1.5, disc);
+                    assert_eq!(mu_a.to_bits(), b.mu.to_bits());
+                    assert_eq!(sig_a.to_bits(), b.sigma.to_bits());
                 }
             }
         }
@@ -1444,23 +1095,6 @@ mod tests {
     }
 
     #[test]
-    fn staged_path_matches_slice_path() {
-        let jobs = [pj(80.0, 90.0), pj(20.0, 400.0)];
-        let mut ws = ProjectionWorkspace::new();
-        ws.stage().extend_from_slice(&jobs);
-        let staged = ws.node_risk_staged(3.0, 2.0, ShareDiscipline::WorkConserving);
-        let direct = node_risk(&jobs, 3.0, 2.0, ShareDiscipline::WorkConserving);
-        assert_eq!(staged.0.to_bits(), direct.0.to_bits());
-        assert_eq!(staged.1.to_bits(), direct.1.to_bits());
-
-        ws.stage().extend_from_slice(&jobs);
-        let mut a = Vec::new();
-        ws.staged_finishes_into(3.0, 2.0, ShareDiscipline::WorkConserving, &mut a);
-        let b = project_finishes(&jobs, 3.0, 2.0, ShareDiscipline::WorkConserving);
-        assert_eq!(a, b);
-    }
-
-    #[test]
     fn risk_summary_matches_risk_bitwise() {
         let cases: Vec<Vec<f64>> = vec![
             vec![],
@@ -1481,79 +1115,6 @@ mod tests {
     }
 
     #[test]
-    fn delta_projection_matches_staging_by_hand() {
-        let base = [pj(80.0, 90.0), pj(20.0, 400.0), pj(100.0, 120.0)];
-        let extra = pj(55.0, 250.0);
-        let mut ws = ProjectionWorkspace::new();
-        for disc in [ShareDiscipline::Strict, ShareDiscipline::WorkConserving] {
-            for now in [0.0, 17.25] {
-                let delta = ws.node_risk_delta(&base, extra, now, 1.5, disc);
-                let mut all = base.to_vec();
-                all.push(extra);
-                let direct = node_risk(&all, now, 1.5, disc);
-                assert_eq!(delta.mu.to_bits(), direct.0.to_bits());
-                assert_eq!(delta.sigma.to_bits(), direct.1.to_bits());
-            }
-        }
-        // Empty base: delta over [] + extra equals the single-job node.
-        let delta = ws.node_risk_delta(&[], extra, 0.0, 1.0, ShareDiscipline::Strict);
-        let direct = node_risk(&[extra], 0.0, 1.0, ShareDiscipline::Strict);
-        assert_eq!(delta.mu.to_bits(), direct.0.to_bits());
-        assert_eq!(delta.sigma.to_bits(), direct.1.to_bits());
-    }
-
-    #[test]
-    fn first_segment_shares_match_kernel_opening_pass_bitwise() {
-        let jobs = [pj(80.0, 90.0), pj(20.0, 400.0), pj(1e-9, 0.5)];
-        let now = 3.0;
-        let mut shares = Vec::new();
-        let sum = first_segment_shares(&jobs, now, &mut shares);
-        let mut want_sum = 0.0;
-        for (i, j) in jobs.iter().enumerate() {
-            let rd = (j.abs_deadline - now).max(EPS_DEADLINE);
-            let s = j.remaining_est.max(EPS_WORK) / rd;
-            assert_eq!(shares[i].to_bits(), s.to_bits());
-            want_sum += s;
-        }
-        assert_eq!(sum.to_bits(), want_sum.to_bits());
-        assert_eq!(first_segment_shares(&[], 0.0, &mut shares), 0.0);
-        assert!(shares.is_empty());
-    }
-
-    #[test]
-    fn prefixed_paths_match_cold_paths_bitwise() {
-        let base = [pj(80.0, 90.0), pj(20.0, 400.0), pj(100.0, 120.0)];
-        let extra = pj(55.0, 250.0);
-        let mut ws = ProjectionWorkspace::new();
-        let mut shares = Vec::new();
-        for disc in [ShareDiscipline::Strict, ShareDiscipline::WorkConserving] {
-            for now in [0.0, 17.25] {
-                let sum = first_segment_shares(&base, now, &mut shares);
-                let warm = ws.node_risk_delta_prefixed(&base, &shares, sum, extra, now, 1.5, disc);
-                let cold = ws.node_risk_delta(&base, extra, now, 1.5, disc);
-                assert!(warm.bits_eq(&cold), "{disc:?} now {now}");
-                let warm_base = ws.node_risk_summary_prefixed(&base, &shares, sum, now, 1.5, disc);
-                let cold_base = ws.node_risk_summary_with(&base, now, 1.5, disc);
-                assert!(warm_base.bits_eq(&cold_base), "{disc:?} now {now}");
-            }
-        }
-        // Empty base: the warm prefix is empty and the candidate's share
-        // is computed in-kernel.
-        let sum = first_segment_shares(&[], 0.0, &mut shares);
-        let warm = ws.node_risk_delta_prefixed(
-            &[],
-            &shares,
-            sum,
-            extra,
-            0.0,
-            1.0,
-            ShareDiscipline::WorkConserving,
-        );
-        let cold = ws.node_risk_delta(&[], extra, 0.0, 1.0, ShareDiscipline::WorkConserving);
-        assert!(warm.bits_eq(&cold));
-    }
-
-    #[test]
     fn screen_never_disagrees_with_the_kernel() {
         // Wherever the screen fires, the kernel must report exactly
         // σ = 0.0 and μ = 1.0 (bitwise) — for the piecewise and the
@@ -1561,7 +1122,6 @@ mod tests {
         // over share levels, deadline spreads and margins, including
         // values straddling the screen's margin condition.
         let mut ws = ProjectionWorkspace::new();
-        let mut shares = Vec::new();
         let mut fired = 0usize;
         for i in 0..2000u64 {
             let r = |k: u64| {
@@ -1581,23 +1141,17 @@ mod tests {
                 .collect();
             let cand_rd = 0.5 + r(3) * 200.0;
             let cand = pj((0.01 + r(4) * 0.6) * cand_rd, now + cand_rd);
-            let sum = first_segment_shares(&jobs, now, &mut shares);
+            let sum = share_sum(&jobs, now);
             let min_dl = min_abs_deadline(&jobs);
             if screens_zero_risk(ShareDiscipline::WorkConserving, 1.0, sum, min_dl, cand, now) {
                 fired += 1;
-                let s = ws.node_risk_delta(&jobs, cand, now, 1.0, ShareDiscipline::WorkConserving);
+                let mut all = jobs.clone();
+                all.push(cand);
+                let wc = ShareDiscipline::WorkConserving;
+                let s = ws.node_risk_summary_with(&all, now, 1.0, wc);
                 assert_eq!(s.sigma.to_bits(), 0.0f64.to_bits(), "case {i}: {jobs:?}");
                 assert_eq!(s.mu.to_bits(), 1.0f64.to_bits(), "case {i}");
-                let (mu1, sig1) = node_risk_single_segment(
-                    &{
-                        let mut all = jobs.clone();
-                        all.push(cand);
-                        all
-                    },
-                    now,
-                    1.0,
-                    ShareDiscipline::WorkConserving,
-                );
+                let (mu1, sig1) = node_risk_single_segment(&all, now, 1.0, wc);
                 assert_eq!(sig1.to_bits(), 0.0f64.to_bits(), "case {i} (naive)");
                 assert_eq!(mu1.to_bits(), 1.0f64.to_bits(), "case {i} (naive)");
             }
@@ -1697,8 +1251,7 @@ mod tests {
         let jobs = [pj(1.3, 1.4)];
         let cand = pj(60.0, 1000.0);
         let now = 0.0;
-        let mut shares = Vec::new();
-        let sum = first_segment_shares(&jobs, now, &mut shares);
+        let sum = share_sum(&jobs, now);
         assert!(
             sum + 60.0 / 1000.0 < 1.0,
             "the naive share test would have passed"

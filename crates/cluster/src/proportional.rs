@@ -294,14 +294,6 @@ pub struct ProportionalCluster {
     /// `global_epoch` for occupied nodes so advances still invalidate
     /// without a per-node write.
     node_epochs: Vec<u64>,
-    /// Bumped only when a node's resident *membership* changes — a job
-    /// admitted to or removed from the node, a resident's estimate
-    /// re-armed after an overrun, or the node failing/restoring. Plain
-    /// time advances leave it alone, so decision layers can cache per-node structure
-    /// that survives advances: the set of arena slots resident on the
-    /// node and any ordering over them stay valid exactly while this
-    /// counter stands still.
-    membership_epoch: Vec<u64>,
     /// Earliest absolute deadline among each node's residents
     /// (`+inf` when empty), maintained at membership changes so the
     /// admission screen reads one packed array instead of walking
@@ -440,7 +432,6 @@ impl ProportionalCluster {
             down_integral: 0.0,
             node_busy: vec![0.0; n],
             node_epochs: vec![0; n],
-            membership_epoch: vec![0; n],
             node_min_dl: vec![f64::INFINITY; n],
             set_hash: vec![0; n],
             occ_mask: vec![0; n.div_ceil(64)],
@@ -631,7 +622,6 @@ impl ProportionalCluster {
             self.set_hash[ni] ^= slot_mix(s);
             self.occ_mask[ni / 64] |= 1u64 << (ni % 64);
             self.node_epochs[ni] += 1;
-            self.membership_epoch[ni] += 1;
             self.node_min_dl[ni] = self.node_min_dl[ni].min(dl);
         }
         self.global_epoch += 1;
@@ -794,12 +784,6 @@ impl ProportionalCluster {
                         .max(self.cfg.residual_floor);
                     self.remaining_est[si] = re;
                     self.meta[si].as_mut().expect("resident has meta").overruns += 1;
-                    // A re-arm is a discontinuous belief change, not a
-                    // proportional drift — membership-keyed caches must
-                    // drop the node.
-                    for &ni in members {
-                        self.membership_epoch[ni as usize] += 1;
-                    }
                     let rd = (self.abs_deadline[si] - now_s).max(EPS_DEADLINE);
                     let share = re.max(EPS_WORK) / rd;
                     self.share_scratch[si] = share;
@@ -902,12 +886,7 @@ impl ProportionalCluster {
                 } else if self.remaining_est[si] <= EPS_WORK {
                     self.remaining_est[si] = (self.cfg.residual_fraction * self.estimate_secs[si])
                         .max(self.cfg.residual_floor);
-                    let m = self.meta[si].as_mut().expect("resident has meta");
-                    m.overruns += 1;
-                    let nodes = m.nodes.clone();
-                    for n in nodes {
-                        self.membership_epoch[n.0 as usize] += 1;
-                    }
+                    self.meta[si].as_mut().expect("resident has meta").overruns += 1;
                 }
             }
         }
@@ -949,8 +928,8 @@ impl ProportionalCluster {
     /// Cache contract: every node that lost a job gets its epoch bumped
     /// (its share total and projections changed), the failed node's
     /// epoch is bumped (its admission feasibility changed), and the
-    /// global epoch moves — so the share index, Libra's share walk and
-    /// LibraRisk's per-node risk caches all revalidate.
+    /// global epoch moves — so the share index, and with it Libra's
+    /// share walk, revalidates.
     ///
     /// # Panics
     /// Panics if the engine state is stale (`now != self.now()`) or the
@@ -986,7 +965,6 @@ impl ProportionalCluster {
         }
         self.victims_scratch = victims;
         self.node_epochs[node.0 as usize] += 1;
-        self.membership_epoch[node.0 as usize] += 1;
         self.global_epoch += 1;
         self.rates_clean = false;
         self.recompute_rates();
@@ -1008,7 +986,6 @@ impl ProportionalCluster {
         self.down[node.0 as usize] = false;
         self.down_count -= 1;
         self.node_epochs[node.0 as usize] += 1;
-        self.membership_epoch[node.0 as usize] += 1;
         self.global_epoch += 1;
     }
 
@@ -1017,7 +994,6 @@ impl ProportionalCluster {
     /// whichever job was moved into the vacated position.
     fn remove_from_node(&mut self, node: NodeId, pos: usize, s: u32) {
         let ni = node.0 as usize;
-        self.membership_epoch[ni] += 1;
         let list = &mut self.node_jobs[ni];
         debug_assert_eq!(list[pos], s, "slot bookkeeping out of sync");
         list.swap_remove(pos);
@@ -1106,8 +1082,9 @@ impl ProportionalCluster {
     /// Change counter of a node's scheduler-visible state. Any projection
     /// or share total computed for a node is valid exactly as long as this
     /// value (it covers admissions, completions, estimate drift, and the
-    /// advancement of `now` itself), so decision layers can memoise on
-    /// `(node_epoch, ...)` keys.
+    /// advancement of `now` itself); the share index
+    /// ([`ProportionalCluster::with_share_index`]) revalidates each
+    /// node's entry against it.
     ///
     /// Composed on the fly as `(discrete epoch, time epoch)`: discrete
     /// per-node changes bump `node_epochs`; the advancement of `now` —
@@ -1134,17 +1111,6 @@ impl ProportionalCluster {
     /// in between, so any cluster-wide cache keyed on it is still valid.
     pub fn global_epoch(&self) -> u64 {
         self.global_epoch
-    }
-
-    /// Change counter of a node's resident *membership*: admissions onto
-    /// and removals from the node, estimate re-arms of its residents, and
-    /// fail/restore — but *not* plain time advances. The set of arena
-    /// slots resident on the node (and any caller-cached ordering over
-    /// them) is valid exactly as long as this value, even across
-    /// advances; per-slot *values* still drift with time and must be
-    /// re-read through the slot accessors.
-    pub fn node_membership_epoch(&self, node: NodeId) -> u64 {
-        self.membership_epoch[node.0 as usize]
     }
 
     /// Earliest absolute deadline among the node's residents (`+∞` when
@@ -1187,8 +1153,10 @@ impl ProportionalCluster {
     /// `(abs_deadline, remaining_est.max(EPS_WORK))` bit patterns of one
     /// arena slot — the projection-visible state of a resident, exactly
     /// as [`ProportionalCluster::node_projection_into`] would emit it.
-    /// Slot indices are only meaningful while the owning node's
-    /// [`ProportionalCluster::node_membership_epoch`] stands still.
+    /// Read a node's slots through [`ProportionalCluster::node_slots`]
+    /// with the engine borrowed: a completion or removal frees a slot for
+    /// reuse, so a slot index held across a mutation may name another
+    /// job.
     #[inline]
     pub fn slot_projection_bits(&self, s: u32) -> (u64, u64) {
         let si = s as usize;

@@ -208,9 +208,9 @@ proptest! {
                 "finishes diverged on pass {}", pass
             );
             let (mu_a, sigma_a) = node_risk(&pjs, now, speed, disc);
-            let (mu_b, sigma_b) = ws.node_risk_with(&pjs, now, speed, disc);
-            prop_assert_eq!(mu_a.to_bits(), mu_b.to_bits(), "mu diverged on pass {}", pass);
-            prop_assert_eq!(sigma_a.to_bits(), sigma_b.to_bits(), "sigma diverged on pass {}", pass);
+            let b = ws.node_risk_summary_with(&pjs, now, speed, disc);
+            prop_assert_eq!(mu_a.to_bits(), b.mu.to_bits(), "mu diverged on pass {}", pass);
+            prop_assert_eq!(sigma_a.to_bits(), b.sigma.to_bits(), "sigma diverged on pass {}", pass);
         }
     }
 
@@ -356,8 +356,6 @@ proptest! {
         let base: Vec<ProjectedJob> = residents.iter().map(pj).collect();
         let mut canon = base.clone();
         projection::canonicalize_projection(&mut canon);
-        let mut shares = Vec::new();
-        let sum = projection::first_segment_shares(&canon, now, &mut shares);
         let mut ws = projection::ProjectionWorkspace::new();
         for cand in candidates.iter().map(pj) {
             let fired = projection::screens_risky(wc, speed, base.iter().copied(), cand, now);
@@ -378,8 +376,49 @@ proptest! {
                     sigma, all, now, speed
                 );
             }
-            if let Some(s) = ws.node_risk_verdict_prefixed(&canon, &shares, sum, cand, now, speed, wc) {
+            let mut all = canon.clone();
+            all.push(cand);
+            if let Some(s) = ws.node_risk_verdict_with(&all, now, speed, wc) {
                 prop_assert!(!projection::is_zero_risk(s.sigma), "verdict kernel σ = {:e}", s.sigma);
+            }
+        }
+    }
+
+    // The verdict form of the kernel only ever cuts a run short: where it
+    // answers, it answers with the full kernel's summary bit for bit;
+    // where it bails, the full kernel reads the node as risky; and a lone
+    // job, which has nothing to disperse against, never bails.
+    #[test]
+    fn verdict_kernel_agrees_with_full_kernel(
+        jobs in prop_oneof![
+            proptest::collection::vec(risk_job(), 1..4),
+            proptest::collection::vec(risk_job(), 1..65),
+            // Light loads with distant deadlines, which run to the end.
+            proptest::collection::vec((1.0..100.0f64, 1e4..1e5f64), 1..65),
+        ],
+        now in prop_oneof![Just(0.0), 0.0..2e6f64],
+        speed in prop_oneof![Just(1.0), 0.05..1.0f64, 1.0..8.0f64],
+        disc in discipline(),
+    ) {
+        let pjs: Vec<ProjectedJob> = jobs
+            .iter()
+            .map(|&(rem, off)| ProjectedJob { remaining_est: rem, abs_deadline: now + off })
+            .collect();
+        let mut ws = projection::ProjectionWorkspace::new();
+        for slice in [&pjs[..1], &pjs[..]] {
+            let full = ws.node_risk_summary_with(slice, now, speed, disc);
+            match ws.node_risk_verdict_with(slice, now, speed, disc) {
+                Some(s) => prop_assert!(
+                    s.bits_eq(&full),
+                    "verdict {:?} vs full {:?} on {:?}", s, full, slice
+                ),
+                None => {
+                    prop_assert!(slice.len() > 1, "a lone job bailed: {:?}", slice);
+                    prop_assert!(
+                        !projection::is_zero_risk(full.sigma),
+                        "bailed, but the full kernel's σ = {:e} on {:?}", full.sigma, slice
+                    );
+                }
             }
         }
     }

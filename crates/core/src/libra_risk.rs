@@ -23,9 +23,8 @@
 use crate::policy::{DecisionStats, ShareAdmission};
 use crate::risk_cache::SetTable;
 use cluster::projection::{
-    canonicalize_projection, first_segment_shares, is_zero_risk, min_abs_deadline, node_risk,
-    node_risk_single_segment, screens_risky, screens_zero_risk, ProjectedJob, ProjectionWorkspace,
-    RiskSummary, EPS_DEADLINE,
+    canonicalize_projection, is_zero_risk, node_risk, node_risk_single_segment, screens_risky,
+    screens_zero_risk, ProjectedJob, ProjectionWorkspace, RiskSummary, EPS_DEADLINE,
 };
 use cluster::proportional::{projected_job, ProportionalCluster};
 use cluster::NodeId;
@@ -49,42 +48,8 @@ pub enum NodeOrdering {
 /// [`LibraRisk::require_unit_mu`] is enabled.
 pub const MU_EPSILON: f64 = 1e-9;
 
-/// Per-node incremental risk state, valid for one engine epoch: the
-/// node's scheduler-visible projection input and its resident-only risk
-/// contribution (computed lazily, on the first [`LibraRisk::cluster_risk`]
-/// query at this epoch).
-#[derive(Clone, Debug, Default)]
-struct NodeRiskCache {
-    epoch: Option<(u64, u64)>,
-    /// The residents' projection input in canonical `(deadline,
-    /// remaining)` bit order.
-    jobs: Vec<ProjectedJob>,
-    /// The projection kernel's first-segment shares of `jobs` at this
-    /// epoch's `now`, plus their left-to-right sum — the warm prefix the
-    /// kernel starts from instead of recomputing the opening share pass
-    /// per candidate (see `ProjectionWorkspace::node_risk_delta_prefixed`).
-    first_shares: Vec<f64>,
-    share_sum: f64,
-    /// Earliest resident absolute deadline (`+∞` when empty) — input to
-    /// the pre-kernel zero-risk screen.
-    min_deadline: f64,
-    /// Resident-only [`RiskSummary`] — the node's cluster-risk
-    /// contribution. `None` until queried at the current epoch.
-    base: Option<RiskSummary>,
-    /// The node's resident arena slots in canonical `(deadline,
-    /// remaining)` order — `jobs` is emitted by walking this permutation.
-    /// Valid per *membership* epoch (slot identity survives plain
-    /// advances), which lets a refresh keep it unless an advance
-    /// reordered the remaining-work tie-breaks.
-    perm: Vec<u32>,
-    /// [`ProportionalCluster::node_membership_epoch`] the permutation was
-    /// built at; `None` before the first refresh.
-    perm_epoch: Option<u64>,
-}
-
 /// Cluster-wide aggregate of per-node resident risk contributions,
-/// folded in node-id order (so cached and from-scratch builds are
-/// bitwise comparable).
+/// folded in node-id order.
 #[derive(Clone, Debug)]
 pub struct ClusterRisk {
     /// Per-node contributions, indexed by node id.
@@ -129,32 +94,25 @@ impl ClusterRisk {
 
 /// The LibraRisk admission control.
 ///
-/// The decision loop is incremental and allocation-free after warm-up:
-/// each node's resident projection input is cached against the engine's
-/// [`ProportionalCluster::node_epoch`] counter (rebuilt only for nodes
-/// an admission or advance actually touched), the piecewise projection
-/// runs in a reusable [`ProjectionWorkspace`], and an empty node skips
-/// the projection outright — a lone tentative job's deadline-delay has
-/// no dispersion, so its `σ_j` is exactly zero. Like [`crate::Libra`],
-/// an instance assumes it is consulted about a single engine.
+/// The decision loop keeps no per-node state between decisions and is
+/// allocation-free after warm-up: a per-decision set table settles nodes
+/// holding a resident set already evaluated, two screens settle nodes
+/// whose verdict their bounds prove, the paper variant skips the
+/// projection of an empty node outright (a lone tentative job's
+/// deadline-delay has no dispersion, so its `σ_j` is exactly zero), and
+/// every other node is read off the engine's slots into one reusable job
+/// buffer and projected in a reusable [`ProjectionWorkspace`].
 #[derive(Clone, Debug)]
 pub struct LibraRisk {
     name: String,
     ordering: NodeOrdering,
     require_unit_mu: bool,
     naive_projection: bool,
-    cache: Vec<NodeRiskCache>,
+    /// Projection input of the node being evaluated: its residents in
+    /// canonical order, the candidate last.
+    jobs: Vec<ProjectedJob>,
     ws: ProjectionWorkspace,
     zero_risk: Vec<NodeId>,
-    /// Audit-gauge memo: the last [`LibraRisk::cluster_risk_mean_dd`]
-    /// answer, keyed on the engine's `(global_epoch, now)` stamp. The
-    /// global epoch pins every occupied node; `now` additionally covers
-    /// advances over an empty cluster, which move time without bumping
-    /// any epoch. A rejected decision leaves the engine untouched, so the
-    /// post-decision audit replays this value in O(1) instead of
-    /// re-walking the cluster.
-    gauge_stamp: Option<(u64, u64)>,
-    gauge_memo: f64,
     /// Per-decision resident-set table: `(set hash, speed)` → the first
     /// node evaluated with that resident set and its verdict, so each
     /// distinct set is evaluated once per decision (see
@@ -214,24 +172,21 @@ impl LibraRisk {
             ordering: NodeOrdering::ById,
             require_unit_mu: false,
             naive_projection: false,
-            cache: Vec::new(),
+            jobs: Vec::new(),
             ws: ProjectionWorkspace::new(),
             zero_risk: Vec::new(),
-            gauge_stamp: None,
-            gauge_memo: 0.0,
             sets: SetTable::new(),
             stats: DecisionStats::default(),
         }
     }
 
-    /// The pre-cache decision logic: every node is projected from scratch
-    /// with freshly allocated buffers. Kept as the differential reference
-    /// — `decide` must return identical decisions — and as the baseline
-    /// the admission benchmarks compare against.
+    /// Algorithm 1 without shortcuts: every node is projected from
+    /// scratch with freshly allocated buffers. Kept as the differential
+    /// reference — `decide` must return identical decisions.
     ///
     /// Residents are projected in canonical multiset order
     /// ([`canonicalize_projection`], tentative candidate appended last),
-    /// matching the cached path: the projected `(μ_j, σ_j)` are then
+    /// matching `decide`: the projected `(μ_j, σ_j)` are then
     /// well-defined functions of the resident multiset rather than of
     /// the engine's internal slot order.
     pub fn decide_reference(&self, engine: &ProportionalCluster, job: &Job) -> Option<Vec<NodeId>> {
@@ -328,182 +283,16 @@ impl LibraRisk {
         self
     }
 
-    /// Sizes the per-node cache to the engine's cluster.
-    fn ensure_cache(&mut self, n: usize) {
-        if self.cache.len() != n {
-            self.cache = vec![NodeRiskCache::default(); n];
-        }
-    }
-
-    /// Revalidates one node's cache against its engine epoch: on a
-    /// mismatch the resident projection input is rebuilt — along with the
-    /// kernel's first-segment share prefix and the earliest resident
-    /// deadline — and the base contribution keyed to the old state is
-    /// dropped.
-    ///
-    /// Caching the share prefix against the epoch is sound because an
-    /// *occupied* node's epoch pins `(residents, now)` — any `dt > 0`
-    /// advance or churn event recomputes its shares and bumps the epoch —
-    /// while an *empty* node's cached state (no jobs, zero share sum,
-    /// `+∞` deadline) is independent of `now` altogether.
-    fn refresh_node(c: &mut NodeRiskCache, engine: &ProportionalCluster, node: NodeId, now: f64) {
-        let epoch = engine.node_epoch(node);
-        if c.epoch == Some(epoch) {
-            return;
-        }
-        // Canonical evaluation order: every projection (and hence every
-        // (μ_j, σ_j) bit pattern) becomes a function of the resident
-        // *multiset* — nodes with the same set replay each other's
-        // verdicts exactly, and `decide_reference` (which canonicalizes
-        // too) stays a bitwise oracle. The slot permutation is sorted by
-        // the same `(deadline, remaining)` bit key
-        // `canonicalize_projection` uses, so emitting `jobs` through it
-        // reproduces that order bitwise. While the
-        // membership holds only remaining work moves (an advance shrinks
-        // it, an overrun re-arm grows it) and the deadline leads the key,
-        // so at most equal-deadline ties reorder: the old permutation is
-        // re-read and re-sorted only if it fell out of order. (Slots with
-        // equal keys emit equal jobs, so which of them comes first never
-        // shows in `jobs`.)
-        let membership = engine.node_membership_epoch(node);
-        let sort_key = |&s: &u32| engine.slot_projection_bits(s);
-        if c.perm_epoch != Some(membership) {
-            c.perm.clear();
-            c.perm.extend_from_slice(engine.node_slots(node));
-            c.perm.sort_unstable_by_key(sort_key);
-            c.perm_epoch = Some(membership);
-            Self::emit_jobs(c, engine);
-        } else if !Self::emit_jobs(c, engine) {
-            c.perm.sort_unstable_by_key(sort_key);
-            Self::emit_jobs(c, engine);
-        }
-        c.min_deadline = min_abs_deadline(&c.jobs);
-        c.share_sum = first_segment_shares(&c.jobs, now, &mut c.first_shares);
-        c.epoch = Some(epoch);
-        c.base = None;
-    }
-
-    /// Refills `c.jobs` by walking `c.perm` over the live projection
-    /// bits; returns whether the walk found them in canonical order.
-    fn emit_jobs(c: &mut NodeRiskCache, engine: &ProportionalCluster) -> bool {
-        c.jobs.clear();
-        let mut prev = (0, 0);
-        let mut sorted = true;
-        for &s in &c.perm {
-            let key = engine.slot_projection_bits(s);
-            sorted &= prev <= key;
-            prev = key;
-            c.jobs.push(ProjectedJob {
-                abs_deadline: f64::from_bits(key.0),
-                remaining_est: f64::from_bits(key.1),
-            });
-        }
-        sorted
-    }
-
-    /// Diagnostic accessor for the staleness oracle tests: revalidates
-    /// `node`'s cache at the current engine state and returns its
-    /// `(share sum, min resident deadline, canonical keys)`, the keys as
-    /// `(deadline, remaining)` bit pairs in cached order.
-    /// Must always equal a from-scratch rebuild via
-    /// [`ProportionalCluster::node_projection`] +
-    /// [`canonicalize_projection`] / [`first_segment_shares`] — if the
-    /// epoch machinery ever failed to invalidate on churn, requeue or
-    /// advance, this would hand back the stale state and the oracle
-    /// would catch it.
-    pub fn node_class_state(
-        &mut self,
-        engine: &ProportionalCluster,
-        node: NodeId,
-    ) -> (f64, f64, Vec<(u64, u64)>) {
-        self.ensure_cache(engine.cluster().len());
-        let now = engine.now().as_secs();
-        let c = &mut self.cache[node.0 as usize];
-        Self::refresh_node(c, engine, node, now);
-        let keys = c
-            .jobs
-            .iter()
-            .map(|j| (j.abs_deadline.to_bits(), j.remaining_est.to_bits()))
-            .collect();
-        (c.share_sum, c.min_deadline, keys)
-    }
-
     /// The cluster-wide risk aggregate over *resident* jobs only (no
-    /// tentative candidate), maintained incrementally: per-node
-    /// contributions are cached against node epochs, so a query after an
-    /// admission re-projects only the touched nodes. Candidate decisions
-    /// ([`ShareAdmission::decide`]) never mutate contributions — a
-    /// rejected job leaves the aggregate bitwise unchanged.
+    /// tentative candidate): every node re-projected from scratch. A
+    /// decision reads the engine without mutating it, so a rejected
+    /// candidate leaves the aggregate bitwise unchanged.
     ///
     /// Always evaluated with the paper's piecewise projection (ablation
-    /// knobs affect decisions, not this diagnostic). Differentially
-    /// pinned against [`LibraRisk::cluster_risk_reference`]. Down nodes
-    /// keep their slot in `contributions` (a node failure evicts every
+    /// knobs affect decisions, not this diagnostic). Down nodes keep
+    /// their slot in `contributions` (a node failure evicts every
     /// resident, so the slot reads as an empty, zero-risk summary).
-    pub fn cluster_risk(&mut self, engine: &ProportionalCluster) -> ClusterRisk {
-        let n = engine.cluster().len();
-        self.ensure_cache(n);
-        let now = engine.now().as_secs();
-        let discipline = engine.config().discipline;
-        let mut out = ClusterRisk {
-            contributions: Vec::with_capacity(n),
-            jobs: 0,
-            dd_sum: 0.0,
-            dd_sq_sum: 0.0,
-            risky_nodes: 0,
-        };
-        for node in engine.cluster().nodes() {
-            let c = &mut self.cache[node.id.0 as usize];
-            Self::refresh_node(c, engine, node.id, now);
-            let s = match c.base {
-                Some(s) => s,
-                None => {
-                    let speed = engine.cluster().speed_factor(node.id);
-                    // Warm-prefix entry: the cached first-segment shares
-                    // cover the whole resident list, so the kernel skips
-                    // its opening share pass (bitwise-identical result —
-                    // pinned by the reference differential below).
-                    let s = self.ws.node_risk_summary_prefixed(
-                        &c.jobs,
-                        &c.first_shares,
-                        c.share_sum,
-                        now,
-                        speed,
-                        discipline,
-                    );
-                    c.base = Some(s);
-                    s
-                }
-            };
-            out.jobs += s.count;
-            out.dd_sum += s.dd_sum;
-            out.dd_sq_sum += s.dd_sq_sum;
-            if !is_zero_risk(s.sigma) {
-                out.risky_nodes += 1;
-            }
-            out.contributions.push(s);
-        }
-        out
-    }
-
-    /// [`ClusterRisk::mean_dd`] of [`LibraRisk::cluster_risk`], memoised
-    /// against the engine's `(global_epoch, now)` stamp: repeated audits
-    /// at an unchanged engine (in particular the post-decision audit of
-    /// a rejection, which mutates nothing) answer in O(1) without
-    /// allocating the per-node contribution vector.
-    pub fn cluster_risk_mean_dd(&mut self, engine: &ProportionalCluster) -> f64 {
-        let stamp = (engine.global_epoch(), engine.now().as_secs().to_bits());
-        if self.gauge_stamp != Some(stamp) {
-            self.gauge_memo = self.cluster_risk(engine).mean_dd();
-            self.gauge_stamp = Some(stamp);
-        }
-        self.gauge_memo
-    }
-
-    /// From-scratch build of [`LibraRisk::cluster_risk`]: every node
-    /// re-projected with fresh buffers, no caches consulted. The
-    /// differential reference for the incremental path.
-    pub fn cluster_risk_reference(engine: &ProportionalCluster) -> ClusterRisk {
+    pub fn cluster_risk(engine: &ProportionalCluster) -> ClusterRisk {
         let n = engine.cluster().len();
         let now = engine.now().as_secs();
         let discipline = engine.config().discipline;
@@ -545,10 +334,10 @@ impl ShareAdmission for LibraRisk {
 
     fn audit_gauge(&mut self, engine: &ProportionalCluster) -> Option<(&'static str, f64)> {
         // Mean projected deadline-delay factor across resident jobs
-        // (1.0 = no delay). `cluster_risk` answers from the per-node
-        // cache and is deterministic, so auditing it around a decision
-        // leaves the decision stream bitwise intact.
-        Some(("cluster_risk", self.cluster_risk_mean_dd(engine)))
+        // (1.0 = no delay). `cluster_risk` only reads the engine, so
+        // auditing it around a decision leaves the decision stream
+        // bitwise intact.
+        Some(("cluster_risk", Self::cluster_risk(engine).mean_dd()))
     }
 
     fn last_decision_stats(&self) -> Option<DecisionStats> {
@@ -563,7 +352,6 @@ impl ShareAdmission for LibraRisk {
         if want > engine.up_nodes() {
             return None;
         }
-        self.ensure_cache(engine.cluster().len());
         let now = engine.now().as_secs();
         let discipline = engine.config().discipline;
         let tentative = projected_job(job);
@@ -575,8 +363,7 @@ impl ShareAdmission for LibraRisk {
         // zero-risk screen settles nodes with provable headroom in a
         // handful of flops; the risk screen settles nodes whose
         // finish-time bounds alone prove dispersion in one pass over the
-        // residents; and only what survives all three runs the kernel
-        // (warm-started from the cached first-segment share prefix).
+        // residents; and only what survives all three runs the kernel.
         self.zero_risk.clear();
         self.sets.begin(engine.cluster().len());
         let mut stats = DecisionStats::default();
@@ -589,8 +376,8 @@ impl ShareAdmission for LibraRisk {
         let scan_span = fine.then(|| obs::phase::span(obs::phase::Phase::CandidateScan));
         // One classify span covers each run of pre-kernel work — set
         // table lookups and both screens — and closes before a node's
-        // refresh and kernel: a span per lookup would cost more than the
-        // lookups it times.
+        // projection input is gathered: a span per lookup would cost more
+        // than the lookups it times.
         let mut classify = None;
         let total_nodes = engine.cluster().len();
         let cand_share = tentative.remaining_est / (tentative.abs_deadline - now).max(EPS_DEADLINE);
@@ -599,7 +386,7 @@ impl ShareAdmission for LibraRisk {
             // later one turned out suitable, fewer than `want` could
             // exist — the answer is already `None`, and nothing below
             // observes the skipped evaluations (`zero_risk` is
-            // per-decision scratch; caches refresh lazily by epoch).
+            // per-decision scratch).
             if self.zero_risk.len() + (total_nodes - scanned) < want {
                 break;
             }
@@ -608,7 +395,6 @@ impl ShareAdmission for LibraRisk {
             if !engine.node_is_up(node.id) {
                 continue;
             }
-            let idx = node.id.0 as usize;
             stats.nodes_considered += 1;
             let speed = engine.node_speed(node.id);
             // Set table: one evaluation per distinct resident set. The
@@ -636,7 +422,7 @@ impl ShareAdmission for LibraRisk {
                 // without projecting. The inputs come straight from the
                 // engine (the rate recompute's per-node share totals and
                 // a deadline min), so a screened node costs O(1) and
-                // never touches its risk cache. The engine total may
+                // never reads its residents. The engine total may
                 // differ from the canonical-order sum in the last ulp;
                 // the screen's `SCREEN_HEADROOM` margin absorbs that, and
                 // a fired screen equals the kernel verdict either way.
@@ -680,8 +466,8 @@ impl ShareAdmission for LibraRisk {
                 // nonzero (proof at [`screens_risky`]) — unsuitable under
                 // every variant the screen runs for. The bounds ignore
                 // resident order, so the residents are read straight off
-                // the engine's slots: a screened node skips the refresh
-                // and the kernel. It can only fire when
+                // the engine's slots: a screened node skips the sort and
+                // the kernel. It can only fire when
                 // some job is late even at full speed, which takes a
                 // share above the node's speed or a deadline inside the
                 // `EPS_DEADLINE` floor: the O(1) pre-check on the engine's
@@ -690,44 +476,31 @@ impl ShareAdmission for LibraRisk {
                 false
             } else {
                 classify = None;
-                Self::refresh_node(&mut self.cache[idx], engine, node.id, now);
+                // Canonical evaluation order, as in `decide_reference`:
+                // the projection (and hence every (μ_j, σ_j) bit pattern)
+                // is a function of the resident *multiset*, so nodes with
+                // the same set replay each other's verdicts exactly.
+                self.jobs.clear();
+                self.jobs.extend(
+                    engine
+                        .node_slots(node.id)
+                        .iter()
+                        .map(|&s| slot_job(engine, s)),
+                );
+                canonicalize_projection(&mut self.jobs);
+                self.jobs.push(tentative);
                 let _kernel = fine.then(|| obs::phase::span(obs::phase::Phase::VerdictKernel));
-                let c = &self.cache[idx];
+                stats.projections_run += 1;
                 let (mu, sigma) = if self.naive_projection {
-                    stats.projections_run += 1;
-                    let stage = self.ws.stage();
-                    stage.extend_from_slice(&c.jobs);
-                    stage.push(tentative);
-                    node_risk_single_segment(self.ws.staged(), now, speed, discipline)
-                } else if c.jobs.is_empty() {
-                    // The full delta kernel, not the verdict kernel: the
-                    // Strict variant reads the lone candidate's μ bits.
-                    stats.projections_run += 1;
-                    let s = self.ws.node_risk_delta_prefixed(
-                        &c.jobs,
-                        &c.first_shares,
-                        c.share_sum,
-                        tentative,
-                        now,
-                        speed,
-                        discipline,
-                    );
-                    (s.mu, s.sigma)
+                    node_risk_single_segment(&self.jobs, now, speed, discipline)
                 } else {
                     // Verdict kernel: an early σ certification stands for
                     // the same unsuitable verdict the full run would give.
-                    stats.projections_run += 1;
+                    // A lone candidate never bails, so Strict reads its
+                    // exact μ.
                     let s = self
                         .ws
-                        .node_risk_verdict_prefixed(
-                            &c.jobs,
-                            &c.first_shares,
-                            c.share_sum,
-                            tentative,
-                            now,
-                            speed,
-                            discipline,
-                        )
+                        .node_risk_verdict_with(&self.jobs, now, speed, discipline)
                         .unwrap_or_else(|| {
                             stats.kernel_bails += 1;
                             RiskSummary::PROVABLY_RISKY
@@ -748,8 +521,6 @@ impl ShareAdmission for LibraRisk {
                 // scan may stop. Rejections still require the full sweep
                 // (we must prove fewer than `want` exist), and the load
                 // orderings need the complete suitable set to sort.
-                // Unvisited nodes' caches simply stay lazily stale until
-                // their next epoch-checked refresh.
                 if self.ordering == NodeOrdering::ById && self.zero_risk.len() == want {
                     break;
                 }
@@ -982,37 +753,37 @@ mod tests {
     fn cluster_risk_matches_reference_and_ignores_rejections() {
         let mut lr = LibraRisk::paper();
         let mut e = engine(3);
-        let check = |lr: &mut LibraRisk, e: &ProportionalCluster| {
-            let cached = lr.cluster_risk(e);
-            let fresh = LibraRisk::cluster_risk_reference(e);
-            assert!(
-                cached.bits_eq(&fresh),
-                "cached {cached:?} vs fresh {fresh:?}"
-            );
-            cached
-        };
-        let idle = check(&mut lr, &e);
+        let idle = LibraRisk::cluster_risk(&e);
         assert_eq!(idle.jobs, 0);
+        assert_eq!(idle.risky_nodes, 0);
         assert_eq!(idle.mean_dd(), 1.0);
+        assert!(idle
+            .contributions
+            .iter()
+            .all(|c| c.bits_eq(&RiskSummary::EMPTY)));
 
         e.admit(job(1, 80.0, 1, 100.0), vec![NodeId(0)], SimTime::ZERO);
         e.admit(job(2, 80.0, 1, 200.0), vec![NodeId(0)], SimTime::ZERO);
         e.admit(job(3, 40.0, 1, 400.0), vec![NodeId(1)], SimTime::ZERO);
-        let loaded = check(&mut lr, &e);
+        let loaded = LibraRisk::cluster_risk(&e);
         assert_eq!(loaded.jobs, 3);
         assert_eq!(loaded.contributions.len(), 3);
         assert!(loaded.risky_nodes >= 1, "node 0 is overloaded unevenly");
+        // Each contribution is the node's own from-scratch projection.
+        let mut node0 = e.node_projection(NodeId(0), None);
+        canonicalize_projection(&mut node0);
+        let want = ProjectionWorkspace::new().node_risk_summary_with(
+            &node0,
+            0.0,
+            e.cluster().speed_factor(NodeId(0)),
+            e.config().discipline,
+        );
+        assert!(loaded.contributions[0].bits_eq(&want));
 
         // A rejected candidate must leave the aggregate bitwise unchanged.
         assert!(lr.decide(&e, &job(4, 500.0, 3, 120.0)).is_none());
-        let after_reject = lr.cluster_risk(&e);
-        assert!(after_reject.bits_eq(&loaded));
-
-        // Advancing time invalidates contributions; the incremental
-        // rebuild must still match from-scratch.
-        let next = e.next_event_time().unwrap();
-        e.advance(next);
-        check(&mut lr, &e);
+        assert!(LibraRisk::cluster_risk(&e).bits_eq(&loaded));
+        assert_eq!(lr.audit_gauge(&e), Some(("cluster_risk", loaded.mean_dd())));
     }
 
     #[test]

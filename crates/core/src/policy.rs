@@ -62,12 +62,13 @@ impl DecisionStats {
 /// paper's model: SLA terms cannot change after submission, and rejected
 /// jobs do not return).
 ///
-/// `decide` takes `&mut self` so implementations can memoise per-node
-/// work across consecutive decisions (both built-in policies cache
-/// against [`ProportionalCluster::node_epoch`]). The contract for such
-/// caches: a policy instance is consulted about **one** engine for its
-/// whole life — create a fresh instance per simulation, as
-/// [`PolicyKind::run`] does.
+/// `decide` takes `&mut self` so implementations can reuse scratch
+/// buffers across decisions. Neither built-in policy keeps per-node state
+/// from one decision to the next: Libra walks the engine's own share
+/// index, and LibraRisk's set table lives for one decision. An
+/// implementation that does memoise across decisions may assume a policy
+/// instance is consulted about **one** engine for its whole life —
+/// create a fresh instance per simulation, as [`PolicyKind::run`] does.
 pub trait ShareAdmission {
     /// Display name of the policy (used in reports and figures).
     fn name(&self) -> String;

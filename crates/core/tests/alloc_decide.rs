@@ -1,15 +1,14 @@
-//! Steady-state allocation audit for the *decision* path: once caches
-//! are warm, `decide` must not touch the heap beyond the accepted node
-//! list it hands back — no per-decision worklists, no set-table growth,
-//! no workspace churn. Rejections return `None` and must therefore be
-//! exactly zero-allocation; acceptances may allocate only the returned
-//! `Vec<NodeId>` (one allocation). The cache refresh path is
-//! deliberately on the measured path: a `dt > 0` advance between
-//! decisions moves every occupied node's epoch, so each measured
-//! decision rebuilds the per-node projection inputs and re-runs the
-//! screens and the verdict kernel. Decisions repeated at one unchanged
-//! engine state, as when several jobs arrive at the same instant, are
-//! measured too. A counting global allocator makes the claim checkable;
+//! Steady-state allocation audit for the *decision* path: once scratch
+//! buffers are warm, `decide` must not touch the heap beyond the accepted
+//! node list it hands back — no per-decision worklists, no set-table
+//! growth, no projection-input or workspace churn. Rejections return
+//! `None` and must therefore be exactly zero-allocation; acceptances may
+//! allocate only the returned `Vec<NodeId>` (one allocation). A `dt > 0`
+//! advance between decisions moves the residents' remaining work, so
+//! each measured decision gathers and sorts fresh projection inputs and
+//! re-runs the screens and the verdict kernel. Decisions repeated at one
+//! unchanged engine state, as when several jobs arrive at the same
+//! instant, are measured too. A counting global allocator makes the claim checkable;
 //! the allocator is process-global, so this file holds a single
 //! `#[test]`.
 
@@ -58,9 +57,8 @@ fn job(id: u64, runtime: f64, estimate: f64, deadline: f64, submit: SimTime) -> 
 }
 
 /// Advances by a tiny positive step (well under the next event gap, so
-/// residency never changes) purely to move every occupied node's epoch:
-/// the next decision finds every per-node cache stale and exercises the
-/// full refresh + kernel path.
+/// residency never changes) purely to move every resident's remaining
+/// work: the next decision projects new inputs on every node it reaches.
 fn nudge(engine: &mut ProportionalCluster) {
     let now = engine.now();
     let gap = engine
@@ -70,8 +68,8 @@ fn nudge(engine: &mut ProportionalCluster) {
     engine.advance(now + SimDuration::from_secs((gap * 0.001).clamp(1e-6, 1.0)));
 }
 
-/// Runs `iters` varied decisions against `engine`, each preceded by an
-/// epoch-moving nudge when `fresh` is set (otherwise all at the current
+/// Runs `iters` varied decisions against `engine`, each preceded by a
+/// work-moving nudge when `fresh` is set (otherwise all at the current
 /// engine state), and returns `(allocations, accepts)` counted around
 /// the `decide` calls only.
 fn measure<P: ShareAdmission>(
@@ -124,7 +122,7 @@ fn steady_state_decide_allocates_only_accepted_node_lists() {
     }
     let mut lr = LibraRisk::paper();
     let mut libra = Libra::new();
-    // Warm-up sizes every cache: per-node risk caches, set table,
+    // Warm-up sizes every scratch buffer: set table, projection input,
     // projection workspace, the suitable-node worklist.
     measure(&mut lr, &mut engine, 48, 5_000.0, 800.0, true);
     measure(&mut libra, &mut engine, 48, 5_000.0, 800.0, true);

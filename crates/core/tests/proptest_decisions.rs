@@ -155,55 +155,6 @@ proptest! {
             );
         }
     }
-
-    // Satellite: rejected candidates must not mutate the cached
-    // cluster-risk contributions, and the incrementally maintained
-    // aggregate must stay bitwise equal to a from-scratch rebuild across
-    // admits, rejects, advances, completions and overrun re-arms.
-    #[test]
-    fn cluster_risk_cache_equals_from_scratch_rebuild(
-        arrivals in proptest::collection::vec(arrival(), 1..40),
-    ) {
-        let cfg = ProportionalConfig::default();
-        let mut engine = ProportionalCluster::new(Cluster::homogeneous(8, 168.0), cfg);
-        let mut p = LibraRisk::paper();
-        for (i, a) in arrivals.iter().enumerate() {
-            let now = engine.now();
-            let j = job_at(i as u64, a, now);
-            let before = p.cluster_risk(&engine);
-            prop_assert!(
-                before.bits_eq(&LibraRisk::cluster_risk_reference(&engine)),
-                "cached aggregate diverged from rebuild before arrival {i}"
-            );
-            // Evaluating a candidate — accepted or rejected — must leave
-            // the resident-only contributions bitwise untouched.
-            let decision = p.decide(&engine, &j);
-            let after = p.cluster_risk(&engine);
-            prop_assert!(
-                after.bits_eq(&before),
-                "decide() mutated cached contributions at arrival {i} \
-                 (decision was {:?})",
-                decision.as_ref().map(|_| "accept").unwrap_or("reject")
-            );
-            if let Some(alloc) = decision {
-                engine.admit(j, alloc, now);
-                prop_assert!(
-                    p.cluster_risk(&engine)
-                        .bits_eq(&LibraRisk::cluster_risk_reference(&engine)),
-                    "aggregate stale after admit at arrival {i}"
-                );
-            }
-            if a.advance_frac > 0.0 {
-                if let Some(next) = engine.next_event_time() {
-                    let dt = (next - now).as_secs() * a.advance_frac;
-                    engine.advance(now + SimDuration::from_secs(dt));
-                }
-            }
-        }
-        prop_assert!(
-            p.cluster_risk(&engine).bits_eq(&LibraRisk::cluster_risk_reference(&engine))
-        );
-    }
 }
 
 // The 128-node sweep uses fewer cases: the from-scratch reference is
@@ -337,82 +288,6 @@ proptest! {
             &churn,
             128,
         );
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    // Satellite: the per-node class signature (canonical key list,
-    // first-segment share prefix sum, min resident deadline) must never
-    // go stale. After every interleaved submit / advance / fail_node /
-    // restore_node step, the epoch-cached state handed back by
-    // `node_class_state` is compared against a from-scratch rebuild off
-    // the engine's authoritative projection.
-    #[test]
-    fn class_signature_never_stale_under_churn(
-        arrivals in proptest::collection::vec(arrival(), 1..32),
-        churn in proptest::collection::vec(0u32..16, 1..32),
-    ) {
-        use cluster::projection::{canonicalize_projection, first_segment_shares};
-        let nodes = 8usize;
-        let cfg = ProportionalConfig::default();
-        let mut engine = ProportionalCluster::new(Cluster::homogeneous(nodes, 168.0), cfg);
-        let mut p = LibraRisk::paper();
-        let check = |p: &mut LibraRisk, engine: &ProportionalCluster, ctx: &str| {
-            let now = engine.now().as_secs();
-            for n in 0..nodes {
-                let node = NodeId(n as u32);
-                let (share_sum, min_dl, keys) = p.node_class_state(engine, node);
-                let mut jobs = engine.node_projection(node, None);
-                canonicalize_projection(&mut jobs);
-                let oracle_keys: Vec<(u64, u64)> = jobs
-                    .iter()
-                    .map(|j| (j.abs_deadline.to_bits(), j.remaining_est.to_bits()))
-                    .collect();
-                let mut oracle_shares = Vec::new();
-                let oracle_sum = first_segment_shares(&jobs, now, &mut oracle_shares);
-                let oracle_min_dl = jobs
-                    .iter()
-                    .fold(f64::INFINITY, |m, j| m.min(j.abs_deadline));
-                prop_assert_eq!(keys, oracle_keys, "stale class keys on {} {}", node, ctx);
-                prop_assert_eq!(
-                    share_sum.to_bits(),
-                    oracle_sum.to_bits(),
-                    "stale share prefix sum on {} {}",
-                    node,
-                    ctx
-                );
-                prop_assert_eq!(
-                    min_dl.to_bits(),
-                    oracle_min_dl.to_bits(),
-                    "stale min deadline on {} {}",
-                    node,
-                    ctx
-                );
-            }
-        };
-        for (i, a) in arrivals.iter().enumerate() {
-            if let Some(&target) = churn.get(i % churn.len().max(1)) {
-                if (target as usize) < nodes {
-                    apply_churn(&mut engine, target);
-                    check(&mut p, &engine, "after churn");
-                }
-            }
-            let now = engine.now();
-            let j = job_at(i as u64, a, now);
-            if let Some(alloc) = p.decide(&engine, &j) {
-                engine.admit(j, alloc, now);
-                check(&mut p, &engine, "after admit");
-            }
-            if a.advance_frac > 0.0 {
-                if let Some(next) = engine.next_event_time() {
-                    let dt = (next - now).as_secs() * a.advance_frac;
-                    engine.advance(now + SimDuration::from_secs(dt));
-                    check(&mut p, &engine, "after advance");
-                }
-            }
-        }
     }
 }
 
