@@ -48,6 +48,14 @@ cargo test --release -q -p librisk --test proptest_decisions
 cargo test --release -q -p cluster --lib projection
 cargo test --release -q -p cluster --test proptest_engine
 
+echo "== differential: Libra at full size (release) =="
+# Libra and Libra-SS over the paper-100k and churn-requeue inputs at
+# seed 1, with exact fulfilled/rejected pins: decide_reference checks
+# Libra's scan on small randomized engines, this checks it on the
+# benchmark's own traces. Too slow for a debug build, hence ignored
+# there.
+cargo test --release -q -p experiments --test end_to_end -- --ignored
+
 echo "== differential: checkpoint/restore + corruption (release) =="
 # The crash-safety gates (checkpoint-at-random-instant bitwise resume
 # for every policy, truncation/bit-flip corruption detection, N->M

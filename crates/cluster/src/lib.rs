@@ -37,6 +37,6 @@ pub use fault::{FaultEvent, FaultKind, FaultPlan, RecoveryPolicy};
 pub use node::{Node, NodeId};
 pub use proportional::{
     CompletedJob, DisplacedJob, EngineSnapshot, ProportionalCluster, ProportionalConfig,
-    ResidentSnapshot, ShareEntry,
+    ResidentSnapshot,
 };
 pub use spaceshared::{PoolSnapshot, RunningSnapshot, SpaceSharedCluster};

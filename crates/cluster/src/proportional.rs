@@ -48,7 +48,6 @@ use crate::cluster::Cluster;
 use crate::node::NodeId;
 use crate::projection::{ProjectedJob, ShareDiscipline, EPS_DEADLINE, EPS_WORK};
 use sim::{SimDuration, SimTime};
-use std::cell::RefCell;
 use workload::{Job, JobId};
 
 /// The projection-input view of a not-yet-admitted job: its *full*
@@ -134,7 +133,7 @@ pub struct DisplacedJob {
 
 /// Canonical state of one resident job, as carried by
 /// [`EngineSnapshot`]. Everything else in the arena (rates, cached
-/// deadlines, widths, epochs, scratch) is derived.
+/// deadlines, widths, per-node summaries, scratch) is derived.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ResidentSnapshot {
     /// The job as admitted.
@@ -187,38 +186,6 @@ struct ResidentMeta {
     slots: Vec<u32>,
     started: SimTime,
     overruns: u32,
-}
-
-/// One entry of the share-ordered candidate index (see
-/// [`ProportionalCluster::with_share_index`]): a node together with its
-/// Eq. 2 base share (resident jobs only, evaluated at the engine's
-/// current instant).
-#[derive(Clone, Copy, Debug)]
-pub struct ShareEntry {
-    /// `node_total_share(node, None)` — bitwise identical to the direct
-    /// call, so `base_share + job_share(job)` reproduces
-    /// `node_total_share(node, Some(job))` exactly.
-    pub base_share: f64,
-    /// The node this entry describes.
-    pub node: NodeId,
-}
-
-/// Lazily maintained share-ordered node index. Entries are sorted by
-/// `(base_share ascending, node id ascending)`; staleness is detected in
-/// O(1) via the engine's global epoch, and only nodes whose per-node
-/// epoch moved get their share recomputed.
-#[derive(Clone, Debug, Default)]
-struct ShareIndex {
-    entries: Vec<ShareEntry>,
-    /// `pos[node]` = index of that node's entry in `entries`.
-    pos: Vec<u32>,
-    /// Per-node epoch pairs the shares were computed at (see
-    /// [`ProportionalCluster::node_epoch`]).
-    node_epochs: Vec<(u64, u64)>,
-    /// Engine global epoch the whole index was validated at.
-    global_epoch: u64,
-    /// `false` until the first build.
-    built: bool,
 }
 
 /// The proportional-share cluster engine.
@@ -287,13 +254,6 @@ pub struct ProportionalCluster {
     /// fault-free runs, keeping their utilisation bitwise unchanged.
     down_integral: f64,
     node_busy: Vec<f64>,
-    /// Discrete component of the per-node epoch pair: bumped on the
-    /// node's *discrete* scheduler-visible changes (admission, removal,
-    /// estimate re-arm, fail/restore). Plain time advances do not touch
-    /// it — [`ProportionalCluster::node_epoch`] pairs it with
-    /// `global_epoch` for occupied nodes so advances still invalidate
-    /// without a per-node write.
-    node_epochs: Vec<u64>,
     /// Earliest absolute deadline among each node's residents
     /// (`+inf` when empty), maintained at membership changes so the
     /// admission screen reads one packed array instead of walking
@@ -304,14 +264,6 @@ pub struct ProportionalCluster {
     /// (`0` when empty), maintained in O(1) wherever a slot joins or
     /// leaves a node's list: see [`ProportionalCluster::node_set_hash`].
     set_hash: Vec<u64>,
-    /// Occupancy bitmask over nodes (bit = node hosts ≥1 resident),
-    /// maintained by admit/unlink; serves O(1) occupancy tests for
-    /// [`ProportionalCluster::node_epoch`]'s time component.
-    occ_mask: Vec<u64>,
-    /// Bumped whenever *any* node epoch is bumped — an O(1) "did anything
-    /// change since I last looked" check for cluster-wide caches like the
-    /// share index.
-    global_epoch: u64,
     /// Minimum event-gap candidate over all residents, computed as a
     /// running min during the rate recompute (which already visits every
     /// resident), making [`ProportionalCluster::next_event_time`] a pure
@@ -338,13 +290,8 @@ pub struct ProportionalCluster {
     /// Reusable per-node share totals for the recompute passes, zeroed
     /// with one `fill` per recompute.
     totals_scratch: Vec<f64>,
-    /// Interior-mutable because it is a pure cache over engine state:
-    /// refreshing it through a `&self` query does not change anything
-    /// scheduler-visible.
-    share_index: RefCell<ShareIndex>,
     /// Per-node down flags. A down node hosts no jobs and must never be
-    /// an admission target; the share index pins its base share to
-    /// `+inf` so share-ordered walks exclude it for free.
+    /// an admission target.
     down: Vec<bool>,
     down_count: usize,
 }
@@ -431,18 +378,14 @@ impl ProportionalCluster {
             busy_integral: 0.0,
             down_integral: 0.0,
             node_busy: vec![0.0; n],
-            node_epochs: vec![0; n],
             node_min_dl: vec![f64::INFINITY; n],
             set_hash: vec![0; n],
-            occ_mask: vec![0; n.div_ceil(64)],
-            global_epoch: 0,
             next_dt: f64::INFINITY,
             rates_clean: true,
             scratch_valid: true,
             completed_scratch: Vec::new(),
             victims_scratch: Vec::new(),
             totals_scratch: vec![0.0; n],
-            share_index: RefCell::new(ShareIndex::default()),
             down: vec![false; n],
             down_count: 0,
         }
@@ -620,11 +563,8 @@ impl ProportionalCluster {
             list.push(s);
             self.gang_nodes.push(n.0);
             self.set_hash[ni] ^= slot_mix(s);
-            self.occ_mask[ni / 64] |= 1u64 << (ni % 64);
-            self.node_epochs[ni] += 1;
             self.node_min_dl[ni] = self.node_min_dl[ni].min(dl);
         }
-        self.global_epoch += 1;
         let id = job.id;
         let si = s as usize;
         self.ids[si] = id;
@@ -727,7 +667,6 @@ impl ProportionalCluster {
             self.down_integral += self.down_count as f64 * dt;
         }
         if dt > 0.0 && !self.order.is_empty() {
-            self.global_epoch += 1;
             let now_s = now.as_secs();
             let mut completed = std::mem::take(&mut self.completed_scratch);
             completed.clear();
@@ -815,13 +754,6 @@ impl ProportionalCluster {
                 }
             }
             obs::phase::lap_mark(obs::phase::Phase::ProgressPass);
-            // Remaining estimates and `now` both moved: every projection
-            // involving an occupied node is invalidated. No per-node write
-            // is needed for that — `node_epoch()` pairs the discrete
-            // per-node counter with `global_epoch` (already bumped above)
-            // for occupied nodes, so every occupied node's epoch pair
-            // advanced the moment `global_epoch` did. Empty nodes pin the
-            // time component to zero and correctly stay valid.
             for &s in &completed {
                 let r = self.release_slot(s);
                 for (n, &slot) in r.nodes.iter().zip(&r.slots) {
@@ -852,13 +784,12 @@ impl ProportionalCluster {
     }
 
     /// Reference implementation of [`ProportionalCluster::advance`]: the
-    /// pre-arena algorithm shape — fresh worklist allocations, per-(job,
-    /// node) epoch bumps, and an unconditional full rate recompute even
-    /// for zero-width steps. Kept as the differential-test oracle; an
-    /// engine driven exclusively through this path produces bitwise
-    /// identical rates, completions, integrals, and event times (epoch
-    /// *values* differ in stride, which no consumer observes — they are
-    /// only compared for equality).
+    /// pre-arena algorithm shape — fresh worklist allocations, a
+    /// per-resident walk of `meta` node lists, and an unconditional full
+    /// rate recompute even for zero-width steps. Kept as the
+    /// differential-test oracle; an engine driven exclusively through
+    /// this path produces bitwise identical rates, completions,
+    /// integrals, and event times.
     pub fn advance_reference(&mut self, to: SimTime) -> Vec<CompletedJob> {
         assert!(to >= self.last_update, "cannot advance backwards");
         let dt = (to - self.last_update).as_secs();
@@ -868,7 +799,6 @@ impl ProportionalCluster {
         }
         let mut completed_slots: Vec<u32> = Vec::new();
         if dt > 0.0 && !self.order.is_empty() {
-            self.global_epoch += 1;
             for idx in 0..self.order.len() {
                 let s = self.order[idx];
                 let si = s as usize;
@@ -877,7 +807,6 @@ impl ProportionalCluster {
                 self.busy_integral += progress * m.nodes.len() as f64;
                 for n in &m.nodes {
                     self.node_busy[n.0 as usize] += progress;
-                    self.node_epochs[n.0 as usize] += 1;
                 }
                 self.remaining_work[si] -= progress;
                 self.remaining_est[si] -= progress;
@@ -923,13 +852,10 @@ impl ProportionalCluster {
     /// resident job whose gang touches it (the survivors' slots are
     /// freed). The node stops being an admission target until
     /// [`ProportionalCluster::restore_node`]; evicted jobs are returned
-    /// with their progress state for the caller's recovery policy.
-    ///
-    /// Cache contract: every node that lost a job gets its epoch bumped
-    /// (its share total and projections changed), the failed node's
-    /// epoch is bumped (its admission feasibility changed), and the
-    /// global epoch moves — so the share index, and with it Libra's
-    /// share walk, revalidates.
+    /// with their progress state for the caller's recovery policy. The
+    /// engine keeps no cache to invalidate: the eviction ends in a full
+    /// rate recompute, and every later admission test reads the live
+    /// resident lists and down flags.
     ///
     /// # Panics
     /// Panics if the engine state is stale (`now != self.now()`) or the
@@ -953,7 +879,6 @@ impl ProportionalCluster {
             let r = self.release_slot(s);
             for (n, &slot) in r.nodes.iter().zip(&r.slots) {
                 self.remove_from_node(*n, slot as usize, s);
-                self.node_epochs[n.0 as usize] += 1;
             }
             displaced.push(DisplacedJob {
                 job: r.job,
@@ -964,16 +889,15 @@ impl ProportionalCluster {
             });
         }
         self.victims_scratch = victims;
-        self.node_epochs[node.0 as usize] += 1;
-        self.global_epoch += 1;
         self.rates_clean = false;
         self.recompute_rates();
         displaced
     }
 
     /// Restores a failed node at the engine's current instant: it comes
-    /// back empty and becomes an admission target again (epoch-bumped so
-    /// every cache re-evaluates it).
+    /// back empty and becomes an admission target again (clearing its
+    /// down flag is the whole change; it hosts nothing, so no rate
+    /// moves).
     ///
     /// # Panics
     /// Panics if the engine state is stale or the node is not down.
@@ -985,8 +909,6 @@ impl ProportionalCluster {
         assert!(!self.node_is_up(node), "{node} is not down");
         self.down[node.0 as usize] = false;
         self.down_count -= 1;
-        self.node_epochs[node.0 as usize] += 1;
-        self.global_epoch += 1;
     }
 
     /// O(1) removal of slot `s` from a node's resident list: `swap_remove`
@@ -998,9 +920,6 @@ impl ProportionalCluster {
         debug_assert_eq!(list[pos], s, "slot bookkeeping out of sync");
         list.swap_remove(pos);
         self.set_hash[ni] ^= slot_mix(s);
-        if list.is_empty() {
-            self.occ_mask[ni / 64] &= !(1u64 << (ni % 64));
-        }
         let moved = list.get(pos).copied();
         if let Some(moved) = moved {
             let m = self.meta[moved as usize]
@@ -1079,40 +998,6 @@ impl ProportionalCluster {
         dt.max(1e-3)
     }
 
-    /// Change counter of a node's scheduler-visible state. Any projection
-    /// or share total computed for a node is valid exactly as long as this
-    /// value (it covers admissions, completions, estimate drift, and the
-    /// advancement of `now` itself); the share index
-    /// ([`ProportionalCluster::with_share_index`]) revalidates each
-    /// node's entry against it.
-    ///
-    /// Composed on the fly as `(discrete epoch, time epoch)`: discrete
-    /// per-node changes bump `node_epochs`; the advancement of `now` —
-    /// which shifts every *occupied* node's projection at once — is
-    /// covered by the cluster-wide `global_epoch` instead of a per-node
-    /// bump, so the advance hot loop never walks the node table. An
-    /// empty node's projection is independent of `now`, so its time
-    /// component pins to zero and survives advances. Pairs strictly
-    /// increase lexicographically (every discrete change bumps the first
-    /// component; `global_epoch` never decreases), so a value can never
-    /// recur and equality remains a sound cache-validity test.
-    pub fn node_epoch(&self, node: NodeId) -> (u64, u64) {
-        let ni = node.0 as usize;
-        let time_epoch = if self.occ_mask[ni / 64] >> (ni % 64) & 1 == 1 {
-            self.global_epoch
-        } else {
-            0
-        };
-        (self.node_epochs[ni], time_epoch)
-    }
-
-    /// Cluster-wide change counter: bumped whenever *any* node epoch is
-    /// bumped. Equal values mean no node's scheduler-visible state changed
-    /// in between, so any cluster-wide cache keyed on it is still valid.
-    pub fn global_epoch(&self) -> u64 {
-        self.global_epoch
-    }
-
     /// Earliest absolute deadline among the node's residents (`+∞` when
     /// idle) — one of the two inputs the pre-kernel zero-risk screen
     /// needs (deadlines are per-job constants, so the minimum is exact
@@ -1164,90 +1049,6 @@ impl ProportionalCluster {
             self.abs_deadline[si].to_bits(),
             self.remaining_est[si].max(EPS_WORK).to_bits(),
         )
-    }
-
-    /// Runs `f` over the share-ordered candidate index: one entry per
-    /// node, sorted by `(base_share ascending, node id ascending)`, where
-    /// `base_share` is bitwise identical to
-    /// `node_total_share(node, None)`.
-    ///
-    /// The index is a lazily maintained cache: validated in O(1) against
-    /// the global epoch, with only epoch-stale nodes recomputed (and a
-    /// re-sort only when some share actually changed). Best-fit admission
-    /// scans walk it in share order and stop at the first infeasible
-    /// entry — f64 addition is monotone non-decreasing, so every later
-    /// (larger-base) node is infeasible too.
-    pub fn with_share_index<T>(&self, f: impl FnOnce(&[ShareEntry]) -> T) -> T {
-        let mut idx = self.share_index.borrow_mut();
-        self.refresh_share_index(&mut idx);
-        f(&idx.entries)
-    }
-
-    fn refresh_share_index(&self, idx: &mut ShareIndex) {
-        let n = self.cluster.len();
-        if idx.built && idx.global_epoch == self.global_epoch {
-            return;
-        }
-        let sort_and_reindex = |idx: &mut ShareIndex| {
-            idx.entries.sort_unstable_by(|a, b| {
-                a.base_share
-                    .total_cmp(&b.base_share)
-                    .then_with(|| a.node.cmp(&b.node))
-            });
-            idx.pos.clear();
-            idx.pos.resize(n, 0);
-            for (i, e) in idx.entries.iter().enumerate() {
-                idx.pos[e.node.0 as usize] = i as u32;
-            }
-        };
-        if !idx.built {
-            idx.entries.clear();
-            idx.node_epochs.clear();
-            for node in 0..n {
-                let id = NodeId(node as u32);
-                idx.node_epochs.push(self.node_epoch(id));
-                idx.entries.push(ShareEntry {
-                    base_share: self.index_base_share(id),
-                    node: id,
-                });
-            }
-            sort_and_reindex(idx);
-            idx.global_epoch = self.global_epoch;
-            idx.built = true;
-            return;
-        }
-        // Incremental revalidation: only nodes whose epoch moved get their
-        // share recomputed; re-sort only if some share actually changed.
-        let mut dirty = false;
-        for node in 0..n {
-            let epoch = self.node_epoch(NodeId(node as u32));
-            if idx.node_epochs[node] == epoch {
-                continue;
-            }
-            idx.node_epochs[node] = epoch;
-            let share = self.index_base_share(NodeId(node as u32));
-            let p = idx.pos[node] as usize;
-            if idx.entries[p].base_share.to_bits() != share.to_bits() {
-                idx.entries[p].base_share = share;
-                dirty = true;
-            }
-        }
-        if dirty {
-            sort_and_reindex(idx);
-        }
-        idx.global_epoch = self.global_epoch;
-    }
-
-    /// Base share the index stores for a node: `+inf` for a down node
-    /// (sorts last, and `inf + job_share` stays infeasible, so
-    /// share-ordered admission walks exclude it without a branch), the
-    /// bitwise [`ProportionalCluster::node_total_share`] otherwise.
-    fn index_base_share(&self, node: NodeId) -> f64 {
-        if self.node_is_up(node) {
-            self.node_total_share(node, None)
-        } else {
-            f64::INFINITY
-        }
     }
 
     /// Scheduler-visible projection input for one node: the resident jobs'
@@ -1303,9 +1104,9 @@ impl ProportionalCluster {
     /// (Eq. 2), plus optionally a tentative new job.
     ///
     /// Summation is left-to-right in resident order with the tentative
-    /// job last, so `node_total_share(n, None) + job_share(job)` is
-    /// bitwise identical to `node_total_share(n, Some(job))` — the
-    /// identity Libra's per-node share cache relies on.
+    /// job last — a fixed order, so every caller testing the same node
+    /// and job (Libra's `decide` and `decide_reference`) gets the same
+    /// bits.
     pub fn node_total_share(&self, node: NodeId, extra: Option<&Job>) -> f64 {
         let now = self.last_update.as_secs();
         let mut sum = 0.0;
@@ -1694,13 +1495,11 @@ impl ProportionalCluster {
 
     /// Rebuilds an engine from a snapshot. Canonical state is injected
     /// verbatim; every derived structure — rates, per-node share
-    /// totals, event-gap minimum, occupancy mask, min-deadline cache,
-    /// share index, scratch — is recomputed from it. Rates recompute by
-    /// the same from-zero ascending-job-id fold every live recompute
-    /// uses, so the restored engine is bitwise equal to the one the
-    /// snapshot was taken from (epoch counters restart at zero, which
-    /// no consumer observes: they are only compared for equality, and a
-    /// restored engine starts with no caches to invalidate).
+    /// totals, event-gap minimum, min-deadline and set-hash summaries,
+    /// scratch — is recomputed from it. Rates recompute by the same
+    /// from-zero ascending-job-id fold every live recompute uses, so the
+    /// restored engine is bitwise equal to the one the snapshot was
+    /// taken from.
     ///
     /// Returns a description of the first violated invariant instead of
     /// panicking, so checkpoint restore can surface corruption as a
@@ -1776,7 +1575,6 @@ impl ProportionalCluster {
                 list[pos] = s;
                 eng.gang_nodes.push(node.0);
                 eng.set_hash[ni] ^= slot_mix(s);
-                eng.occ_mask[ni / 64] |= 1u64 << (ni % 64);
                 eng.node_min_dl[ni] = eng.node_min_dl[ni].min(dl);
             }
             eng.ids[slot] = r.job.id;
@@ -2060,7 +1858,6 @@ mod tests {
         );
         let t = SimTime::from_secs(50.0);
         e.advance(t);
-        let epoch_before = e.global_epoch();
         let displaced = e.fail_node(NodeId(0), t);
         // Only the gang touching node 0 dies; its progress is reported.
         assert_eq!(displaced.len(), 1);
@@ -2068,23 +1865,14 @@ mod tests {
         assert!(displaced[0].remaining_work < 100.0);
         assert!(!e.node_is_up(NodeId(0)));
         assert_eq!(e.up_nodes(), 2);
-        assert!(e.global_epoch() > epoch_before);
         // Node 1 lost its gang member: only job 1 remains there.
         assert_eq!(on_node(&e, 1), vec![JobId(1)]);
         assert!(on_node(&e, 0).is_empty());
         // The survivors still drain to completion.
         let done = run_to_completion(&mut e);
         assert_eq!(done.len(), 2);
-        // The down node sorts last in the share index with an infinite base.
-        e.with_share_index(|entries| {
-            assert_eq!(entries.last().unwrap().node, NodeId(0));
-            assert!(entries.last().unwrap().base_share.is_infinite());
-        });
         e.restore_node(NodeId(0), e.now());
         assert!(e.node_is_up(NodeId(0)));
-        e.with_share_index(|entries| {
-            assert!(entries.iter().all(|s| s.base_share == 0.0));
-        });
     }
 
     #[test]
@@ -2391,35 +2179,6 @@ mod tests {
     }
 
     #[test]
-    fn epochs_track_scheduler_visible_change() {
-        let mut e = ProportionalCluster::new(cluster(2), ProportionalConfig::default());
-        let e0 = e.node_epoch(NodeId(0));
-        let e1 = e.node_epoch(NodeId(1));
-        e.admit(
-            job(0, 0.0, 50.0, 50.0, 1, 100.0),
-            vec![NodeId(0)],
-            SimTime::ZERO,
-        );
-        assert!(e.node_epoch(NodeId(0)) > e0, "admit must bump the node");
-        assert_eq!(
-            e.node_epoch(NodeId(1)),
-            e1,
-            "untouched node keeps its epoch"
-        );
-
-        // Zero-width advance changes nothing scheduler-visible.
-        let mid0 = e.node_epoch(NodeId(0));
-        e.advance(SimTime::ZERO);
-        assert_eq!(e.node_epoch(NodeId(0)), mid0);
-
-        // A real advance moves `now` and the estimates: occupied nodes
-        // bump, empty nodes do not.
-        e.advance(SimTime::from_secs(10.0));
-        assert!(e.node_epoch(NodeId(0)) > mid0);
-        assert_eq!(e.node_epoch(NodeId(1)), e1);
-    }
-
-    #[test]
     fn rate_starved_resident_gets_conservative_wake() {
         // Job 1's share underflows to zero next to an astronomically
         // inflated co-resident: the engine must neither panic nor stall.
@@ -2462,81 +2221,9 @@ mod tests {
     }
 
     #[test]
-    fn share_index_matches_direct_totals_and_stays_sorted() {
-        let mut e = ProportionalCluster::new(cluster(4), ProportionalConfig::default());
-        let check = |e: &ProportionalCluster| {
-            e.with_share_index(|entries| {
-                assert_eq!(entries.len(), 4);
-                for w in entries.windows(2) {
-                    assert!(
-                        (w[0].base_share, w[0].node) <= (w[1].base_share, w[1].node),
-                        "index out of order: {w:?}"
-                    );
-                }
-                for entry in entries {
-                    assert_eq!(
-                        entry.base_share.to_bits(),
-                        e.node_total_share(entry.node, None).to_bits(),
-                        "stale share for {:?}",
-                        entry.node
-                    );
-                }
-            });
-        };
-        check(&e);
-        // Load the nodes unevenly, checking after every mutation kind.
-        e.admit(
-            job(0, 0.0, 60.0, 60.0, 1, 120.0),
-            vec![NodeId(2)],
-            SimTime::ZERO,
-        );
-        check(&e);
-        e.admit(
-            job(1, 0.0, 90.0, 90.0, 1, 100.0),
-            vec![NodeId(0)],
-            SimTime::ZERO,
-        );
-        e.admit(
-            job(2, 0.0, 30.0, 30.0, 1, 400.0),
-            vec![NodeId(2)],
-            SimTime::ZERO,
-        );
-        check(&e);
-        let next = e.next_event_time().unwrap();
-        e.advance(next);
-        check(&e);
-        while let Some(t) = e.next_event_time() {
-            e.advance(t);
-            check(&e);
-        }
-        assert!(e.is_empty());
-        check(&e);
-    }
-
-    #[test]
-    fn global_epoch_moves_with_any_node_epoch() {
-        let mut e = ProportionalCluster::new(cluster(2), ProportionalConfig::default());
-        let g0 = e.global_epoch();
-        e.admit(
-            job(0, 0.0, 50.0, 50.0, 1, 100.0),
-            vec![NodeId(0)],
-            SimTime::ZERO,
-        );
-        assert!(e.global_epoch() > g0, "admit must bump the global epoch");
-        let g1 = e.global_epoch();
-        e.advance(SimTime::ZERO);
-        assert_eq!(e.global_epoch(), g1, "zero-width advance changes nothing");
-        e.advance(SimTime::from_secs(5.0));
-        assert!(
-            e.global_epoch() > g1,
-            "a real advance bumps the global epoch"
-        );
-    }
-
-    #[test]
     fn advance_matches_reference_under_long_churn() {
         // Long-lived residents under steady event churn: the fast path
-        // (scratch buffers, cached event minimum, batched epoch bumps)
+        // (scratch buffers, cached event minimum, in-sweep pass 1)
         // must stay bitwise identical to the reference at every step.
         let mut fast = ProportionalCluster::new(cluster(2), ProportionalConfig::default());
         let mut refr = ProportionalCluster::new(cluster(2), ProportionalConfig::default());
@@ -2639,8 +2326,8 @@ mod tests {
 
     #[test]
     fn zero_dt_advance_skips_recompute_bitwise_inertly() {
-        // Same-instant advances must neither change any rate bit nor pay
-        // for a recompute (observable through the unchanged epochs).
+        // Same-instant advances must change neither any rate bit nor the
+        // next event time.
         let mut e = ProportionalCluster::new(cluster(2), ProportionalConfig::default());
         for i in 0..4 {
             e.admit(
@@ -2655,12 +2342,10 @@ mod tests {
             .map(|i| e.rate_of(JobId(i)).unwrap().to_bits())
             .collect();
         let next = e.next_event_time().map(|t| t.as_secs().to_bits());
-        let g = e.global_epoch();
         for _ in 0..5 {
             let done = e.advance(t);
             assert!(done.is_empty());
         }
-        assert_eq!(e.global_epoch(), g);
         assert_eq!(e.next_event_time().map(|t| t.as_secs().to_bits()), next);
         for (i, bits) in rates.iter().enumerate() {
             assert_eq!(e.rate_of(JobId(i as u64)).unwrap().to_bits(), *bits);

@@ -215,64 +215,6 @@ proptest! {
     }
 
     #[test]
-    fn share_index_is_bitwise_identical_to_direct_totals(
-        raws in proptest::collection::vec(raw_job(), 1..16),
-        gaps in proptest::collection::vec(0.0..1.5f64, 1..16),
-        disc in discipline(),
-    ) {
-        // Differential: the lazily maintained share-ordered index must
-        // agree bitwise with `node_total_share(node, None)` for every
-        // node, stay sorted, and cover every node exactly once — after
-        // every admit and every advance of a randomized interleaving.
-        let nodes = 4u32;
-        let cfg = ProportionalConfig { discipline: disc, ..Default::default() };
-        let mut engine = ProportionalCluster::new(Cluster::homogeneous(nodes as usize, 168.0), cfg);
-        let check = |e: &ProportionalCluster, ctx: &str| {
-            e.with_share_index(|entries| {
-                assert_eq!(entries.len(), nodes as usize, "missing nodes {ctx}");
-                let mut seen: Vec<u32> = entries.iter().map(|s| s.node.0).collect();
-                seen.sort_unstable();
-                assert_eq!(seen, (0..nodes).collect::<Vec<_>>(), "node set wrong {ctx}");
-                for w in entries.windows(2) {
-                    assert!(
-                        (w[0].base_share, w[0].node) <= (w[1].base_share, w[1].node),
-                        "index unsorted {ctx}: {w:?}"
-                    );
-                }
-                for s in entries {
-                    assert_eq!(
-                        s.base_share.to_bits(),
-                        e.node_total_share(s.node, None).to_bits(),
-                        "stale share for {:?} {ctx}",
-                        s.node
-                    );
-                }
-            });
-        };
-        check(&engine, "on an idle engine");
-        for (id, (r, gap)) in raws.iter().zip(&gaps).enumerate() {
-            let now = engine.now();
-            let mut j = job(id as u64, r.runtime, r.runtime * r.est_factor, r.procs, r.deadline);
-            j.submit = now;
-            let alloc: Vec<NodeId> = (0..r.procs).map(NodeId).collect();
-            engine.admit(j, alloc, now);
-            check(&engine, "after admit");
-            if let Some(next) = engine.next_event_time() {
-                let dt = (next - now).as_secs() * gap.min(1.0);
-                engine.advance(now + SimDuration::from_secs(dt));
-                check(&engine, "after advance");
-            }
-        }
-        let mut guard = 0;
-        while let Some(t) = engine.next_event_time() {
-            engine.advance(t);
-            check(&engine, "while draining");
-            guard += 1;
-            prop_assert!(guard < 200_000, "engine failed to converge");
-        }
-    }
-
-    #[test]
     fn space_shared_never_overcommits(
         widths in proptest::collection::vec(1u32..5, 1..20),
     ) {

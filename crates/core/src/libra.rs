@@ -11,7 +11,7 @@
 //! Libra refuse jobs that would in fact have met their deadlines — the
 //! core weakness the paper demonstrates.
 
-use crate::policy::{DecisionStats, ShareAdmission};
+use crate::policy::ShareAdmission;
 use cluster::proportional::ProportionalCluster;
 use cluster::NodeId;
 use workload::Job;
@@ -21,22 +21,15 @@ pub const SHARE_EPSILON: f64 = 1e-9;
 
 /// The Libra admission control.
 ///
-/// Decisions walk the engine's share-ordered candidate index
-/// ([`ProportionalCluster::with_share_index`]) in ascending base-share
-/// order and stop at the first node the job does not fit on: f64
-/// addition is monotone non-decreasing, so every later (larger-base)
-/// node fails the same test. The index itself is maintained lazily by
-/// the engine against its epoch counters, so consecutive decisions
-/// between engine changes touch no per-node state at all.
+/// Each decision is a plain scan: every up node's Eq. 2 share total,
+/// tentative job included, is tested against unit capacity, and the
+/// suitable nodes are ranked best-fit. No state is kept between
+/// decisions; the only field besides the name is the reused candidate
+/// buffer, which keeps a rejection allocation-free.
 #[derive(Clone, Debug)]
 pub struct Libra {
     name: String,
     suitable: Vec<(f64, NodeId)>,
-    /// Evaluation-volume counters of the most recent `decide` call.
-    /// Libra runs no projections, so only `nodes_considered` (share-index
-    /// entries actually tested) is ever nonzero — the monotone prune
-    /// settles every remaining node without evaluation.
-    stats: DecisionStats,
 }
 
 impl Default for Libra {
@@ -51,7 +44,6 @@ impl Libra {
         Libra {
             name: "Libra".to_string(),
             suitable: Vec::new(),
-            stats: DecisionStats::default(),
         }
     }
 
@@ -61,9 +53,10 @@ impl Libra {
         self
     }
 
-    /// The pre-cache decision logic: every node's share total is summed
-    /// from scratch, tentative job included. Kept as the differential
-    /// reference — `decide` must return bitwise-identical rankings.
+    /// The decision logic with fresh allocations: every node's share
+    /// total is summed from scratch, tentative job included. Kept as the
+    /// differential reference — `decide` must return bitwise-identical
+    /// rankings.
     pub fn decide_reference(&self, engine: &ProportionalCluster, job: &Job) -> Option<Vec<NodeId>> {
         let want = job.procs as usize;
         if want > engine.up_nodes() {
@@ -102,7 +95,7 @@ impl ShareAdmission for Libra {
         obs::RejectReason::NoFit
     }
 
-    fn audit_gauge(&mut self, engine: &ProportionalCluster) -> Option<(&'static str, f64)> {
+    fn audit_gauge(&self, engine: &ProportionalCluster) -> Option<(&'static str, f64)> {
         // The peak node share sum: the quantity Eq. 1–2 tests against
         // unit capacity. Read-only over up nodes, so sampling it around
         // a decision cannot perturb the decision stream.
@@ -115,46 +108,26 @@ impl ShareAdmission for Libra {
         Some(("peak_share", peak))
     }
 
-    fn last_decision_stats(&self) -> Option<DecisionStats> {
-        Some(self.stats)
-    }
-
     fn decide(&mut self, engine: &ProportionalCluster, job: &Job) -> Option<Vec<NodeId>> {
-        self.stats = DecisionStats::default();
         let want = job.procs as usize;
         if want > engine.up_nodes() {
             return None;
         }
-        // Down nodes need no explicit check here: the share index carries
-        // them with an infinite base share, so the monotone prune below
-        // stops before ever reaching one.
-        // The tentative job's share is node-independent; summing it onto a
-        // node's indexed base is bitwise identical to the from-scratch
-        // `node_total_share(node, Some(job))` because that sum also adds
-        // the tentative job last.
-        let job_share = engine.job_share(job);
-        // Collect suitable nodes from the share-ordered index, pruning
-        // the scan at the first infeasible entry: bases ascend, so once
-        // `base + job_share` exceeds capacity every later node's sum
-        // (monotone in the base) exceeds it too.
         self.suitable.clear();
-        engine.with_share_index(|entries| {
-            for e in entries {
-                self.stats.nodes_considered += 1;
-                let with_new = e.base_share + job_share;
-                if with_new > 1.0 + SHARE_EPSILON {
-                    break;
-                }
-                self.suitable.push((with_new, e.node));
+        for node in engine.cluster().nodes() {
+            if !engine.node_is_up(node.id) {
+                continue;
             }
-        });
+            let with_new = engine.node_total_share(node.id, Some(job));
+            if with_new <= 1.0 + SHARE_EPSILON {
+                self.suitable.push((with_new, node.id));
+            }
+        }
         if self.suitable.len() < want {
             return None;
         }
         // Rank by the share each node would have *after* accepting the
-        // job — fullest first (best fit). The comparator is a total
-        // order over distinct node ids, so sorting the index-ordered
-        // collection yields exactly the reference's ranking.
+        // job — fullest first (best fit), ties to the lower node id.
         self.suitable.sort_by(|a, b| {
             b.0.partial_cmp(&a.0)
                 .expect("shares are finite")

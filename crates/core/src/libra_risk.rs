@@ -332,7 +332,7 @@ impl ShareAdmission for LibraRisk {
         obs::RejectReason::OverRisk
     }
 
-    fn audit_gauge(&mut self, engine: &ProportionalCluster) -> Option<(&'static str, f64)> {
+    fn audit_gauge(&self, engine: &ProportionalCluster) -> Option<(&'static str, f64)> {
         // Mean projected deadline-delay factor across resident jobs
         // (1.0 = no delay). `cluster_risk` only reads the engine, so
         // auditing it around a decision leaves the decision stream
@@ -736,8 +736,8 @@ mod tests {
         e.admit(job(1, 90.0, 1, 100.0), vec![NodeId(0)], SimTime::ZERO);
         assert_eq!(lr.decide(&e, &j2), lr.decide_reference(&e, &j2));
 
-        // Advancing an *empty* cluster moves `now` without bumping any
-        // epoch, and the decision must still follow `now`. Shape chosen
+        // Advancing an *empty* cluster moves `now` and nothing else, and
+        // the decision must still follow `now`. Shape chosen
         // so the strict decision flips: at t=0 the job finishes by its
         // deadline (μ = 1 → accept), at t=30 it cannot (μ > 1 → reject).
         let mut strict = LibraRisk::paper().require_unit_mu(true);

@@ -64,8 +64,8 @@ impl DecisionStats {
 ///
 /// `decide` takes `&mut self` so implementations can reuse scratch
 /// buffers across decisions. Neither built-in policy keeps per-node state
-/// from one decision to the next: Libra walks the engine's own share
-/// index, and LibraRisk's set table lives for one decision. An
+/// from one decision to the next: Libra scans every node's share total
+/// afresh, and LibraRisk's set table lives for one decision. An
 /// implementation that does memoise across decisions may assume a policy
 /// instance is consulted about **one** engine for its whole life —
 /// create a fresh instance per simulation, as [`PolicyKind::run`] does.
@@ -87,16 +87,20 @@ pub trait ShareAdmission {
     /// The headline admission gauge for the decision audit log — e.g.
     /// Libra's peak node share sum, LibraRisk's cluster risk. Sampled
     /// around each decision (never inside it), and only when a recorder
-    /// is enabled; must not change subsequent decisions. `None` when the
+    /// is enabled; it takes `&self`, so sampling cannot change
+    /// subsequent decisions. The facade samples once before `decide` and
+    /// again only after an acceptance: a rejection leaves the engine
+    /// untouched, so its first sample stands for both. `None` when the
     /// policy has no natural gauge.
-    fn audit_gauge(&mut self, _engine: &ProportionalCluster) -> Option<(&'static str, f64)> {
+    fn audit_gauge(&self, _engine: &ProportionalCluster) -> Option<(&'static str, f64)> {
         None
     }
 
     /// Evaluation-volume counters of the most recent
     /// [`ShareAdmission::decide`] call, for the facade's metrics and the
     /// benchmark's `decide.*` counters. `None` when the policy does not
-    /// track them (queue-based policies, external implementations).
+    /// track them (Libra, which runs no projections; queue-based
+    /// policies; external implementations).
     fn last_decision_stats(&self) -> Option<DecisionStats> {
         None
     }
@@ -118,7 +122,7 @@ impl<T: ShareAdmission + ?Sized> ShareAdmission for &mut T {
         (**self).reject_reason()
     }
 
-    fn audit_gauge(&mut self, engine: &ProportionalCluster) -> Option<(&'static str, f64)> {
+    fn audit_gauge(&self, engine: &ProportionalCluster) -> Option<(&'static str, f64)> {
         (**self).audit_gauge(engine)
     }
 

@@ -384,10 +384,12 @@ impl ProportionalBackend<'_> {
         };
         if recording {
             let rec = obs.expect("recording implies a recorder");
-            let after = if want_gauges {
-                self.policy.audit_gauge(&self.engine)
-            } else {
-                None
+            let after = match decision {
+                // A rejection leaves the engine untouched, so the gauge
+                // cannot have moved: reuse the first sample.
+                Decision::Rejected(_) => before,
+                _ if want_gauges => self.policy.audit_gauge(&self.engine),
+                _ => None,
             };
             let gauge = match (before, after) {
                 (Some((key, b)), Some((_, a))) => Some(GaugeDelta {
@@ -2059,5 +2061,81 @@ mod tests {
         let (faulted, churn) = run(true);
         assert_eq!(plain, faulted);
         assert!(churn.is_empty());
+    }
+
+    /// Counts the facade's `audit_gauge` calls on the policy it wraps.
+    struct GaugeCounter {
+        inner: crate::libra_risk::LibraRisk,
+        calls: std::cell::Cell<u64>,
+    }
+
+    impl ShareAdmission for GaugeCounter {
+        fn name(&self) -> String {
+            self.inner.name()
+        }
+
+        fn decide(&mut self, engine: &ProportionalCluster, job: &Job) -> Option<Vec<NodeId>> {
+            self.inner.decide(engine, job)
+        }
+
+        fn reject_reason(&self) -> RejectReason {
+            self.inner.reject_reason()
+        }
+
+        fn audit_gauge(&self, engine: &ProportionalCluster) -> Option<(&'static str, f64)> {
+            self.calls.set(self.calls.get() + 1);
+            self.inner.audit_gauge(engine)
+        }
+    }
+
+    #[test]
+    fn rejection_reuses_the_gauge_sample_taken_before_it() {
+        // A rejection leaves the engine untouched, so the facade samples
+        // the gauge once for it and twice for an acceptance.
+        let mut policy = GaugeCounter {
+            inner: crate::libra_risk::LibraRisk::paper(),
+            calls: std::cell::Cell::new(0),
+        };
+        let mut rec = obs::TraceRecorder::new(1024).with_audit_gauges();
+        let (mut accepted, mut rejected) = (0u64, 0u64);
+        {
+            let mut rms = ClusterRms::proportional(
+                Cluster::homogeneous(2, 168.0),
+                ProportionalConfig::default(),
+                &mut policy,
+            )
+            .with_recorder(&mut rec);
+            for i in 0..24u64 {
+                let s = i as f64 * 11.0;
+                // Long tight jobs crowd both nodes into risk; every
+                // fifth asks for three nodes of two.
+                let procs = if i % 5 == 4 { 3 } else { 1 };
+                match rms.submit(job(i, s, 90.0, 90.0, procs, 100.0), t(s)) {
+                    Decision::Accepted => accepted += 1,
+                    Decision::Rejected(_) => rejected += 1,
+                    Decision::Queued => unreachable!("proportional share never queues"),
+                }
+            }
+            rms.drain().for_each(drop);
+        }
+        assert!(accepted > 0, "no acceptance exercised");
+        assert!(rejected > accepted, "too few rejections exercised");
+        assert_eq!(policy.calls.get(), rejected + 2 * accepted);
+        let (mut audited_rejections, mut over_risk) = (0, 0);
+        for e in rec.events() {
+            if let Event::Decision {
+                verdict: Verdict::Rejected(reason),
+                audit,
+                ..
+            } = e.event
+            {
+                let g = audit.gauge.expect("gauges were requested");
+                assert_eq!(g.before.to_bits(), g.after.to_bits());
+                audited_rejections += 1;
+                over_risk += u64::from(reason == RejectReason::OverRisk);
+            }
+        }
+        assert_eq!(audited_rejections, rejected);
+        assert!(over_risk > 0, "no policy rejection exercised");
     }
 }

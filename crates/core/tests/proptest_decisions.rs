@@ -1,14 +1,14 @@
 //! Differential property tests for the incremental admission decision
 //! path.
 //!
-//! The cached/incremental `decide` of every share-based policy (the
-//! proportional-share members of `PolicyKind::PAPER` — Libra and
-//! LibraRisk — plus every LibraRisk ablation variant) must return
-//! decisions *identical* to its from-scratch `decide_reference` —
-//! accept/reject and the exact chosen node list — over randomized
-//! admit/advance/complete sequences. Any divergence means a cache key
-//! misses an invalidation (an epoch not bumped, a `now` leaking through)
-//! and would silently change simulation results.
+//! The `decide` of every share-based policy (the proportional-share
+//! members of `PolicyKind::PAPER` — Libra and LibraRisk — plus every
+//! LibraRisk ablation variant) must return decisions *identical* to its
+//! from-scratch `decide_reference` — accept/reject and the exact chosen
+//! node list — over randomized admit/advance/complete sequences. Any
+//! divergence means a screen, the per-decision set table or a reused
+//! scratch buffer let unsound or stale state through (a `now` leaking
+//! across decisions, say) and would silently change simulation results.
 
 use cluster::proportional::{ProportionalCluster, ProportionalConfig};
 use cluster::{Cluster, NodeId};
