@@ -43,9 +43,11 @@ echo "== differential: decisions vs reference + risk screen (release) =="
 # and the 5k-arrival overload replay) and both pre-kernel screens
 # against the projection kernel re-run in release mode: the screens are
 # proofs about float arithmetic, so they must hold in the optimised
-# build, not only in debug.
+# build, not only in debug. The cluster crate's unit tests run whole:
+# the engine's advance and recompute differentials against their
+# reference paths are float proofs too.
 cargo test --release -q -p librisk --test proptest_decisions
-cargo test --release -q -p cluster --lib projection
+cargo test --release -q -p cluster --lib
 cargo test --release -q -p cluster --test proptest_engine
 
 echo "== differential: Libra at full size (release) =="

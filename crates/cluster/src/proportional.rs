@@ -233,10 +233,6 @@ pub struct ProportionalCluster {
     /// Per-slot Eq. 1 share computed by recompute pass 1 and consumed by
     /// pass 2 (engine-owned scratch; garbage between recomputes).
     share_scratch: Vec<f64>,
-    /// Per-slot event-gap candidate computed by pass 2's dense sweep and
-    /// consumed by its ordered min-fold (engine-owned scratch; free-list
-    /// lanes hold garbage — possibly NaN — that the fold never reads).
-    dt_scratch: Vec<f64>,
     /// Cold state; `None` marks a free slot.
     meta: Vec<Option<ResidentMeta>>,
     /// Live slots sorted by ascending `JobId` — the canonical iteration
@@ -369,7 +365,6 @@ impl ProportionalCluster {
             gang_nodes: Vec::new(),
             gang_live: 0,
             share_scratch: Vec::new(),
-            dt_scratch: Vec::new(),
             meta: Vec::new(),
             order: Vec::new(),
             free_slots: Vec::new(),
@@ -486,7 +481,6 @@ impl ProportionalCluster {
         self.node0.push(0);
         self.gang_start.push(0);
         self.share_scratch.push(0.0);
-        self.dt_scratch.push(0.0);
         self.meta.push(None);
         s
     }
@@ -670,46 +664,13 @@ impl ProportionalCluster {
             let now_s = now.as_secs();
             let mut completed = std::mem::take(&mut self.completed_scratch);
             completed.clear();
-            // Dense pre-pass (arena densely populated only): apply
-            // progress to every arena slot and compute each lane's
-            // post-progress share. Free-list lanes advance stale beliefs
-            // into garbage nothing reads (the sweep below walks `order`;
-            // a reused slot is fully re-initialised by `admit`); live
-            // lanes see bitwise the subtraction and quotient the sweep
-            // computes inline in the sparse case — same operands, same
-            // expressions — while the branch-free loops pipeline the
-            // divisions. The sweep ignores a completing lane's share and
-            // recomputes a re-armed lane's.
-            let n_slots = self.ids.len();
-            let dense = self.dense_sweeps_pay();
-            if dense {
-                {
-                    let rates = &self.rate[..n_slots];
-                    let rw = &mut self.remaining_work[..n_slots];
-                    let re = &mut self.remaining_est[..n_slots];
-                    for i in 0..n_slots {
-                        let p = rates[i] * dt;
-                        rw[i] -= p;
-                        re[i] -= p;
-                    }
-                }
-                let dls = &self.abs_deadline[..n_slots];
-                let re = &self.remaining_est[..n_slots];
-                let shares = &mut self.share_scratch[..n_slots];
-                for i in 0..n_slots {
-                    let rd = (dls[i] - now_s).max(EPS_DEADLINE);
-                    shares[i] = re[i].max(EPS_WORK) / rd;
-                }
-            }
             self.totals_scratch.fill(0.0);
             for &s in &self.order {
                 let si = s as usize;
                 let progress = self.rate[si] * dt;
                 self.busy_integral += progress * self.width_f[si];
-                if !dense {
-                    self.remaining_work[si] -= progress;
-                    self.remaining_est[si] -= progress;
-                }
+                self.remaining_work[si] -= progress;
+                self.remaining_est[si] -= progress;
                 let start = self.gang_start[si] as usize;
                 let members = &self.gang_nodes[start..start + self.width[si] as usize];
                 let done = self.remaining_work[si] <= EPS_WORK;
@@ -727,9 +688,6 @@ impl ProportionalCluster {
                     let share = re.max(EPS_WORK) / rd;
                     self.share_scratch[si] = share;
                     share
-                } else if dense {
-                    // Already computed by the dense pre-pass.
-                    self.share_scratch[si]
                 } else {
                     let rd = (self.abs_deadline[si] - now_s).max(EPS_DEADLINE);
                     let share = self.remaining_est[si].max(EPS_WORK) / rd;
@@ -1181,47 +1139,17 @@ impl ProportionalCluster {
     /// accumulation happens in the reference implementation's order and
     /// the results are bitwise identical to
     /// [`ProportionalCluster::recompute_rates_reference`].
-    /// Whether the arena is populated densely enough that branch-free
-    /// full-arena sweeps (which also burn garbage work on free-list
-    /// lanes) beat gather loops over `order`. Either path computes
-    /// bitwise-identical values for every live lane, so the cutover is
-    /// pure scheduling — it cannot move a decision.
-    #[inline]
-    fn dense_sweeps_pay(&self) -> bool {
-        self.order.len() * 3 >= self.ids.len()
-    }
-
     fn recompute_rates(&mut self) {
         let now = self.last_update.as_secs();
-        // Pass 1: every live slot's Eq. 1 share from current beliefs.
-        // When the arena is densely populated, a branch- and
-        // indirection-free sweep over every lane (free-list lanes divide
-        // stale beliefs into garbage nothing reads — all folds below
-        // walk `order`) lets the divisions pipeline and vectorize; live
-        // lanes get bitwise the quotient the ordered loop produces —
-        // same operands, same expression.
-        let n_slots = self.ids.len();
-        if self.dense_sweeps_pay() {
-            let dls = &self.abs_deadline[..n_slots];
-            let rems = &self.remaining_est[..n_slots];
-            let shares = &mut self.share_scratch[..n_slots];
-            for i in 0..n_slots {
-                let rd = (dls[i] - now).max(EPS_DEADLINE);
-                shares[i] = rems[i].max(EPS_WORK) / rd;
-            }
-        } else {
-            for &s in &self.order {
-                let si = s as usize;
-                let rd = (self.abs_deadline[si] - now).max(EPS_DEADLINE);
-                self.share_scratch[si] = self.remaining_est[si].max(EPS_WORK) / rd;
-            }
-        }
-        // Per-node totals accumulate in the reference's ascending job-id
-        // order (float sums are fold-order-sensitive).
+        // Pass 1: every live slot's Eq. 1 share from current beliefs,
+        // summed into the per-node totals in the reference's ascending
+        // job-id order (float sums are fold-order-sensitive).
         self.totals_scratch.fill(0.0);
         for &s in &self.order {
             let si = s as usize;
-            let share = self.share_scratch[si];
+            let rd = (self.abs_deadline[si] - now).max(EPS_DEADLINE);
+            let share = self.remaining_est[si].max(EPS_WORK) / rd;
+            self.share_scratch[si] = share;
             if self.width[si] == 1 {
                 self.totals_scratch[self.node0[si] as usize] += share;
             } else {
@@ -1239,90 +1167,21 @@ impl ProportionalCluster {
     /// nodes) and the running event-gap minimum, consuming the per-node
     /// totals and per-slot shares pass 1 left in engine scratch. Split
     /// out so the advance progress loop can fuse pass 1 into its own
-    /// sweep when nothing discrete happened (see
-    /// [`ProportionalCluster::advance_into`]).
+    /// sweep (see [`ProportionalCluster::advance_into`]).
     fn recompute_pass2(&mut self) {
         let now = self.last_update.as_secs();
         let strict = matches!(self.cfg.discipline, ShareDiscipline::Strict);
-        let n_slots = self.ids.len();
-        let dense = self.dense_sweeps_pay();
-        if dense {
-            // Dense rate sweep over every arena slot via its first member
-            // node: exact for width-1 slots (same expression, same bits
-            // as the ordered fold's inline computation); a gang's true
-            // rate is the member-min, fixed up in the ordered fold below.
-            // Free-list lanes compute garbage (possibly ±inf) that only
-            // the dense event-gap sweep reads — and the ordered fold
-            // discards those lanes.
-            {
-                let shares = &self.share_scratch[..n_slots];
-                let node0 = &self.node0[..n_slots];
-                let rates = &mut self.rate[..n_slots];
-                if strict {
-                    for i in 0..n_slots {
-                        let ni = node0[i] as usize;
-                        rates[i] = shares[i] / self.totals_scratch[ni].max(1.0) * self.speeds[ni];
-                    }
-                } else {
-                    for i in 0..n_slots {
-                        let ni = node0[i] as usize;
-                        rates[i] = shares[i] / self.totals_scratch[ni] * self.speeds[ni];
-                    }
-                }
-            }
-            // Dense event-gap sweep: branch-free rewrite of [`event_dt`],
-            // bitwise equal on live width-1 lanes (the selects reproduce
-            // the reference's guards; `min` of the positive quotient with
-            // +inf is the quotient). Gang lanes hold a garbage gap (their
-            // dense rate is one member's, not the min) and are recomputed
-            // in the fold.
-            let rates = &self.rate[..n_slots];
-            let rw = &self.remaining_work[..n_slots];
-            let re = &self.remaining_est[..n_slots];
-            let dls = &self.abs_deadline[..n_slots];
-            let dts = &mut self.dt_scratch[..n_slots];
-            for i in 0..n_slots {
-                let r = rates[i];
-                let q = rw[i].min(re[i]) / r;
-                let dt0 = if r > 0.0 { q } else { f64::INFINITY };
-                let td = dls[i] - now;
-                let dtd = if td > EPS_WORK { td } else { f64::INFINITY };
-                dts[i] = dt0.min(dtd);
-            }
-        }
         let mut min_dt = f64::INFINITY;
         for &s in &self.order {
             let si = s as usize;
-            if self.width[si] == 1 {
-                let rate = if dense {
-                    self.rate[si]
-                } else {
-                    let ni = self.node0[si] as usize;
-                    let total = self.totals_scratch[ni];
-                    let denom = if strict { total.max(1.0) } else { total };
-                    let r = self.share_scratch[si] / denom * self.speeds[ni];
-                    self.rate[si] = r;
-                    r
-                };
-                // The share (and hence the rate) can underflow to exactly
-                // zero when a co-resident share is astronomically
-                // inflated; `event_dt` and the projection kernel
-                // tolerate that.
-                debug_assert!(rate.is_finite() && rate >= 0.0);
-                min_dt = min_dt.min(if dense {
-                    self.dt_scratch[si]
-                } else {
-                    event_dt(
-                        rate,
-                        self.remaining_work[si],
-                        self.remaining_est[si],
-                        self.abs_deadline[si],
-                        now,
-                    )
-                });
-                continue;
-            }
-            let rate = self.gang_rate(si, strict);
+            let rate = if self.width[si] == 1 {
+                let ni = self.node0[si] as usize;
+                let total = self.totals_scratch[ni];
+                let denom = if strict { total.max(1.0) } else { total };
+                self.share_scratch[si] / denom * self.speeds[ni]
+            } else {
+                self.gang_rate(si, strict)
+            };
             // The share (and hence the rate) can underflow to exactly
             // zero when a co-resident share is astronomically inflated;
             // `event_dt` and the projection kernel tolerate that.

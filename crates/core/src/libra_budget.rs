@@ -22,7 +22,7 @@
 //! provider-utility comparisons like those of the paper's §2 related work
 //! (Irwin et al., Popovici & Wilkes).
 
-use crate::policy::ShareAdmission;
+use crate::policy::{DecisionStats, ShareAdmission};
 use cluster::proportional::ProportionalCluster;
 use cluster::NodeId;
 use sim::Rng64;
@@ -105,12 +105,19 @@ impl BudgetModel {
 }
 
 /// Budget-gated admission: quote first, then defer to the inner policy.
+/// The inner policy's reject reason, audit gauge and decision stats
+/// show through, except for a budget-gate rejection: the closed
+/// [`obs::RejectReason`] set has no budget code, so it reports
+/// [`obs::RejectReason::NoFit`], with empty stats because nothing was
+/// evaluated.
 pub struct LibraBudget<P: ShareAdmission> {
     inner: P,
     pricing: PricingModel,
     budgets: HashMap<JobId, f64>,
     revenue: f64,
     budget_rejections: usize,
+    /// Whether the last `decide` was turned away by the budget gate.
+    gated: bool,
 }
 
 impl<P: ShareAdmission> LibraBudget<P> {
@@ -122,6 +129,7 @@ impl<P: ShareAdmission> LibraBudget<P> {
             budgets,
             revenue: 0.0,
             budget_rejections: 0,
+            gated: false,
         }
     }
 
@@ -144,13 +152,34 @@ impl<P: ShareAdmission> ShareAdmission for LibraBudget<P> {
     fn decide(&mut self, engine: &ProportionalCluster, job: &Job) -> Option<Vec<NodeId>> {
         let quote = self.pricing.quote(job);
         let budget = self.budgets.get(&job.id).copied().unwrap_or(f64::INFINITY);
-        if quote > budget {
+        self.gated = quote > budget;
+        if self.gated {
             self.budget_rejections += 1;
             return None;
         }
         let nodes = self.inner.decide(engine, job)?;
         self.revenue += quote;
         Some(nodes)
+    }
+
+    fn reject_reason(&self) -> obs::RejectReason {
+        if self.gated {
+            obs::RejectReason::NoFit
+        } else {
+            self.inner.reject_reason()
+        }
+    }
+
+    fn audit_gauge(&self, engine: &ProportionalCluster) -> Option<(&'static str, f64)> {
+        self.inner.audit_gauge(engine)
+    }
+
+    fn last_decision_stats(&self) -> Option<DecisionStats> {
+        if self.gated {
+            Some(DecisionStats::default())
+        } else {
+            self.inner.last_decision_stats()
+        }
     }
 }
 

@@ -95,7 +95,7 @@ impl Decision {
 
 /// A borrowed recorder threaded through the hook sites; `None` (the
 /// default) behaves like [`obs::NoopRecorder`] at the cost of one
-/// branch per site. The `Send` bound keeps [`ShardState`] movable to a
+/// branch per site. The `Send` bound keeps [`ClusterRms`] movable to a
 /// router worker thread.
 type Obs<'a> = Option<&'a mut (dyn Recorder + Send + 'a)>;
 
@@ -898,20 +898,22 @@ impl QopsBackend {
     }
 }
 
-/// The self-contained engine state of one RMS shard: the execution
-/// backend plus every piece of bookkeeping the online state machine
-/// owns — virtual clock, submission sequencing, buffered outcome
-/// events, the fault-plan cursor, churn aggregates, requeue originals
-/// and the optional recorder.
+/// The online RMS facade: one submit/advance/drain state machine over any
+/// [`ExecutionBackend`]. It owns the backend plus every piece of
+/// bookkeeping the state machine needs — virtual clock, submission
+/// sequencing, buffered outcome events, the fault-plan cursor, churn
+/// aggregates, requeue originals and the optional recorder — so one
+/// `ClusterRms` is exactly one shard of a
+/// [`ShardedRms`](crate::router::ShardedRms).
 ///
 /// No field references anything outside the struct (the recorder is an
 /// exclusive borrow, the policy box is `Send`), so a shard moves
-/// wholesale onto a worker thread — that is what lets
-/// [`ShardedRms`](crate::router::ShardedRms) fan N of these out on
-/// `std::thread::scope` workers. The compile-time assertion next to
-/// [`ClusterRms`] keeps this true as fields evolve.
-pub struct ShardState<'p> {
+/// wholesale onto a worker thread — that is what lets the router fan N
+/// of these out on `std::thread::scope` workers. The compile-time
+/// assertion below keeps this true as fields evolve.
+pub struct ClusterRms<'p> {
     pub(crate) backend: ExecutionBackend<'p>,
+    pub(crate) policy_name: String,
     pub(crate) now: SimTime,
     pub(crate) next_seq: u64,
     pub(crate) events: Vec<JobEvent>,
@@ -931,10 +933,20 @@ pub struct ShardState<'p> {
     pub(crate) recorder: Option<&'p mut (dyn Recorder + Send + 'p)>,
 }
 
-impl<'p> ShardState<'p> {
-    fn new(backend: ExecutionBackend<'p>) -> Self {
-        ShardState {
+// A shard must be free-standing so the router can move it onto a scoped
+// worker thread. If a future field smuggles in a non-`Send` handle (an
+// `Rc`, a thread-bound cache, a non-`Send` trait object), this fails to
+// compile right here instead of surfacing as a distant router error.
+const _: () = {
+    const fn assert_send<T: Send>() {}
+    assert_send::<ClusterRms<'static>>();
+};
+
+impl<'p> ClusterRms<'p> {
+    fn new(backend: ExecutionBackend<'p>, policy_name: String) -> Self {
+        ClusterRms {
             backend,
+            policy_name,
             now: SimTime::ZERO,
             next_seq: 0,
             events: Vec::new(),
@@ -944,6 +956,110 @@ impl<'p> ShardState<'p> {
             requeued: HashMap::new(),
             recorder: None,
         }
+    }
+
+    /// A proportional-share RMS (Libra, LibraRisk, ablations) over the
+    /// given cluster and engine configuration.
+    pub fn proportional(
+        cluster: Cluster,
+        cfg: ProportionalConfig,
+        policy: impl ShareAdmission + Send + 'p,
+    ) -> Self {
+        let policy_name = policy.name();
+        ClusterRms::new(
+            ExecutionBackend::Proportional(ProportionalBackend {
+                engine: ProportionalCluster::new(cluster, cfg),
+                policy: Box::new(policy),
+                seq_of: HashMap::new(),
+                completed_buf: Vec::new(),
+            }),
+            policy_name,
+        )
+    }
+
+    /// A space-shared queueing RMS (EDF, EDF-NoAC, FCFS, backfilling).
+    pub fn queued(cluster: Cluster, policy: QueuePolicy) -> Self {
+        let policy_name = policy.name().to_string();
+        ClusterRms::new(
+            ExecutionBackend::Queued(QueuedBackend {
+                policy,
+                pool: SpaceSharedCluster::new(cluster),
+                queue: Vec::new(),
+                seq_of: HashMap::new(),
+            }),
+            policy_name,
+        )
+    }
+
+    /// A QoPS-style soft-deadline RMS.
+    ///
+    /// # Panics
+    /// Panics if `cfg.slack_factor < 1`.
+    pub fn qops(cluster: Cluster, cfg: QopsConfig) -> Self {
+        assert!(cfg.slack_factor >= 1.0, "slack factor must be ≥ 1");
+        let policy_name = format!("QoPS(sf={})", cfg.slack_factor);
+        ClusterRms::new(
+            ExecutionBackend::Qops(QopsBackend {
+                cfg,
+                pool: SpaceSharedCluster::new(cluster),
+                queue: Vec::new(),
+                running: Vec::new(),
+                seq_of: HashMap::new(),
+            }),
+            policy_name,
+        )
+    }
+
+    /// Overrides the policy name used in reports.
+    pub fn with_policy_name(mut self, name: impl Into<String>) -> Self {
+        self.policy_name = name.into();
+        self
+    }
+
+    /// Installs a node-churn plan and the recovery policy for displaced
+    /// jobs. Fault events apply as time advances, each *before* any job
+    /// arrival at the same instant; an empty plan leaves the RMS bitwise
+    /// identical to one built without this call.
+    pub fn with_faults(mut self, plan: FaultPlan, recovery: RecoveryPolicy) -> Self {
+        self.plan = plan;
+        self.recovery = recovery;
+        self
+    }
+
+    /// Attaches a recorder observing every submission, decision, fault
+    /// and resolution. The recorder is borrowed, so the caller keeps
+    /// ownership and can export the trace after the run. Recording is
+    /// behaviourally inert: outcomes are bitwise identical with any
+    /// recorder (or none), and a disabled recorder costs one branch per
+    /// hook site. The recorder must be `Send` so the shard can follow
+    /// its RMS onto a router worker thread.
+    ///
+    /// Returns the facade re-parameterised at the recorder's lifetime
+    /// (`ClusterRms` is invariant over `'p` because of the `&mut`
+    /// recorder slot, so a `ClusterRms<'static>` from
+    /// [`PolicyKind::rms`](crate::policy::PolicyKind::rms) could
+    /// otherwise never borrow a stack-local recorder).
+    pub fn with_recorder<'r>(self, recorder: &'r mut (dyn Recorder + Send + 'r)) -> ClusterRms<'r>
+    where
+        'p: 'r,
+    {
+        ClusterRms {
+            backend: self.backend,
+            policy_name: self.policy_name,
+            now: self.now,
+            next_seq: self.next_seq,
+            events: self.events,
+            plan: self.plan,
+            recovery: self.recovery,
+            churn: self.churn,
+            requeued: self.requeued,
+            recorder: Some(recorder),
+        }
+    }
+
+    /// Display name of the admission policy driving this RMS.
+    pub fn policy_name(&self) -> &str {
+        &self.policy_name
     }
 
     /// Churn degradation aggregates accumulated so far (all-zero on a
@@ -958,7 +1074,7 @@ impl<'p> ShardState<'p> {
     }
 
     /// The execution backend (for observability; mutation goes through
-    /// [`ShardState::submit`]/[`ShardState::advance`]).
+    /// [`ClusterRms::submit`]/[`ClusterRms::advance`]).
     pub fn backend(&self) -> &ExecutionBackend<'p> {
         &self.backend
     }
@@ -973,8 +1089,8 @@ impl<'p> ShardState<'p> {
         self.next_seq
     }
 
-    /// Whether `id` is resident, running or queued as of the last
-    /// instant the backend caught up to.
+    /// Whether `id` is in flight as of the last instant the RMS caught
+    /// up to (a job that resolved since then still counts).
     pub(crate) fn holds(&self, id: JobId) -> bool {
         match &self.backend {
             ExecutionBackend::Proportional(b) => b.holds(id),
@@ -1286,201 +1402,6 @@ impl<'p> ShardState<'p> {
         self.record_span(from, to);
         self.events.drain(..)
     }
-}
-
-/// The online RMS facade: one submit/advance/drain state machine over any
-/// [`ExecutionBackend`]. A thin naming wrapper around [`ShardState`] —
-/// the state machine itself — so one `ClusterRms` is exactly one shard
-/// of a [`ShardedRms`](crate::router::ShardedRms).
-pub struct ClusterRms<'p> {
-    pub(crate) state: ShardState<'p>,
-    pub(crate) policy_name: String,
-}
-
-// A shard must be free-standing so the router can move it onto a scoped
-// worker thread. If a future field smuggles in a non-`Send` handle (an
-// `Rc`, a thread-bound cache, a non-`Send` trait object), this fails to
-// compile right here instead of surfacing as a distant router error.
-const _: () = {
-    const fn assert_send<T: Send>() {}
-    assert_send::<ShardState<'static>>();
-    assert_send::<ClusterRms<'static>>();
-};
-
-impl<'p> ClusterRms<'p> {
-    /// A proportional-share RMS (Libra, LibraRisk, ablations) over the
-    /// given cluster and engine configuration.
-    pub fn proportional(
-        cluster: Cluster,
-        cfg: ProportionalConfig,
-        policy: impl ShareAdmission + Send + 'p,
-    ) -> Self {
-        let policy_name = policy.name();
-        ClusterRms {
-            state: ShardState::new(ExecutionBackend::Proportional(ProportionalBackend {
-                engine: ProportionalCluster::new(cluster, cfg),
-                policy: Box::new(policy),
-                seq_of: HashMap::new(),
-                completed_buf: Vec::new(),
-            })),
-            policy_name,
-        }
-    }
-
-    /// A space-shared queueing RMS (EDF, EDF-NoAC, FCFS, backfilling).
-    pub fn queued(cluster: Cluster, policy: QueuePolicy) -> Self {
-        ClusterRms {
-            policy_name: policy.name().to_string(),
-            state: ShardState::new(ExecutionBackend::Queued(QueuedBackend {
-                policy,
-                pool: SpaceSharedCluster::new(cluster),
-                queue: Vec::new(),
-                seq_of: HashMap::new(),
-            })),
-        }
-    }
-
-    /// A QoPS-style soft-deadline RMS.
-    ///
-    /// # Panics
-    /// Panics if `cfg.slack_factor < 1`.
-    pub fn qops(cluster: Cluster, cfg: QopsConfig) -> Self {
-        assert!(cfg.slack_factor >= 1.0, "slack factor must be ≥ 1");
-        ClusterRms {
-            policy_name: format!("QoPS(sf={})", cfg.slack_factor),
-            state: ShardState::new(ExecutionBackend::Qops(QopsBackend {
-                cfg,
-                pool: SpaceSharedCluster::new(cluster),
-                queue: Vec::new(),
-                running: Vec::new(),
-                seq_of: HashMap::new(),
-            })),
-        }
-    }
-
-    /// Overrides the policy name used in reports.
-    pub fn with_policy_name(mut self, name: impl Into<String>) -> Self {
-        self.policy_name = name.into();
-        self
-    }
-
-    /// Installs a node-churn plan and the recovery policy for displaced
-    /// jobs. Fault events apply as time advances, each *before* any job
-    /// arrival at the same instant; an empty plan leaves the RMS bitwise
-    /// identical to one built without this call.
-    pub fn with_faults(mut self, plan: FaultPlan, recovery: RecoveryPolicy) -> Self {
-        self.state.plan = plan;
-        self.state.recovery = recovery;
-        self
-    }
-
-    /// Attaches a recorder observing every submission, decision, fault
-    /// and resolution. The recorder is borrowed, so the caller keeps
-    /// ownership and can export the trace after the run. Recording is
-    /// behaviourally inert: outcomes are bitwise identical with any
-    /// recorder (or none), and a disabled recorder costs one branch per
-    /// hook site. The recorder must be `Send` so the shard can follow
-    /// its RMS onto a router worker thread.
-    ///
-    /// Returns the facade re-parameterised at the recorder's lifetime
-    /// (`ClusterRms` is invariant over `'p` because of the `&mut`
-    /// recorder slot, so a `ClusterRms<'static>` from
-    /// [`PolicyKind::rms`](crate::policy::PolicyKind::rms) could
-    /// otherwise never borrow a stack-local recorder).
-    pub fn with_recorder<'r>(self, recorder: &'r mut (dyn Recorder + Send + 'r)) -> ClusterRms<'r>
-    where
-        'p: 'r,
-    {
-        ClusterRms {
-            state: ShardState {
-                backend: self.state.backend,
-                now: self.state.now,
-                next_seq: self.state.next_seq,
-                events: self.state.events,
-                plan: self.state.plan,
-                recovery: self.state.recovery,
-                churn: self.state.churn,
-                requeued: self.state.requeued,
-                recorder: Some(recorder),
-            },
-            policy_name: self.policy_name,
-        }
-    }
-
-    /// Display name of the admission policy driving this RMS.
-    pub fn policy_name(&self) -> &str {
-        &self.policy_name
-    }
-
-    /// Churn degradation aggregates accumulated so far (all-zero on a
-    /// fault-free run). Complete after [`ClusterRms::drain`].
-    pub fn churn(&self) -> &ChurnStats {
-        self.state.churn()
-    }
-
-    /// The recovery policy applied to jobs displaced by node failures.
-    pub fn recovery(&self) -> RecoveryPolicy {
-        self.state.recovery()
-    }
-
-    /// The execution backend (for observability; mutation goes through
-    /// [`ClusterRms::submit`]/[`ClusterRms::advance`]).
-    pub fn backend(&self) -> &ExecutionBackend<'p> {
-        self.state.backend()
-    }
-
-    /// Latest instant the facade has observed (last submit/advance).
-    pub fn now(&self) -> SimTime {
-        self.state.now()
-    }
-
-    /// Number of jobs submitted so far.
-    pub fn submitted(&self) -> u64 {
-        self.state.submitted()
-    }
-
-    /// Jobs currently resident, running, or waiting in a queue.
-    pub fn in_flight(&self) -> usize {
-        self.state.in_flight()
-    }
-
-    /// Whether `id` is in flight as of the last instant the RMS caught
-    /// up to (a job that resolved since then still counts).
-    pub(crate) fn holds(&self, id: JobId) -> bool {
-        self.state.holds(id)
-    }
-
-    /// Mean processor utilisation up to the last processed instant
-    /// (meaningful after [`ClusterRms::drain`]).
-    pub fn utilization(&self) -> f64 {
-        self.state.utilization()
-    }
-
-    /// Presents one arrival at its submission instant and returns the
-    /// irrevocable decision (see [`ShardState::submit`] for the full
-    /// contract).
-    ///
-    /// # Panics
-    /// Panics if `now` precedes an earlier submission or advance.
-    pub fn submit(&mut self, job: Job, now: SimTime) -> Decision {
-        self.state.submit(job, now)
-    }
-
-    /// Advances virtual time to `to` and streams every job outcome that
-    /// resolved (see [`ShardState::advance`] for the equivalence
-    /// contract).
-    ///
-    /// # Panics
-    /// Panics if `to` precedes an earlier submission or advance.
-    pub fn advance(&mut self, to: SimTime) -> impl Iterator<Item = JobEvent> + '_ {
-        self.state.advance(to)
-    }
-
-    /// Runs the residual workload to completion and streams the remaining
-    /// outcomes. After `drain` every submitted job has resolved.
-    pub fn drain(&mut self) -> impl Iterator<Item = JobEvent> + '_ {
-        self.state.drain()
-    }
 
     /// Replays a full trace through [`drive_trace`] and assembles the
     /// classic batch [`SimulationReport`].
@@ -1488,7 +1409,7 @@ impl<'p> ClusterRms<'p> {
         let mut sink = ReportCollector::new();
         drive_trace(&mut self, trace, &mut sink);
         let mut report = sink.into_report(self.policy_name.clone(), self.utilization());
-        report.churn = self.state.churn;
+        report.churn = self.churn;
         report
     }
 }

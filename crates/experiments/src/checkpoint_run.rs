@@ -1,9 +1,8 @@
 //! Checkpoint probe behind `experiments checkpoint`.
 //!
-//! Measures the operational cost of the crash-safety layer on the
-//! standard churn scenario — snapshot size on the wire, save / load /
-//! restore latency — and validates the two properties the layer
-//! promises, failing loudly (panic → non-zero exit) if either breaks:
+//! Reports the snapshot size of the crash-safety layer on the standard
+//! churn scenario and validates the two properties the layer promises,
+//! failing loudly (panic → non-zero exit) if either breaks:
 //!
 //! * **bitwise resume**: checkpointing mid-run and restoring into a
 //!   blank RMS finishes with exactly the unbroken run's outcomes, and
@@ -16,10 +15,9 @@ use cluster::RecoveryPolicy;
 use librisk::ckpt;
 use librisk::report::JobRecord;
 use librisk::{ClusterRms, PolicyKind};
-use std::time::Instant;
 use workload::Job;
 
-/// One checkpoint probe run: costs plus validation verdicts.
+/// One checkpoint probe run: snapshot size plus validation verdicts.
 #[derive(Debug)]
 pub struct CheckpointProbe {
     /// Jobs in the scenario trace.
@@ -28,12 +26,6 @@ pub struct CheckpointProbe {
     pub cut: usize,
     /// Serialized snapshot size in bytes.
     pub snapshot_bytes: usize,
-    /// Mean `ckpt::save` latency in microseconds.
-    pub save_us: f64,
-    /// Mean `ckpt::load` (parse + verify) latency in microseconds.
-    pub load_us: f64,
-    /// Mean `Checkpoint::restore_into` latency in microseconds.
-    pub restore_us: f64,
     /// Deadline-fulfilled count of the unbroken run (equals the resumed
     /// run's — asserted).
     pub fulfilled: u64,
@@ -46,16 +38,9 @@ impl CheckpointProbe {
     /// CSV rendering (one header + one row).
     pub fn to_csv(&self) -> String {
         format!(
-            "jobs,cut,snapshot_bytes,save_us,load_us,restore_us,fulfilled,corruption_detected\n\
-             {},{},{},{:.1},{:.1},{:.1},{},{}\n",
-            self.jobs,
-            self.cut,
-            self.snapshot_bytes,
-            self.save_us,
-            self.load_us,
-            self.restore_us,
-            self.fulfilled,
-            self.corruption_detected,
+            "jobs,cut,snapshot_bytes,fulfilled,corruption_detected\n\
+             {},{},{},{},{}\n",
+            self.jobs, self.cut, self.snapshot_bytes, self.fulfilled, self.corruption_detected,
         )
     }
 }
@@ -103,35 +88,12 @@ pub fn checkpoint_probe(cfg: &FigureConfig) -> CheckpointProbe {
         .rms(&cluster)
         .with_faults(plan.clone(), RecoveryPolicy::Requeue);
     drive(&mut rms, &trace.jobs()[..cut], &mut resumed);
-
-    const ROUNDS: u32 = 16;
-    let t0 = Instant::now();
-    let mut bytes = Vec::new();
-    for _ in 0..ROUNDS {
-        bytes = ckpt::save(&rms, None);
-    }
-    let save_us = t0.elapsed().as_secs_f64() * 1e6 / ROUNDS as f64;
+    let bytes = ckpt::save(&rms, None);
     drop(rms);
-
-    let t0 = Instant::now();
-    for _ in 0..ROUNDS {
-        ckpt::load(&bytes).expect("fresh snapshot must load");
-    }
-    let load_us = t0.elapsed().as_secs_f64() * 1e6 / ROUNDS as f64;
-    let loaded = ckpt::load(&bytes).expect("fresh snapshot must load");
-
-    let mut restore_us = 0.0;
-    let mut restored = None;
-    for _ in 0..ROUNDS {
-        let blank = policy.rms(&cluster);
-        let t0 = Instant::now();
-        let rms = loaded
-            .restore_into(blank)
-            .expect("snapshot must restore into a matching blank");
-        restore_us += t0.elapsed().as_secs_f64() * 1e6 / ROUNDS as f64;
-        restored = Some(rms);
-    }
-    let mut rms = restored.expect("at least one restore round");
+    let mut rms = ckpt::load(&bytes)
+        .expect("fresh snapshot must load")
+        .restore_into(policy.rms(&cluster))
+        .expect("snapshot must restore into a matching blank");
     drive(&mut rms, &trace.jobs()[cut..], &mut resumed);
     resumed.extend(rms.drain().map(|e| (e.seq, e.record)));
 
@@ -163,9 +125,6 @@ pub fn checkpoint_probe(cfg: &FigureConfig) -> CheckpointProbe {
         jobs: trace.len(),
         cut,
         snapshot_bytes: bytes.len(),
-        save_us,
-        load_us,
-        restore_us,
         fulfilled: fulfilled_count(&unbroken),
         corruption_detected,
     }

@@ -355,9 +355,6 @@ fn handler(which: &str) -> Option<fn(&Args)> {
             println!("| --- | --- |");
             println!("| jobs (snapshot at) | {} ({}) |", probe.jobs, probe.cut);
             println!("| snapshot size | {} bytes |", probe.snapshot_bytes);
-            println!("| save latency | {:.1} µs |", probe.save_us);
-            println!("| load latency | {:.1} µs |", probe.load_us);
-            println!("| restore latency | {:.1} µs |", probe.restore_us);
             println!(
                 "| resumed == unbroken | ok ({} fulfilled) |",
                 probe.fulfilled

@@ -149,6 +149,44 @@ fn librarisk_beats_edf_under_trace_estimates() {
 }
 
 #[test]
+fn librarisk_lead_over_libra_grows_with_inaccuracy() {
+    // Figure 4 panel (a): 20 % high-urgency jobs, estimates inflated by
+    // each inaccuracy level, at the seeds `results/fig4_a.csv` averages.
+    // The lead must rise at every step, and across the sweep by more
+    // than the 18.31-point span `fig4_a.csv` shows, less twice the
+    // CI95 half-widths of Libra (1.17) and LibraRisk (0.32) in
+    // `results/full_run.md`: 18.31 - 2 * (1.17 + 0.32) = 15.33.
+    let mean_lead = |pct: f64| {
+        let total: f64 = (1..=3)
+            .map(|seed| {
+                let s = Scenario {
+                    high_urgency_pct: 20.0,
+                    estimates: EstimateRegime::Inaccuracy(pct),
+                    seed,
+                    ..Default::default()
+                };
+                s.run_online(PolicyKind::LibraRisk).fulfilled_pct()
+                    - s.run_online(PolicyKind::Libra).fulfilled_pct()
+            })
+            .sum();
+        total / 3.0
+    };
+    let leads: Vec<f64> = workload::params::FIG4_INACCURACY_PCTS
+        .iter()
+        .map(|&pct| mean_lead(pct))
+        .collect();
+    assert!(
+        leads.windows(2).all(|w| w[1] > w[0]),
+        "the lead must rise with inaccuracy: {leads:.2?}"
+    );
+    let span = leads[leads.len() - 1] - leads[0];
+    assert!(
+        span > 15.33,
+        "the lead must grow by more than 15.33 points from 0% to 100%, grew {span:.2}: {leads:.2?}"
+    );
+}
+
+#[test]
 #[ignore = "release-only: run by ci.sh"]
 fn libra_full_size_counts_are_pinned() {
     // Libra and Libra-SS over the benchmark's `paper-100k` and

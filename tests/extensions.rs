@@ -9,6 +9,7 @@ use librisk::{
     PricingModel, QopsConfig,
 };
 use sim::Rng64;
+use std::collections::HashMap;
 
 fn scenario(jobs: usize) -> Scenario {
     Scenario {
@@ -84,6 +85,37 @@ fn budget_gate_composes_with_both_share_policies() {
     assert_eq!(
         libra_report.submitted(),
         libra_report.accepted() + libra_report.rejected()
+    );
+}
+
+#[test]
+fn budget_gate_passes_the_inner_reject_reason_through() {
+    let s = scenario(400);
+    let trace = s.build_trace();
+    let cluster = s.cluster();
+    let cfg = cluster::proportional::ProportionalConfig::default();
+    let plain = librisk::run_proportional(cluster.clone(), cfg, &mut LibraRisk::paper(), &trace);
+
+    // An empty budget map leaves every budget unlimited: the gate never
+    // fires, so each rejection is the inner policy's, with its reason.
+    let mut open = LibraBudget::new(LibraRisk::paper(), PricingModel::default(), HashMap::new());
+    let open_report = librisk::run_proportional(cluster.clone(), cfg, &mut open, &trace);
+    assert_eq!(open.budget_rejections(), 0);
+    assert!(plain.rejected_for(RejectReason::OverRisk) > 0);
+    assert_eq!(
+        open_report.rejections_by_reason(),
+        plain.rejections_by_reason()
+    );
+
+    // With every budget at zero the gate turns every job away, and the
+    // closed reason set reports that as `NoFit`.
+    let broke: HashMap<JobId, f64> = trace.jobs().iter().map(|j| (j.id, 0.0)).collect();
+    let mut gated = LibraBudget::new(LibraRisk::paper(), PricingModel::default(), broke);
+    let gated_report = librisk::run_proportional(cluster.clone(), cfg, &mut gated, &trace);
+    assert!(gated_report.rejected() > 0);
+    assert_eq!(
+        gated_report.rejected_for(RejectReason::NoFit),
+        gated_report.rejected()
     );
 }
 
