@@ -188,10 +188,14 @@ for _ in $(seq 1 100); do
     sleep 0.1
 done
 [ -n "$addr" ] || { echo "serve never printed TELEMETRY_ADDR"; kill "$serve_pid" 2>/dev/null || true; exit 1; }
-# The drive publishes as it goes; poll until the profiler keys land.
+# The drive publishes as it goes; poll until the profiler keys land:
+# a phase counter and the +Inf bucket of that phase's histogram, both
+# read from the profiler's snapshot registry.
 metrics_ok=""
 for _ in $(seq 1 100); do
-    if curl -fsS "http://$addr/metrics" 2>/dev/null | grep -q '^phase_progress_pass_ns_total '; then
+    metrics="$(curl -fsS "http://$addr/metrics" 2>/dev/null || true)"
+    if grep -q '^phase_progress_pass_ns_total ' <<<"$metrics" \
+        && grep -qF 'phase_progress_pass_ns_bucket{le="+Inf"} ' <<<"$metrics"; then
         metrics_ok=1
         break
     fi

@@ -41,20 +41,19 @@
 //! # Sharded checkpoints and resharding
 //!
 //! [`save_sharded`] writes one checkpoint per shard plus a manifest
-//! (routing state, global sequence counter, per-shard seq tables).
+//! (global sequence counter, per-shard seq tables, carried churn).
 //! [`restore_sharded`] restores N checkpointed shards into M blanks:
 //! growing (M > N) appends fresh shards, shrinking (M < N) requires the
 //! retired shards to be quiescent and folds their churn aggregates into
-//! the router's carried totals. Under [`RouteBy::JobHash`] the
-//! reconfigured run remains the union of independent per-shard runs —
-//! jobs submitted before the reshard route by `hash mod N`, jobs after
-//! it by `hash mod M` (pinned against the union oracle in
-//! `tests/checkpoint.rs`).
+//! the router's carried totals. The reconfigured run remains the union
+//! of independent per-shard runs — jobs submitted before the reshard
+//! route by `hash mod N`, jobs after it by `hash mod M` (pinned against
+//! the union oracle in `tests/checkpoint.rs`).
 
 use crate::queue::{QueueDiscipline, QueuedJob};
 use crate::report::{ChurnStats, JobRecord, OnlineReport, OnlineReportParts, Outcome};
 use crate::rms::{ClusterRms, ExecutionBackend, JobEvent};
-use crate::router::{RouteBy, ShardedRms};
+use crate::router::ShardedRms;
 use cluster::projection::ShareDiscipline;
 use cluster::proportional::{EngineSnapshot, ProportionalCluster, ResidentSnapshot};
 use cluster::{
@@ -1841,10 +1840,6 @@ impl CheckpointStore {
 pub struct Manifest {
     /// Number of shard snapshot files (`shard-<i>.ckpt`).
     pub shard_count: usize,
-    /// The placement rule in use when the checkpoint was taken.
-    pub route: RouteBy,
-    /// Round-robin cursor.
-    pub next_rr: usize,
     /// Router-wide submission counter.
     pub next_seq: u64,
     /// Per shard: local seq → global seq table.
@@ -1856,12 +1851,10 @@ pub struct Manifest {
 fn encode_manifest(rms: &ShardedRms<'_>) -> Vec<u8> {
     let mut w = Writer::default();
     w.len(rms.shards.len());
-    w.u8(match rms.route {
-        RouteBy::JobHash => 0,
-        RouteBy::LeastLoaded => 1,
-        RouteBy::RoundRobin => 2,
-    });
-    w.u64(rms.next_rr as u64);
+    // A route tag and a round-robin cursor: both 0 under the one route,
+    // `RouteBy::JobHash`, and kept so the wire layout stays fixed.
+    w.u8(0);
+    w.u64(0);
     w.u64(rms.next_seq);
     w.len(rms.global_of.len());
     for table in &rms.global_of {
@@ -1880,13 +1873,13 @@ fn decode_manifest(payload: &[u8]) -> Result<Manifest, CkptError> {
     if shard_count == 0 {
         return Err(malformed("manifest with zero shards"));
     }
-    let route = match r.u8()? {
-        0 => RouteBy::JobHash,
-        1 => RouteBy::LeastLoaded,
-        2 => RouteBy::RoundRobin,
-        b => return Err(malformed(format!("invalid route tag {b}"))),
-    };
-    let next_rr = usize::try_from(r.u64()?).map_err(|_| malformed("next_rr overflow"))?;
+    let route = r.u8()?;
+    if route != 0 {
+        return Err(malformed(format!("invalid route tag {route}")));
+    }
+    if r.u64()? != 0 {
+        return Err(malformed("round-robin cursor under the hash route"));
+    }
     let next_seq = r.u64()?;
     let n_tables = r.count(8)?;
     if n_tables != shard_count {
@@ -1907,13 +1900,8 @@ fn decode_manifest(payload: &[u8]) -> Result<Manifest, CkptError> {
     }
     let carried_churn = get_churn(&mut r)?;
     r.done()?;
-    if next_rr >= shard_count {
-        return Err(malformed("round-robin cursor out of range"));
-    }
     Ok(Manifest {
         shard_count,
-        route,
-        next_rr,
         next_seq,
         global_of,
         carried_churn,
@@ -1967,7 +1955,7 @@ pub fn load_manifest(dir: &Path) -> Result<Manifest, CkptError> {
 ///
 /// * `M == N`: every shard restores in place.
 /// * `M > N` (grow): shards `0..N` restore, `N..M` start blank. Under
-///   [`RouteBy::JobHash`] future jobs route by `hash mod M`.
+///   the hash route, future jobs route by `hash mod M`.
 /// * `M < N` (shrink): shards `0..M` restore; retired shards `M..N`
 ///   must be quiescent ([`Checkpoint::is_quiescent`]) and their churn
 ///   aggregates fold into the router's carried totals. Retired shards'
@@ -2014,8 +2002,6 @@ pub fn restore_sharded<'p>(
     global_of.resize_with(m, Vec::new);
     Ok(ShardedRms::from_parts(
         shards,
-        manifest.route,
-        manifest.next_rr % m,
         manifest.next_seq,
         global_of,
         carried,

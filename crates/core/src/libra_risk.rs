@@ -40,8 +40,6 @@ pub enum NodeOrdering {
     /// Most-loaded (by current total share) first — saturates nodes like
     /// Libra's best fit.
     MostLoadedFirst,
-    /// Least-loaded first — spreads jobs out.
-    LeastLoadedFirst,
 }
 
 /// Tolerance on the projected mean deadline-delay when
@@ -232,13 +230,6 @@ impl LibraRisk {
                     let sa = engine.node_total_share(*a, None);
                     let sb = engine.node_total_share(*b, None);
                     sb.partial_cmp(&sa).expect("finite shares").then(a.cmp(b))
-                });
-            }
-            NodeOrdering::LeastLoadedFirst => {
-                nodes.sort_by(|a, b| {
-                    let sa = engine.node_total_share(*a, None);
-                    let sb = engine.node_total_share(*b, None);
-                    sa.partial_cmp(&sb).expect("finite shares").then(a.cmp(b))
                 });
             }
         }
@@ -519,8 +510,9 @@ impl ShareAdmission for LibraRisk {
                 // `want` suitable nodes in ascending id" — once they are
                 // in hand no later node can enter the decision, so the
                 // scan may stop. Rejections still require the full sweep
-                // (we must prove fewer than `want` exist), and the load
-                // orderings need the complete suitable set to sort.
+                // (we must prove fewer than `want` exist), and the
+                // most-loaded ordering needs the complete suitable set
+                // to sort.
                 if self.ordering == NodeOrdering::ById && self.zero_risk.len() == want {
                     break;
                 }
@@ -534,7 +526,6 @@ impl ShareAdmission for LibraRisk {
             obs::phase::add(C::DominanceScreens, stats.screen_hits);
             obs::phase::add(C::RiskScreens, stats.risk_screen_hits);
             obs::phase::add(C::EquivClassHits, stats.class_hits);
-            obs::phase::add(C::EquivClassMisses, stats.projections_run);
             obs::phase::add(C::KernelBails, stats.kernel_bails);
             obs::phase::add(C::ProjectionsRun, stats.projections_run);
         }
@@ -665,10 +656,8 @@ mod tests {
         let j = job(2, 10.0, 1, 100.0);
         let mut p_id = LibraRisk::paper();
         let mut p_most = LibraRisk::paper().with_ordering(NodeOrdering::MostLoadedFirst);
-        let mut p_least = LibraRisk::paper().with_ordering(NodeOrdering::LeastLoadedFirst);
         assert_eq!(p_id.decide(&e, &j).unwrap(), vec![NodeId(0)]);
         assert_eq!(p_most.decide(&e, &j).unwrap(), vec![NodeId(1)]);
-        assert_eq!(p_least.decide(&e, &j).unwrap(), vec![NodeId(0)]);
     }
 
     #[test]
@@ -692,7 +681,6 @@ mod tests {
             LibraRisk::paper().require_unit_mu(true),
             LibraRisk::paper().with_naive_projection(true),
             LibraRisk::paper().with_ordering(NodeOrdering::MostLoadedFirst),
-            LibraRisk::paper().with_ordering(NodeOrdering::LeastLoadedFirst),
         ] {
             let mut lr = variant;
             let mut e = engine(4);

@@ -1089,16 +1089,6 @@ impl<'p> ClusterRms<'p> {
         self.next_seq
     }
 
-    /// Whether `id` is in flight as of the last instant the RMS caught
-    /// up to (a job that resolved since then still counts).
-    pub(crate) fn holds(&self, id: JobId) -> bool {
-        match &self.backend {
-            ExecutionBackend::Proportional(b) => b.holds(id),
-            ExecutionBackend::Queued(b) => b.holds(id),
-            ExecutionBackend::Qops(b) => b.holds(id),
-        }
-    }
-
     /// Jobs currently resident, running, or waiting in a queue.
     pub fn in_flight(&self) -> usize {
         match &self.backend {

@@ -5,9 +5,8 @@
 //! `ClusterRms`, so the next order of magnitude comes from running many
 //! RMS instances, not from a cheaper kernel. [`ShardedRms`] owns N
 //! shards — each a full [`ClusterRms`] over its own slice of the
-//! machine — routes every arrival to exactly one shard
-//! ([`RouteBy::JobHash`], [`RouteBy::LeastLoaded`] or
-//! [`RouteBy::RoundRobin`]), and fans `advance`/`drain` out to one
+//! machine — routes every arrival to exactly one shard by a hash of
+//! its id ([`RouteBy::JobHash`]), and fans `advance`/`drain` out to one
 //! scoped worker thread per shard. Each worker streams its resolved
 //! [`JobEvent`]s through a bounded SPSC mailbox; the caller's thread
 //! runs a barrier-free k-way merge that emits the union of all shard
@@ -98,11 +97,6 @@ pub enum RouteBy {
     /// independent single-shard runs — the property the differential
     /// suite pins.
     JobHash,
-    /// The shard with the fewest in-flight jobs (ties to the lowest
-    /// index). Placement depends on run history; throughput-oriented.
-    LeastLoaded,
-    /// Strict rotation over shards in index order.
-    RoundRobin,
 }
 
 /// The stable [`RouteBy::JobHash`] placement: a Fibonacci hash of the
@@ -206,8 +200,6 @@ impl<T> Mailbox<T> {
 /// protocol and the semantics argument.
 pub struct ShardedRms<'p> {
     pub(crate) shards: Vec<ClusterRms<'p>>,
-    pub(crate) route: RouteBy,
-    pub(crate) next_rr: usize,
     pub(crate) next_seq: u64,
     /// Per shard: local submission seq → router-wide submission seq.
     /// Workers remap every streamed event through this table, so merged
@@ -224,14 +216,13 @@ impl<'p> ShardedRms<'p> {
     /// Builds a router over the given shards; errs on an empty shard
     /// vector (there is nothing to route to).
     pub fn new(shards: Vec<ClusterRms<'p>>, route: RouteBy) -> Result<Self, RouterError> {
+        let RouteBy::JobHash = route;
         if shards.is_empty() {
             return Err(RouterError::NoShards);
         }
         let n = shards.len();
         Ok(ShardedRms {
             shards,
-            route,
-            next_rr: 0,
             next_seq: 0,
             global_of: vec![Vec::new(); n],
             carried_churn: ChurnStats::default(),
@@ -239,12 +230,10 @@ impl<'p> ShardedRms<'p> {
     }
 
     /// Reassembles a router from checkpointed parts (the ckpt module's
-    /// restore path). Invariants are the caller's to uphold: one
-    /// `global_of` table per shard, `next_rr < shards.len()`.
+    /// restore path). The caller upholds the invariant: one
+    /// `global_of` table per shard.
     pub(crate) fn from_parts(
         shards: Vec<ClusterRms<'p>>,
-        route: RouteBy,
-        next_rr: usize,
         next_seq: u64,
         global_of: Vec<Vec<u64>>,
         carried_churn: ChurnStats,
@@ -252,8 +241,6 @@ impl<'p> ShardedRms<'p> {
         debug_assert_eq!(shards.len(), global_of.len());
         ShardedRms {
             shards,
-            route,
-            next_rr,
             next_seq,
             global_of,
             carried_churn,
@@ -268,11 +255,6 @@ impl<'p> ShardedRms<'p> {
     /// The shards, for inspection (mutation goes through the router).
     pub fn shards(&self) -> &[ClusterRms<'p>] {
         &self.shards
-    }
-
-    /// The placement rule in use.
-    pub fn route(&self) -> RouteBy {
-        self.route
     }
 
     /// Total jobs submitted through the router.
@@ -310,35 +292,6 @@ impl<'p> ShardedRms<'p> {
             / total as f64
     }
 
-    fn pick_shard(&mut self, job: &Job) -> usize {
-        // An id some shard still holds goes back to that shard, whose own
-        // in-flight check then rejects it as `InvalidJob` instead of a
-        // second shard admitting a namesake. (The hash route always maps
-        // an id to the same shard.) A holder that has not yet caught up
-        // to a resolution just decides the job itself; a pinned arrival
-        // does not take a round-robin turn.
-        if self.route != RouteBy::JobHash {
-            if let Some(i) = self.shards.iter().position(|s| s.holds(job.id)) {
-                return i;
-            }
-        }
-        match self.route {
-            RouteBy::JobHash => job_hash_shard(job.id, self.shards.len()),
-            RouteBy::LeastLoaded => self
-                .shards
-                .iter()
-                .enumerate()
-                .min_by_key(|(i, s)| (s.in_flight(), *i))
-                .map(|(i, _)| i)
-                .expect("at least one shard"),
-            RouteBy::RoundRobin => {
-                let s = self.next_rr;
-                self.next_rr = (self.next_rr + 1) % self.shards.len();
-                s
-            }
-        }
-    }
-
     /// Routes one arrival to its shard and returns the shard's
     /// irrevocable decision. Runs entirely on the caller's thread — the
     /// shard decides synchronously, exactly as an unsharded
@@ -353,7 +306,10 @@ impl<'p> ShardedRms<'p> {
     /// [`ShardedRms::submit`], also reporting which shard took the job.
     pub fn submit_routed(&mut self, job: Job, now: SimTime) -> (usize, Decision) {
         let _submit = obs::phase::span(obs::phase::Phase::RouterSubmit);
-        let shard = self.pick_shard(&job);
+        // The hash maps an id to the same shard every time, so a
+        // duplicate of an in-flight id reaches the shard that holds it,
+        // whose own in-flight check rejects it as `InvalidJob`.
+        let shard = job_hash_shard(job.id, self.shards.len());
         self.global_of[shard].push(self.next_seq);
         self.next_seq += 1;
         (shard, self.shards[shard].submit(job, now))
@@ -583,6 +539,25 @@ mod tests {
         SimTime::from_secs(secs)
     }
 
+    /// The first `per` ids [`job_hash_shard`] places on each of `n`
+    /// shards, interleaved so consecutive ids land on shards
+    /// 0, 1, …, n-1, 0, 1, ….
+    fn spread_ids(n: usize, per: usize) -> Vec<u64> {
+        let mut on: Vec<Vec<u64>> = vec![Vec::new(); n];
+        for id in 0.. {
+            if on.iter().all(|ids| ids.len() == per) {
+                break;
+            }
+            let s = job_hash_shard(JobId(id), n);
+            if on[s].len() < per {
+                on[s].push(id);
+            }
+        }
+        (0..per)
+            .flat_map(|i| on.iter().map(move |ids| ids[i]))
+            .collect()
+    }
+
     #[test]
     fn mailbox_delivers_in_order_and_terminates() {
         let mb: Mailbox<u32> = Mailbox::new();
@@ -605,65 +580,41 @@ mod tests {
     }
 
     #[test]
-    fn round_robin_rotates_and_least_loaded_balances() {
-        let mut rr = ShardedRms::new(vec![shard(), shard(), shard()], RouteBy::RoundRobin).unwrap();
-        let shards: Vec<usize> = (0..6)
-            .map(|i| rr.submit_routed(job(i, 0.0, 50.0, 1, 500.0), t(0.0)).0)
-            .collect();
-        assert_eq!(shards, vec![0, 1, 2, 0, 1, 2]);
-
-        let mut ll = ShardedRms::new(vec![shard(), shard()], RouteBy::LeastLoaded).unwrap();
-        // First two land on different shards; the third ties back to 0.
-        assert_eq!(ll.submit_routed(job(0, 0.0, 50.0, 1, 500.0), t(0.0)).0, 0);
-        assert_eq!(ll.submit_routed(job(1, 0.0, 50.0, 1, 500.0), t(0.0)).0, 1);
-        assert_eq!(ll.submit_routed(job(2, 0.0, 50.0, 1, 500.0), t(0.0)).0, 0);
-        assert_eq!(ll.in_flight(), 3);
-    }
-
-    #[test]
     fn duplicate_in_flight_ids_go_back_to_their_shard() {
         use crate::report::Outcome;
         use obs::RejectReason;
-        for route in [RouteBy::LeastLoaded, RouteBy::RoundRobin] {
-            let mut rms = ShardedRms::new(vec![shard(), shard()], route).unwrap();
-            let mut events = Vec::new();
-            let (home, first) = rms.submit_routed(job(7, 0.0, 100.0, 1, 10_000.0), t(0.0));
-            assert_eq!(first, Decision::Accepted, "{route:?}");
-            events.extend(rms.advance(t(1.0)).unwrap());
-            // Both routes would pick the other shard for a fresh id.
-            let (shard, dup) = rms.submit_routed(job(7, 1.0, 100.0, 1, 10_000.0), t(1.0));
-            assert_eq!(
-                dup,
-                Decision::Rejected(RejectReason::InvalidJob),
-                "{route:?}: an in-flight id must be refused"
-            );
-            assert_eq!(shard, home, "{route:?}");
-            assert_eq!(rms.in_flight(), 1, "{route:?}: the duplicate was admitted");
-            // Once job 7 resolved, its id is free again.
-            events.extend(rms.advance(t(20_000.0)).unwrap());
-            let again = rms.submit(job(7, 20_000.0, 100.0, 1, 10_000.0), t(20_000.0));
-            assert_eq!(again, Decision::Accepted, "{route:?}");
-            events.extend(rms.drain().unwrap());
-            let mut seqs: Vec<u64> = events.iter().map(|e| e.seq).collect();
-            seqs.sort_unstable();
-            assert_eq!(
-                seqs,
-                vec![0, 1, 2],
-                "{route:?}: every submission resolves once"
-            );
-            let dup = events
-                .iter()
-                .find(|e| e.seq == 1)
-                .expect("duplicate resolved");
-            assert_eq!(
-                dup.record.outcome,
-                Outcome::Rejected {
-                    at: t(1.0),
-                    reason: RejectReason::InvalidJob
-                },
-                "{route:?}"
-            );
-        }
+        let mut rms = ShardedRms::new(vec![shard(), shard()], RouteBy::JobHash).unwrap();
+        let mut events = Vec::new();
+        let (home, first) = rms.submit_routed(job(7, 0.0, 100.0, 1, 10_000.0), t(0.0));
+        assert_eq!(first, Decision::Accepted);
+        events.extend(rms.advance(t(1.0)).unwrap());
+        let (shard, dup) = rms.submit_routed(job(7, 1.0, 100.0, 1, 10_000.0), t(1.0));
+        assert_eq!(
+            dup,
+            Decision::Rejected(RejectReason::InvalidJob),
+            "an in-flight id must be refused"
+        );
+        assert_eq!(shard, home);
+        assert_eq!(rms.in_flight(), 1, "the duplicate was admitted");
+        // Once job 7 resolved, its id is free again.
+        events.extend(rms.advance(t(20_000.0)).unwrap());
+        let again = rms.submit(job(7, 20_000.0, 100.0, 1, 10_000.0), t(20_000.0));
+        assert_eq!(again, Decision::Accepted);
+        events.extend(rms.drain().unwrap());
+        let mut seqs: Vec<u64> = events.iter().map(|e| e.seq).collect();
+        seqs.sort_unstable();
+        assert_eq!(seqs, vec![0, 1, 2], "every submission resolves once");
+        let dup = events
+            .iter()
+            .find(|e| e.seq == 1)
+            .expect("duplicate resolved");
+        assert_eq!(
+            dup.record.outcome,
+            Outcome::Rejected {
+                at: t(1.0),
+                reason: RejectReason::InvalidJob
+            }
+        );
     }
 
     #[test]
@@ -679,10 +630,11 @@ mod tests {
 
     #[test]
     fn merged_stream_is_time_ordered_with_global_seqs() {
-        let mut rms = ShardedRms::new(vec![shard(), shard()], RouteBy::RoundRobin).unwrap();
-        // Staggered runtimes so completions interleave across shards.
-        for i in 0..8u64 {
-            let d = rms.submit(job(i, 0.0, 40.0 + 13.0 * i as f64, 1, 5000.0), t(0.0));
+        let mut rms = ShardedRms::new(vec![shard(), shard()], RouteBy::JobHash).unwrap();
+        // Alternating shards and staggered runtimes, so completions
+        // interleave across shards.
+        for (i, id) in spread_ids(2, 4).into_iter().enumerate() {
+            let d = rms.submit(job(id, 0.0, 40.0 + 13.0 * i as f64, 1, 5000.0), t(0.0));
             assert_eq!(d, Decision::Accepted);
         }
         let events = rms.drain().unwrap();
@@ -736,9 +688,11 @@ mod tests {
             shard().with_recorder(&mut b1),
             shard().with_recorder(&mut b2),
         ];
-        let mut rms = ShardedRms::new(shards, RouteBy::RoundRobin).unwrap();
-        for i in 0..6u64 {
-            rms.submit(job(i, 0.0, 40.0 + 9.0 * i as f64, 1, 5000.0), t(0.0));
+        let mut rms = ShardedRms::new(shards, RouteBy::JobHash).unwrap();
+        for (i, id) in spread_ids(3, 2).into_iter().enumerate() {
+            let (shard, _) =
+                rms.submit_routed(job(id, 0.0, 40.0 + 9.0 * i as f64, 1, 5000.0), t(0.0));
+            assert_eq!(shard, i % 3);
         }
         let mut events = Vec::new();
         let err = rms
@@ -752,8 +706,8 @@ mod tests {
             other => panic!("unexpected error {other:?}"),
         }
         // The surviving shards still streamed their outcomes (shards 0
-        // and 2 took jobs 0,2,3,5) and the router stays usable for
-        // inspection — no poisoned locks, no aborted process.
+        // and 2 took four of the six jobs) and the router stays usable
+        // for inspection — no poisoned locks, no aborted process.
         assert_eq!(events.len(), 4);
         assert_eq!(rms.submitted(), 6);
         let _ = rms.utilization();

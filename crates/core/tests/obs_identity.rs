@@ -192,11 +192,11 @@ proptest! {
         // seen real work (individual policies may reject everything).
         let snap = obs::phase::snapshot();
         prop_assert!(
-            snap.ns(obs::phase::Phase::AdvanceTotal) > 0,
+            snap.counter(obs::phase::Phase::AdvanceTotal.ns_key()) > 0,
             "profiler saw no advance work"
         );
         prop_assert!(
-            snap.calls(obs::phase::Phase::ProgressPass) > 0,
+            snap.counter(obs::phase::Phase::ProgressPass.calls_key()) > 0,
             "no progress-pass laps recorded"
         );
         obs::phase::reset();

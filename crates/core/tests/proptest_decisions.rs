@@ -144,7 +144,6 @@ proptest! {
             LibraRisk::paper().require_unit_mu(true),
             LibraRisk::paper().with_naive_projection(true),
             LibraRisk::paper().with_ordering(NodeOrdering::MostLoadedFirst),
-            LibraRisk::paper().with_ordering(NodeOrdering::LeastLoadedFirst),
         ] {
             let mut p = variant;
             assert_cached_matches_reference(

@@ -114,7 +114,6 @@ const COMMANDS: &[&str] = &[
     "trace",
     "shard-scaling",
     "checkpoint",
-    "profile",
     "serve",
     "all",
 ];
@@ -141,8 +140,7 @@ fn usage() -> String {
     format!(
         "usage: experiments <{}> \
          [--jobs N] [--seeds 1,2,3] [--threads N] [--out DIR] [--charts] [--quick]\n\
-         serve only: [--shards N] [--for-secs S]\n\
-         profile always replays the 2000-job golden workload",
+         serve only: [--shards N] [--for-secs S]",
         COMMANDS.join("|")
     )
 }
@@ -375,68 +373,6 @@ fn handler(which: &str) -> Option<fn(&Args)> {
                     match std::fs::write(&path, probe.to_csv()) {
                         Ok(()) => eprintln!("wrote {}", path.display()),
                         Err(e) => eprintln!("cannot write checkpoint.csv: {e}"),
-                    }
-                }
-            }
-        },
-        "profile" => |args| {
-            use experiments::telemetry_run::{self, ADVANCE_TILES};
-            let report = telemetry_run::profile_probe(telemetry_run::GOLDEN_JOBS);
-            println!("# Hot-path phase profile — LibraRisk, 2000-job golden workload\n");
-            println!("| metric | value |");
-            println!("| --- | --- |");
-            println!("| jobs | {} |", report.jobs);
-            println!("| fulfilled | {} |", report.fulfilled);
-            println!("| wall clock | {:.2} s |", report.wall_secs);
-            println!(
-                "| advance bracket (sampled 1-in-{}) | {:.1} ms |",
-                obs::phase::SAMPLE_STRIDE,
-                report.advance_ns as f64 / 1e6
-            );
-            println!(
-                "| phase coverage of advance | {:.1}% |",
-                report.coverage * 100.0
-            );
-            println!();
-            println!("| phase | total | calls | share of advance | p99 |");
-            println!("| --- | --- | --- | --- | --- |");
-            for r in &report.rows {
-                let tiled = ADVANCE_TILES.contains(&r.phase);
-                println!(
-                    "| {} | {:.2} ms | {} | {} | {:.0} µs |",
-                    r.phase.name(),
-                    r.ns as f64 / 1e6,
-                    r.calls,
-                    if tiled {
-                        format!("{:.1}%", r.share_of_advance * 100.0)
-                    } else {
-                        "—".to_string()
-                    },
-                    r.p99_ns / 1e3,
-                );
-            }
-            if !report.counters.is_empty() {
-                println!();
-                println!("| decision counter | value |");
-                println!("| --- | --- |");
-                for (k, v) in &report.counters {
-                    println!("| {k} | {v} |");
-                }
-            }
-            if let Some(dir) = &args.out {
-                if let Err(e) = std::fs::create_dir_all(dir) {
-                    eprintln!("cannot create {}: {e}", dir.display());
-                } else {
-                    for (name, body) in [
-                        ("profile.csv", report.to_csv()),
-                        ("profile_counters.csv", report.counters_csv()),
-                        ("profile.svg", report.to_svg()),
-                    ] {
-                        let path = dir.join(name);
-                        match std::fs::write(&path, body) {
-                            Ok(()) => eprintln!("wrote {}", path.display()),
-                            Err(e) => eprintln!("cannot write {name}: {e}"),
-                        }
                     }
                 }
             }

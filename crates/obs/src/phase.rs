@@ -20,8 +20,9 @@
 //!    the marked phases sum to the stretch's wall clock minus only the
 //!    unmarked slivers. [`advance_span`] brackets the whole stretch
 //!    (reentrancy-counted, so nested engine advances don't double
-//!    count) and anchors the coverage ratio the `experiments profile`
-//!    subcommand reports.
+//!    count) and anchors the coverage ratio, the tiles' share of the
+//!    bracket (held at ≥ 0.90 by a unit test in the `experiments`
+//!    crate's `telemetry_run`).
 //! 2. **Span guards** ([`span`]) for independent, possibly-nested
 //!    phases: the decide-path breakdown and the router's blocking waits.
 //!    A span is two clock reads; it does not touch the lap clock.
@@ -31,18 +32,24 @@
 //! gates its per-decision fine spans on [`decision_sampled`]. A hook on
 //! an unarmed stretch is a TLS load and a branch — no clock read — so
 //! the enabled profiler stays inside a few percent of plain throughput
-//! (the bench's `profiler_overhead` probe gates this at 10%). Sampling
-//! is unbiased for every *ratio* the profiler exists to report (phase
-//! shares, the advance-coverage anchor, per-call means); absolute
-//! `_ns_total` values cover the sampled subset only. The rare blocking
-//! spans (router merge, mailbox waits) are never sampled — their
-//! per-event distributions are the point and their rate is low.
+//! (the release gate `overhead_gates.rs::
+//! phase_profiler_costs_under_a_tenth_of_driver_throughput` holds it
+//! under 10%). Sampling is unbiased for every *ratio* the profiler
+//! exists to report (phase shares, the advance-coverage anchor,
+//! per-call means); absolute `_ns_total` values cover the sampled
+//! subset only. The rare blocking spans (router merge, mailbox waits)
+//! are never sampled — their per-event distributions are the point and
+//! their rate is low.
+//!
+//! [`snapshot`] reads the global atomics into a plain [`Registry`]; the
+//! atomic bucket tables use the registry's bucketing rule, so a phase
+//! histogram is a [`Histogram`] like any other.
 //!
 //! Like the [`crate::Recorder`] contract, profiling is behaviourally
 //! inert: nothing in any decision or advance path reads profiler state.
 //! The core pins this with a profiler-on bitwise-identity proptest.
 
-use crate::registry::{Histogram, Registry};
+use crate::registry::{bucket_index, Histogram, Registry};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::Instant;
@@ -50,7 +57,7 @@ use std::time::Instant;
 /// Number of named phases (see [`Phase::ALL`]).
 pub const N_PHASES: usize = 12;
 /// Number of cache-machinery counters (see [`Counter::ALL`]).
-pub const N_COUNTERS: usize = 6;
+pub const N_COUNTERS: usize = 5;
 
 /// A named hot-path phase.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -101,11 +108,6 @@ impl Phase {
         Phase::MailboxRecvWait,
     ];
 
-    /// Human-readable phase name (table/CSV rows).
-    pub fn name(self) -> &'static str {
-        PHASE_META[self as usize].name
-    }
-
     /// Registry counter key for total nanoseconds in this phase.
     pub fn ns_key(self) -> &'static str {
         PHASE_META[self as usize].ns_key
@@ -123,16 +125,14 @@ impl Phase {
 }
 
 struct PhaseMeta {
-    name: &'static str,
     ns_key: &'static str,
     calls_key: &'static str,
     hist_key: &'static str,
 }
 
 macro_rules! phase_meta {
-    ($name:literal, $stem:literal) => {
+    ($stem:literal) => {
         PhaseMeta {
-            name: $name,
             ns_key: concat!("phase_", $stem, "_ns_total"),
             calls_key: concat!("phase_", $stem, "_calls_total"),
             hist_key: concat!("phase_", $stem, "_ns"),
@@ -141,18 +141,18 @@ macro_rules! phase_meta {
 }
 
 const PHASE_META: [PhaseMeta; N_PHASES] = [
-    phase_meta!("event-heap pop", "event_heap_pop"),
-    phase_meta!("progress pass", "progress_pass"),
-    phase_meta!("recompute sweep", "recompute_sweep"),
-    phase_meta!("completion emit", "completion_emit"),
-    phase_meta!("advance total", "advance_total"),
-    phase_meta!("candidate scan", "candidate_scan"),
-    phase_meta!("equivalence classify", "equiv_classify"),
-    phase_meta!("verdict kernel", "verdict_kernel"),
-    phase_meta!("router submit", "router_submit"),
-    phase_meta!("router k-way merge", "router_merge"),
-    phase_meta!("mailbox send wait", "mailbox_send_wait"),
-    phase_meta!("mailbox recv wait", "mailbox_recv_wait"),
+    phase_meta!("event_heap_pop"),
+    phase_meta!("progress_pass"),
+    phase_meta!("recompute_sweep"),
+    phase_meta!("completion_emit"),
+    phase_meta!("advance_total"),
+    phase_meta!("candidate_scan"),
+    phase_meta!("equiv_classify"),
+    phase_meta!("verdict_kernel"),
+    phase_meta!("router_submit"),
+    phase_meta!("router_merge"),
+    phase_meta!("mailbox_send_wait"),
+    phase_meta!("mailbox_recv_wait"),
 ];
 
 /// A cache-machinery event counter.
@@ -161,23 +161,20 @@ pub enum Counter {
     /// Node evaluations answered by the verdict of an earlier node with
     /// the same resident set (the per-decision set table).
     EquivClassHits = 0,
-    /// Distinct class profiles that had to run the kernel.
-    EquivClassMisses = 1,
     /// Node evaluations settled by the zero-risk dominance screen.
-    DominanceScreens = 2,
+    DominanceScreens = 1,
     /// Node evaluations settled by the provably-risky screen.
-    RiskScreens = 3,
+    RiskScreens = 2,
     /// Verdict-kernel runs that bailed at the first σ certification.
-    KernelBails = 4,
+    KernelBails = 3,
     /// Projection-kernel executions.
-    ProjectionsRun = 5,
+    ProjectionsRun = 4,
 }
 
 impl Counter {
     /// Every counter, in discriminant order.
     pub const ALL: [Counter; N_COUNTERS] = [
         Counter::EquivClassHits,
-        Counter::EquivClassMisses,
         Counter::DominanceScreens,
         Counter::RiskScreens,
         Counter::KernelBails,
@@ -192,7 +189,6 @@ impl Counter {
 
 const COUNTER_KEYS: [&str; N_COUNTERS] = [
     "phase_equiv_class_hits_total",
-    "phase_equiv_class_misses_total",
     "phase_dominance_screens_total",
     "phase_risk_screens_total",
     "phase_kernel_bails_total",
@@ -276,7 +272,7 @@ impl Local {
             }
             g.ns.fetch_add(ns, Ordering::Relaxed);
             g.calls.fetch_add(calls, Ordering::Relaxed);
-            let b = bucket_of(crate::keys::PHASE_NS_BOUNDS, ns as f64);
+            let b = bucket_index(crate::keys::PHASE_NS_BOUNDS, ns as f64);
             g.buckets[b].fetch_add(1, Ordering::Relaxed);
             g.flushes.fetch_add(1, Ordering::Relaxed);
         }
@@ -306,10 +302,6 @@ impl Drop for LocalOwner {
 
 thread_local! {
     static LOCAL: LocalOwner = const { LocalOwner(Local::new()) };
-}
-
-fn bucket_of(bounds: &[f64], v: f64) -> usize {
-    bounds.partition_point(|b| *b < v)
 }
 
 /// Whether the profiler is currently recording. One relaxed load —
@@ -390,7 +382,7 @@ pub fn observe_mailbox_depth(chunks: usize) {
     if !enabled() {
         return;
     }
-    let b = bucket_of(crate::keys::MAILBOX_DEPTH_BOUNDS, chunks as f64);
+    let b = bucket_index(crate::keys::MAILBOX_DEPTH_BOUNDS, chunks as f64);
     DEPTH_BUCKETS[b].fetch_add(1, Ordering::Relaxed);
     DEPTH_SUM.fetch_add(chunks as u64, Ordering::Relaxed);
     DEPTH_COUNT.fetch_add(1, Ordering::Relaxed);
@@ -483,7 +475,7 @@ impl Drop for SpanGuard {
                 let g = &GLOBALS[self.phase as usize];
                 g.ns.fetch_add(ns, Ordering::Relaxed);
                 g.calls.fetch_add(1, Ordering::Relaxed);
-                let b = bucket_of(crate::keys::PHASE_NS_BOUNDS, ns as f64);
+                let b = bucket_index(crate::keys::PHASE_NS_BOUNDS, ns as f64);
                 g.buckets[b].fetch_add(1, Ordering::Relaxed);
                 g.flushes.fetch_add(1, Ordering::Relaxed);
             }
@@ -555,158 +547,54 @@ impl Drop for AdvanceGuard {
     }
 }
 
-/// One phase's aggregate view inside a [`PhaseSnapshot`].
-#[derive(Clone, Copy, Debug, Default)]
-pub struct PhaseStat {
-    /// Total nanoseconds attributed to the phase.
-    pub ns: u64,
-    /// Entries (lap marks or span drops) into the phase.
-    pub calls: u64,
-    /// Histogram observations (flushes or direct spans).
-    pub flushes: u64,
-    /// Per-bucket observation counts over
-    /// [`crate::keys::PHASE_NS_BOUNDS`] (+ overflow).
-    pub buckets: [u64; N_BUCKETS],
-}
-
-/// A point-in-time copy of every profiler aggregate.
-#[derive(Clone, Debug)]
-pub struct PhaseSnapshot {
-    phases: [PhaseStat; N_PHASES],
-    counters: [u64; N_COUNTERS],
-    depth_buckets: [u64; N_DEPTH_BUCKETS],
-    depth_sum: u64,
-    depth_count: u64,
-    depth_last: u64,
-}
-
 /// Captures the current global aggregates (flushing the calling
-/// thread's locals first).
-pub fn snapshot() -> PhaseSnapshot {
+/// thread's locals first) as a fresh [`Registry`] under the `phase_*` /
+/// `router_mailbox_*` key vocabulary. A phase, counter or depth probe
+/// that recorded nothing is absent, so its counters read 0. The
+/// registry is additive ([`Registry::merge`]-clean with recorder
+/// registries).
+pub fn snapshot() -> Registry {
     LOCAL.with(|l| l.0.flush());
-    let mut phases = [PhaseStat::default(); N_PHASES];
-    for (stat, g) in phases.iter_mut().zip(&GLOBALS) {
-        stat.ns = g.ns.load(Ordering::Relaxed);
-        stat.calls = g.calls.load(Ordering::Relaxed);
-        stat.flushes = g.flushes.load(Ordering::Relaxed);
-        for (dst, src) in stat.buckets.iter_mut().zip(&g.buckets) {
-            *dst = src.load(Ordering::Relaxed);
+    let mut reg = Registry::new();
+    for (p, g) in Phase::ALL.into_iter().zip(&GLOBALS) {
+        let ns = g.ns.load(Ordering::Relaxed);
+        let calls = g.calls.load(Ordering::Relaxed);
+        if ns == 0 && calls == 0 {
+            continue;
+        }
+        reg.add(p.ns_key(), ns);
+        reg.add(p.calls_key(), calls);
+        let flushes = g.flushes.load(Ordering::Relaxed);
+        let h = histogram(crate::keys::PHASE_NS_BOUNDS, &g.buckets, ns, flushes);
+        reg.restore_histogram(p.hist_key(), h);
+    }
+    for (c, g) in Counter::ALL.into_iter().zip(&COUNTERS) {
+        let v = g.load(Ordering::Relaxed);
+        if v != 0 {
+            reg.add(c.key(), v);
         }
     }
-    let mut counters = [0u64; N_COUNTERS];
-    for (dst, src) in counters.iter_mut().zip(&COUNTERS) {
-        *dst = src.load(Ordering::Relaxed);
+    let depth_count = DEPTH_COUNT.load(Ordering::Relaxed);
+    if depth_count != 0 {
+        let depth_sum = DEPTH_SUM.load(Ordering::Relaxed);
+        let h = histogram(
+            crate::keys::MAILBOX_DEPTH_BOUNDS,
+            &DEPTH_BUCKETS,
+            depth_sum,
+            depth_count,
+        );
+        reg.restore_histogram(MAILBOX_DEPTH_KEY, h);
+        let last = DEPTH_LAST.load(Ordering::Relaxed);
+        reg.set_gauge(crate::keys::MAILBOX_DEPTH_LAST, last as f64);
     }
-    let mut depth_buckets = [0u64; N_DEPTH_BUCKETS];
-    for (dst, src) in depth_buckets.iter_mut().zip(&DEPTH_BUCKETS) {
-        *dst = src.load(Ordering::Relaxed);
-    }
-    PhaseSnapshot {
-        phases,
-        counters,
-        depth_buckets,
-        depth_sum: DEPTH_SUM.load(Ordering::Relaxed),
-        depth_count: DEPTH_COUNT.load(Ordering::Relaxed),
-        depth_last: DEPTH_LAST.load(Ordering::Relaxed),
-    }
+    reg
 }
 
-impl PhaseSnapshot {
-    /// This phase's aggregate.
-    pub fn stat(&self, p: Phase) -> PhaseStat {
-        self.phases[p as usize]
-    }
-
-    /// Total nanoseconds attributed to `p`.
-    pub fn ns(&self, p: Phase) -> u64 {
-        self.phases[p as usize].ns
-    }
-
-    /// Entries into `p`.
-    pub fn calls(&self, p: Phase) -> u64 {
-        self.phases[p as usize].calls
-    }
-
-    /// Current value of a cache-machinery counter.
-    pub fn counter(&self, c: Counter) -> u64 {
-        self.counters[c as usize]
-    }
-
-    /// Mailbox depth observations (sends seen by the depth probe).
-    pub fn mailbox_depth_count(&self) -> u64 {
-        self.depth_count
-    }
-
-    /// An upper-bound estimate of the `q`-quantile of `p`'s per-flush
-    /// duration distribution, in nanoseconds (0 when empty).
-    pub fn quantile_ns(&self, p: Phase, q: f64) -> f64 {
-        bucket_quantile(
-            crate::keys::PHASE_NS_BOUNDS,
-            &self.phases[p as usize].buckets,
-            q,
-        )
-    }
-
-    /// Exports every aggregate into `reg` under the `phase_*` /
-    /// `router_mailbox_*` key vocabulary. The registry is additive
-    /// ([`Registry::merge`]-clean with recorder registries); call on a
-    /// fresh registry for absolute values.
-    pub fn export_into(&self, reg: &mut Registry) {
-        for (p, stat) in Phase::ALL.into_iter().zip(&self.phases) {
-            if stat.calls == 0 && stat.ns == 0 {
-                continue;
-            }
-            reg.add(p.ns_key(), stat.ns);
-            reg.add(p.calls_key(), stat.calls);
-            let h = Histogram::from_parts(
-                crate::keys::PHASE_NS_BOUNDS,
-                stat.buckets.to_vec(),
-                stat.ns as f64,
-                stat.flushes,
-            )
-            .expect("phase bucket table matches its bounds");
-            reg.restore_histogram(p.hist_key(), h);
-        }
-        for (c, v) in Counter::ALL.into_iter().zip(&self.counters) {
-            if *v != 0 {
-                reg.add(c.key(), *v);
-            }
-        }
-        if self.depth_count != 0 {
-            let h = Histogram::from_parts(
-                crate::keys::MAILBOX_DEPTH_BOUNDS,
-                self.depth_buckets.to_vec(),
-                self.depth_sum as f64,
-                self.depth_count,
-            )
-            .expect("depth bucket table matches its bounds");
-            reg.restore_histogram(MAILBOX_DEPTH_KEY, h);
-            reg.set_gauge(crate::keys::MAILBOX_DEPTH_LAST, self.depth_last as f64);
-        }
-    }
-}
-
-/// Upper-bound quantile estimate over cumulative fixed buckets: the
-/// upper bound of the bucket the quantile lands in (the last finite
-/// bound for the overflow bucket).
-fn bucket_quantile(bounds: &[f64], buckets: &[u64], q: f64) -> f64 {
-    let total: u64 = buckets.iter().sum();
-    if total == 0 {
-        return 0.0;
-    }
-    let target = (q.clamp(0.0, 1.0) * total as f64).ceil().max(1.0) as u64;
-    let mut cum = 0u64;
-    for (i, n) in buckets.iter().enumerate() {
-        cum += n;
-        if cum >= target {
-            return bounds.get(i).copied().unwrap_or_else(|| {
-                // Overflow bucket: the distribution's tail exceeds the
-                // table; report the last finite bound as a floor.
-                bounds.last().copied().unwrap_or(0.0)
-            });
-        }
-    }
-    bounds.last().copied().unwrap_or(0.0)
+/// A [`Histogram`] over `bounds` from one global bucket table.
+fn histogram(bounds: &'static [f64], buckets: &[AtomicU64], sum: u64, count: u64) -> Histogram {
+    let counts = buckets.iter().map(|b| b.load(Ordering::Relaxed)).collect();
+    Histogram::from_parts(bounds, counts, sum as f64, count)
+        .expect("a global bucket table matches its bounds")
 }
 
 /// Resolves a profiler metric name back to its canonical static key
@@ -780,12 +668,7 @@ mod tests {
         add(Counter::KernelBails, 3);
         let _s = span(Phase::VerdictKernel);
         drop(_s);
-        let snap = snapshot();
-        for p in Phase::ALL {
-            assert_eq!(snap.ns(p), 0);
-            assert_eq!(snap.calls(p), 0);
-        }
-        assert_eq!(snap.counter(Counter::KernelBails), 0);
+        assert!(snapshot().is_empty());
     }
 
     #[test]
@@ -801,18 +684,23 @@ mod tests {
                 lap_mark(Phase::RecomputeSweep);
             }
             let snap = snapshot();
-            let total = snap.ns(Phase::AdvanceTotal);
-            let parts = snap.ns(Phase::EventHeapPop)
-                + snap.ns(Phase::ProgressPass)
-                + snap.ns(Phase::RecomputeSweep);
+            let total = snap.counter(Phase::AdvanceTotal.ns_key());
+            let parts: u64 = [
+                Phase::EventHeapPop,
+                Phase::ProgressPass,
+                Phase::RecomputeSweep,
+            ]
+            .iter()
+            .map(|p| snap.counter(p.ns_key()))
+            .sum();
             assert!(total > 0, "advance stretch was timed");
             assert!(parts <= total, "tiles cannot exceed the bracket");
             assert!(
                 parts as f64 >= total as f64 * 0.5,
                 "tiles cover most of the bracket ({parts} of {total})"
             );
-            assert_eq!(snap.calls(Phase::AdvanceTotal), 1);
-            assert_eq!(snap.calls(Phase::ProgressPass), 1);
+            assert_eq!(snap.counter(Phase::AdvanceTotal.calls_key()), 1);
+            assert_eq!(snap.counter(Phase::ProgressPass.calls_key()), 1);
         });
     }
 
@@ -825,7 +713,11 @@ mod tests {
                 busy(20);
             }
             let snap = snapshot();
-            assert_eq!(snap.calls(Phase::AdvanceTotal), 1, "no double count");
+            assert_eq!(
+                snap.counter(Phase::AdvanceTotal.calls_key()),
+                1,
+                "no double count"
+            );
         });
     }
 
@@ -845,13 +737,14 @@ mod tests {
             observe_mailbox_depth(3);
             observe_mailbox_depth(8);
             let snap = snapshot();
-            assert!(snap.ns(Phase::VerdictKernel) > 0);
-            assert_eq!(snap.calls(Phase::VerdictKernel), 1);
-            assert!(snap.ns(Phase::MailboxSendWait) > 0);
-            assert_eq!(snap.counter(Counter::DominanceScreens), 7);
-            assert_eq!(snap.counter(Counter::KernelBails), 2);
-            assert_eq!(snap.mailbox_depth_count(), 2);
-            assert!(snap.quantile_ns(Phase::MailboxSendWait, 0.99) > 0.0);
+            assert!(snap.counter(Phase::VerdictKernel.ns_key()) > 0);
+            assert_eq!(snap.counter(Phase::VerdictKernel.calls_key()), 1);
+            assert!(snap.counter(Phase::MailboxSendWait.ns_key()) > 0);
+            assert_eq!(snap.counter(Counter::DominanceScreens.key()), 7);
+            assert_eq!(snap.counter(Counter::KernelBails.key()), 2);
+            assert_eq!(snap.histogram(MAILBOX_DEPTH_KEY).unwrap().count(), 2);
+            let wait = snap.histogram(Phase::MailboxSendWait.hist_key()).unwrap();
+            assert!(wait.quantile(0.99) > 0.0);
         });
     }
 
@@ -873,8 +766,9 @@ mod tests {
                     });
                 });
                 let snap = snapshot();
-                assert_eq!(snap.calls(Phase::CandidateScan), round, "round {round}");
-                assert!(snap.ns(Phase::CandidateScan) > 0);
+                let calls = snap.counter(Phase::CandidateScan.calls_key());
+                assert_eq!(calls, round, "round {round}");
+                assert!(snap.counter(Phase::CandidateScan.ns_key()) > 0);
             }
         });
     }
@@ -889,18 +783,15 @@ mod tests {
             }
             add(Counter::ProjectionsRun, 5);
             observe_mailbox_depth(2);
-            let snap = snapshot();
-            let mut reg = Registry::new();
-            snap.export_into(&mut reg);
-            assert_eq!(
-                reg.counter(Phase::ProgressPass.ns_key()),
-                snap.ns(Phase::ProgressPass)
-            );
+            let reg = snapshot();
+            assert!(reg.counter(Phase::ProgressPass.ns_key()) > 0);
+            assert_eq!(reg.counter(Phase::ProgressPass.calls_key()), 1);
             assert_eq!(reg.counter(Counter::ProjectionsRun.key()), 5);
             let h = reg
                 .histogram(Phase::AdvanceTotal.hist_key())
                 .expect("advance histogram exported");
             assert_eq!(h.count(), 1);
+            assert_eq!(h.sum(), reg.counter(Phase::AdvanceTotal.ns_key()) as f64);
             assert!(reg.histogram(MAILBOX_DEPTH_KEY).is_some());
             assert_eq!(reg.gauge(crate::keys::MAILBOX_DEPTH_LAST), Some(2.0));
             // Every exported key is in the closed intern vocabulary.
@@ -909,18 +800,8 @@ mod tests {
             }
             let text = reg.to_prometheus();
             assert!(text.contains("phase_progress_pass_ns_total"));
+            assert!(text.contains("phase_progress_pass_ns_bucket{le=\"+Inf\"} 1"));
         });
-    }
-
-    #[test]
-    fn bucket_quantile_is_an_upper_bound() {
-        let bounds = &[10.0, 100.0, 1000.0];
-        // 9 observations ≤ 10, one in (100, 1000].
-        assert_eq!(bucket_quantile(bounds, &[9, 0, 1, 0], 0.50), 10.0);
-        assert_eq!(bucket_quantile(bounds, &[9, 0, 1, 0], 0.99), 1000.0);
-        // Overflow bucket reports the last finite bound.
-        assert_eq!(bucket_quantile(bounds, &[0, 0, 0, 4], 0.5), 1000.0);
-        assert_eq!(bucket_quantile(bounds, &[0, 0, 0, 0], 0.5), 0.0);
     }
 
     /// Spins for roughly `us` microseconds of wall clock.

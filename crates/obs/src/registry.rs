@@ -8,6 +8,14 @@
 
 use std::fmt::Write as _;
 
+/// The bucket `v` lands in over `bounds`: the first bound `>= v` (the
+/// Prometheus `le` rule), or `bounds.len()` for the overflow bucket.
+/// The one bucketing rule for [`Histogram`] and the phase profiler's
+/// atomic bucket tables.
+pub(crate) fn bucket_index(bounds: &[f64], v: f64) -> usize {
+    bounds.partition_point(|b| *b < v)
+}
+
 /// A fixed-bucket histogram: `bounds.len() + 1` cumulative-style
 /// buckets (the last is the overflow bucket), plus sum and count for
 /// the mean.
@@ -34,8 +42,7 @@ impl Histogram {
     }
 
     fn observe(&mut self, v: f64) {
-        let idx = self.bounds.partition_point(|b| *b < v);
-        self.counts[idx] += 1;
+        self.counts[bucket_index(self.bounds, v)] += 1;
         self.sum += v;
         self.count += 1;
     }
