@@ -87,10 +87,10 @@ engine.next_event_calls      318866       134061         158826
 engine.admit_calls            85577        29196          43029
 decide.calls                 100000        50000          50000
 decide.nodes_considered     4954648      3863542        2461415
-decide.projections_run       420592      1139799         209245
+decide.projections_run        56280       104783          28753
 decide.screen_hits           209617       144801         104417
 decide.class_hits           3950108      1382891        1963692
-decide.kernel_bails          420450      1139642         209171
+decide.kernel_bails           56138       104626          28679
 decide.memo_hits                  0            0              0
 decide.pairing_hits               0            0              0
 router.fanouts               100001        50001          50001

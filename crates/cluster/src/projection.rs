@@ -253,14 +253,27 @@ pub const RISK_SCREEN_GUARD: f64 = 1_073_741_824.0;
 ///   finish before `now + rem_k/speed`: `lb_k = dd_k(now + rem_k/speed)`.
 /// * *A work-conserving node drains by `T = now + Σrem/speed`*: its
 ///   rates sum to `speed` while any job is alive. `ub_k = dd_k(T)`.
+/// * *First segment: an overloaded node's earliest-deadline job is
+///   late.* Let `s_k = rem_k/rd_k` and `S = Σ s_k`, the kernel's
+///   first-segment shares, and `e` the earliest-deadline job (the
+///   largest `rem` among ties). When `rd_e = dl_e − now ≥ EPS_DEADLINE`
+///   and `S > speed`:
+///   - no job sits inside the deadline floor at `now`, so the
+///     first-segment rates are `speed·s_k/S`;
+///   - each job's completion candidate is then `rd_k·S/speed > rd_k ≥
+///     rd_e`, so the segment ends exactly at `dl_e`;
+///   - there `e` has been served `rem_e·speed/S`, so it still holds
+///     `rem_e·(1 − speed/S)` past its deadline, and no later rate
+///     exceeds `speed`: `lb_e = dd_e(dl_e + rem_e·(1 − speed/S)/speed)`.
 ///
 /// `dd_k` is non-decreasing in the finish, so `lb_k ≤ dd_k ≤ ub_k`.
 /// `ub_k` decreases in `dl_k`, so the smallest `ub` is the latest
 /// deadline's and the largest (`D` below) the earliest deadline's: one
 /// pass over the jobs suffices. If `max lb − min ub ≥ g`, the two
-/// extremes are distinct jobs (one job has `lb ≤ ub`) whose
-/// deadline-delays differ by at least `g`, so, as at
-/// [`VERDICT_BAIL_GAP`], the population variance is at least `g²/(2n)`.
+/// extremes are distinct jobs (one job has `lb ≤ ub`; in particular
+/// `e` is not at the latest deadline) whose deadline-delays differ by
+/// at least `g`, so, as at [`VERDICT_BAIL_GAP`], the population
+/// variance is at least `g²/(2n)`.
 ///
 /// **Float allowance.** The bounds hold for real-number dynamics; the
 /// kernel runs a float trajectory. With `u = 2⁻⁵³`, `M = max(|now|, |T|)`
@@ -269,7 +282,8 @@ pub const RISK_SCREEN_GUARD: f64 = 1_073_741_824.0;
 /// finishing job may leave up to `EPS_WORK` unserved; the rates sum to
 /// `speed·(1 ± (n+2)u)`. Every float finish therefore lies within
 /// `slack = EPS_WORK/speed + 32(n+2)·u·(M+1)` of its real bound (the
-/// count is about `10n + 16` ulps of `M`; 32 leaves a 3× margin). Since
+/// count is about `10n + 16` ulps of `M`, and `4n + 22` more for the
+/// first-segment bound, below; 32 leaves a margin of almost 2×). Since
 /// `rd ≥ EPS_DEADLINE = 1`, a deadline-delay moves no more than its
 /// finish, and evaluating one (in the kernel or here) adds at most
 /// `3.1u·D`. Finally the kernel's σ comes from its float
@@ -286,6 +300,29 @@ pub const RISK_SCREEN_GUARD: f64 = 1_073_741_824.0;
 /// node is unsuitable under every decision variant, as the full
 /// projection (or a verdict kernel that bails first) would conclude.
 ///
+/// The first-segment bound's own terms, with `W = rem_e/speed ≤ T −
+/// now ≤ 2M`:
+///
+/// * The screen's `S` and the kernel's add the same float shares in
+///   different orders, so they agree within `2(n−1)u` relatively.
+///   `1 − speed/S` then differs from the kernel's by at most `2nu`, an
+///   absolute error: the subtraction itself is exact (Sterbenz) when
+///   `speed/S ≥ ½` and rounds once otherwise, so the cancellation costs
+///   nothing relative to the small result. Two more roundings: the
+///   screen's delay is within `(2n+2)u·W ≤ (4n+4)u·M` of
+///   `rem_e·(1 − speed/S_kernel)/speed`.
+/// * If the kernel's first segment ends at `dl_e` (within `3.1u·M`),
+///   `e` keeps `rem_e·(1 − speed/S_kernel)` within `7u·rem_e`, that is
+///   `14u·M` of time at `speed`; the "no job outruns its node" count
+///   above applies from there on.
+/// * Otherwise a completion candidate rounded below `dl_e − now`,
+///   which takes `S_kernel/speed < 1 + 6u`. Then the screen's delay is
+///   at most `(4n+16)u·M` and `lb_e` at most that above 1, while every
+///   kernel deadline-delay is at least 1.
+///
+/// Either way `lb_e` exceeds the kernel's deadline-delay of `e` by less
+/// than `slack + 3.1u·D`, like every other `lb`.
+///
 /// **Preconditions**, each needed by the argument:
 ///
 /// * [`ShareDiscipline::WorkConserving`]: under `Strict` an under-loaded
@@ -294,6 +331,8 @@ pub const RISK_SCREEN_GUARD: f64 = 1_073_741_824.0;
 ///   normal-range `dt ≥ EPS_WORK/speed`.
 /// * `2 ≤ n ≤ VERDICT_BAIL_MAX_JOBS`, counting the candidate: a lone
 ///   job's σ is exactly zero, and the variance floor needs the cap.
+/// * For the first-segment bound only, `rd_e ≥ EPS_DEADLINE` and
+///   `S > speed`; without them the screen uses the other two bounds.
 /// * Finite deadlines, and `|now|`, `Σrem` and `T` within
 ///   [`RISK_SCREEN_GUARD`]. Under this guard every kernel segment
 ///   retires a completion or a deadline crossing, so the kernel ends
@@ -329,8 +368,10 @@ pub fn screens_risky(
         return false;
     }
     let mut work = 0.0;
+    let mut share = 0.0;
     let mut max_lb = f64::NEG_INFINITY;
     let mut min_dl = f64::INFINITY;
+    let mut rem_e = 0.0;
     let mut max_dl = f64::NEG_INFINITY;
     for j in residents.chain(std::iter::once(candidate)) {
         let (rem, dl) = (j.remaining_est.max(EPS_WORK), j.abs_deadline);
@@ -338,17 +379,28 @@ pub fn screens_risky(
             return false;
         }
         work += rem;
+        share += rem / (dl - now).max(EPS_DEADLINE);
         let lb = deadline_delay((now + rem / speed_factor - dl).max(0.0), dl, now);
         if lb > max_lb {
             max_lb = lb;
         }
-        min_dl = min_dl.min(dl);
+        if dl < min_dl {
+            (min_dl, rem_e) = (dl, rem);
+        } else if dl == min_dl && rem > rem_e {
+            rem_e = rem;
+        }
         max_dl = max_dl.max(dl);
     }
     let t_end = now + work / speed_factor;
     let bounded = work <= RISK_SCREEN_GUARD && t_end <= RISK_SCREEN_GUARD;
     if !bounded {
         return false;
+    }
+    if min_dl - now >= EPS_DEADLINE && share > speed_factor {
+        // The earliest-deadline job keeps `rem_e·(1 − speed/S)` past its
+        // deadline (see "First segment" above).
+        let delay = rem_e * (1.0 - speed_factor / share) / speed_factor;
+        max_lb = max_lb.max(deadline_delay(delay, min_dl, now));
     }
     let min_ub = deadline_delay((t_end - max_dl).max(0.0), max_dl, now);
     let max_ub = deadline_delay((t_end - min_dl).max(0.0), min_dl, now);
@@ -1286,6 +1338,41 @@ mod tests {
             cand,
             0.0
         ));
+    }
+
+    #[test]
+    fn share_coincidence_point_is_zero_risk_and_the_screen_declines_it() {
+        // Overloaded (S_with = 0.9 + 0.988 > speed 1), yet the two
+        // deadline-delays coincide: the resident is late by its first
+        // segment and the candidate by the drain, by the same ratio.
+        let wc = ShareDiscipline::WorkConserving;
+        let resident = pj(90.0, 100.0);
+        let sigma = |work: f64| node_risk(&[resident, pj(work, 200.0)], 0.0, 1.0, wc).1;
+        let coincidence = 197.5539823745378;
+        assert_eq!(sigma(coincidence), 0.0);
+        let s197 = sigma(197.0);
+        let s198 = sigma(198.0);
+        assert!((s197 - 1.0e-3).abs() < 0.05e-3, "σ(197) = {s197:e}");
+        assert!((s198 - 8.1e-4).abs() < 0.05e-4, "σ(198) = {s198:e}");
+        // lb_e ≈ 1.4232 stays under the candidate's ub ≈ 1.4378.
+        for work in [coincidence, 197.0, 198.0] {
+            let cand = pj(work, 200.0);
+            assert!(!screens_risky(wc, 1.0, [resident].into_iter(), cand, 0.0));
+        }
+    }
+
+    #[test]
+    fn first_segment_bound_fires_where_the_drain_bounds_cannot() {
+        // The coincidence point's shares and deadlines with the work
+        // moved: σ = 0.114. No job is late at full speed beyond the
+        // drain's ub (max lb 1.138 < min ub 1.319), but the resident
+        // keeps 113.78·(1 − 1/S) past its deadline: lb_e ≈ 1.535.
+        let wc = ShareDiscipline::WorkConserving;
+        let resident = pj(113.78, 100.0);
+        let cand = pj(150.0, 200.0);
+        let (_, sigma) = node_risk(&[resident, cand], 0.0, 1.0, wc);
+        assert!((sigma - 0.114).abs() < 1e-3, "σ = {sigma}");
+        assert!(screens_risky(wc, 1.0, [resident].into_iter(), cand, 0.0));
     }
 
     #[test]

@@ -271,14 +271,109 @@ fn risk_job() -> impl Strategy<Value = (f64, f64)> {
         })
 }
 
+/// Asserts what a fired risk screen claims: the strict discipline
+/// declines, and wherever the work-conserving screen fires, the kernel —
+/// in the residents' own order or canonical order, full or verdict form
+/// — does not read the node as zero-risk. Returns whether it fired.
+fn assert_screen_sound(base: &[ProjectedJob], cand: ProjectedJob, now: f64, speed: f64) -> bool {
+    let wc = ShareDiscipline::WorkConserving;
+    let fired = projection::screens_risky(wc, speed, base.iter().copied(), cand, now);
+    assert!(
+        !projection::screens_risky(
+            ShareDiscipline::Strict,
+            speed,
+            base.iter().copied(),
+            cand,
+            now
+        ),
+        "the screen must decline strict shares"
+    );
+    if !fired {
+        return false;
+    }
+    let mut canon = base.to_vec();
+    projection::canonicalize_projection(&mut canon);
+    for order in [base, &canon[..]] {
+        let mut all = order.to_vec();
+        all.push(cand);
+        let (_, sigma) = node_risk(&all, now, speed, wc);
+        assert!(
+            !projection::is_zero_risk(sigma),
+            "screened risky, kernel σ = {sigma:e}: {all:?} at now {now} speed {speed}"
+        );
+    }
+    canon.push(cand);
+    let mut ws = projection::ProjectionWorkspace::new();
+    if let Some(s) = ws.node_risk_verdict_with(&canon, now, speed, wc) {
+        assert!(
+            !projection::is_zero_risk(s.sigma),
+            "verdict kernel σ = {:e}",
+            s.sigma
+        );
+    }
+    true
+}
+
+/// An overloaded node: `(weight, deadline offset)` per job, every offset
+/// clear of the `EPS_DEADLINE` floor (ties at 10 s included), and a
+/// factor by which the share total exceeds the speed — from a few ulps
+/// to 4×.
+fn overloaded_node() -> impl Strategy<Value = (Vec<(f64, f64)>, f64)> {
+    (
+        proptest::collection::vec(
+            (
+                0.01..1.0f64,
+                prop_oneof![Just(10.0), 1.001..1.5f64, 1.001..100.0f64, 100.0..5e4f64],
+            ),
+            2..65,
+        ),
+        prop_oneof![1.0 + 1e-12..1.0 + 1e-6, 1.0..1.05f64, 1.05..4.0f64],
+    )
+}
+
+/// A node to bisect on: residents due `rd` after now with a share total
+/// of `share` times the speed, split by the weights (one resident, or a
+/// tie group, which finishes together), and a candidate due
+/// `stretch × rd` after now.
+fn bisection_node() -> impl Strategy<Value = (f64, f64, Vec<f64>, f64)> {
+    (
+        prop_oneof![0.2..1.0f64, 1.0..3.0f64],
+        prop_oneof![1.001..10.0f64, 10.0..1e4f64],
+        prop_oneof![
+            Just(vec![1.0]),
+            proptest::collection::vec(0.01..1.0f64, 2..4)
+        ],
+        prop_oneof![1.01..2.0f64, 2.0..10.0f64],
+    )
+}
+
+/// Kernel deadline-delay of the candidate (last) less the largest
+/// resident one, on the canonical-order projection.
+fn candidate_lead(jobs: &[ProjectedJob], now: f64, speed: f64) -> f64 {
+    let f = project_finishes(jobs, now, speed, ShareDiscipline::WorkConserving);
+    let dd = |i: usize| {
+        let j = jobs[i];
+        projection::deadline_delay((f[i] - j.abs_deadline).max(0.0), j.abs_deadline, now)
+    };
+    let n = jobs.len();
+    dd(n - 1) - (0..n - 1).map(dd).fold(f64::NEG_INFINITY, f64::max)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     // The risk screen is a proof, not a heuristic: whenever it fires,
-    // the kernel — in any resident order, full or verdict form — must
-    // not read the node as zero-risk. Past-deadline residents,
-    // overloaded nodes, speeds other than 1, `now` up to the magnitude
-    // guard and up to 64 jobs are all in range.
+    // the kernel must not read the node as zero-risk. Three arms:
+    //
+    // - random nodes: past-deadline residents, overloaded nodes, speeds
+    //   other than 1, `now` up to the magnitude guard, up to 64 jobs;
+    // - overloaded nodes, where the first-segment bound applies: every
+    //   deadline clear of the floor, share total above the speed;
+    // - bisection: the candidate's work bisected across the point where
+    //   its deadline-delay overtakes the residents' — the edge of the
+    //   zero-risk range, or on an overloaded node an isolated
+    //   coincidence with σ = 0 — where the screen must never fire on a
+    //   node the kernel reads as zero-risk.
     #[test]
     fn risk_screen_never_disagrees_with_the_kernel(
         residents in prop_oneof![
@@ -292,37 +387,70 @@ proptest! {
             (projection::RISK_SCREEN_GUARD - 3e5)..projection::RISK_SCREEN_GUARD,
         ],
         speed in prop_oneof![Just(1.0), 0.05..1.0f64, 1.0..8.0f64],
+        overload in overloaded_node(),
+        overload_speed in prop_oneof![0.05..0.95f64, 1.05..8.0f64],
+        bisect in bisection_node(),
     ) {
-        let wc = ShareDiscipline::WorkConserving;
         let pj = |&(rem, off): &(f64, f64)| ProjectedJob { remaining_est: rem, abs_deadline: now + off };
         let base: Vec<ProjectedJob> = residents.iter().map(pj).collect();
-        let mut canon = base.clone();
-        projection::canonicalize_projection(&mut canon);
-        let mut ws = projection::ProjectionWorkspace::new();
         for cand in candidates.iter().map(pj) {
-            let fired = projection::screens_risky(wc, speed, base.iter().copied(), cand, now);
+            assert_screen_sound(&base, cand, now, speed);
+        }
+
+        let (weights, factor) = overload;
+        let total = weights.iter().map(|&(w, _)| w).sum::<f64>();
+        let share = overload_speed * factor;
+        let mut node: Vec<ProjectedJob> = weights
+            .iter()
+            .map(|&(w, off)| pj(&(w / total * share * off, off)))
+            .collect();
+        let cand = node.pop().expect("at least two jobs");
+        assert_screen_sound(&node, cand, now, overload_speed);
+
+        let (share, rd, weights, stretch) = bisect;
+        let total = weights.iter().sum::<f64>();
+        let base: Vec<ProjectedJob> =
+            weights.iter().map(|w| pj(&(w / total * share * speed * rd, rd))).collect();
+        let cand_at = |work: f64| pj(&(work, stretch * rd));
+        let mut ws = projection::ProjectionWorkspace::new();
+        // The kernel's candidate lead at `work`, after checking the
+        // screen there against `node_risk_summary_with`.
+        let mut probe = |work: f64| {
+            let mut all = base.clone();
+            all.push(cand_at(work));
+            let sigma = ws
+                .node_risk_summary_with(&all, now, speed, ShareDiscipline::WorkConserving)
+                .sigma;
+            let fired = assert_screen_sound(&base, cand_at(work), now, speed);
             prop_assert!(
-                !projection::screens_risky(ShareDiscipline::Strict, speed, base.iter().copied(), cand, now),
-                "the screen must decline strict shares"
+                !(fired && sigma < projection::SIGMA_ZERO),
+                "fired on a zero-risk node: σ = {:e}, {:?} at now {} speed {}",
+                sigma, all, now, speed
             );
-            if !fired {
-                continue;
+            candidate_lead(&all, now, speed)
+        };
+        // Grow the work until the candidate's deadline-delay overtakes
+        // the residents', then bisect down to adjacent floats.
+        let mut lo = 1e-3;
+        let mut hi = lo;
+        while probe(hi) <= 0.0 && hi < 1e9 {
+            lo = hi;
+            hi *= 4.0;
+        }
+        if lo < hi && probe(lo) <= 0.0 && probe(hi) > 0.0 {
+            loop {
+                let mid = lo + (hi - lo) / 2.0;
+                if mid <= lo || mid >= hi {
+                    break;
+                }
+                if probe(mid) > 0.0 {
+                    hi = mid;
+                } else {
+                    lo = mid;
+                }
             }
-            for order in [&base, &canon] {
-                let mut all = order.clone();
-                all.push(cand);
-                let (_, sigma) = node_risk(&all, now, speed, wc);
-                prop_assert!(
-                    !projection::is_zero_risk(sigma),
-                    "screened risky, kernel σ = {:e}: {:?} at now {} speed {}",
-                    sigma, all, now, speed
-                );
-            }
-            let mut all = canon.clone();
-            all.push(cand);
-            if let Some(s) = ws.node_risk_verdict_with(&all, now, speed, wc) {
-                prop_assert!(!projection::is_zero_risk(s.sigma), "verdict kernel σ = {:e}", s.sigma);
-            }
+            probe(lo.next_down());
+            probe(hi.next_up());
         }
     }
 

@@ -450,19 +450,21 @@ impl ShareAdmission for LibraRisk {
                 )
             {
                 // Risk screen, the dominance screen's mirror: no job
-                // outruns its node and the node drains all its work by
-                // `now + Σrem/speed`, and when those bounds alone put two
+                // outruns its node, the node drains all its work by
+                // `now + Σrem/speed`, and on an overloaded node the
+                // earliest-deadline job is still owed work at its
+                // deadline. When those bounds alone put two
                 // deadline-delays further apart than the verdict kernel's
                 // bail-out gap (plus a float allowance) σ_j is provably
                 // nonzero (proof at [`screens_risky`]) — unsuitable under
                 // every variant the screen runs for. The bounds ignore
                 // resident order, so the residents are read straight off
                 // the engine's slots: a screened node skips the sort and
-                // the kernel. It can only fire when
-                // some job is late even at full speed, which takes a
-                // share above the node's speed or a deadline inside the
-                // `EPS_DEADLINE` floor: the O(1) pre-check on the engine's
-                // share total keeps under-loaded nodes off the pass.
+                // the kernel. It can only fire when some job is late,
+                // which takes a share total above the node's speed or a
+                // deadline inside the `EPS_DEADLINE` floor: the O(1)
+                // pre-check on the engine's share total keeps
+                // under-loaded nodes off the pass.
                 stats.risk_screen_hits += 1;
                 false
             } else {

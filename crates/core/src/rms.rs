@@ -63,6 +63,7 @@ use cluster::{Cluster, FaultKind, FaultPlan, NodeId, RecoveryPolicy, SpaceShared
 use obs::{keys, DecisionAudit, Event, GaugeDelta, Recorder, RejectReason, ResolvedKind, Verdict};
 use sim::{SimDuration, SimTime, Simulator};
 use std::collections::HashMap;
+use std::time::Instant;
 use workload::{Job, JobId, Trace};
 
 /// The verdict an arrival receives at submission time.
@@ -110,7 +111,9 @@ fn reborrow<'a, 'p>(slot: &'a mut Option<&'p mut (dyn Recorder + Send + 'p)>) ->
 }
 
 /// Emits the decision audit event and updates the verdict counters +
-/// decide-latency histogram. Callers have already checked
+/// decide-latency histogram. `timed` is the decide call's start and end
+/// instants, when it was timed: the event is stamped at the end, so the
+/// recorder reads no clock of its own. Callers have already checked
 /// [`Recorder::enabled`].
 fn note_decision(
     rec: &mut (dyn Recorder + '_),
@@ -119,18 +122,20 @@ fn note_decision(
     job_id: u64,
     decision: Decision,
     audit: DecisionAudit,
-    latency_ns: u64,
+    timed: Option<(Instant, Instant)>,
 ) {
-    rec.record(
-        now.as_secs(),
-        Event::Decision {
-            seq,
-            job: job_id,
-            verdict: decision.verdict(),
-            audit,
-            latency_ns,
-        },
-    );
+    let latency_ns = timed.map_or(0, |(start, end)| (end - start).as_nanos() as u64);
+    let event = Event::Decision {
+        seq,
+        job: job_id,
+        verdict: decision.verdict(),
+        audit,
+        latency_ns,
+    };
+    match timed {
+        Some((_, end)) => rec.record_at(now.as_secs(), end, event),
+        None => rec.record(now.as_secs(), event),
+    }
     if let Some(reg) = rec.registry_mut() {
         reg.inc(keys::DECISIONS);
         match decision {
@@ -355,9 +360,9 @@ impl ProportionalBackend<'_> {
         } else {
             None
         };
-        let started = recording.then(std::time::Instant::now);
+        let started = recording.then(Instant::now);
         let decided = self.policy.decide(&self.engine, &job);
-        let latency_ns = started.map_or(0, |t| t.elapsed().as_nanos() as u64);
+        let timed = started.map(|t| (t, Instant::now()));
         let job_id = job.id.0;
         let (decision, best_fit_node) = match decided {
             Some(nodes) => {
@@ -403,7 +408,7 @@ impl ProportionalBackend<'_> {
                 best_fit_node,
                 gauge,
             };
-            note_decision(rec, now, seq, job_id, decision, audit, latency_ns);
+            note_decision(rec, now, seq, job_id, decision, audit, timed);
             // Evaluation-volume counters: how much projection work the
             // decision ran vs avoided via the set table / dominance and
             // risk screens.
@@ -601,7 +606,7 @@ impl QueuedBackend {
         obs: Obs<'_>,
     ) -> Decision {
         let recording = obs.as_ref().is_some_and(|r| r.enabled());
-        let started = recording.then(std::time::Instant::now);
+        let started = recording.then(Instant::now);
         let depth_before = self.queue.len();
         let job_id = job.id.0;
         let decision = if job.procs as usize > self.pool.up_procs() {
@@ -631,8 +636,8 @@ impl QueuedBackend {
                         after: self.queue.len() as f64,
                     }),
                 };
-                let latency_ns = started.map_or(0, |t| t.elapsed().as_nanos() as u64);
-                note_decision(rec, now, seq, job_id, decision, audit, latency_ns);
+                let timed = started.map(|t| (t, Instant::now()));
+                note_decision(rec, now, seq, job_id, decision, audit, timed);
             }
         }
         self.dispatch(now, events);
@@ -845,7 +850,7 @@ impl QopsBackend {
         obs: Obs<'_>,
     ) -> Decision {
         let recording = obs.as_ref().is_some_and(|r| r.enabled());
-        let started = recording.then(std::time::Instant::now);
+        let started = recording.then(Instant::now);
         let depth_before = self.queue.len();
         let job_id = job.id.0;
         let decision = if job.procs as usize > self.pool.up_procs() {
@@ -884,8 +889,8 @@ impl QopsBackend {
                         after: self.queue.len() as f64,
                     }),
                 };
-                let latency_ns = started.map_or(0, |t| t.elapsed().as_nanos() as u64);
-                note_decision(rec, now, seq, job_id, decision, audit, latency_ns);
+                let timed = started.map(|t| (t, Instant::now()));
+                note_decision(rec, now, seq, job_id, decision, audit, timed);
             }
         }
         self.dispatch(now);
@@ -1282,7 +1287,7 @@ impl<'p> ClusterRms<'p> {
                     job_id,
                     Decision::Rejected(reason),
                     DecisionAudit::default(),
-                    0,
+                    None,
                 );
             }
         }
@@ -1318,7 +1323,8 @@ impl<'p> ClusterRms<'p> {
     /// Records the advance span, the resolutions it streamed, and the
     /// post-span utilisation/in-flight gauges. Called after
     /// `ClusterRms::finalize_churn` so the audited records are the ones
-    /// the caller observes.
+    /// the caller observes. The span's events share one wall-clock
+    /// stamp: they are recorded back to back.
     fn record_span(&mut self, from: SimTime, to: SimTime) {
         if !self.recorder.as_ref().is_some_and(|r| r.enabled()) {
             return;
@@ -1329,8 +1335,10 @@ impl<'p> ClusterRms<'p> {
             .recorder
             .as_deref_mut()
             .expect("enabled() implies a recorder");
-        rec.record(
+        let wall = Instant::now();
+        rec.record_at(
             to.as_secs(),
+            wall,
             Event::AdvanceSpan {
                 start_secs: from.as_secs(),
                 end_secs: to.as_secs(),
@@ -1343,8 +1351,9 @@ impl<'p> ClusterRms<'p> {
                 Outcome::Completed { finish, .. } => (ResolvedKind::Completed, finish),
                 Outcome::Killed { at, .. } => (ResolvedKind::Killed, at),
             };
-            rec.record(
+            rec.record_at(
                 at.as_secs(),
+                wall,
                 Event::JobResolved {
                     seq: e.seq,
                     job: e.record.job.id.0,

@@ -21,6 +21,15 @@ pub trait Recorder {
     /// Records one event at simulated instant `sim_secs`.
     fn record(&mut self, sim_secs: f64, event: Event);
 
+    /// [`Recorder::record`] from a hook site that has just read the
+    /// wall clock itself: a recorder that stamps events stamps this one
+    /// at `wall` instead of reading the clock again. Defaults to
+    /// `record`.
+    fn record_at(&mut self, sim_secs: f64, wall: Instant, event: Event) {
+        let _ = wall;
+        self.record(sim_secs, event);
+    }
+
     /// The metrics registry fed by this recorder, if it keeps one.
     fn registry_mut(&mut self) -> Option<&mut Registry> {
         None
@@ -199,6 +208,10 @@ impl TraceRecorder {
 
 impl Recorder for TraceRecorder {
     fn record(&mut self, sim_secs: f64, event: Event) {
+        self.record_at(sim_secs, Instant::now(), event);
+    }
+
+    fn record_at(&mut self, sim_secs: f64, wall: Instant, event: Event) {
         if self.buf.len() == self.capacity {
             self.buf.pop_front();
             self.dropped += 1;
@@ -206,7 +219,7 @@ impl Recorder for TraceRecorder {
         }
         self.buf.push_back(TimedEvent {
             sim_secs,
-            wall_ns: self.epoch.elapsed().as_nanos() as u64,
+            wall_ns: wall.saturating_duration_since(self.epoch).as_nanos() as u64,
             event,
         });
     }
@@ -350,6 +363,18 @@ mod tests {
         }
         let stamps: Vec<u64> = r.events().map(|te| te.wall_ns).collect();
         assert!(stamps.windows(2).all(|w| w[0] <= w[1]));
+    }
+
+    #[test]
+    fn record_at_stamps_the_given_instant() {
+        let mut r = TraceRecorder::new(4);
+        let wall = Instant::now();
+        r.record_at(0.0, wall, node_down(0));
+        r.record(0.0, node_down(1));
+        let stamps: Vec<u64> = r.events().map(|te| te.wall_ns).collect();
+        let want = wall.saturating_duration_since(r.epoch).as_nanos() as u64;
+        assert_eq!(stamps[0], want);
+        assert!(stamps[0] <= stamps[1]);
     }
 
     #[test]
