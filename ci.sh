@@ -45,9 +45,12 @@ echo "== differential: decisions vs reference + risk screen (release) =="
 # proofs about float arithmetic, so they must hold in the optimised
 # build, not only in debug. The cluster crate's unit tests run whole:
 # the engine's advance and recompute differentials against their
-# reference paths are float proofs too.
+# reference paths are float proofs too. So do the core crate's: the
+# decide unit tests (group verdicts against `decide_reference`) and the
+# hostile-input rejections.
 cargo test --release -q -p librisk --test proptest_decisions
 cargo test --release -q -p cluster --lib
+cargo test --release -q -p librisk --lib
 cargo test --release -q -p cluster --test proptest_engine
 
 echo "== differential: Libra at full size (release) =="

@@ -260,6 +260,29 @@ pub struct ProportionalCluster {
     /// (`0` when empty), maintained in O(1) wherever a slot joins or
     /// leaves a node's list: see [`ProportionalCluster::node_set_hash`].
     set_hash: Vec<u64>,
+    // ---- resident-set index (see [`ProportionalCluster::node_group`]) ----
+    /// Group id per node: two nodes share one iff they hold the same
+    /// resident slot set and bitwise-equal speeds.
+    group_of: Vec<u32>,
+    /// Member count per group id (`0` for a free id).
+    group_size: Vec<u32>,
+    /// Group ids no node carries.
+    free_groups: Vec<u32>,
+    /// Dense id of each node's speed bit pattern.
+    speed_class: Vec<u32>,
+    /// Per speed class, the group of its empty nodes (`NO_GROUP` while
+    /// every node of that speed hosts a job).
+    empty_group: Vec<u32>,
+    /// Per-group scratch of `split_groups`/`merge_groups`, all zero
+    /// between calls.
+    group_scratch: Vec<u32>,
+    /// Groups one `split_groups`/`merge_groups` call touched, each with
+    /// its first gang member.
+    touched_groups: Vec<(u32, u32)>,
+    /// Per bucket of group keys (see `key_bucket`), the number of
+    /// groups whose key falls in it. A removal searches for a group to
+    /// merge with only when its shrunk set's bucket is counted.
+    key_count: Vec<u32>,
     /// Minimum event-gap candidate over all residents, computed as a
     /// running min during the rate recompute (which already visits every
     /// resident), making [`ProportionalCluster::next_event_time`] a pure
@@ -329,6 +352,18 @@ fn slot_mix(s: u32) -> u64 {
     z ^ (z >> 31)
 }
 
+/// `ProportionalCluster::empty_group` entry of a speed class with no
+/// empty node.
+const NO_GROUP: u32 = u32::MAX;
+
+/// The `ProportionalCluster::key_count` bucket (of `buckets`, a power of
+/// two) of a group with resident-set hash `set_hash` and speed class
+/// `class`. The set hash's low bits are already mixed.
+#[inline]
+fn key_bucket(buckets: usize, set_hash: u64, class: u32) -> usize {
+    (set_hash ^ u64::from(class).wrapping_mul(0x9E37_79B9_7F4A_7C15)) as usize & (buckets - 1)
+}
+
 /// The set hash of a slot list: the XOR of each slot's mixed hash.
 /// [`ProportionalCluster::node_set_hash`] maintains exactly this value
 /// of [`ProportionalCluster::node_slots`] incrementally; this from-scratch
@@ -347,6 +382,30 @@ impl ProportionalCluster {
         let uniform_speed = speeds.first().copied().filter(|&v| {
             v.is_finite() && v > 0.0 && speeds.iter().all(|w| w.to_bits() == v.to_bits())
         });
+        // Every node starts empty, so the groups are the speed classes:
+        // class `c`'s nodes form group `c`, and ids past the last class
+        // are free.
+        let mut class_bits: Vec<u64> = Vec::new();
+        let speed_class: Vec<u32> = speeds
+            .iter()
+            .map(|v| {
+                let pos = class_bits.iter().position(|&b| b == v.to_bits());
+                pos.unwrap_or_else(|| {
+                    class_bits.push(v.to_bits());
+                    class_bits.len() - 1
+                }) as u32
+            })
+            .collect();
+        let classes = class_bits.len() as u32;
+        let mut group_size = vec![0; n];
+        for &c in &speed_class {
+            group_size[c as usize] += 1;
+        }
+        let buckets = (8 * n).next_power_of_two();
+        let mut key_count = vec![0; buckets];
+        for c in 0..classes {
+            key_count[key_bucket(buckets, 0, c)] += 1;
+        }
         ProportionalCluster {
             cluster,
             cfg,
@@ -375,6 +434,14 @@ impl ProportionalCluster {
             node_busy: vec![0.0; n],
             node_min_dl: vec![f64::INFINITY; n],
             set_hash: vec![0; n],
+            group_of: speed_class.clone(),
+            group_size,
+            free_groups: (classes..n as u32).rev().collect(),
+            speed_class,
+            empty_group: (0..classes).collect(),
+            group_scratch: vec![0; n],
+            touched_groups: Vec::new(),
+            key_count,
             next_dt: f64::INFINITY,
             rates_clean: true,
             scratch_valid: true,
@@ -425,11 +492,11 @@ impl ProportionalCluster {
 
     /// The node's resident arena slots, in resident-list order. Slots are
     /// opaque but stable between engine mutations: two nodes exposing the
-    /// same slot sequence hold the *same* resident jobs in the same
-    /// iteration order, so any pure function of a node's projection input
-    /// (risk kernels in particular) must return bitwise-identical results
-    /// for both. Decision layers use this to evaluate one representative
-    /// per distinct profile instead of every node.
+    /// same slot set hold the *same* resident jobs, so any pure function
+    /// of a node's resident multiset (risk kernels read it in canonical
+    /// order) returns bitwise-identical results for both. The
+    /// resident-set index ([`ProportionalCluster::node_group`]) groups
+    /// nodes by exactly this set.
     pub fn node_slots(&self, node: NodeId) -> &[u32] {
         &self.node_jobs[node.0 as usize]
     }
@@ -437,13 +504,33 @@ impl ProportionalCluster {
     /// Order-free fingerprint of a node's resident *set*: the XOR of a
     /// mixed hash of each slot in [`ProportionalCluster::node_slots`]
     /// (`0` for an empty node). Equal sets always hash equal, whatever
-    /// their list order; unequal sets may collide, so a caller that
-    /// groups nodes by this value must confirm the sets themselves.
-    /// Maintained in O(1) per slot by `admit`, `remove_from_node` and
-    /// `from_snapshot` — the only places a slot joins or leaves a list.
+    /// their list order; unequal sets may collide, so the resident-set
+    /// index uses it only to skip candidates before comparing the sets
+    /// themselves. Maintained in O(1) per slot by `admit`,
+    /// `remove_from_node` and `from_snapshot` — the only places a slot
+    /// joins or leaves a list.
     #[inline]
     pub fn node_set_hash(&self, node: NodeId) -> u64 {
         self.set_hash[node.0 as usize]
+    }
+
+    /// The node's group in the resident-set index: a dense id below the
+    /// node count, shared by exactly the nodes that hold the same
+    /// resident slot set and have bitwise-equal speeds. Between engine
+    /// mutations any pure function of a node's residents and speed
+    /// (a risk verdict in particular) is therefore a function of its
+    /// group. Ids are labels: a mutation may renumber any group it
+    /// touches.
+    ///
+    /// Kept exact at every membership change. An admission adds a fresh
+    /// slot, which no node outside the gang holds, so it can only split
+    /// groups (`split_groups`); a removal takes out a slot every member
+    /// of each group it touches held, so it can only merge those groups
+    /// with a group outside the gang, confirmed by comparing slot sets
+    /// once (`merge_groups`).
+    #[inline]
+    pub fn node_group(&self, node: NodeId) -> u32 {
+        self.group_of[node.0 as usize]
     }
 
     /// Cached speed factor of a node — bitwise the same value
@@ -485,20 +572,6 @@ impl ProportionalCluster {
         s
     }
 
-    /// Unlinks a slot from the iteration order and frees it, returning the
-    /// cold state (node lists intact for the caller's unlink loop).
-    fn release_slot(&mut self, s: u32) -> ResidentMeta {
-        let id = self.ids[s as usize];
-        let pos = self
-            .order
-            .binary_search_by(|&x| self.ids[x as usize].cmp(&id))
-            .expect("released job in iteration order");
-        self.order.remove(pos);
-        self.free_slots.push(s);
-        self.gang_live -= self.width[s as usize] as usize;
-        self.meta[s as usize].take().expect("released job resident")
-    }
-
     /// Rewrites `gang_nodes` with only the live runs, each copied in its
     /// member order, and repoints `gang_start`. Called by `admit` once
     /// dead entries outnumber live ones: the copy costs the live entries,
@@ -515,6 +588,139 @@ impl ProportionalCluster {
         }
         debug_assert_eq!(packed.len(), self.gang_live);
         self.gang_nodes = packed;
+    }
+
+    /// Index upkeep for an admission: slot `s` has just joined every
+    /// node of `nodes` and no other. No node outside the gang holds the
+    /// fresh slot, so no two groups can merge; each group the gang
+    /// touches keeps its id if the gang covers all of it and otherwise
+    /// splits, its gang members moving to a new id together (they held
+    /// one set before and add the same slot). The new set's key is
+    /// counted, and a covered group's old key uncounted.
+    fn split_groups(&mut self, nodes: &[NodeId], s: u32) {
+        let mut touched = std::mem::take(&mut self.touched_groups);
+        touched.clear();
+        for n in nodes {
+            let g = self.group_of[n.0 as usize];
+            if self.group_scratch[g as usize] == 0 {
+                touched.push((g, n.0));
+            }
+            self.group_scratch[g as usize] += 1;
+        }
+        // Each touched group's scratch turns from its gang count into
+        // the id its gang members move to.
+        let buckets = self.key_count.len();
+        for &(g, n) in &touched {
+            let (g, n) = (g as usize, n as usize);
+            let class = self.speed_class[n];
+            self.group_scratch[g] = if self.group_scratch[g] == self.group_size[g] {
+                self.key_count[key_bucket(buckets, self.set_hash[n] ^ slot_mix(s), class)] -= 1;
+                if self.empty_group[class as usize] == g as u32 {
+                    // The whole empty group took the job: no node of
+                    // this speed is empty any more.
+                    self.empty_group[class as usize] = NO_GROUP;
+                }
+                g as u32
+            } else {
+                self.free_groups.pop().expect("fewer groups than nodes")
+            };
+            self.key_count[key_bucket(buckets, self.set_hash[n], class)] += 1;
+        }
+        for n in nodes {
+            let ni = n.0 as usize;
+            let g = self.group_of[ni];
+            let to = self.group_scratch[g as usize];
+            if to != g {
+                self.group_of[ni] = to;
+                self.group_size[g as usize] -= 1;
+                self.group_size[to as usize] += 1;
+            }
+        }
+        for &(g, _) in &touched {
+            self.group_scratch[g as usize] = 0;
+        }
+        self.touched_groups = touched;
+    }
+
+    /// Index upkeep for a removal: slot `s` has just left every node of
+    /// `nodes`. Every member of a touched group held `s`, so each
+    /// touched group lies wholly inside the gang and keeps its members;
+    /// only its set shrank. Two touched groups cannot now hold the same
+    /// set (both held `s`, so their old sets would have been equal too),
+    /// so the only possible merge is with the one group outside the gang
+    /// that already holds the shrunk set. Each group is settled at its
+    /// first member in `nodes`, and every member then moves to where its
+    /// group went, so the walk stays linear in the gang width.
+    fn merge_groups(&mut self, nodes: &[NodeId], s: u32) {
+        let mut touched = std::mem::take(&mut self.touched_groups);
+        touched.clear();
+        for n in nodes {
+            let r = n.0 as usize;
+            let g = self.group_of[r];
+            if self.group_scratch[g as usize] == 0 {
+                touched.push((g, n.0));
+                let (buckets, class) = (self.key_count.len(), self.speed_class[r]);
+                self.key_count[key_bucket(buckets, self.set_hash[r] ^ slot_mix(s), class)] -= 1;
+                let into = self.holder_of_shrunk_set(r, g);
+                if into == g {
+                    self.key_count[key_bucket(buckets, self.set_hash[r], class)] += 1;
+                } else {
+                    self.group_size[into as usize] += self.group_size[g as usize];
+                    self.group_size[g as usize] = 0;
+                    self.free_groups.push(g);
+                }
+                self.group_scratch[g as usize] = into + 1;
+            }
+            self.group_of[r] = self.group_scratch[g as usize] - 1;
+        }
+        for &(g, _) in &touched {
+            self.group_scratch[g as usize] = 0;
+        }
+        self.touched_groups = touched;
+    }
+
+    /// The group that node `r`'s group `g` joins after a removal shrank
+    /// its set: the group outside the gang already holding that set and
+    /// speed, or `g` itself when none does. An empty set's holders are
+    /// its speed class's empty group. A nonempty set has no holder when
+    /// no other group's key falls in its bucket, the common case;
+    /// otherwise every holder also holds each of its slots, so the
+    /// candidates are the gang members of its narrowest slot.
+    fn holder_of_shrunk_set(&mut self, r: usize, g: u32) -> u32 {
+        let class = self.speed_class[r];
+        if self.node_jobs[r].is_empty() {
+            if self.empty_group[class as usize] == NO_GROUP {
+                self.empty_group[class as usize] = g;
+            }
+            return self.empty_group[class as usize];
+        }
+        if self.key_count[key_bucket(self.key_count.len(), self.set_hash[r], class)] == 0 {
+            return g;
+        }
+        let t = *self.node_jobs[r]
+            .iter()
+            .min_by_key(|&&t| self.width[t as usize])
+            .expect("the shrunk set is nonempty");
+        let start = self.gang_start[t as usize] as usize;
+        let members = &self.gang_nodes[start..start + self.width[t as usize] as usize];
+        members
+            .iter()
+            .map(|&m| m as usize)
+            .find(|&m| {
+                self.set_hash[m] == self.set_hash[r]
+                    && self.group_of[m] != g
+                    && self.speed_class[m] == class
+                    && self.same_slot_set(m, r)
+            })
+            .map_or(g, |m| self.group_of[m])
+    }
+
+    /// `true` when nodes `a` and `b` list the same slots in any order.
+    /// The lists hold distinct slots, so equal lengths plus `a ⊆ b`
+    /// prove the sets equal.
+    fn same_slot_set(&self, a: usize, b: usize) -> bool {
+        let (sa, sb) = (&self.node_jobs[a], &self.node_jobs[b]);
+        sa.len() == sb.len() && (sa == sb || sa.iter().all(|s| sb.contains(s)))
     }
 
     /// Places a job on the given nodes and starts it immediately.
@@ -559,6 +765,7 @@ impl ProportionalCluster {
             self.set_hash[ni] ^= slot_mix(s);
             self.node_min_dl[ni] = self.node_min_dl[ni].min(dl);
         }
+        self.split_groups(&nodes, s);
         let id = job.id;
         let si = s as usize;
         self.ids[si] = id;
@@ -713,10 +920,7 @@ impl ProportionalCluster {
             }
             obs::phase::lap_mark(obs::phase::Phase::ProgressPass);
             for &s in &completed {
-                let r = self.release_slot(s);
-                for (n, &slot) in r.nodes.iter().zip(&r.slots) {
-                    self.remove_from_node(*n, slot as usize, s);
-                }
+                let r = self.remove_resident(s);
                 out.push(CompletedJob {
                     job: r.job,
                     started: r.started,
@@ -779,10 +983,7 @@ impl ProportionalCluster {
         }
         let mut completed = Vec::with_capacity(completed_slots.len());
         for s in completed_slots {
-            let r = self.release_slot(s);
-            for (n, &slot) in r.nodes.iter().zip(&r.slots) {
-                self.remove_from_node(*n, slot as usize, s);
-            }
+            let r = self.remove_resident(s);
             completed.push(CompletedJob {
                 job: r.job,
                 started: r.started,
@@ -834,10 +1035,7 @@ impl ProportionalCluster {
             let si = s as usize;
             let remaining_work = self.remaining_work[si];
             let remaining_est = self.remaining_est[si];
-            let r = self.release_slot(s);
-            for (n, &slot) in r.nodes.iter().zip(&r.slots) {
-                self.remove_from_node(*n, slot as usize, s);
-            }
+            let r = self.remove_resident(s);
             displaced.push(DisplacedJob {
                 job: r.job,
                 started: r.started,
@@ -867,6 +1065,26 @@ impl ProportionalCluster {
         assert!(!self.node_is_up(node), "{node} is not down");
         self.down[node.0 as usize] = false;
         self.down_count -= 1;
+    }
+
+    /// Takes a resident off the iteration order and every node list it
+    /// sits on, frees its slot, keeps the resident-set index exact, and
+    /// returns its cold state.
+    fn remove_resident(&mut self, s: u32) -> ResidentMeta {
+        let id = self.ids[s as usize];
+        let pos = self
+            .order
+            .binary_search_by(|&x| self.ids[x as usize].cmp(&id))
+            .expect("released job in iteration order");
+        self.order.remove(pos);
+        self.free_slots.push(s);
+        self.gang_live -= self.width[s as usize] as usize;
+        let r = self.meta[s as usize].take().expect("released job resident");
+        for (n, &slot) in r.nodes.iter().zip(&r.slots) {
+            self.remove_from_node(*n, slot as usize, s);
+        }
+        self.merge_groups(&r.nodes, s);
+        r
     }
 
     /// O(1) removal of slot `s` from a node's resident list: `swap_remove`
@@ -1355,7 +1573,7 @@ impl ProportionalCluster {
     /// Rebuilds an engine from a snapshot. Canonical state is injected
     /// verbatim; every derived structure — rates, per-node share
     /// totals, event-gap minimum, min-deadline and set-hash summaries,
-    /// scratch — is recomputed from it. Rates recompute by the same
+    /// the resident-set index, scratch — is recomputed from it. Rates recompute by the same
     /// from-zero ascending-job-id fold every live recompute uses, so the
     /// restored engine is bitwise equal to the one the snapshot was
     /// taken from.
@@ -1436,6 +1654,10 @@ impl ProportionalCluster {
                 eng.set_hash[ni] ^= slot_mix(s);
                 eng.node_min_dl[ni] = eng.node_min_dl[ni].min(dl);
             }
+            // Replaying each resident's admission split rebuilds the
+            // index: splits depend only on group ids and sizes, never on
+            // list order.
+            eng.split_groups(&r.nodes, s);
             eng.ids[slot] = r.job.id;
             eng.remaining_work[slot] = r.remaining_work;
             eng.remaining_est[slot] = r.remaining_est;
@@ -2208,6 +2430,104 @@ mod tests {
         assert_eq!(e.next_event_time().map(|t| t.as_secs().to_bits()), next);
         for (i, bits) in rates.iter().enumerate() {
             assert_eq!(e.rate_of(JobId(i as u64)).unwrap().to_bits(), *bits);
+        }
+    }
+
+    /// The index's bookkeeping against its partition: sizes count the
+    /// members, the free list holds exactly the memberless ids, each
+    /// speed class names the group of its empty nodes (none when it has
+    /// no empty node), and the scratch is clear between calls.
+    fn assert_index_consistent(e: &ProportionalCluster) {
+        let n = e.cluster.len();
+        let mut size = vec![0u32; n];
+        for &g in &e.group_of {
+            size[g as usize] += 1;
+        }
+        assert_eq!(size, e.group_size, "group sizes");
+        let mut free = e.free_groups.clone();
+        free.sort_unstable();
+        let unused: Vec<u32> = (0..n as u32).filter(|&g| size[g as usize] == 0).collect();
+        assert_eq!(free, unused, "free group ids");
+        for (c, &g) in e.empty_group.iter().enumerate() {
+            let empty: Vec<usize> = (0..n)
+                .filter(|&i| e.speed_class[i] as usize == c && e.node_jobs[i].is_empty())
+                .collect();
+            if g == NO_GROUP {
+                assert!(empty.is_empty(), "class {c} has empty nodes but no group");
+            } else {
+                assert!(!empty.is_empty(), "class {c} names an empty group of none");
+                assert!(empty.iter().all(|&i| e.group_of[i] == g));
+            }
+        }
+        assert!(
+            e.group_scratch.iter().all(|&x| x == 0),
+            "scratch left dirty"
+        );
+        let mut keys = vec![0u32; e.key_count.len()];
+        for g in 0..n as u32 {
+            if let Some(m) = (0..n).find(|&m| e.group_of[m] == g) {
+                keys[key_bucket(e.key_count.len(), e.set_hash[m], e.speed_class[m])] += 1;
+            }
+        }
+        assert_eq!(keys, e.key_count, "group key counts");
+    }
+
+    #[test]
+    fn set_index_bookkeeping_survives_gang_churn() {
+        // Mixed speeds, gangs up to 6 wide, node failures and restores,
+        // and a snapshot round trip every 50 steps.
+        let nodes = 12u32;
+        let mixed = || {
+            Cluster::new(
+                (0..nodes)
+                    .map(|i| Node::new(NodeId(i), [168.0, 336.0, 84.0][i as usize % 3]))
+                    .collect(),
+                168.0,
+            )
+        };
+        let mut e = ProportionalCluster::new(mixed(), ProportionalConfig::default());
+        assert_index_consistent(&e);
+        let mut rng = sim::Rng64::new(11);
+        for i in 0..600u64 {
+            let now = e.now();
+            match rng.below(8) {
+                0..=3 => {
+                    let width = 1 + rng.below(6) as usize;
+                    let start = rng.below(u64::from(nodes)) as u32;
+                    let hosts: Vec<NodeId> = (0..nodes)
+                        .map(|k| NodeId((start + k) % nodes))
+                        .filter(|&n| e.node_is_up(n))
+                        .take(width)
+                        .collect();
+                    if hosts.len() == width {
+                        let runtime = rng.uniform(1.0, 400.0);
+                        let mut j = job(i, 0.0, runtime, runtime, width as u32, 1e4);
+                        j.submit = now;
+                        e.admit(j, hosts, now);
+                    }
+                }
+                4 | 5 => {
+                    if let Some(t) = e.next_event_time() {
+                        e.advance(t);
+                    }
+                }
+                6 => {
+                    let n = NodeId(rng.below(u64::from(nodes)) as u32);
+                    if e.node_is_up(n) {
+                        e.fail_node(n, now);
+                    } else {
+                        e.restore_node(n, now);
+                    }
+                }
+                _ => {
+                    if i % 50 == 0 {
+                        let snap = e.snapshot();
+                        e = ProportionalCluster::from_snapshot(mixed(), *e.config(), &snap)
+                            .expect("a live snapshot restores");
+                    }
+                }
+            }
+            assert_index_consistent(&e);
         }
     }
 

@@ -749,7 +749,7 @@ proptest! {
     }
 }
 
-/// One step of the set-hash churn: admit a gang, advance, fail or
+/// One step of the set-index churn: admit a gang, advance, fail or
 /// restore a node, or round-trip the engine through a snapshot.
 #[derive(Debug, Clone)]
 enum SetOp {
@@ -782,7 +782,8 @@ proptest! {
         disc in discipline(),
     ) {
         // The O(1)-maintained set hash against the from-scratch XOR over
-        // each node's slot list, after every kind of membership change.
+        // each node's slot list, and the resident-set index against a
+        // from-scratch partition, after every kind of membership change.
         let cfg = ProportionalConfig { discipline: disc, ..Default::default() };
         let mut engine = ProportionalCluster::new(cluster16(kind), cfg);
         for (i, op) in ops.iter().enumerate() {
@@ -833,6 +834,29 @@ proptest! {
                     i,
                     op
                 );
+            }
+            // The resident-set index against a from-scratch partition by
+            // (sorted slot list, speed bits): two nodes share a group iff
+            // they share that key, and every id stays below the node count.
+            let key = |n: u32| {
+                let mut slots = engine.node_slots(NodeId(n)).to_vec();
+                slots.sort_unstable();
+                (slots, engine.node_speed(NodeId(n)).to_bits())
+            };
+            for a in 0..16 {
+                let ga = engine.node_group(NodeId(a));
+                prop_assert!((ga as usize) < 16, "group id {} out of range", ga);
+                for b in 0..a {
+                    prop_assert_eq!(
+                        ga == engine.node_group(NodeId(b)),
+                        key(a) == key(b),
+                        "nodes {} and {} grouped wrongly after op {} ({:?})",
+                        a,
+                        b,
+                        i,
+                        op
+                    );
+                }
             }
         }
     }

@@ -58,7 +58,6 @@ pub mod policy;
 pub mod qops;
 pub mod queue;
 pub mod report;
-pub mod risk_cache;
 pub mod rms;
 pub mod router;
 pub mod scheduler;

@@ -21,7 +21,6 @@
 //!    delays and is avoided, where Libra would happily keep loading it.
 
 use crate::policy::{DecisionStats, ShareAdmission};
-use crate::risk_cache::SetTable;
 use cluster::projection::{
     canonicalize_projection, is_zero_risk, node_risk, node_risk_single_segment, screens_risky,
     screens_zero_risk, ProjectedJob, ProjectionWorkspace, RiskSummary, EPS_DEADLINE,
@@ -93,8 +92,9 @@ impl ClusterRisk {
 /// The LibraRisk admission control.
 ///
 /// The decision loop keeps no per-node state between decisions and is
-/// allocation-free after warm-up: a per-decision set table settles nodes
-/// holding a resident set already evaluated, two screens settle nodes
+/// allocation-free after warm-up: one verdict per group of the engine's
+/// resident-set index settles nodes holding a resident set already
+/// evaluated in the same decision, two screens settle nodes
 /// whose verdict their bounds prove, the paper variant skips the
 /// projection of an empty node outright (a lone tentative job's
 /// deadline-delay has no dispersion, so its `σ_j` is exactly zero), and
@@ -111,13 +111,15 @@ pub struct LibraRisk {
     jobs: Vec<ProjectedJob>,
     ws: ProjectionWorkspace,
     zero_risk: Vec<NodeId>,
-    /// Per-decision resident-set table: `(set hash, speed)` → the first
-    /// node evaluated with that resident set and its verdict, so each
-    /// distinct set is evaluated once per decision (see
-    /// [`same_resident_set`] for why a confirmed hit replays exactly the
-    /// verdict an evaluation would return). Cleared at the top of each
-    /// decision; never reused across engine states.
-    sets: SetTable,
+    /// `(decision stamp, suitable)` per group of the engine's
+    /// resident-set index ([`ProportionalCluster::node_group`]): the
+    /// verdict of the group's first up node in this decision, so each
+    /// distinct resident set and speed is evaluated once per decision.
+    /// An entry counts only under the current [`LibraRisk::stamp`], so
+    /// no verdict outlives its decision or its engine state.
+    verdicts: Vec<(u64, bool)>,
+    /// Number of the current decision.
+    stamp: u64,
     /// Evaluation-volume counters of the most recent `decide` call.
     stats: DecisionStats,
 }
@@ -137,31 +139,6 @@ fn slot_job(engine: &ProportionalCluster, s: u32) -> ProjectedJob {
     }
 }
 
-/// `true` when nodes `a` and `b` have bitwise-equal speeds and hold the
-/// same resident set — the confirmation behind every set-table hit.
-///
-/// A node's verdict is a function of its resident *multiset* (and the
-/// speed, the candidate, `now` and the discipline, all fixed within one
-/// decision): the kernel and the single-segment projection read the
-/// canonical `(deadline, remaining)` order, as `decide_reference` does,
-/// and every shortcut in front of them — both screens and the empty-node
-/// path — returns the verdict they would. While `decide` holds the
-/// engine borrowed, a slot names one resident in one state, so equal
-/// slot sets are equal multisets, and replaying the verdict of a node
-/// with the same set returns exactly the verdict evaluating this one
-/// would.
-///
-/// Resident lists hold distinct slots, so equal lengths plus `a ⊆ b`
-/// prove the sets equal; lists usually agree in order too (a gang lands
-/// on its members in one admission order), which the slice compare
-/// settles before the O(k²) containment walk.
-fn same_resident_set(engine: &ProportionalCluster, a: NodeId, b: NodeId) -> bool {
-    let (sa, sb) = (engine.node_slots(a), engine.node_slots(b));
-    engine.node_speed(a).to_bits() == engine.node_speed(b).to_bits()
-        && sa.len() == sb.len()
-        && (sa == sb || sa.iter().all(|s| sb.contains(s)))
-}
-
 impl LibraRisk {
     /// The policy exactly as published: zero-σ suitability, node-id order.
     pub fn paper() -> Self {
@@ -173,7 +150,8 @@ impl LibraRisk {
             jobs: Vec::new(),
             ws: ProjectionWorkspace::new(),
             zero_risk: Vec::new(),
-            sets: SetTable::new(),
+            verdicts: Vec::new(),
+            stamp: 0,
             stats: DecisionStats::default(),
         }
     }
@@ -349,14 +327,18 @@ impl ShareAdmission for LibraRisk {
         // Algorithm 1, lines 1–11: evaluate σ_j per node with the new job
         // tentatively added — proving most verdicts *without* running the
         // projection kernel. Per node, cheapest sufficient evidence wins:
-        // the set table replays the verdict of any node with the same
-        // resident set and speed evaluated earlier this decision; the
-        // zero-risk screen settles nodes with provable headroom in a
-        // handful of flops; the risk screen settles nodes whose
-        // finish-time bounds alone prove dispersion in one pass over the
-        // residents; and only what survives all three runs the kernel.
+        // a node whose resident-set group was evaluated earlier this
+        // decision replays that verdict; the zero-risk screen settles
+        // nodes with provable headroom in a handful of flops; the risk
+        // screen settles nodes whose finish-time bounds alone prove
+        // dispersion in one pass over the residents; and only what
+        // survives all three runs the kernel.
         self.zero_risk.clear();
-        self.sets.begin(engine.cluster().len());
+        self.stamp += 1;
+        let total_nodes = engine.cluster().len();
+        if self.verdicts.len() < total_nodes {
+            self.verdicts.resize(total_nodes, (0, false));
+        }
         let mut stats = DecisionStats::default();
         // Profiler: the scan span brackets the whole node loop; the
         // classify/kernel spans below nest inside it (they are a
@@ -365,12 +347,11 @@ impl ShareAdmission for LibraRisk {
         // inside the <10% throughput budget.
         let fine = obs::phase::decision_sampled();
         let scan_span = fine.then(|| obs::phase::span(obs::phase::Phase::CandidateScan));
-        // One classify span covers each run of pre-kernel work — set
-        // table lookups and both screens — and closes before a node's
+        // One classify span covers each run of pre-kernel work — group
+        // verdict lookups and both screens — and closes before a node's
         // projection input is gathered: a span per lookup would cost more
         // than the lookups it times.
         let mut classify = None;
-        let total_nodes = engine.cluster().len();
         let cand_share = tentative.remaining_est / (tentative.abs_deadline - now).max(EPS_DEADLINE);
         for (scanned, node) in engine.cluster().nodes().iter().enumerate() {
             // Certain-rejection early-exit: even if this node and every
@@ -387,125 +368,146 @@ impl ShareAdmission for LibraRisk {
                 continue;
             }
             stats.nodes_considered += 1;
-            let speed = engine.node_speed(node.id);
-            // Set table: one evaluation per distinct resident set. The
-            // key is the engine's O(1) set hash mixed with the speed; a
-            // hit is confirmed against the representative's slots, so a
-            // hash collision only costs the evaluation below.
-            let set_key = engine.node_set_hash(node.id) ^ speed.to_bits().rotate_left(32);
             if classify.is_none() {
                 classify = fine.then(|| obs::phase::span(obs::phase::Phase::EquivClassify));
             }
-            let known = self.sets.get(set_key, |rep| {
-                same_resident_set(engine, NodeId(rep), node.id)
-            });
-            let share_total = engine.node_share_total_now(node.id);
-            let min_dl = engine.node_min_deadline(node.id);
-            let suitable = if let Some(suitable) = known {
-                stats.class_hits += 1;
-                suitable
-            } else if screens_zero_risk(discipline, speed, share_total, min_dl, tentative, now) {
-                // Dominance screen: enough capacity headroom that every
-                // resident plus the candidate provably finishes at least
-                // `EPS_DEADLINE` early, which forces dd = 1.0 for every
-                // job → μ_j = 1.0 and σ_j = 0.0 *bitwise* (proof at
-                // [`screens_zero_risk`]) — suitable under every variant
-                // without projecting. The inputs come straight from the
-                // engine (the rate recompute's per-node share totals and
-                // a deadline min), so a screened node costs O(1) and
-                // never reads its residents. The engine total may
-                // differ from the canonical-order sum in the last ulp;
-                // the screen's `SCREEN_HEADROOM` margin absorbs that, and
-                // a fired screen equals the kernel verdict either way.
-                stats.screen_hits += 1;
-                true
-            } else if min_dl.is_infinite()
-                && engine.resident_count(node.id) == 0
-                && !self.require_unit_mu
-                && !self.naive_projection
-            {
-                // `min_dl == +∞` pre-gates the resident-list read:
-                // residents carry finite deadlines, so an occupied node
-                // short-circuits here without touching its list header
-                // (the count read stays as the authoritative confirm).
-                // Empty-node fast path: a lone job's deadline-delay is a
-                // single sample, so its population dispersion — Eq. 6's
-                // σ_j — is exactly 0.0 however late the projection runs.
-                // `node_risk` computes `sqrt(max(0, dd·dd − μ·μ))` with
-                // μ = dd, which is exactly 0.0 too, so skipping the
-                // projection cannot flip a decision.
-                true
-            } else if !self.naive_projection
-                && (share_total + cand_share > speed
-                    || min_dl.min(tentative.abs_deadline) - now < EPS_DEADLINE)
-                && screens_risky(
-                    discipline,
-                    speed,
-                    engine
-                        .node_slots(node.id)
-                        .iter()
-                        .map(|&s| slot_job(engine, s)),
-                    tentative,
-                    now,
-                )
-            {
-                // Risk screen, the dominance screen's mirror: no job
-                // outruns its node, the node drains all its work by
-                // `now + Σrem/speed`, and on an overloaded node the
-                // earliest-deadline job is still owed work at its
-                // deadline. When those bounds alone put two
-                // deadline-delays further apart than the verdict kernel's
-                // bail-out gap (plus a float allowance) σ_j is provably
-                // nonzero (proof at [`screens_risky`]) — unsuitable under
-                // every variant the screen runs for. The bounds ignore
-                // resident order, so the residents are read straight off
-                // the engine's slots: a screened node skips the sort and
-                // the kernel. It can only fire when some job is late,
-                // which takes a share total above the node's speed or a
-                // deadline inside the `EPS_DEADLINE` floor: the O(1)
-                // pre-check on the engine's share total keeps
-                // under-loaded nodes off the pass.
-                stats.risk_screen_hits += 1;
-                false
-            } else {
-                classify = None;
-                // Canonical evaluation order, as in `decide_reference`:
-                // the projection (and hence every (μ_j, σ_j) bit pattern)
-                // is a function of the resident *multiset*, so nodes with
-                // the same set replay each other's verdicts exactly.
-                self.jobs.clear();
-                self.jobs.extend(
-                    engine
-                        .node_slots(node.id)
-                        .iter()
-                        .map(|&s| slot_job(engine, s)),
-                );
-                canonicalize_projection(&mut self.jobs);
-                self.jobs.push(tentative);
-                let _kernel = fine.then(|| obs::phase::span(obs::phase::Phase::VerdictKernel));
-                stats.projections_run += 1;
-                let (mu, sigma) = if self.naive_projection {
-                    node_risk_single_segment(&self.jobs, now, speed, discipline)
-                } else {
-                    // Verdict kernel: an early σ certification stands for
-                    // the same unsuitable verdict the full run would give.
-                    // A lone candidate never bails, so Strict reads its
-                    // exact μ.
-                    let s = self
-                        .ws
-                        .node_risk_verdict_with(&self.jobs, now, speed, discipline)
-                        .unwrap_or_else(|| {
-                            stats.kernel_bails += 1;
-                            RiskSummary::PROVABLY_RISKY
-                        });
-                    (s.mu, s.sigma)
-                };
-                is_zero_risk(sigma) && (!self.require_unit_mu || (mu - 1.0).abs() <= MU_EPSILON)
+            // One evaluation per group: the group's first up node in
+            // scan order is evaluated below and every later member
+            // replays its verdict. The engine keeps the groups exact, so
+            // a member holds the same resident multiset and speed, and
+            // its evaluation would return the same verdict: the kernel
+            // and the single-segment projection read the canonical
+            // `(deadline, remaining)` order, as `decide_reference` does,
+            // and every shortcut in front of them returns their verdict.
+            let group = engine.node_group(node.id) as usize;
+            let suitable = match self.verdicts[group] {
+                (stamp, suitable) if stamp == self.stamp => {
+                    stats.class_hits += 1;
+                    suitable
+                }
+                _ => {
+                    let speed = engine.node_speed(node.id);
+                    let share_total = engine.node_share_total_now(node.id);
+                    let min_dl = engine.node_min_deadline(node.id);
+                    let suitable = if screens_zero_risk(
+                        discipline,
+                        speed,
+                        share_total,
+                        min_dl,
+                        tentative,
+                        now,
+                    ) {
+                        // Dominance screen: enough capacity headroom that
+                        // every resident plus the candidate provably
+                        // finishes at least `EPS_DEADLINE` early, which
+                        // forces dd = 1.0 for every job → μ_j = 1.0 and
+                        // σ_j = 0.0 *bitwise* (proof at
+                        // [`screens_zero_risk`]) — suitable under every
+                        // variant without projecting. The inputs come
+                        // straight from the engine (the rate recompute's
+                        // per-node share totals and a deadline min), so a
+                        // screened node costs O(1) and never reads its
+                        // residents. The engine total may differ from the
+                        // canonical-order sum in the last ulp; the
+                        // screen's `SCREEN_HEADROOM` margin absorbs that,
+                        // and a fired screen equals the kernel verdict
+                        // either way.
+                        stats.screen_hits += 1;
+                        true
+                    } else if min_dl.is_infinite()
+                        && engine.resident_count(node.id) == 0
+                        && !self.require_unit_mu
+                        && !self.naive_projection
+                    {
+                        // `min_dl == +∞` pre-gates the resident-list read:
+                        // residents carry finite deadlines, so an occupied
+                        // node short-circuits here without touching its
+                        // list header (the count read stays as the
+                        // authoritative confirm). Empty-node fast path: a
+                        // lone job's deadline-delay is a single sample, so
+                        // its population dispersion — Eq. 6's σ_j — is
+                        // exactly 0.0 however late the projection runs.
+                        // `node_risk` computes `sqrt(max(0, dd·dd − μ·μ))`
+                        // with μ = dd, which is exactly 0.0 too, so
+                        // skipping the projection cannot flip a decision.
+                        true
+                    } else if !self.naive_projection
+                        && (share_total + cand_share > speed
+                            || min_dl.min(tentative.abs_deadline) - now < EPS_DEADLINE)
+                        && screens_risky(
+                            discipline,
+                            speed,
+                            engine
+                                .node_slots(node.id)
+                                .iter()
+                                .map(|&s| slot_job(engine, s)),
+                            tentative,
+                            now,
+                        )
+                    {
+                        // Risk screen, the dominance screen's mirror: no
+                        // job outruns its node, the node drains all its
+                        // work by `now + Σrem/speed`, and on an overloaded
+                        // node the earliest-deadline job is still owed
+                        // work at its deadline. When those bounds alone
+                        // put two deadline-delays further apart than the
+                        // verdict kernel's bail-out gap (plus a float
+                        // allowance) σ_j is provably nonzero (proof at
+                        // [`screens_risky`]) — unsuitable under every
+                        // variant the screen runs for. The bounds ignore
+                        // resident order, so the residents are read
+                        // straight off the engine's slots: a screened node
+                        // skips the sort and the kernel. It can only fire
+                        // when some job is late, which takes a share total
+                        // above the node's speed or a deadline inside the
+                        // `EPS_DEADLINE` floor: the O(1) pre-check on the
+                        // engine's share total keeps under-loaded nodes
+                        // off the pass.
+                        stats.risk_screen_hits += 1;
+                        false
+                    } else {
+                        classify = None;
+                        // Canonical evaluation order, as in
+                        // `decide_reference`: the projection (and hence
+                        // every (μ_j, σ_j) bit pattern) is a function of
+                        // the resident *multiset*, so every member of the
+                        // group may replay this verdict.
+                        self.jobs.clear();
+                        self.jobs.extend(
+                            engine
+                                .node_slots(node.id)
+                                .iter()
+                                .map(|&s| slot_job(engine, s)),
+                        );
+                        canonicalize_projection(&mut self.jobs);
+                        self.jobs.push(tentative);
+                        let _kernel =
+                            fine.then(|| obs::phase::span(obs::phase::Phase::VerdictKernel));
+                        stats.projections_run += 1;
+                        let (mu, sigma) = if self.naive_projection {
+                            node_risk_single_segment(&self.jobs, now, speed, discipline)
+                        } else {
+                            // Verdict kernel: an early σ certification
+                            // stands for the same unsuitable verdict the
+                            // full run would give. A lone candidate never
+                            // bails, so Strict reads its exact μ.
+                            let s = self
+                                .ws
+                                .node_risk_verdict_with(&self.jobs, now, speed, discipline)
+                                .unwrap_or_else(|| {
+                                    stats.kernel_bails += 1;
+                                    RiskSummary::PROVABLY_RISKY
+                                });
+                            (s.mu, s.sigma)
+                        };
+                        is_zero_risk(sigma)
+                            && (!self.require_unit_mu || (mu - 1.0).abs() <= MU_EPSILON)
+                    };
+                    stats.distinct_classes += 1;
+                    self.verdicts[group] = (self.stamp, suitable);
+                    suitable
+                }
             };
-            if known.is_none() {
-                stats.distinct_classes += 1;
-                self.sets.insert(set_key, node.id.0, suitable);
-            }
             if suitable {
                 self.zero_risk.push(node.id);
                 // Under ById ordering the final answer is "the first
@@ -784,7 +786,7 @@ mod tests {
     }
 
     #[test]
-    fn set_table_hits_confirm_the_resident_set() {
+    fn resident_set_groups_follow_the_set_not_the_list_order() {
         // Node 0 holds {1, 2}; node 1 holds the same set in the other
         // list order (job 3 leaving swaps 2 to the front); nodes 2 and 3
         // both hold {4, 5}, a different set of the same size.
@@ -807,17 +809,20 @@ mod tests {
         }
         assert_eq!(e.len(), 4, "only job 3 completed");
         assert_ne!(e.node_slots(NodeId(0)), e.node_slots(NodeId(1)));
-        let same = |a: u32, b: u32| same_resident_set(&e, NodeId(a), NodeId(b));
-        assert!(same(0, 1) && same(2, 3));
-        assert!(!same(0, 2) && !same(1, 3));
-        // Force both sets under one key: each gets back its own verdict.
-        let mut sets = SetTable::new();
-        sets.begin(4);
-        sets.insert(7, 0, true);
-        assert_eq!(sets.get(7, |rep| same(rep, 2)), None);
-        sets.insert(7, 2, false);
-        assert_eq!(sets.get(7, |rep| same(rep, 1)), Some(true));
-        assert_eq!(sets.get(7, |rep| same(rep, 3)), Some(false));
+        let group = |n: u32| e.node_group(NodeId(n));
+        assert_eq!(group(0), group(1));
+        assert_eq!(group(2), group(3));
+        assert_ne!(group(0), group(2));
+        // One evaluation per set: nodes 1 and 3 replay their group's
+        // verdict, and the decision matches the from-scratch reference.
+        let mut lr = LibraRisk::paper();
+        let j = job(9, 1e5, 4, 1e7);
+        let got = lr.decide(&e, &j);
+        assert_eq!(got, lr.decide_reference(&e, &j));
+        let stats = lr.last_decision_stats().expect("stats");
+        assert_eq!(stats.nodes_considered, 4);
+        assert_eq!(stats.distinct_classes, 2);
+        assert_eq!(stats.class_hits, 2);
     }
 
     #[test]

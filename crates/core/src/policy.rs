@@ -29,11 +29,12 @@ pub struct DecisionStats {
     /// Nodes proven unsuitable by the pre-kernel risk screen alone.
     pub risk_screen_hits: u64,
     /// Nodes settled by the verdict of an earlier node with the same
-    /// resident set (and speed) in this decision — the set table's hits.
+    /// resident set (and speed) in this decision: later members of a
+    /// resident-set group replaying its first member's verdict.
     pub class_hits: u64,
     /// Retired: always `0`. It counted cross-decision pairing replays,
-    /// which the per-decision set table subsumed; kept so records that
-    /// read it keep their shape.
+    /// which per-set verdicts subsumed; kept so records that read it
+    /// keep their shape.
     pub pairing_hits: u64,
     /// Kernel runs (counted in `projections_run`) that ended in an early
     /// σ certification instead of a full timeline simulation.
@@ -41,8 +42,8 @@ pub struct DecisionStats {
     /// Retired: always `0`; kept so records that read it keep their
     /// shape.
     pub memo_hits: u64,
-    /// Resident sets evaluated this decision: the considered nodes the
-    /// set table did not settle.
+    /// Resident sets evaluated this decision: the considered nodes that
+    /// did not replay a group verdict.
     pub distinct_classes: u64,
 }
 
@@ -65,7 +66,7 @@ impl DecisionStats {
 /// `decide` takes `&mut self` so implementations can reuse scratch
 /// buffers across decisions. Neither built-in policy keeps per-node state
 /// from one decision to the next: Libra scans every node's share total
-/// afresh, and LibraRisk's set table lives for one decision. An
+/// afresh, and LibraRisk's group verdicts live for one decision. An
 /// implementation that does memoise across decisions may assume a policy
 /// instance is consulted about **one** engine for its whole life —
 /// create a fresh instance per simulation, as [`PolicyKind::run`] does.

@@ -410,8 +410,8 @@ impl ProportionalBackend<'_> {
             };
             note_decision(rec, now, seq, job_id, decision, audit, timed);
             // Evaluation-volume counters: how much projection work the
-            // decision ran vs avoided via the set table / dominance and
-            // risk screens.
+            // decision ran vs avoided via replayed group verdicts and the
+            // dominance and risk screens.
             if let Some(stats) = self.policy.last_decision_stats() {
                 if let Some(reg) = rec.registry_mut() {
                     reg.add(keys::PROJECTIONS_RUN_TOTAL, stats.projections_run);
@@ -1202,26 +1202,34 @@ impl<'p> ClusterRms<'p> {
     /// record for a [`Decision::Rejected`] verdict) are buffered and
     /// streamed by the next [`ClusterRms::advance`]/[`ClusterRms::drain`].
     ///
-    /// Malformed jobs (non-positive runtime, estimate or deadline, zero
-    /// processors, negative submit time — see [`Job::validate`]) are
-    /// rejected here, before any backend state is touched: an RMS
-    /// front-end faces untrusted submissions, and a nonsensical SLA must
-    /// produce a verdict, not a panic deep inside an engine. So is a job
-    /// whose id is still in flight (resident, running or queued once the
-    /// backend has caught up to `now`): it would otherwise collide with
-    /// its namesake's bookkeeping. Both reject with
-    /// [`RejectReason::InvalidJob`].
+    /// Malformed jobs (non-finite times, non-positive runtime, estimate
+    /// or deadline, zero processors, negative submit time — see
+    /// [`Job::validate`]) are rejected here, before any backend state is
+    /// touched: an RMS front-end faces untrusted submissions, and a
+    /// nonsensical SLA must produce a verdict, not a panic deep inside an
+    /// engine. So is a submission at a non-finite `now`, which is
+    /// rejected at the current clock and moves neither the clock nor the
+    /// fault plan, and a job whose id is still in flight (resident,
+    /// running or queued once the backend has caught up to `now`): it
+    /// would otherwise collide with its namesake's bookkeeping. All
+    /// three reject with [`RejectReason::InvalidJob`].
     ///
     /// # Panics
-    /// Panics if `now` precedes an earlier submission or advance.
+    /// Panics if a finite `now` precedes an earlier submission or advance.
     pub fn submit(&mut self, job: Job, now: SimTime) -> Decision {
-        assert!(
-            now >= self.now,
-            "submissions must be monotone in time ({now:?} < {:?})",
+        let finite_now = now.as_secs().is_finite();
+        let now = if finite_now {
+            assert!(
+                now >= self.now,
+                "submissions must be monotone in time ({now:?} < {:?})",
+                self.now
+            );
+            self.now = now;
+            self.apply_faults_through(now);
+            now
+        } else {
             self.now
-        );
-        self.now = now;
-        self.apply_faults_through(now);
+        };
         let seq = self.next_seq;
         self.next_seq += 1;
         if let Some(rec) = self.recorder.as_deref_mut() {
@@ -1238,7 +1246,7 @@ impl<'p> ClusterRms<'p> {
                 );
             }
         }
-        if job.validate().is_err() {
+        if !finite_now || job.validate().is_err() {
             return self.reject_invalid(seq, job, now);
         }
         // Catch up to the arrival first, so a job that resolved by `now`
@@ -1673,6 +1681,55 @@ mod tests {
                 Decision::Accepted
             );
         }
+    }
+
+    fn libra_risk_rms() -> ClusterRms<'static> {
+        ClusterRms::proportional(
+            Cluster::homogeneous(4, 168.0),
+            ProportionalConfig::default(),
+            crate::libra_risk::LibraRisk::paper(),
+        )
+    }
+
+    #[test]
+    fn infinite_submission_instant_is_rejected_without_moving_the_clock() {
+        let mut rms = libra_risk_rms();
+        assert_eq!(
+            rms.submit(job(0, 10.0, 50.0, 50.0, 1, 200.0), t(10.0)),
+            Decision::Accepted
+        );
+        for now in [f64::INFINITY, f64::NEG_INFINITY] {
+            assert_eq!(
+                rms.submit(job(1, 10.0, 50.0, 50.0, 1, 200.0), t(now)),
+                Decision::Rejected(RejectReason::InvalidJob),
+                "now = {now}"
+            );
+            assert_eq!(rms.now(), t(10.0), "now = {now} moved the clock");
+        }
+        let events: Vec<JobEvent> = rms.drain().collect();
+        assert_eq!(events.len(), 3);
+        let rejected_at: Vec<SimTime> = events
+            .iter()
+            .filter_map(|e| match e.record.outcome {
+                Outcome::Rejected { at, .. } => Some(at),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(rejected_at, vec![t(10.0), t(10.0)]);
+    }
+
+    #[test]
+    fn infinite_runtime_is_rejected_and_drain_returns() {
+        let mut rms = libra_risk_rms();
+        let endless = Job {
+            runtime: SimDuration::from_secs(f64::INFINITY),
+            ..job(0, 0.0, 50.0, 50.0, 1, 200.0)
+        };
+        assert_eq!(
+            rms.submit(endless, t(0.0)),
+            Decision::Rejected(RejectReason::InvalidJob)
+        );
+        assert_eq!(rms.drain().count(), 1);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Steady-state allocation audit for the *decision* path: once scratch
 //! buffers are warm, `decide` must not touch the heap beyond the accepted
-//! node list it hands back — no per-decision worklists, no set-table
-//! growth, no projection-input or workspace churn. Rejections return
+//! node list it hands back — no per-decision worklists, no growth of the
+//! per-group verdict array, no projection-input or workspace churn. Rejections return
 //! `None` and must therefore be exactly zero-allocation; acceptances may
 //! allocate only the returned `Vec<NodeId>` (one allocation). A `dt > 0`
 //! advance between decisions moves the residents' remaining work, so
@@ -122,7 +122,7 @@ fn steady_state_decide_allocates_only_accepted_node_lists() {
     }
     let mut lr = LibraRisk::paper();
     let mut libra = Libra::new();
-    // Warm-up sizes every scratch buffer: set table, projection input,
+    // Warm-up sizes every scratch buffer: group verdicts, projection input,
     // projection workspace, the suitable-node worklist.
     measure(&mut lr, &mut engine, 48, 5_000.0, 800.0, true);
     measure(&mut libra, &mut engine, 48, 5_000.0, 800.0, true);

@@ -426,7 +426,7 @@ fn decisions_agree_with_streamed_outcomes() {
 /// `ProportionalCluster`, compared outcome-for-outcome (bitwise instants)
 /// against the unified driver running the incremental paths end to end.
 /// This is the whole-pipeline version of the per-layer differentials: if
-/// any incremental layer (the set table, the screens, cached event
+/// any incremental layer (the group verdicts, the screens, cached event
 /// times, arena advance) drifted from its oracle *in composition*, the
 /// two runs would part ways. Churn composition is pinned separately
 /// (`interleaved_advances_are_invariant_under_churn` and the engine-level

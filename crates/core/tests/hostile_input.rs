@@ -1,0 +1,72 @@
+//! Hostile submissions: a job whose times are not finite, or a
+//! submission at a non-finite instant, must end in an `InvalidJob`
+//! rejection that leaves the clock where it was, never in a panic or an
+//! endless drain.
+
+use cluster::Cluster;
+use librisk::prelude::*;
+use proptest::prelude::*;
+use sim::{SimDuration, SimTime};
+use workload::{Job, JobId, Urgency};
+
+fn job(id: u64, submit: f64, runtime: f64, estimate: f64, deadline: f64) -> Job {
+    Job {
+        id: JobId(id),
+        submit: SimTime::from_secs(submit),
+        runtime: SimDuration::from_secs(runtime),
+        estimate: SimDuration::from_secs(estimate),
+        procs: 1,
+        deadline: SimDuration::from_secs(deadline),
+        urgency: Urgency::Low,
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn non_finite_times_are_rejected_and_drain_returns(
+        // Bit k set: field k (runtime, estimate, deadline, the job's
+        // submit time, the submission instant) is infinite; at least one
+        // is. The matching bit of `negative` picks its sign.
+        infinite in 1u32..32,
+        negative in 0u32..32,
+        runtime in 1.0..500.0f64,
+        est_factor in 0.2..4.0f64,
+        deadline_factor in 1.0..6.0f64,
+        at in 0.0..1_000.0f64,
+    ) {
+        let mut rms = PolicyKind::LibraRisk.rms(&Cluster::homogeneous(4, 168.0));
+        let first = job(0, at, runtime, runtime * est_factor, runtime * deadline_factor);
+        rms.submit(first, SimTime::from_secs(at));
+        let pick = |k: u32, finite: f64| {
+            if infinite & (1 << k) == 0 {
+                finite
+            } else if negative & (1 << k) == 0 {
+                f64::INFINITY
+            } else {
+                f64::NEG_INFINITY
+            }
+        };
+        let hostile = job(
+            1,
+            pick(3, at),
+            pick(0, runtime),
+            pick(1, runtime * est_factor),
+            pick(2, runtime * deadline_factor),
+        );
+        let now = SimTime::from_secs(pick(4, at));
+        prop_assert_eq!(
+            rms.submit(hostile, now),
+            Decision::Rejected(RejectReason::InvalidJob)
+        );
+        prop_assert_eq!(rms.now(), SimTime::from_secs(at), "the clock moved");
+        // `drain` must return: both submissions resolve exactly once.
+        let outcomes: Vec<Outcome> = rms.drain().map(|e| e.record.outcome).collect();
+        prop_assert_eq!(outcomes.len(), 2);
+        prop_assert!(outcomes.contains(&Outcome::Rejected {
+            at: SimTime::from_secs(at),
+            reason: RejectReason::InvalidJob,
+        }));
+    }
+}

@@ -6,7 +6,7 @@
 //! LibraRisk ablation variant) must return decisions *identical* to its
 //! from-scratch `decide_reference` — accept/reject and the exact chosen
 //! node list — over randomized admit/advance/complete sequences. Any
-//! divergence means a screen, the per-decision set table or a reused
+//! divergence means a screen, a replayed group verdict or a reused
 //! scratch buffer let unsound or stale state through (a `now` leaking
 //! across decisions, say) and would silently change simulation results.
 
@@ -257,7 +257,7 @@ fn assert_cached_matches_reference_under_churn<P, R>(
     }
 }
 
-// Tentpole pin: the classified candidate scan (resident-set table,
+// Tentpole pin: the classified candidate scan (resident-set groups,
 // verdict-kernel bail-outs, screens) under *churn* at full cluster
 // width. Fewer cases for the same reason as the fault-free 128-node
 // sweep: the from-scratch reference is the expensive half.
@@ -344,14 +344,14 @@ fn overload_replay_matches_reference_and_exercises_the_risk_screen() {
     );
 }
 
-/// The set table against the from-scratch reference on gang-heavy load:
-/// 2,000 arrivals of the synthetic SDSC-SP2 trace (17-processor gangs on
-/// average) at the paper's load on its 128 nodes, under the id and
-/// load orderings (the latter always sweeps every node). Every decision
-/// must equal `decide_reference`, and the table must have settled nodes
-/// by replaying an earlier node's verdict for the same resident set.
+/// The resident-set index against the from-scratch reference on
+/// gang-heavy load: 2,000 arrivals of the synthetic SDSC-SP2 trace
+/// (17-processor gangs on average) at the paper's load on its 128 nodes,
+/// under the id and load orderings (the latter always sweeps every node).
+/// Every decision must equal `decide_reference`, and nodes must have been
+/// settled by replaying their group's verdict from an earlier member.
 #[test]
-fn gang_replay_matches_reference_and_hits_the_set_table() {
+fn gang_replay_matches_reference_and_hits_the_set_index() {
     use sim::Rng64;
     use workload::deadlines::DeadlineModel;
     use workload::params::{SDSC_SP2_NODES, SDSC_SP2_SPEC_RATING};
@@ -393,6 +393,6 @@ fn gang_replay_matches_reference_and_hits_the_set_table() {
                 engine.admit(job.clone(), nodes, job.submit);
             }
         }
-        assert!(set_hits > 0, "{}: the set table never hit", lr.name());
+        assert!(set_hits > 0, "{}: no group verdict was replayed", lr.name());
     }
 }

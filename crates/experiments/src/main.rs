@@ -313,15 +313,14 @@ fn handler(which: &str) -> Option<fn(&Args)> {
             let cfg = &args.cfg;
             use experiments::shard_scaling;
             let rows = shard_scaling::shard_scaling(cfg);
-            println!("# Sharded router — throughput vs shard count\n");
-            println!("| shards | jobs | jobs/s | fulfilled | oracle fulfilled | identity |");
-            println!("| --- | --- | --- | --- | --- | --- |");
+            println!("# Sharded router — fulfilled vs shard count\n");
+            println!("| shards | jobs | fulfilled | oracle fulfilled | identity |");
+            println!("| --- | --- | --- | --- | --- |");
             for r in &rows {
                 println!(
-                    "| {} | {} | {:.0} | {} | {} | {} |",
+                    "| {} | {} | {} | {} | {} |",
                     r.shards,
                     r.jobs,
-                    r.jobs_per_sec,
                     r.fulfilled,
                     r.oracle_fulfilled,
                     if r.identity_ok() { "ok" } else { "MISMATCH" },

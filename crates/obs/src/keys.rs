@@ -26,10 +26,11 @@ pub const NODE_UP: &str = "rms_node_up_total";
 /// Projection-kernel executions across all decisions (LibraRisk family).
 pub const PROJECTIONS_RUN_TOTAL: &str = "librarisk_projections_run_total";
 /// Node evaluations settled *without* running the projection kernel —
-/// dominance and risk screens, resident-set table or empty-node path.
+/// dominance and risk screens, a replayed resident-set group verdict or
+/// the empty-node path.
 pub const PROJECTIONS_AVOIDED_TOTAL: &str = "librarisk_projections_avoided_total";
-/// Resident sets evaluated (considered nodes the set table did not
-/// settle), summed over decisions (divide by [`DECISIONS`] for
+/// Resident sets evaluated (considered nodes that did not replay a
+/// group verdict), summed over decisions (divide by [`DECISIONS`] for
 /// sets/decision).
 pub const DECISION_CLASSES_TOTAL: &str = "librarisk_decision_classes_total";
 /// Node evaluations proven zero-risk by the pre-kernel dominance screen.

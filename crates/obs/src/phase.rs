@@ -76,8 +76,8 @@ pub enum Phase {
     AdvanceTotal = 4,
     /// The decide-path walk over candidate nodes.
     CandidateScan = 5,
-    /// Pre-kernel classification: resident-set table lookups and the
-    /// dominance and risk screens.
+    /// Pre-kernel classification: resident-set group verdict lookups and
+    /// the dominance and risk screens.
     EquivClassify = 6,
     /// Risk-projection verdict kernel executions.
     VerdictKernel = 7,
@@ -159,7 +159,7 @@ const PHASE_META: [PhaseMeta; N_PHASES] = [
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Counter {
     /// Node evaluations answered by the verdict of an earlier node with
-    /// the same resident set (the per-decision set table).
+    /// the same resident set (a replayed resident-set group verdict).
     EquivClassHits = 0,
     /// Node evaluations settled by the zero-risk dominance screen.
     DominanceScreens = 1,

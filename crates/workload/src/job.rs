@@ -78,6 +78,22 @@ impl Job {
 
     /// Validates the invariants every generator/parser must uphold.
     pub fn validate(&self) -> Result<(), String> {
+        // Every time must be finite: a job with infinite work never
+        // completes, and an infinite instant makes the engine's next time
+        // step `∞ − ∞`.
+        for (field, secs) in [
+            ("runtime", self.runtime.as_secs()),
+            ("estimate", self.estimate.as_secs()),
+            ("deadline", self.deadline.as_secs()),
+            ("submit time", self.submit.as_secs()),
+        ] {
+            if !secs.is_finite() {
+                return Err(format!("{}: non-finite {field}", self.id));
+            }
+        }
+        if !self.absolute_deadline().as_secs().is_finite() {
+            return Err(format!("{}: absolute deadline overflows", self.id));
+        }
         if self.runtime.as_secs() <= 0.0 {
             return Err(format!("{}: non-positive runtime", self.id));
         }
@@ -140,6 +156,50 @@ mod tests {
         assert!(j.validate().is_err());
         let mut j = job();
         j.estimate = SimDuration::from_secs(0.0);
+        assert!(j.validate().is_err());
+    }
+
+    #[test]
+    fn validation_rejects_non_finite_times() {
+        for v in [f64::INFINITY, f64::NEG_INFINITY] {
+            let secs = SimDuration::from_secs(v);
+            for (field, j) in [
+                (
+                    "runtime",
+                    Job {
+                        runtime: secs,
+                        ..job()
+                    },
+                ),
+                (
+                    "estimate",
+                    Job {
+                        estimate: secs,
+                        ..job()
+                    },
+                ),
+                (
+                    "deadline",
+                    Job {
+                        deadline: secs,
+                        ..job()
+                    },
+                ),
+                (
+                    "submit",
+                    Job {
+                        submit: SimTime::from_secs(v),
+                        ..job()
+                    },
+                ),
+            ] {
+                assert!(j.validate().is_err(), "{field} = {v} passed");
+            }
+        }
+        // Finite fields whose sum overflows: the absolute deadline is +∞.
+        let mut j = job();
+        j.submit = SimTime::from_secs(f64::MAX);
+        j.deadline = SimDuration::from_secs(f64::MAX);
         assert!(j.validate().is_err());
     }
 }
