@@ -136,17 +136,10 @@ echo "== lint: rustfmt =="
 cargo fmt --check
 
 echo "== lint: clippy =="
+# Every default member of the workspace, `obs` and `librisk` (with the
+# threaded shard router) included, on every target (lib, bins, tests,
+# examples).
 cargo clippy --all-targets -- -D warnings
-
-echo "== lint: clippy (obs, all targets) =="
-# The observability crate is new and zero-dep: hold it to -D warnings
-# on every target (lib, tests) explicitly.
-cargo clippy -p obs --all-targets -- -D warnings
-
-echo "== lint: clippy (core incl. router, all targets) =="
-# The shard router (core::router) is threaded code: hold the core crate
-# and its test targets to -D warnings explicitly as well.
-cargo clippy -p librisk --all-targets -- -D warnings
 
 echo "== lint: rustdoc =="
 # Every intra-doc link must resolve, private items included, so a

@@ -24,10 +24,11 @@
 //! * [`rms::ClusterRms`] — the online RMS facade ("the only single
 //!   interface for users to submit jobs in the cluster", §3):
 //!   job-by-job `submit`/`advance`/`drain` over any execution backend,
-//!   with outcomes streamed into a [`report::ReportSink`].
-//! * [`scheduler`] — batch entry points that replay a
-//!   [`workload::Trace`] through the facade via one generic driver
-//!   ([`rms::drive_trace`]) and produce a [`report::SimulationReport`].
+//!   with outcomes streamed into a [`report::ReportSink`]. A whole
+//!   [`workload::Trace`] replays through it via one generic driver
+//!   ([`rms::drive_trace`]); [`rms::ClusterRms::run_to_report`] and
+//!   [`policy::PolicyKind::run`] wrap that driver and produce a
+//!   [`report::SimulationReport`].
 //!
 //! ## Quick start
 //!
@@ -60,7 +61,6 @@ pub mod queue;
 pub mod report;
 pub mod rms;
 pub mod router;
-pub mod scheduler;
 
 pub use car::{computation_at_risk, CarAnalysis, CarMeasure};
 pub use ckpt::{
@@ -69,9 +69,9 @@ pub use ckpt::{
 };
 pub use libra::Libra;
 pub use libra_budget::{BudgetModel, LibraBudget, PricingModel};
-pub use libra_risk::{ClusterRisk, LibraRisk, NodeOrdering};
+pub use libra_risk::{LibraRisk, NodeOrdering};
 pub use policy::{PolicyKind, ShareAdmission};
-pub use qops::{run_qops, QopsConfig};
+pub use qops::QopsConfig;
 pub use queue::{QueueDiscipline, QueuePolicy, QueuedJob};
 pub use report::{
     ChurnStats, JobRecord, OnlineReport, OnlineReportParts, Outcome, ReportCollector, ReportSink,
@@ -79,7 +79,6 @@ pub use report::{
 };
 pub use rms::{drive_trace, ClusterRms, Decision, ExecutionBackend, JobEvent};
 pub use router::{job_hash_shard, RouteBy, RouterError, ShardedRms};
-pub use scheduler::{run_proportional, run_queued};
 
 // The observability layer is part of the facade's public surface
 // (`Decision::Rejected` carries its `RejectReason`, `with_recorder`
@@ -97,7 +96,6 @@ pub mod prelude {
     };
     pub use crate::rms::{drive_trace, ClusterRms, Decision, JobEvent};
     pub use crate::router::{RouteBy, RouterError, ShardedRms};
-    pub use crate::scheduler::{run_proportional, run_queued};
     pub use cluster::{Cluster, FaultEvent, FaultKind, FaultPlan, NodeId, RecoveryPolicy};
     pub use obs;
     pub use obs::{NoopRecorder, Recorder, RejectReason, TraceRecorder};

@@ -290,7 +290,7 @@ mod tests {
 
     #[test]
     fn end_to_end_budget_run_accounts_revenue() {
-        use crate::scheduler::run_proportional;
+        use crate::rms::ClusterRms;
         use workload::Trace;
         let jobs: Vec<Job> = (0..30)
             .map(|i| {
@@ -307,12 +307,12 @@ mod tests {
         }
         .assign(&mut Rng64::new(9), trace.jobs());
         let mut policy = LibraBudget::new(LibraRisk::paper(), PricingModel::default(), budgets);
-        let report = run_proportional(
+        let report = ClusterRms::proportional(
             Cluster::homogeneous(8, 168.0),
             ProportionalConfig::default(),
             &mut policy,
-            &trace,
-        );
+        )
+        .run_to_report(&trace);
         assert_eq!(report.submitted(), 30);
         // Some users are under-budgeted (generosity < needed markup for
         // the over-estimated quote) → budget rejections occur.

@@ -45,50 +45,6 @@ pub enum NodeOrdering {
 /// [`LibraRisk::require_unit_mu`] is enabled.
 pub const MU_EPSILON: f64 = 1e-9;
 
-/// Cluster-wide aggregate of per-node resident risk contributions,
-/// folded in node-id order.
-#[derive(Clone, Debug)]
-pub struct ClusterRisk {
-    /// Per-node contributions, indexed by node id.
-    pub contributions: Vec<RiskSummary>,
-    /// Total resident jobs projected across the cluster.
-    pub jobs: usize,
-    /// Σ over nodes of each contribution's `dd_sum`, left-to-right in
-    /// node-id order.
-    pub dd_sum: f64,
-    /// Σ over nodes of each contribution's `dd_sq_sum`, same order.
-    pub dd_sq_sum: f64,
-    /// Number of nodes whose resident-only `σ_j` reads as nonzero risk.
-    pub risky_nodes: usize,
-}
-
-impl ClusterRisk {
-    /// Cluster-mean deadline-delay over all resident jobs (1.0 when the
-    /// cluster is empty — no jobs, no delay).
-    pub fn mean_dd(&self) -> f64 {
-        if self.jobs == 0 {
-            1.0
-        } else {
-            self.dd_sum / self.jobs as f64
-        }
-    }
-
-    /// `true` when every field (including each per-node contribution)
-    /// matches `other` bitwise.
-    pub fn bits_eq(&self, other: &ClusterRisk) -> bool {
-        self.jobs == other.jobs
-            && self.risky_nodes == other.risky_nodes
-            && self.dd_sum.to_bits() == other.dd_sum.to_bits()
-            && self.dd_sq_sum.to_bits() == other.dd_sq_sum.to_bits()
-            && self.contributions.len() == other.contributions.len()
-            && self
-                .contributions
-                .iter()
-                .zip(&other.contributions)
-                .all(|(a, b)| a.bits_eq(b))
-    }
-}
-
 /// The LibraRisk admission control.
 ///
 /// The decision loop keeps no per-node state between decisions and is
@@ -252,41 +208,34 @@ impl LibraRisk {
         self
     }
 
-    /// The cluster-wide risk aggregate over *resident* jobs only (no
-    /// tentative candidate): every node re-projected from scratch. A
-    /// decision reads the engine without mutating it, so a rejected
-    /// candidate leaves the aggregate bitwise unchanged.
+    /// The cluster-mean projected deadline-delay over *resident* jobs
+    /// only (no tentative candidate), 1.0 when the cluster is empty (no
+    /// jobs, no delay): every node re-projected from scratch, its
+    /// deadline-delay sum folded in node-id order. A decision reads the
+    /// engine without mutating it, so a rejected candidate leaves the
+    /// value bitwise unchanged.
     ///
     /// Always evaluated with the paper's piecewise projection (ablation
-    /// knobs affect decisions, not this diagnostic). Down nodes keep
-    /// their slot in `contributions` (a node failure evicts every
-    /// resident, so the slot reads as an empty, zero-risk summary).
-    pub fn cluster_risk(engine: &ProportionalCluster) -> ClusterRisk {
-        let n = engine.cluster().len();
+    /// knobs affect decisions, not this diagnostic). A down node holds
+    /// no residents (a failure evicts them all) and adds nothing.
+    pub fn cluster_risk(engine: &ProportionalCluster) -> f64 {
         let now = engine.now().as_secs();
         let discipline = engine.config().discipline;
-        let mut out = ClusterRisk {
-            contributions: Vec::with_capacity(n),
-            jobs: 0,
-            dd_sum: 0.0,
-            dd_sq_sum: 0.0,
-            risky_nodes: 0,
-        };
+        let mut ws = ProjectionWorkspace::new();
+        let (mut jobs, mut dd_sum) = (0, 0.0);
         for node in engine.cluster().nodes() {
-            let mut jobs = engine.node_projection(node.id, None);
-            canonicalize_projection(&mut jobs);
+            let mut resident = engine.node_projection(node.id, None);
+            canonicalize_projection(&mut resident);
             let speed = engine.cluster().speed_factor(node.id);
-            let s =
-                ProjectionWorkspace::new().node_risk_summary_with(&jobs, now, speed, discipline);
-            out.jobs += s.count;
-            out.dd_sum += s.dd_sum;
-            out.dd_sq_sum += s.dd_sq_sum;
-            if !is_zero_risk(s.sigma) {
-                out.risky_nodes += 1;
-            }
-            out.contributions.push(s);
+            let s = ws.node_risk_summary_with(&resident, now, speed, discipline);
+            jobs += s.count;
+            dd_sum += s.dd_sum;
         }
-        out
+        if jobs == 0 {
+            1.0
+        } else {
+            dd_sum / jobs as f64
+        }
     }
 }
 
@@ -306,7 +255,7 @@ impl ShareAdmission for LibraRisk {
         // (1.0 = no delay). `cluster_risk` only reads the engine, so
         // auditing it around a decision leaves the decision stream
         // bitwise intact.
-        Some(("cluster_risk", Self::cluster_risk(engine).mean_dd()))
+        Some(("cluster_risk", Self::cluster_risk(engine)))
     }
 
     fn last_decision_stats(&self) -> Option<DecisionStats> {
@@ -745,37 +694,38 @@ mod tests {
     fn cluster_risk_matches_reference_and_ignores_rejections() {
         let mut lr = LibraRisk::paper();
         let mut e = engine(3);
-        let idle = LibraRisk::cluster_risk(&e);
-        assert_eq!(idle.jobs, 0);
-        assert_eq!(idle.risky_nodes, 0);
-        assert_eq!(idle.mean_dd(), 1.0);
-        assert!(idle
-            .contributions
-            .iter()
-            .all(|c| c.bits_eq(&RiskSummary::EMPTY)));
+        assert_eq!(
+            LibraRisk::cluster_risk(&e),
+            1.0,
+            "an idle cluster reads no delay"
+        );
 
         e.admit(job(1, 80.0, 1, 100.0), vec![NodeId(0)], SimTime::ZERO);
         e.admit(job(2, 80.0, 1, 200.0), vec![NodeId(0)], SimTime::ZERO);
         e.admit(job(3, 40.0, 1, 400.0), vec![NodeId(1)], SimTime::ZERO);
         let loaded = LibraRisk::cluster_risk(&e);
-        assert_eq!(loaded.jobs, 3);
-        assert_eq!(loaded.contributions.len(), 3);
-        assert!(loaded.risky_nodes >= 1, "node 0 is overloaded unevenly");
-        // Each contribution is the node's own from-scratch projection.
-        let mut node0 = e.node_projection(NodeId(0), None);
-        canonicalize_projection(&mut node0);
-        let want = ProjectionWorkspace::new().node_risk_summary_with(
-            &node0,
-            0.0,
-            e.cluster().speed_factor(NodeId(0)),
-            e.config().discipline,
-        );
-        assert!(loaded.contributions[0].bits_eq(&want));
+        // The mean folds each node's own from-scratch projection in
+        // node-id order.
+        let summary = |node: NodeId| {
+            let mut jobs = e.node_projection(node, None);
+            canonicalize_projection(&mut jobs);
+            ProjectionWorkspace::new().node_risk_summary_with(
+                &jobs,
+                0.0,
+                e.cluster().speed_factor(node),
+                e.config().discipline,
+            )
+        };
+        let node0 = summary(NodeId(0));
+        assert_eq!(node0.count, 2);
+        assert!(!is_zero_risk(node0.sigma), "node 0 is overloaded unevenly");
+        let dd_sum = node0.dd_sum + summary(NodeId(1)).dd_sum + summary(NodeId(2)).dd_sum;
+        assert_eq!(loaded.to_bits(), (dd_sum / 3.0).to_bits());
 
-        // A rejected candidate must leave the aggregate bitwise unchanged.
+        // A rejected candidate must leave the value bitwise unchanged.
         assert!(lr.decide(&e, &job(4, 500.0, 3, 120.0)).is_none());
-        assert!(LibraRisk::cluster_risk(&e).bits_eq(&loaded));
-        assert_eq!(lr.audit_gauge(&e), Some(("cluster_risk", loaded.mean_dd())));
+        assert_eq!(LibraRisk::cluster_risk(&e).to_bits(), loaded.to_bits());
+        assert_eq!(lr.audit_gauge(&e), Some(("cluster_risk", loaded)));
     }
 
     #[test]

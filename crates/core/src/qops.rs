@@ -19,10 +19,6 @@
 //! With `slack_factor = 1` this degenerates to a hard-deadline
 //! schedulability test at arrival.
 
-use crate::report::SimulationReport;
-use cluster::Cluster;
-use workload::Trace;
-
 /// Configuration of the QoPS-style controller.
 #[derive(Clone, Copy, Debug)]
 pub struct QopsConfig {
@@ -85,24 +81,14 @@ pub(crate) fn schedulable(now: f64, mut free_at: Vec<f64>, mut pending: Vec<Pend
     true
 }
 
-/// Runs the QoPS-style controller over a trace.
-///
-/// A thin wrapper over the online [`ClusterRms`](crate::rms::ClusterRms)
-/// facade; the retired bespoke event loop is gone, its behaviour pinned
-/// by the golden fixture consumed by `tests/differential_rms.rs`.
-///
-/// # Panics
-/// Panics if `cfg.slack_factor < 1`.
-pub fn run_qops(cluster: Cluster, cfg: QopsConfig, trace: &Trace) -> SimulationReport {
-    crate::rms::ClusterRms::qops(cluster, cfg).run_to_report(trace)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::report::Outcome;
+    use crate::rms::ClusterRms;
+    use cluster::Cluster;
     use sim::{SimDuration, SimTime};
-    use workload::{Job, JobId, Urgency};
+    use workload::{Job, JobId, Trace, Urgency};
 
     fn job(id: u64, submit: f64, runtime: f64, procs: u32, deadline: f64) -> Job {
         Job {
@@ -123,7 +109,7 @@ mod tests {
     #[test]
     fn lone_feasible_job_is_accepted_and_fulfilled() {
         let trace = Trace::new(vec![job(0, 0.0, 100.0, 2, 300.0)]);
-        let report = run_qops(cluster(4), QopsConfig::default(), &trace);
+        let report = ClusterRms::qops(cluster(4), QopsConfig::default()).run_to_report(&trace);
         assert_eq!(report.fulfilled(), 1);
         assert_eq!(report.rejected(), 0);
     }
@@ -132,7 +118,7 @@ mod tests {
     fn infeasible_job_is_rejected_at_arrival() {
         // Even the soft deadline (1.2 × 50 = 60 < runtime 100) cannot hold.
         let trace = Trace::new(vec![job(0, 0.0, 100.0, 1, 50.0)]);
-        let report = run_qops(cluster(2), QopsConfig::default(), &trace);
+        let report = ClusterRms::qops(cluster(2), QopsConfig::default()).run_to_report(&trace);
         assert_eq!(report.rejected(), 1);
     }
 
@@ -142,17 +128,11 @@ mod tests {
         // 60: the second would finish at 120 > 100 (hard) but within the
         // soft deadline 150 (slack 1.5).
         let jobs = vec![job(0, 0.0, 60.0, 1, 100.0), job(1, 0.0, 60.0, 1, 100.0)];
-        let hard = run_qops(
-            cluster(1),
-            QopsConfig { slack_factor: 1.0 },
-            &Trace::new(jobs.clone()),
-        );
+        let hard = ClusterRms::qops(cluster(1), QopsConfig { slack_factor: 1.0 })
+            .run_to_report(&Trace::new(jobs.clone()));
         assert_eq!(hard.accepted(), 1, "hard test refuses the overflow job");
-        let soft = run_qops(
-            cluster(1),
-            QopsConfig { slack_factor: 1.5 },
-            &Trace::new(jobs),
-        );
+        let soft = ClusterRms::qops(cluster(1), QopsConfig { slack_factor: 1.5 })
+            .run_to_report(&Trace::new(jobs));
         assert_eq!(soft.accepted(), 2, "slack books both");
         // The overflow job misses its hard deadline, so only one is
         // fulfilled under the paper's metric.
@@ -169,11 +149,8 @@ mod tests {
             job(2, 2.0, 100.0, 1, 100.0), // earlier deadline: would preempt
                                           // job 1's slot and push it late
         ];
-        let report = run_qops(
-            cluster(1),
-            QopsConfig { slack_factor: 1.2 },
-            &Trace::new(jobs),
-        );
+        let report = ClusterRms::qops(cluster(1), QopsConfig { slack_factor: 1.2 })
+            .run_to_report(&Trace::new(jobs));
         assert!(matches!(
             report.records[2].outcome,
             Outcome::Rejected { .. }
@@ -184,18 +161,15 @@ mod tests {
     #[test]
     fn wider_than_cluster_is_rejected() {
         let trace = Trace::new(vec![job(0, 0.0, 10.0, 5, 100.0)]);
-        let report = run_qops(cluster(2), QopsConfig::default(), &trace);
+        let report = ClusterRms::qops(cluster(2), QopsConfig::default()).run_to_report(&trace);
         assert_eq!(report.rejected(), 1);
     }
 
     #[test]
     #[should_panic(expected = "slack factor")]
     fn slack_below_one_panics() {
-        run_qops(
-            cluster(1),
-            QopsConfig { slack_factor: 0.5 },
-            &Trace::new(vec![]),
-        );
+        ClusterRms::qops(cluster(1), QopsConfig { slack_factor: 0.5 })
+            .run_to_report(&Trace::new(vec![]));
     }
 
     #[test]

@@ -16,10 +16,8 @@
 //! previously each owned a bespoke batch event loop: the proportional-
 //! share engine (Libra/LibraRisk, §3), the space-shared queueing engine
 //! (EDF/FCFS, §4), and the QoPS soft-deadline controller (related work,
-//! §2). [`drive_trace`] is the single generic batch driver over the sim
-//! crate's event loop — it replaces `run_proportional`, `run_queued` and
-//! `run_qops`, whose original loop bodies survive as `*_reference`
-//! differential oracles for one PR.
+//! §2). [`drive_trace`] is the single generic batch driver: it replays a
+//! trace's arrivals in submit order through the facade.
 //!
 //! # Equivalence contract
 //!
@@ -61,7 +59,7 @@ use crate::report::{
 use cluster::proportional::{CompletedJob, ProportionalCluster, ProportionalConfig};
 use cluster::{Cluster, FaultKind, FaultPlan, NodeId, RecoveryPolicy, SpaceSharedCluster};
 use obs::{keys, DecisionAudit, Event, GaugeDelta, Recorder, RejectReason, ResolvedKind, Verdict};
-use sim::{SimDuration, SimTime, Simulator};
+use sim::{SimDuration, SimTime};
 use std::collections::HashMap;
 use std::time::Instant;
 use workload::{Job, JobId, Trace};
@@ -1307,24 +1305,30 @@ impl<'p> ClusterRms<'p> {
     /// would observe, so extra calls at intermediate instants never
     /// change results.
     ///
+    /// A non-finite `to` is treated like a submission at a non-finite
+    /// instant: it moves neither the clock nor the fault plan, and only
+    /// the outcomes already buffered stream out.
+    ///
     /// # Panics
-    /// Panics if `to` precedes an earlier submission or advance.
+    /// Panics if a finite `to` precedes an earlier submission or advance.
     pub fn advance(&mut self, to: SimTime) -> impl Iterator<Item = JobEvent> + '_ {
-        assert!(
-            to >= self.now,
-            "cannot advance backwards ({to:?} < {:?})",
-            self.now
-        );
         let from = self.now;
-        self.now = to;
-        self.apply_faults_through(to);
-        match &mut self.backend {
-            ExecutionBackend::Proportional(b) => b.catch_up(to, &mut self.events),
-            ExecutionBackend::Queued(b) => b.catch_up(Some(to), &mut self.events),
-            ExecutionBackend::Qops(b) => b.catch_up(Some(to), &mut self.events),
+        if to.as_secs().is_finite() {
+            assert!(
+                to >= self.now,
+                "cannot advance backwards ({to:?} < {:?})",
+                self.now
+            );
+            self.now = to;
+            self.apply_faults_through(to);
+            match &mut self.backend {
+                ExecutionBackend::Proportional(b) => b.catch_up(to, &mut self.events),
+                ExecutionBackend::Queued(b) => b.catch_up(Some(to), &mut self.events),
+                ExecutionBackend::Qops(b) => b.catch_up(Some(to), &mut self.events),
+            }
         }
         self.finalize_churn();
-        self.record_span(from, to);
+        self.record_span(from, self.now);
         self.events.drain(..)
     }
 
@@ -1421,23 +1425,20 @@ impl<'p> ClusterRms<'p> {
     }
 }
 
-/// The single generic batch driver: pre-loads every arrival into the sim
-/// crate's event loop, submits each job at its arrival instant, and
-/// streams resolved outcomes into `sink`.
+/// The single generic batch driver: submits each job at its arrival
+/// instant, in submit order with ties kept in trace order, and streams
+/// resolved outcomes into `sink`.
 ///
-/// This one loop replaces the three bespoke batch loops. The wake-event
-/// bookkeeping they carried (cancel/reschedule churn on every dispatched
-/// event) disappears structurally: the facade is *pulled* to each arrival
-/// instant, so no wake events exist to churn.
+/// The facade is *pulled* to each arrival instant; the engines report
+/// their own next event times, so no event queue is needed beside them.
 pub fn drive_trace(rms: &mut ClusterRms<'_>, trace: &Trace, sink: &mut dyn ReportSink) {
-    let mut sim: Simulator<usize> = Simulator::new();
-    sim.schedule_all(trace.jobs().iter().enumerate().map(|(i, j)| (j.submit, i)));
-    while let Some(ev) = sim.next_event() {
-        let now = sim.now();
-        for e in rms.advance(now) {
+    let mut arrivals: Vec<&Job> = trace.jobs().iter().collect();
+    arrivals.sort_by_key(|j| j.submit);
+    for job in arrivals {
+        for e in rms.advance(job.submit) {
             sink.record(e.seq, e.record);
         }
-        rms.submit(trace[ev.payload].clone(), now);
+        rms.submit(job.clone(), job.submit);
     }
     for e in rms.drain() {
         sink.record(e.seq, e.record);
@@ -1448,6 +1449,7 @@ pub fn drive_trace(rms: &mut ClusterRms<'_>, trace: &Trace, sink: &mut dyn Repor
 mod tests {
     use super::*;
     use crate::libra::Libra;
+    use crate::libra_risk::LibraRisk;
     use crate::queue::QueueDiscipline;
     use sim::SimDuration;
     use workload::Urgency;
@@ -1466,6 +1468,303 @@ mod tests {
 
     fn t(secs: f64) -> SimTime {
         SimTime::from_secs(secs)
+    }
+
+    fn two_node_cluster() -> Cluster {
+        Cluster::homogeneous(2, 168.0)
+    }
+
+    #[test]
+    fn libra_accepts_and_completes_feasible_jobs() {
+        let trace = Trace::new(vec![
+            job(0, 0.0, 50.0, 50.0, 1, 200.0),
+            job(1, 10.0, 50.0, 50.0, 1, 200.0),
+        ]);
+        let report = ClusterRms::proportional(
+            two_node_cluster(),
+            ProportionalConfig::default(),
+            Libra::new(),
+        )
+        .run_to_report(&trace);
+        assert_eq!(report.submitted(), 2);
+        assert_eq!(report.fulfilled(), 2);
+        assert_eq!(report.rejected(), 0);
+        assert_eq!(report.policy, "Libra");
+    }
+
+    #[test]
+    fn libra_rejects_overcommitment_librarisk_accepts_certain_case() {
+        // Eight identical single-node jobs each demanding share 1.0 arrive
+        // together on a 2-node cluster: Libra takes two (one per node),
+        // rejects the rest.
+        let jobs: Vec<Job> = (0..8)
+            .map(|i| job(i, 0.0, 100.0, 100.0, 1, 100.0))
+            .collect();
+        let trace = Trace::new(jobs);
+        let libra = ClusterRms::proportional(
+            two_node_cluster(),
+            ProportionalConfig::default(),
+            Libra::new(),
+        )
+        .run_to_report(&trace);
+        assert_eq!(libra.accepted(), 2);
+        assert_eq!(libra.rejected(), 6);
+        assert_eq!(libra.fulfilled(), 2);
+    }
+
+    #[test]
+    fn librarisk_tolerates_overestimates_that_libra_rejects() {
+        // One job per node: estimate 3× the deadline, actual runtime well
+        // inside it. Libra rejects (share 3 > 1); LibraRisk accepts (lone
+        // job → σ = 0) and the job fulfils its deadline.
+        let trace = Trace::new(vec![job(0, 0.0, 50.0, 300.0, 1, 100.0)]);
+        let libra = ClusterRms::proportional(
+            two_node_cluster(),
+            ProportionalConfig::default(),
+            Libra::new(),
+        )
+        .run_to_report(&trace);
+        assert_eq!(libra.fulfilled(), 0);
+        assert_eq!(libra.rejected(), 1);
+        let lr = ClusterRms::proportional(
+            two_node_cluster(),
+            ProportionalConfig::default(),
+            LibraRisk::paper(),
+        )
+        .run_to_report(&trace);
+        assert_eq!(lr.rejected(), 0);
+        assert_eq!(lr.fulfilled(), 1, "over-estimated job meets its deadline");
+    }
+
+    #[test]
+    fn edf_queues_and_reselects_by_deadline() {
+        // One processor; job 0 occupies it; jobs 1 and 2 queue. Job 2
+        // arrives later but has the earlier absolute deadline → runs first.
+        let trace = Trace::new(vec![
+            job(0, 0.0, 100.0, 100.0, 1, 1000.0),
+            job(1, 1.0, 10.0, 10.0, 1, 5000.0), // abs deadline 5001
+            job(2, 2.0, 10.0, 10.0, 1, 500.0),  // abs deadline 502
+        ]);
+        let report = ClusterRms::queued(
+            Cluster::homogeneous(1, 168.0),
+            QueuePolicy::new(QueueDiscipline::EarliestDeadline, true),
+        )
+        .run_to_report(&trace);
+        assert_eq!(report.fulfilled(), 3);
+        let finish = |i: usize| match report.records[i].outcome {
+            Outcome::Completed { finish, .. } => finish.as_secs(),
+            _ => panic!("completed"),
+        };
+        assert_eq!(finish(0), 100.0);
+        assert_eq!(finish(2), 110.0, "earlier deadline overtakes");
+        assert_eq!(finish(1), 120.0);
+    }
+
+    #[test]
+    fn edf_rejects_selected_job_that_cannot_meet_deadline() {
+        let trace = Trace::new(vec![
+            job(0, 0.0, 100.0, 100.0, 1, 200.0),
+            // Needs 100 s but its deadline is 50 s after submission — by
+            // the time it is selected (t=0, queue head check) it already
+            // cannot meet the deadline.
+            job(1, 0.0, 100.0, 100.0, 1, 50.0),
+        ]);
+        let report = ClusterRms::queued(
+            Cluster::homogeneous(1, 168.0),
+            QueuePolicy::new(QueueDiscipline::EarliestDeadline, true),
+        )
+        .run_to_report(&trace);
+        assert_eq!(report.rejected(), 1);
+        assert!(matches!(
+            report.records[1].outcome,
+            Outcome::Rejected { .. }
+        ));
+        assert_eq!(report.fulfilled(), 1);
+    }
+
+    #[test]
+    fn edf_noac_never_rejects_but_misses_deadlines() {
+        let trace = Trace::new(vec![
+            job(0, 0.0, 100.0, 100.0, 1, 200.0),
+            job(1, 0.0, 100.0, 100.0, 1, 50.0),
+        ]);
+        let report = ClusterRms::queued(
+            Cluster::homogeneous(1, 168.0),
+            QueuePolicy::new(QueueDiscipline::EarliestDeadline, false),
+        )
+        .run_to_report(&trace);
+        assert_eq!(report.rejected(), 0);
+        assert_eq!(report.accepted(), 2);
+        assert!(report.fulfilled() < 2);
+    }
+
+    #[test]
+    fn fcfs_runs_in_arrival_order() {
+        let trace = Trace::new(vec![
+            job(0, 0.0, 100.0, 100.0, 1, 10_000.0),
+            job(1, 1.0, 10.0, 10.0, 1, 20.0), // urgent but FCFS ignores it
+        ]);
+        let report = ClusterRms::queued(
+            Cluster::homogeneous(1, 168.0),
+            QueuePolicy::new(QueueDiscipline::Fifo, false),
+        )
+        .run_to_report(&trace);
+        let finish = |i: usize| match report.records[i].outcome {
+            Outcome::Completed { finish, .. } => finish.as_secs(),
+            _ => panic!("completed"),
+        };
+        assert_eq!(finish(0), 100.0);
+        assert_eq!(finish(1), 110.0);
+        assert_eq!(report.fulfilled(), 1);
+    }
+
+    #[test]
+    fn backfill_lets_small_jobs_jump_a_blocked_wide_head() {
+        // Two processors. Job 0 takes one; job 1 (the EDF head) needs both
+        // and blocks; job 2 needs one and fits the idle processor.
+        let trace = Trace::new(vec![
+            job(0, 0.0, 100.0, 100.0, 1, 1000.0),
+            job(1, 1.0, 50.0, 50.0, 2, 500.0), // head (earliest deadline)
+            job(2, 2.0, 30.0, 30.0, 1, 2000.0),
+        ]);
+        let plain = ClusterRms::queued(
+            two_node_cluster(),
+            QueuePolicy::new(QueueDiscipline::EarliestDeadline, true),
+        )
+        .run_to_report(&trace);
+        let backfill = ClusterRms::queued(
+            two_node_cluster(),
+            QueuePolicy::new(QueueDiscipline::EarliestDeadline, true).with_backfill(true),
+        )
+        .run_to_report(&trace);
+        let finish = |r: &SimulationReport, i: usize| match r.records[i].outcome {
+            Outcome::Completed { finish, .. } => finish.as_secs(),
+            _ => panic!("completed"),
+        };
+        // Without backfilling job 2 waits behind the blocked head.
+        assert_eq!(finish(&plain, 2), 180.0);
+        // With backfilling it runs immediately on the idle processor.
+        assert_eq!(finish(&backfill, 2), 32.0);
+        // The head itself is not harmed here (it still waits for job 0).
+        assert_eq!(finish(&plain, 1), 150.0);
+        assert_eq!(finish(&backfill, 1), 150.0);
+    }
+
+    #[test]
+    fn job_wider_than_machine_is_rejected_everywhere() {
+        let trace = Trace::new(vec![job(0, 0.0, 10.0, 10.0, 5, 100.0)]);
+        let q = ClusterRms::queued(
+            two_node_cluster(),
+            QueuePolicy::new(QueueDiscipline::EarliestDeadline, true),
+        )
+        .run_to_report(&trace);
+        assert_eq!(q.rejected(), 1);
+        let p = ClusterRms::proportional(
+            two_node_cluster(),
+            ProportionalConfig::default(),
+            LibraRisk::paper(),
+        )
+        .run_to_report(&trace);
+        assert_eq!(p.rejected(), 1);
+    }
+
+    #[test]
+    fn every_job_gets_exactly_one_outcome() {
+        let jobs: Vec<Job> = (0..40)
+            .map(|i| job(i, i as f64 * 5.0, 30.0, 45.0, 1 + (i % 2) as u32, 120.0))
+            .collect();
+        let trace = Trace::new(jobs);
+        for report in [
+            ClusterRms::proportional(
+                two_node_cluster(),
+                ProportionalConfig::default(),
+                Libra::new(),
+            )
+            .run_to_report(&trace),
+            ClusterRms::proportional(
+                two_node_cluster(),
+                ProportionalConfig::default(),
+                LibraRisk::paper(),
+            )
+            .run_to_report(&trace),
+            ClusterRms::queued(
+                two_node_cluster(),
+                QueuePolicy::new(QueueDiscipline::EarliestDeadline, true),
+            )
+            .run_to_report(&trace),
+        ] {
+            assert_eq!(report.submitted(), 40);
+            assert_eq!(report.accepted() + report.rejected(), 40);
+        }
+    }
+
+    #[test]
+    fn utilization_is_reported() {
+        let trace = Trace::new(vec![job(0, 0.0, 100.0, 100.0, 2, 150.0)]);
+        let report = ClusterRms::queued(
+            two_node_cluster(),
+            QueuePolicy::new(QueueDiscipline::EarliestDeadline, true),
+        )
+        .run_to_report(&trace);
+        assert!((report.utilization - 1.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn drive_trace_replays_arrivals_in_stable_submit_order() {
+        // Out-of-order and tied submit times, set after construction so
+        // the trace keeps its own order.
+        let mut trace = Trace::new((0..6).map(|i| job(i, 0.0, 60.0, 60.0, 1, 100.0)).collect());
+        for (j, submit) in trace
+            .jobs_mut()
+            .iter_mut()
+            .zip([30.0, 10.0, 10.0, 0.0, 30.0, 10.0])
+        {
+            j.submit = t(submit);
+        }
+        // Sorted by submit, ties in trace order: 3 (t=0); 1, 2, 5 (t=10);
+        // 0, 4 (t=30). On one node the tied jobs compete, so the order
+        // decides who runs.
+        let order = [3, 1, 2, 5, 0, 4];
+        let backends: [fn() -> ClusterRms<'static>; 3] = [
+            || {
+                ClusterRms::proportional(
+                    Cluster::homogeneous(1, 168.0),
+                    ProportionalConfig::default(),
+                    Libra::new(),
+                )
+            },
+            || {
+                ClusterRms::queued(
+                    Cluster::homogeneous(1, 168.0),
+                    QueuePolicy::new(QueueDiscipline::Fifo, false),
+                )
+            },
+            || ClusterRms::qops(Cluster::homogeneous(1, 168.0), QopsConfig::default()),
+        ];
+        for make in backends {
+            let by_driver = make().run_to_report(&trace);
+            let mut rms = make();
+            let mut sink = ReportCollector::new();
+            for &i in &order {
+                let job = &trace[i];
+                for e in rms.advance(job.submit) {
+                    sink.record(e.seq, e.record);
+                }
+                rms.submit(job.clone(), job.submit);
+            }
+            for e in rms.drain() {
+                sink.record(e.seq, e.record);
+            }
+            let by_hand = sink.into_report(rms.policy_name().to_string(), rms.utilization());
+            assert_eq!(by_driver.records, by_hand.records, "{}", by_hand.policy);
+            let ids: Vec<usize> = by_driver
+                .records
+                .iter()
+                .map(|r| r.job.id.0 as usize)
+                .collect();
+            assert_eq!(ids, order, "{}", by_hand.policy);
+            assert!(by_driver.rejected() > 0 || by_driver.delayed() > 0);
+        }
     }
 
     #[test]

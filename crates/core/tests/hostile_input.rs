@@ -1,7 +1,7 @@
-//! Hostile submissions: a job whose times are not finite, or a
-//! submission at a non-finite instant, must end in an `InvalidJob`
-//! rejection that leaves the clock where it was, never in a panic or an
-//! endless drain.
+//! Hostile input: a job whose times are not finite, or a submission at a
+//! non-finite instant, must end in an `InvalidJob` rejection that leaves
+//! the clock where it was, never in a panic or an endless drain; an
+//! advance to a non-finite instant must leave the clock where it was too.
 
 use cluster::Cluster;
 use librisk::prelude::*;
@@ -68,5 +68,49 @@ proptest! {
             at: SimTime::from_secs(at),
             reason: RejectReason::InvalidJob,
         }));
+    }
+
+    #[test]
+    fn non_finite_advance_moves_nothing_and_later_submits_decide(
+        negative in any::<bool>(),
+        runtime in 1.0..500.0f64,
+        est_factor in 0.2..4.0f64,
+        deadline_factor in 1.0..6.0f64,
+        at in 0.0..1_000.0f64,
+        gap in 0.0..2_000.0f64,
+    ) {
+        let to = SimTime::from_secs(if negative { f64::NEG_INFINITY } else { f64::INFINITY });
+        let first = job(0, at, runtime, runtime * est_factor, runtime * deadline_factor);
+        // Wider than the cluster: its rejection is buffered at `at`.
+        let mut wide = job(1, at, runtime, runtime * est_factor, runtime * deadline_factor);
+        wide.procs = 5;
+        let later = job(2, at + gap, runtime, runtime * est_factor, runtime * deadline_factor);
+        let cluster = Cluster::homogeneous(4, 168.0);
+
+        // The same submissions without the hostile advance.
+        let mut plain = PolicyKind::LibraRisk.rms(&cluster);
+        plain.submit(first.clone(), SimTime::from_secs(at));
+        plain.submit(wide.clone(), SimTime::from_secs(at));
+        let mut want: Vec<(u64, Outcome)> =
+            plain.advance(SimTime::from_secs(at)).map(|e| (e.seq, e.record.outcome)).collect();
+        let want_decision = plain.submit(later.clone(), later.submit);
+        want.extend(plain.drain().map(|e| (e.seq, e.record.outcome)));
+
+        let mut rms = PolicyKind::LibraRisk.rms(&cluster);
+        rms.submit(first, SimTime::from_secs(at));
+        rms.submit(wide, SimTime::from_secs(at));
+        // Only the buffered rejection streams; the clock stays put.
+        let mut got: Vec<(u64, Outcome)> =
+            rms.advance(to).map(|e| (e.seq, e.record.outcome)).collect();
+        prop_assert_eq!(got.len(), 1);
+        prop_assert_eq!(got[0].0, 1);
+        prop_assert_eq!(rms.now(), SimTime::from_secs(at), "the clock moved");
+        // A finite submission afterwards is decided as if the advance had
+        // not happened, and every job resolves exactly once.
+        prop_assert_eq!(rms.submit(later.clone(), later.submit), want_decision);
+        got.extend(rms.drain().map(|e| (e.seq, e.record.outcome)));
+        got.sort_by_key(|&(seq, _)| seq);
+        want.sort_by_key(|&(seq, _)| seq);
+        prop_assert_eq!(got, want);
     }
 }

@@ -1,36 +1,25 @@
-//! # `sim` — deterministic discrete-event simulation kernel
+//! # `sim` — virtual time and reproducible randomness
 //!
-//! This crate is the substrate that replaces GridSim in the reproduction of
-//! Yeo & Buyya, *"Managing Risk of Inaccurate Runtime Estimates for Deadline
-//! Constrained Job Admission Control in Clusters"* (ICPP 2006). It provides:
+//! The shared substrate of the reproduction of Yeo & Buyya, *"Managing
+//! Risk of Inaccurate Runtime Estimates for Deadline Constrained Job
+//! Admission Control in Clusters"* (ICPP 2006), which evaluates on
+//! GridSim. No event loop lives here: the online RMS facade
+//! (`librisk::ClusterRms`) is pulled to each arrival instant, and the
+//! execution engines report their own next event time. What every
+//! crate shares is:
 //!
 //! * [`SimTime`] / [`SimDuration`] — a virtual-clock time axis with total
-//!   ordering (finite, non-NaN by construction).
-//! * [`EventQueue`] — a time-ordered priority queue with FIFO tie-breaking,
-//!   so two events scheduled for the same instant fire in schedule order.
-//! * [`Simulator`] — a pull-style engine: the caller pops events and drives
-//!   handlers, which keeps the borrow structure simple and the control flow
-//!   fully deterministic.
+//!   ordering (non-NaN by construction).
 //! * [`rng`] — a from-scratch xoshiro256++ PRNG with SplitMix64 seeding and
 //!   named stream splitting, so every experiment is bit-reproducible across
 //!   toolchains and platforms (no dependency on `rand`'s evolving output
 //!   streams).
-//!
-//! The kernel is intentionally small and allocation-light: one binary heap,
-//! no trait objects on the hot path, and events carry a caller-supplied
-//! payload type.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod engine;
-pub mod event;
-pub mod queue;
 pub mod rng;
 pub mod time;
 
-pub use engine::Simulator;
-pub use event::{Event, EventId};
-pub use queue::EventQueue;
 pub use rng::Rng64;
 pub use time::{SimDuration, SimTime};

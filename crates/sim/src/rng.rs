@@ -138,18 +138,6 @@ impl Rng64 {
         -mean * self.next_f64_open().ln()
     }
 
-    /// Fisher–Yates shuffle.
-    pub fn shuffle<T>(&mut self, xs: &mut [T]) {
-        let n = xs.len();
-        if n < 2 {
-            return;
-        }
-        for i in (1..n).rev() {
-            let j = self.below((i + 1) as u64) as usize;
-            xs.swap(i, j);
-        }
-    }
-
     /// Picks a uniformly random element.
     pub fn choose<'a, T>(&mut self, xs: &'a [T]) -> Option<&'a T> {
         if xs.is_empty() {
@@ -245,21 +233,6 @@ mod tests {
             }
         }
         assert!(any_diff, "distinct labels must give distinct streams");
-    }
-
-    #[test]
-    fn shuffle_permutes() {
-        let mut r = Rng64::new(5);
-        let mut v: Vec<u32> = (0..100).collect();
-        r.shuffle(&mut v);
-        let mut sorted = v.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..100).collect::<Vec<_>>());
-        assert_ne!(
-            v,
-            (0..100).collect::<Vec<_>>(),
-            "a 100-element shuffle staying sorted is ~impossible"
-        );
     }
 
     #[test]

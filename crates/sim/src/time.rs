@@ -1,8 +1,8 @@
 //! Virtual-clock time axis.
 //!
 //! Simulated time is kept as `f64` seconds wrapped in newtypes that
-//! guarantee the values are finite (never NaN), which makes them totally
-//! ordered and safe to use as priority-queue keys.
+//! guarantee the values are never NaN (±∞ is allowed), which makes them
+//! totally ordered and safe to sort and compare.
 
 use std::cmp::Ordering;
 use std::fmt;
@@ -91,16 +91,6 @@ impl SimDuration {
     #[inline]
     pub fn is_positive(self) -> bool {
         self.0 > 0.0
-    }
-
-    /// Clamps a possibly-negative span to zero.
-    #[inline]
-    pub fn clamp_non_negative(self) -> SimDuration {
-        if self.0 < 0.0 {
-            SimDuration::ZERO
-        } else {
-            self
-        }
     }
 
     /// The larger of two spans.
@@ -278,7 +268,6 @@ mod tests {
         assert_eq!(b.since(a).as_secs(), 3.0);
         assert_eq!(a.since(b).as_secs(), -3.0);
         assert!(!a.since(b).is_positive());
-        assert_eq!(a.since(b).clamp_non_negative(), SimDuration::ZERO);
     }
 
     #[test]

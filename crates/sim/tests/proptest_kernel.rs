@@ -1,104 +1,8 @@
-//! Property-based invariants of the DES kernel.
+//! Property-based invariants of the reproducible PRNG.
 
 use proptest::prelude::*;
-use sim::{EventQueue, SimDuration, SimTime, Simulator};
 
 proptest! {
-    #[test]
-    fn pop_order_is_sorted_by_time_then_schedule_order(
-        times in proptest::collection::vec(0.0..1e6f64, 1..200)
-    ) {
-        let mut q = EventQueue::new();
-        for (i, &t) in times.iter().enumerate() {
-            q.schedule(SimTime::from_secs(t), i);
-        }
-        let mut popped: Vec<(f64, usize)> = Vec::new();
-        while let Some(ev) = q.pop() {
-            popped.push((ev.time.as_secs(), ev.payload));
-        }
-        prop_assert_eq!(popped.len(), times.len());
-        for w in popped.windows(2) {
-            prop_assert!(w[0].0 <= w[1].0, "time order violated");
-            if w[0].0 == w[1].0 {
-                prop_assert!(w[0].1 < w[1].1, "FIFO tie-break violated");
-            }
-        }
-    }
-
-    #[test]
-    fn cancelled_events_never_fire_and_len_is_exact(
-        times in proptest::collection::vec(0.0..1e6f64, 1..100),
-        cancel_mask in proptest::collection::vec(any::<bool>(), 1..100)
-    ) {
-        let mut q = EventQueue::new();
-        let ids: Vec<_> = times
-            .iter()
-            .map(|&t| q.schedule(SimTime::from_secs(t), ()))
-            .collect();
-        let mut cancelled = 0usize;
-        for (id, &c) in ids.iter().zip(&cancel_mask) {
-            if c && q.cancel(*id) {
-                cancelled += 1;
-            }
-        }
-        prop_assert_eq!(q.len(), times.len() - cancelled);
-        let mut fired = 0usize;
-        let mut fired_ids = Vec::new();
-        while let Some(ev) = q.pop() {
-            fired += 1;
-            fired_ids.push(ev.id);
-        }
-        prop_assert_eq!(fired, times.len() - cancelled);
-        for (id, &c) in ids.iter().zip(&cancel_mask) {
-            if c {
-                prop_assert!(!fired_ids.contains(id), "cancelled event fired");
-            }
-        }
-    }
-
-    #[test]
-    fn simulator_clock_is_monotone_and_dispatches_everything(
-        times in proptest::collection::vec(0.0..1e6f64, 1..150)
-    ) {
-        let mut s: Simulator<usize> = Simulator::new();
-        for (i, &t) in times.iter().enumerate() {
-            s.schedule_at(SimTime::from_secs(t), i);
-        }
-        let mut last = SimTime::ZERO;
-        let mut count = 0u64;
-        let n = s.run(|sim, _ev| {
-            assert!(sim.now() >= last);
-            last = sim.now();
-            count += 1;
-        });
-        prop_assert_eq!(n, times.len() as u64);
-        prop_assert_eq!(count, times.len() as u64);
-        prop_assert_eq!(s.pending(), 0);
-    }
-
-    #[test]
-    fn run_until_plus_run_equals_run(
-        times in proptest::collection::vec(0.0..1000.0f64, 1..100),
-        cut in 0.0..1000.0f64
-    ) {
-        let build = |times: &[f64]| {
-            let mut s: Simulator<usize> = Simulator::new();
-            for (i, &t) in times.iter().enumerate() {
-                s.schedule_at(SimTime::from_secs(t), i);
-            }
-            s
-        };
-        let mut whole = build(&times);
-        let mut order_whole = Vec::new();
-        whole.run(|_, ev| order_whole.push(ev.payload));
-
-        let mut split = build(&times);
-        let mut order_split = Vec::new();
-        split.run_until(SimTime::from_secs(cut), |_, ev| order_split.push(ev.payload));
-        split.run(|_, ev| order_split.push(ev.payload));
-        prop_assert_eq!(order_whole, order_split);
-    }
-
     #[test]
     fn rng_streams_are_reproducible_and_uniformish(seed in any::<u64>()) {
         let mut a = sim::Rng64::new(seed);
@@ -132,14 +36,4 @@ proptest! {
             );
         }
     }
-}
-
-#[test]
-fn schedule_in_respects_relative_delay() {
-    let mut s: Simulator<&str> = Simulator::new();
-    s.schedule_at(SimTime::from_secs(10.0), "first");
-    s.next_event();
-    s.schedule_in(SimDuration::from_secs(5.0), "second");
-    let ev = s.next_event().unwrap();
-    assert_eq!(ev.time, SimTime::from_secs(15.0));
 }

@@ -5,8 +5,8 @@
 use experiments::{EstimateRegime, Scenario};
 use librisk::prelude::*;
 use librisk::{
-    computation_at_risk, run_qops, BudgetModel, CarMeasure, Libra, LibraBudget, LibraRisk,
-    PricingModel, QopsConfig,
+    computation_at_risk, BudgetModel, CarMeasure, Libra, LibraBudget, LibraRisk, PricingModel,
+    QopsConfig,
 };
 use sim::Rng64;
 use std::collections::HashMap;
@@ -22,8 +22,10 @@ fn scenario(jobs: usize) -> Scenario {
 fn qops_slack_buys_acceptance_at_scale() {
     let trace = scenario(400).build_trace();
     let cluster = Cluster::sdsc_sp2();
-    let hard = run_qops(cluster.clone(), QopsConfig { slack_factor: 1.0 }, &trace);
-    let soft = run_qops(cluster.clone(), QopsConfig { slack_factor: 1.5 }, &trace);
+    let hard =
+        ClusterRms::qops(cluster.clone(), QopsConfig { slack_factor: 1.0 }).run_to_report(&trace);
+    let soft =
+        ClusterRms::qops(cluster.clone(), QopsConfig { slack_factor: 1.5 }).run_to_report(&trace);
     assert!(
         soft.accepted() >= hard.accepted(),
         "slack 1.5 accepted {} < slack 1.0 accepted {}",
@@ -65,9 +67,11 @@ fn budget_gate_composes_with_both_share_policies() {
     let cfg = cluster::proportional::ProportionalConfig::default();
 
     let mut libra = LibraBudget::new(Libra::new(), PricingModel::default(), budgets.clone());
-    let libra_report = librisk::run_proportional(cluster.clone(), cfg, &mut libra, &trace);
+    let libra_report =
+        ClusterRms::proportional(cluster.clone(), cfg, &mut libra).run_to_report(&trace);
     let mut risk = LibraBudget::new(LibraRisk::paper(), PricingModel::default(), budgets);
-    let risk_report = librisk::run_proportional(cluster.clone(), cfg, &mut risk, &trace);
+    let risk_report =
+        ClusterRms::proportional(cluster.clone(), cfg, &mut risk).run_to_report(&trace);
 
     // Identical budgets → identical budget-rejection counts (the gate
     // fires before the share policy sees the job).
@@ -94,12 +98,14 @@ fn budget_gate_passes_the_inner_reject_reason_through() {
     let trace = s.build_trace();
     let cluster = s.cluster();
     let cfg = cluster::proportional::ProportionalConfig::default();
-    let plain = librisk::run_proportional(cluster.clone(), cfg, &mut LibraRisk::paper(), &trace);
+    let plain =
+        ClusterRms::proportional(cluster.clone(), cfg, LibraRisk::paper()).run_to_report(&trace);
 
     // An empty budget map leaves every budget unlimited: the gate never
     // fires, so each rejection is the inner policy's, with its reason.
     let mut open = LibraBudget::new(LibraRisk::paper(), PricingModel::default(), HashMap::new());
-    let open_report = librisk::run_proportional(cluster.clone(), cfg, &mut open, &trace);
+    let open_report =
+        ClusterRms::proportional(cluster.clone(), cfg, &mut open).run_to_report(&trace);
     assert_eq!(open.budget_rejections(), 0);
     assert!(plain.rejected_for(RejectReason::OverRisk) > 0);
     assert_eq!(
@@ -111,7 +117,8 @@ fn budget_gate_passes_the_inner_reject_reason_through() {
     // closed reason set reports that as `NoFit`.
     let broke: HashMap<JobId, f64> = trace.jobs().iter().map(|j| (j.id, 0.0)).collect();
     let mut gated = LibraBudget::new(LibraRisk::paper(), PricingModel::default(), broke);
-    let gated_report = librisk::run_proportional(cluster.clone(), cfg, &mut gated, &trace);
+    let gated_report =
+        ClusterRms::proportional(cluster.clone(), cfg, &mut gated).run_to_report(&trace);
     assert!(gated_report.rejected() > 0);
     assert_eq!(
         gated_report.rejected_for(RejectReason::NoFit),
@@ -173,11 +180,8 @@ fn qops_soft_deadline_holders_exceed_hard_deadline_holders() {
     // Count jobs that met the *soft* deadline (1.2×) vs the hard one:
     // the soft set must contain the hard set.
     let trace = scenario(300).build_trace();
-    let report = run_qops(
-        Cluster::sdsc_sp2(),
-        QopsConfig { slack_factor: 1.2 },
-        &trace,
-    );
+    let report = ClusterRms::qops(Cluster::sdsc_sp2(), QopsConfig { slack_factor: 1.2 })
+        .run_to_report(&trace);
     let mut hard_ok = 0;
     let mut soft_ok = 0;
     for r in &report.records {
