@@ -24,34 +24,31 @@ for i in $(seq 1 20); do
     cargo test -q -p obs --lib phase >/dev/null || { echo "obs::phase failed on repetition $i"; exit 1; }
 done
 
-echo "== differential: golden fixture + churn invariants (release) =="
-# The bitwise gates (golden-fixture replay, empty-fault-plan inertness,
-# churn interleaving invariance) re-run in release mode: optimisation
-# must not perturb a single bit either.
-cargo test --release -q -p librisk --test differential_rms
-
-echo "== differential: shard router (release) =="
-# The shard-router oracles (1-shard bitwise identity incl. the
-# fulfilled=1563 golden pin, N-shard union-of-independent-runs
-# under churn, aggregate merge laws) also re-run in release mode: the
-# fan-out/merge path is threaded, and optimisation must not perturb the
-# merged stream either.
-cargo test --release -q -p librisk --test sharded_rms
-
-echo "== differential: decisions vs reference + risk screen (release) =="
-# The cached decide against decide_reference (randomized, under churn,
-# and the 5k-arrival overload replay) and both pre-kernel screens
-# against the projection kernel re-run in release mode: the screens are
-# proofs about float arithmetic, so they must hold in the optimised
-# build, not only in debug. The cluster crate's unit tests run whole:
-# the engine's advance and recompute differentials against their
-# reference paths are float proofs too. So do the core crate's: the
-# decide unit tests (group verdicts against `decide_reference`) and the
-# hostile-input rejections.
-cargo test --release -q -p librisk --test proptest_decisions
-cargo test --release -q -p cluster --lib
-cargo test --release -q -p librisk --lib
-cargo test --release -q -p cluster --test proptest_engine
+echo "== differential + crash-safety gates: librisk and cluster suites (release) =="
+# Both crates' whole test suites re-run in release mode, one run per
+# crate: optimisation must not perturb a single bit.
+#
+# * The bitwise gates (golden-fixture replay, empty-fault-plan
+#   inertness, churn interleaving invariance).
+# * The shard-router oracles (1-shard bitwise identity incl. the
+#   fulfilled=1563 golden pin, N-shard union-of-independent-runs under
+#   churn, aggregate merge laws): the fan-out/merge path is threaded,
+#   and optimisation must not perturb the merged stream either.
+# * The cached decide against decide_reference (randomized, under
+#   churn, and the 5k-arrival overload replay), both pre-kernel screens
+#   against the projection kernel, and the engine's advance and
+#   recompute differentials against their reference paths: these are
+#   proofs about float arithmetic, so they must hold in the optimised
+#   build, not only in debug.
+# * The crash-safety gates (checkpoint-at-random-instant bitwise resume
+#   for every policy, truncation/bit-flip corruption detection, N->M
+#   reshard union oracles, golden snapshot compatibility): the format
+#   is byte-exact and optimisation must not perturb a single bit of a
+#   snapshot or a resumed run.
+# * The hostile-input rejections, the recorder identity and allocation
+#   gates, and the doctests.
+cargo test --release -q -p librisk
+cargo test --release -q -p cluster
 
 echo "== differential: Libra at full size (release) =="
 # Libra and Libra-SS over the paper-100k and churn-requeue inputs at
@@ -60,14 +57,6 @@ echo "== differential: Libra at full size (release) =="
 # benchmark's own traces. Too slow for a debug build, hence ignored
 # there.
 cargo test --release -q -p experiments --test end_to_end -- --ignored
-
-echo "== differential: checkpoint/restore + corruption (release) =="
-# The crash-safety gates (checkpoint-at-random-instant bitwise resume
-# for every policy, truncation/bit-flip corruption detection, N->M
-# reshard union oracles, golden snapshot compatibility) re-run in
-# release mode: the format is byte-exact and optimisation must not
-# perturb a single bit of a snapshot or a resumed run.
-cargo test --release -q -p librisk --test checkpoint
 
 echo "== ledger oracles: benchmark workloads at full size (release) =="
 # Each BENCHMARK.json workload replays once, traced, through the

@@ -61,10 +61,29 @@ pub fn projected_job(job: &Job) -> ProjectedJob {
     }
 }
 
-/// Wake-up gap used when no resident job offers a finite event candidate
-/// (every job rate-starved with no deadline ahead) and no
-/// [`ProportionalConfig::max_quantum`] is configured.
-const FALLBACK_QUANTUM: f64 = 3600.0;
+/// When a job overruns its estimate, the scheduler re-arms its belief to
+/// `RESIDUAL_FRACTION × original_estimate`, floored at [`RESIDUAL_FLOOR`].
+pub const RESIDUAL_FRACTION: f64 = 0.05;
+
+/// Minimum re-armed residual estimate, reference-seconds.
+pub const RESIDUAL_FLOOR: f64 = 30.0;
+
+/// Upper bound on the gap between rate recomputations, seconds: keeps
+/// shares tracking their continuously-drifting ideal between sparse
+/// events, and wakes a node whose residents are all rate-starved with no
+/// deadline ahead.
+pub const MAX_QUANTUM: f64 = 3600.0;
+
+/// Applies the quantum cap and the zero-step floor to a raw event gap.
+/// The cap also turns an infinite gap (every resident rate-starved with
+/// no deadline ahead) into a conservative wake.
+// Not `clamp`: `min` maps a NaN gap to the quantum, `clamp` would pass
+// it through.
+#[allow(clippy::manual_clamp)]
+fn bound_event_gap(dt: f64) -> f64 {
+    // Never return a zero step: float fuzz could stall the caller loop.
+    dt.min(MAX_QUANTUM).max(1e-3)
+}
 
 /// Engine configuration.
 #[derive(Clone, Copy, Debug)]
@@ -72,16 +91,6 @@ pub struct ProportionalConfig {
     /// How spare node capacity is treated (Libra's published allocation is
     /// [`ShareDiscipline::Strict`]).
     pub discipline: ShareDiscipline,
-    /// When a job overruns its estimate, the scheduler re-arms its belief
-    /// to `residual_fraction × original_estimate` (floored at
-    /// [`ProportionalConfig::residual_floor`]).
-    pub residual_fraction: f64,
-    /// Minimum re-armed residual estimate, reference-seconds.
-    pub residual_floor: f64,
-    /// Upper bound on the gap between rate recomputations, seconds; keeps
-    /// shares tracking their continuously-drifting ideal between sparse
-    /// events.
-    pub max_quantum: Option<f64>,
 }
 
 impl Default for ProportionalConfig {
@@ -93,9 +102,6 @@ impl Default for ProportionalConfig {
             // `Strict` (jobs run at exactly their share, spare capacity
             // idles) is kept as an ablation.
             discipline: ShareDiscipline::WorkConserving,
-            residual_fraction: 0.05,
-            residual_floor: 30.0,
-            max_quantum: Some(3600.0),
         }
     }
 }
@@ -887,8 +893,7 @@ impl ProportionalCluster {
                 } else if self.remaining_est[si] <= EPS_WORK {
                     // Overrun: the scheduler's belief was exhausted but the
                     // job is still running — re-arm a residual estimate.
-                    let re = (self.cfg.residual_fraction * self.estimate_secs[si])
-                        .max(self.cfg.residual_floor);
+                    let re = (RESIDUAL_FRACTION * self.estimate_secs[si]).max(RESIDUAL_FLOOR);
                     self.remaining_est[si] = re;
                     self.meta[si].as_mut().expect("resident has meta").overruns += 1;
                     let rd = (self.abs_deadline[si] - now_s).max(EPS_DEADLINE);
@@ -975,8 +980,8 @@ impl ProportionalCluster {
                 if self.remaining_work[si] <= EPS_WORK {
                     completed_slots.push(s);
                 } else if self.remaining_est[si] <= EPS_WORK {
-                    self.remaining_est[si] = (self.cfg.residual_fraction * self.estimate_secs[si])
-                        .max(self.cfg.residual_floor);
+                    self.remaining_est[si] =
+                        (RESIDUAL_FRACTION * self.estimate_secs[si]).max(RESIDUAL_FLOOR);
                     self.meta[si].as_mut().expect("resident has meta").overruns += 1;
                 }
             }
@@ -1133,7 +1138,7 @@ impl ProportionalCluster {
             return None;
         }
         debug_assert!(self.rates_clean, "next_event_time on dirty rates");
-        Some(self.last_update + SimDuration::from_secs(self.bound_event_gap(self.next_dt)))
+        Some(self.last_update + SimDuration::from_secs(bound_event_gap(self.next_dt)))
     }
 
     /// Reference implementation of [`ProportionalCluster::next_event_time`]:
@@ -1155,23 +1160,7 @@ impl ProportionalCluster {
                 now,
             ));
         }
-        Some(self.last_update + SimDuration::from_secs(self.bound_event_gap(dt)))
-    }
-
-    /// Applies the quantum cap, the rate-starvation fallback, and the
-    /// zero-step floor to a raw event gap.
-    fn bound_event_gap(&self, mut dt: f64) -> f64 {
-        if let Some(q) = self.cfg.max_quantum {
-            dt = dt.min(q);
-        }
-        if !dt.is_finite() {
-            // Every resident job is rate-starved with no deadline ahead
-            // and no quantum is configured: wake conservatively rather
-            // than never (or at a NaN).
-            dt = FALLBACK_QUANTUM;
-        }
-        // Never return a zero step: float fuzz could stall the caller loop.
-        dt.max(1e-3)
+        Some(self.last_update + SimDuration::from_secs(bound_event_gap(dt)))
     }
 
     /// Earliest absolute deadline among the node's residents (`+∞` when
@@ -1730,7 +1719,6 @@ mod tests {
     fn strict_cfg() -> ProportionalConfig {
         ProportionalConfig {
             discipline: ShareDiscipline::Strict,
-            ..Default::default()
         }
     }
 
@@ -2137,18 +2125,16 @@ mod tests {
 
     #[test]
     fn quantum_bounds_event_gap() {
-        let cfg = ProportionalConfig {
-            max_quantum: Some(10.0),
-            ..Default::default()
-        };
-        let mut e = ProportionalCluster::new(cluster(1), cfg);
+        // A lone job whose completion (1e5 s) and deadline (1e6 s) both
+        // lie far beyond the quantum wakes the engine at the quantum.
+        let mut e = ProportionalCluster::new(cluster(1), ProportionalConfig::default());
         e.admit(
-            job(0, 0.0, 1000.0, 1000.0, 1, 10_000.0),
+            job(0, 0.0, 1e5, 1e5, 1, 1e6),
             vec![NodeId(0)],
             SimTime::ZERO,
         );
         let next = e.next_event_time().unwrap();
-        assert!((next.as_secs() - 10.0).abs() < 1e-9);
+        assert_eq!(next.as_secs(), MAX_QUANTUM);
     }
 
     #[test]
@@ -2263,11 +2249,7 @@ mod tests {
     fn rate_starved_resident_gets_conservative_wake() {
         // Job 1's share underflows to zero next to an astronomically
         // inflated co-resident: the engine must neither panic nor stall.
-        let cfg = ProportionalConfig {
-            max_quantum: None,
-            ..Default::default()
-        };
-        let mut e = ProportionalCluster::new(cluster(1), cfg);
+        let mut e = ProportionalCluster::new(cluster(1), ProportionalConfig::default());
         e.admit(
             job(0, 0.0, 10.0, 1e300, 1, 1.0),
             vec![NodeId(0)],
@@ -2282,7 +2264,7 @@ mod tests {
         let next = e.next_event_time().expect("resident jobs");
         assert!(next > e.now(), "wake must move time forward");
         assert!(
-            next.as_secs() <= e.now().as_secs() + FALLBACK_QUANTUM,
+            next.as_secs() <= e.now().as_secs() + MAX_QUANTUM,
             "wake is quantum-bounded"
         );
         assert_eq!(

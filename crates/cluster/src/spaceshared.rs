@@ -120,6 +120,11 @@ impl SpaceSharedCluster {
         self.running.len()
     }
 
+    /// Each running job with its start instant, in ascending-id order.
+    pub fn running(&self) -> impl Iterator<Item = (&Job, SimTime)> {
+        self.running.values().map(|r| (&r.job, r.started))
+    }
+
     /// `true` when the job can start right now.
     pub fn can_start(&self, job: &Job) -> bool {
         job.procs as usize <= self.free.len()

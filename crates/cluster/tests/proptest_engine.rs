@@ -54,7 +54,7 @@ proptest! {
         raws in proptest::collection::vec(raw_job(), 1..12),
         disc in discipline(),
     ) {
-        let cfg = ProportionalConfig { discipline: disc, ..Default::default() };
+        let cfg = ProportionalConfig { discipline: disc };
         let mut engine = ProportionalCluster::new(Cluster::homogeneous(4, 168.0), cfg);
         let mut total_work = 0.0;
         for (i, r) in raws.iter().enumerate() {
@@ -145,7 +145,7 @@ proptest! {
         // advance of a randomized interleaving — including advances to
         // fractions of the event gap (mid-segment wakes) and advances
         // exactly onto events (completions, overrun re-arms).
-        let cfg = ProportionalConfig { discipline: disc, ..Default::default() };
+        let cfg = ProportionalConfig { discipline: disc };
         let mut engine = ProportionalCluster::new(Cluster::homogeneous(4, 168.0), cfg);
         let check = |e: &ProportionalCluster, ctx: &str| {
             assert_eq!(
@@ -500,8 +500,6 @@ fn projection_matches_engine_for_feasible_accurate_jobs() {
     // actual finishes must equal the projection's predictions.
     let cfg = ProportionalConfig {
         discipline: ShareDiscipline::Strict,
-        max_quantum: None,
-        ..Default::default()
     };
     let mut engine = ProportionalCluster::new(Cluster::homogeneous(1, 168.0), cfg);
     let specs = [(100.0, 400.0), (50.0, 1_000.0), (20.0, 2_000.0)];
@@ -541,7 +539,7 @@ proptest! {
         // once per distinct instant through the single-step reference
         // path. Zero-dt calls must neither complete anything, nor move
         // any rate, nor disturb the next event time.
-        let cfg = ProportionalConfig { discipline: disc, ..Default::default() };
+        let cfg = ProportionalConfig { discipline: disc };
         let mut batched = ProportionalCluster::new(Cluster::homogeneous(4, 168.0), cfg);
         let mut single = ProportionalCluster::new(Cluster::homogeneous(4, 168.0), cfg);
         let mut buf = Vec::new();
@@ -710,7 +708,7 @@ proptest! {
         // against a twin whose every rate comes from
         // `recompute_rates_reference` (directly after each admit, and
         // inside `advance_reference`).
-        let cfg = ProportionalConfig { discipline: disc, ..Default::default() };
+        let cfg = ProportionalConfig { discipline: disc };
         let mut fast = ProportionalCluster::new(cluster16(kind), cfg);
         let mut twin = ProportionalCluster::new(cluster16(kind), cfg);
         let ids = raws.len() as u64;
@@ -784,7 +782,7 @@ proptest! {
         // The O(1)-maintained set hash against the from-scratch XOR over
         // each node's slot list, and the resident-set index against a
         // from-scratch partition, after every kind of membership change.
-        let cfg = ProportionalConfig { discipline: disc, ..Default::default() };
+        let cfg = ProportionalConfig { discipline: disc };
         let mut engine = ProportionalCluster::new(cluster16(kind), cfg);
         for (i, op) in ops.iter().enumerate() {
             let now = engine.now();
@@ -873,7 +871,7 @@ proptest! {
         // the estimate) completes while the second (runtime larger)
         // overruns and re-arms. Landing on every event, the engine must
         // match a twin driven through `advance_reference` bitwise.
-        let cfg = ProportionalConfig { discipline: disc, ..Default::default() };
+        let cfg = ProportionalConfig { discipline: disc };
         let mut fast = ProportionalCluster::new(cluster16(kind), cfg);
         let mut twin = ProportionalCluster::new(cluster16(kind), cfg);
         let ids = 2 * pairs.len() as u64;

@@ -55,10 +55,13 @@ use crate::report::{ChurnStats, JobRecord, OnlineReport, OnlineReportParts, Outc
 use crate::rms::{ClusterRms, ExecutionBackend, JobEvent};
 use crate::router::ShardedRms;
 use cluster::projection::ShareDiscipline;
-use cluster::proportional::{EngineSnapshot, ProportionalCluster, ResidentSnapshot};
+use cluster::proportional::{
+    EngineSnapshot, ProportionalCluster, ResidentSnapshot, MAX_QUANTUM, RESIDUAL_FLOOR,
+    RESIDUAL_FRACTION,
+};
 use cluster::{
-    Cluster, FaultEvent, FaultKind, FaultPlan, NodeId, PoolSnapshot, RecoveryPolicy,
-    RunningSnapshot, SpaceSharedCluster,
+    FaultEvent, FaultKind, FaultPlan, NodeId, PoolSnapshot, RecoveryPolicy, RunningSnapshot,
+    SpaceSharedCluster,
 };
 use obs::event::{DecisionAudit, Event, GaugeDelta, ResolvedKind, TimedEvent, Verdict};
 use obs::registry::Histogram;
@@ -608,46 +611,36 @@ fn queue_discipline_code(d: QueueDiscipline) -> u8 {
     }
 }
 
-fn put_cluster(w: &mut Writer, cluster: &Cluster) {
-    w.len(cluster.len());
-    for node in cluster.nodes() {
-        w.u32(node.id.0);
-        w.f64(node.rating);
-    }
-    w.f64(cluster.reference_rating());
-}
-
 fn meta_of(rms: &ClusterRms<'_>) -> Meta {
     let (kind, cluster, config) = match &rms.backend {
-        ExecutionBackend::Proportional(b) => {
-            let cfg = b.engine.config();
-            (
-                KIND_PROPORTIONAL,
-                b.engine.cluster(),
-                ConfigEcho::Proportional {
-                    discipline: discipline_code(cfg.discipline),
-                    residual_fraction: cfg.residual_fraction.to_bits(),
-                    residual_floor: cfg.residual_floor.to_bits(),
-                    max_quantum: cfg.max_quantum.map(f64::to_bits),
+        ExecutionBackend::Proportional(b) => (
+            KIND_PROPORTIONAL,
+            b.engine.cluster(),
+            ConfigEcho::Proportional {
+                discipline: discipline_code(b.engine.config().discipline),
+                residual_fraction: RESIDUAL_FRACTION.to_bits(),
+                residual_floor: RESIDUAL_FLOOR.to_bits(),
+                max_quantum: Some(MAX_QUANTUM.to_bits()),
+            },
+        ),
+        ExecutionBackend::Queued(b) => match b.qops {
+            None => (
+                KIND_QUEUED,
+                b.pool.cluster(),
+                ConfigEcho::Queued {
+                    discipline: queue_discipline_code(b.policy.discipline),
+                    admission: b.policy.admission,
+                    backfill: b.policy.backfill,
                 },
-            )
-        }
-        ExecutionBackend::Queued(b) => (
-            KIND_QUEUED,
-            b.pool.cluster(),
-            ConfigEcho::Queued {
-                discipline: queue_discipline_code(b.policy.discipline),
-                admission: b.policy.admission,
-                backfill: b.policy.backfill,
-            },
-        ),
-        ExecutionBackend::Qops(b) => (
-            KIND_QOPS,
-            b.pool.cluster(),
-            ConfigEcho::Qops {
-                slack_bits: b.cfg.slack_factor.to_bits(),
-            },
-        ),
+            ),
+            Some(cfg) => (
+                KIND_QOPS,
+                b.pool.cluster(),
+                ConfigEcho::Qops {
+                    slack_bits: cfg.slack_factor.to_bits(),
+                },
+            ),
+        },
     };
     Meta {
         kind,
@@ -663,31 +656,38 @@ fn meta_of(rms: &ClusterRms<'_>) -> Meta {
 }
 
 fn encode_meta(rms: &ClusterRms<'_>) -> Vec<u8> {
+    let meta = meta_of(rms);
     let mut w = Writer::default();
-    let (kind, cluster) = match &rms.backend {
-        ExecutionBackend::Proportional(b) => (KIND_PROPORTIONAL, b.engine.cluster()),
-        ExecutionBackend::Queued(b) => (KIND_QUEUED, b.pool.cluster()),
-        ExecutionBackend::Qops(b) => (KIND_QOPS, b.pool.cluster()),
-    };
-    w.u8(kind);
-    w.str(&rms.policy_name);
-    put_cluster(&mut w, cluster);
-    match &rms.backend {
-        ExecutionBackend::Proportional(b) => {
-            let cfg = b.engine.config();
-            w.u8(discipline_code(cfg.discipline));
-            w.f64(cfg.residual_fraction);
-            w.f64(cfg.residual_floor);
-            w.opt_f64(cfg.max_quantum);
+    w.u8(meta.kind);
+    w.str(&meta.policy_name);
+    w.len(meta.nodes.len());
+    for (id, rating_bits) in meta.nodes {
+        w.u32(id);
+        w.u64(rating_bits);
+    }
+    w.u64(meta.reference_bits);
+    match meta.config {
+        ConfigEcho::Proportional {
+            discipline,
+            residual_fraction,
+            residual_floor,
+            max_quantum,
+        } => {
+            w.u8(discipline);
+            w.u64(residual_fraction);
+            w.u64(residual_floor);
+            w.opt_f64(max_quantum.map(f64::from_bits));
         }
-        ExecutionBackend::Queued(b) => {
-            w.u8(queue_discipline_code(b.policy.discipline));
-            w.bool(b.policy.admission);
-            w.bool(b.policy.backfill);
+        ConfigEcho::Queued {
+            discipline,
+            admission,
+            backfill,
+        } => {
+            w.u8(discipline);
+            w.bool(admission);
+            w.bool(backfill);
         }
-        ExecutionBackend::Qops(b) => {
-            w.f64(b.cfg.slack_factor);
-        }
+        ConfigEcho::Qops { slack_bits } => w.u64(slack_bits),
     }
     w.buf
 }
@@ -877,17 +877,32 @@ enum BackendSection {
         engine: EngineSnapshot,
         seq_of: Vec<(u64, u64)>,
     },
+    /// EDF, FCFS and QoPS alike: QoPS's running list is derived from
+    /// the pool, so only its consistency is checked at load.
     Queued {
         pool: PoolSnapshot,
         queue: Vec<(u64, Job)>,
         seq_of: Vec<(u64, u64)>,
     },
-    Qops {
-        pool: PoolSnapshot,
-        queue: Vec<(u64, Job)>,
-        running: Vec<(u64, u32, f64)>,
-        seq_of: Vec<(u64, u64)>,
-    },
+}
+
+/// QoPS's running list as the BACKEND section carries it: `(seq, width,
+/// estimated finish)` per running job in start order, derived from the
+/// pool. A running job without a seq is left out (the seq-map cover
+/// check refuses such a snapshot at restore).
+fn qops_running(
+    pool: &PoolSnapshot,
+    seq_of: impl Fn(JobId) -> Option<u64>,
+) -> Vec<(u64, u32, f64)> {
+    let mut running: Vec<&RunningSnapshot> = pool.running.iter().collect();
+    running.sort_by_key(|r| r.seq);
+    running
+        .into_iter()
+        .filter_map(|r| {
+            let finish = r.started.as_secs() + r.job.estimate.as_secs();
+            Some((seq_of(r.job.id)?, r.job.procs, finish))
+        })
+        .collect()
 }
 
 fn put_pool(w: &mut Writer, snap: &PoolSnapshot) {
@@ -1007,20 +1022,22 @@ fn encode_backend(rms: &ClusterRms<'_>) -> Vec<u8> {
             put_seq_of(&mut w, &b.seq_of);
         }
         ExecutionBackend::Queued(b) => {
-            w.u8(KIND_QUEUED);
-            put_pool(&mut w, &b.pool.snapshot());
+            let pool = b.pool.snapshot();
+            w.u8(if b.qops.is_some() {
+                KIND_QOPS
+            } else {
+                KIND_QUEUED
+            });
+            put_pool(&mut w, &pool);
             put_queue(&mut w, &b.queue);
-            put_seq_of(&mut w, &b.seq_of);
-        }
-        ExecutionBackend::Qops(b) => {
-            w.u8(KIND_QOPS);
-            put_pool(&mut w, &b.pool.snapshot());
-            put_queue(&mut w, &b.queue);
-            w.len(b.running.len());
-            for (seq, width, finish) in &b.running {
-                w.u64(*seq);
-                w.u32(*width);
-                w.f64(*finish);
+            if b.qops.is_some() {
+                let running = qops_running(&pool, |id| b.seq_of.get(&id).copied());
+                w.len(running.len());
+                for (seq, width, finish) in running {
+                    w.u64(seq);
+                    w.u32(width);
+                    w.f64(finish);
+                }
             }
             put_seq_of(&mut w, &b.seq_of);
         }
@@ -1028,9 +1045,11 @@ fn encode_backend(rms: &ClusterRms<'_>) -> Vec<u8> {
     w.buf
 }
 
-fn decode_backend(payload: &[u8]) -> Result<BackendSection, CkptError> {
+/// Decodes a BACKEND section into its backend kind and state.
+fn decode_backend(payload: &[u8]) -> Result<(u8, BackendSection), CkptError> {
     let mut r = Reader::new(payload);
-    let section = match r.u8()? {
+    let kind = r.u8()?;
+    let section = match kind {
         KIND_PROPORTIONAL => {
             let n = r.count(8)?;
             let mut residents = Vec::with_capacity(n);
@@ -1091,19 +1110,29 @@ fn decode_backend(payload: &[u8]) -> Result<BackendSection, CkptError> {
             let n = r.count(20)?;
             let mut running = Vec::with_capacity(n);
             for _ in 0..n {
-                running.push((r.u64()?, r.u32()?, r.f64()?));
+                running.push((r.u64()?, r.u32()?, r.u64()?));
             }
-            BackendSection::Qops {
+            let seq_of = get_seq_of(&mut r)?;
+            let seq_at = |id: JobId| {
+                let at = seq_of.binary_search_by_key(&id.0, |(id, _)| *id).ok()?;
+                Some(seq_of[at].1)
+            };
+            let derived = qops_running(&pool, seq_at)
+                .into_iter()
+                .map(|(seq, width, finish)| (seq, width, finish.to_bits()));
+            if derived.ne(running) {
+                return Err(malformed("qops running projection disagrees with the pool"));
+            }
+            BackendSection::Queued {
                 pool,
                 queue,
-                running,
-                seq_of: get_seq_of(&mut r)?,
+                seq_of,
             }
         }
         k => return Err(malformed(format!("invalid backend kind {k}"))),
     };
     r.done()?;
-    Ok(section)
+    Ok((kind, section))
 }
 
 // ---------------------------------------------------------------------
@@ -1495,13 +1524,8 @@ pub fn load(bytes: &[u8]) -> Result<Checkpoint, CkptError> {
     let find = |tag: u32| sections.iter().find(|(t, _)| *t == tag).map(|(_, p)| *p);
     let meta = decode_meta(find(TAG_META).ok_or_else(|| malformed("missing META section"))?)?;
     let shard = decode_shard(find(TAG_SHARD).ok_or_else(|| malformed("missing SHARD section"))?)?;
-    let backend =
+    let (backend_kind, backend) =
         decode_backend(find(TAG_BACKEND).ok_or_else(|| malformed("missing BACKEND section"))?)?;
-    let backend_kind = match &backend {
-        BackendSection::Proportional { .. } => KIND_PROPORTIONAL,
-        BackendSection::Queued { .. } => KIND_QUEUED,
-        BackendSection::Qops { .. } => KIND_QOPS,
-    };
     if backend_kind != meta.kind {
         return Err(malformed("backend section kind disagrees with META"));
     }
@@ -1555,12 +1579,6 @@ impl Checkpoint {
             BackendSection::Queued { pool, queue, .. } => {
                 pool.running.is_empty() && queue.is_empty()
             }
-            BackendSection::Qops {
-                pool,
-                queue,
-                running,
-                ..
-            } => pool.running.is_empty() && queue.is_empty() && running.is_empty(),
         };
         backend_empty
             && self.shard.events.is_empty()
@@ -1669,37 +1687,6 @@ impl Checkpoint {
                         job: job.clone(),
                     })
                     .collect();
-                b.seq_of = seq_of.iter().map(|(id, s)| (JobId(*id), *s)).collect();
-            }
-            (
-                BackendSection::Qops {
-                    pool,
-                    queue,
-                    running,
-                    seq_of,
-                },
-                ExecutionBackend::Qops(b),
-            ) => {
-                check_seq_cover(
-                    seq_of,
-                    pool.running.iter().map(|r| r.job.id.0),
-                    self.shard.next_seq,
-                    "running",
-                )?;
-                check_queue(queue, self.shard.next_seq)?;
-                if running.len() != pool.running.len() {
-                    return Err(malformed("qops running projection disagrees with the pool"));
-                }
-                b.pool = SpaceSharedCluster::from_snapshot(b.pool.cluster().clone(), pool)
-                    .map_err(CkptError::Malformed)?;
-                b.queue = queue
-                    .iter()
-                    .map(|(seq, job)| QueuedJob {
-                        seq: *seq,
-                        job: job.clone(),
-                    })
-                    .collect();
-                b.running = running.clone();
                 b.seq_of = seq_of.iter().map(|(id, s)| (JobId(*id), *s)).collect();
             }
             _ => return Err(mismatch("backend kind changed between load and restore")),
@@ -2006,4 +1993,62 @@ pub fn restore_sharded<'p>(
         global_of,
         carried,
     ))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::qops::QopsConfig;
+    use cluster::Cluster;
+    use sim::SimDuration;
+
+    fn job(id: u64, runtime: f64, procs: u32) -> Job {
+        Job {
+            id: JobId(id),
+            submit: SimTime::ZERO,
+            runtime: SimDuration::from_secs(runtime),
+            estimate: SimDuration::from_secs(runtime),
+            procs,
+            deadline: SimDuration::from_secs(10_000.0),
+            urgency: Urgency::Low,
+        }
+    }
+
+    #[test]
+    fn qops_running_list_must_match_the_pool() {
+        let mut rms = ClusterRms::qops(Cluster::homogeneous(2, 168.0), QopsConfig::default());
+        // Two running jobs, one waiting behind them.
+        for (id, procs) in [(0, 1), (1, 1), (2, 2)] {
+            rms.submit(job(id, 100.0 + id as f64, procs), SimTime::ZERO);
+        }
+        let ExecutionBackend::Queued(b) = &rms.backend else {
+            unreachable!("QoPS runs on the queued backend")
+        };
+        assert_eq!((b.pool.running_jobs(), b.queue.len()), (2, 1));
+        // The running list sits after the kind byte, the pool and the
+        // queue; the first finish after its count, seq and width.
+        let mut head = Writer::default();
+        head.u8(KIND_QOPS);
+        put_pool(&mut head, &b.pool.snapshot());
+        put_queue(&mut head, &b.queue);
+        let finish_at = head.buf.len() + 8 + 8 + 4;
+        let backend = encode_backend(&rms);
+        let with_backend = |payload: Vec<u8>| {
+            container(&[
+                (TAG_META, encode_meta(&rms)),
+                (TAG_SHARD, encode_shard(&rms)),
+                (TAG_BACKEND, payload),
+            ])
+        };
+        load(&with_backend(backend.clone())).expect("the consistent snapshot loads");
+
+        let mut altered = backend;
+        let finish = f64::from_le_bytes(altered[finish_at..finish_at + 8].try_into().unwrap());
+        assert_eq!(finish, 100.0, "the first running job's estimated finish");
+        altered[finish_at..finish_at + 8].copy_from_slice(&(finish + 1.0).to_le_bytes());
+        match load(&with_backend(altered)) {
+            Err(CkptError::Malformed(why)) => assert!(why.contains("running"), "{why}"),
+            other => panic!("expected Malformed, got {other:?}"),
+        }
+    }
 }

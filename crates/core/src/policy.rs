@@ -226,7 +226,6 @@ impl PolicyKind {
         let default_cfg = ProportionalConfig::default();
         let strict_shares = ProportionalConfig {
             discipline: ShareDiscipline::Strict,
-            ..Default::default()
         };
         match self {
             PolicyKind::Edf => ClusterRms::queued(

@@ -4,13 +4,16 @@
 //! al., Cluster'04), which "allows soft deadlines by defining a slack
 //! factor for each job so that earlier jobs can be delayed up to the
 //! slack factor if necessary to accommodate later more urgent jobs". This
-//! module implements that idea on the space-shared substrate as an
-//! *extension* policy:
+//! module holds that idea's schedulability test; the space-shared queued
+//! backend runs it at arrival as an *extension* policy
+//! ([`ClusterRms::qops`](crate::rms::ClusterRms::qops)):
 //!
-//! * jobs wait in a deadline-ordered queue (like EDF);
-//! * admission happens **at arrival**: the controller list-schedules the
+//! * jobs wait in a deadline-ordered queue (EDF, no backfilling, the
+//!   head blocks);
+//! * admission happens **at arrival**: the test list-schedules the
 //!   running + queued + new jobs in EDF order over the processor pool
-//!   (using runtime estimates) and accepts the new job iff every job's
+//!   (using runtime estimates; a running job frees its processors at
+//!   `started + estimate`) and accepts the new job iff every job's
 //!   projected completion stays within `submit + slack_factor × deadline`;
 //! * the *reported* SLA metric stays the paper's hard deadline, so QoPS
 //!   trades certainty for acceptance: with slack > 1 it books more jobs,
@@ -34,9 +37,8 @@ impl Default for QopsConfig {
 }
 
 /// A job the projector must account for: how much estimated work remains
-/// and how wide it is. Shared with the online RMS facade, whose
-/// submission sequence numbers play `idx`'s trace-index tie-breaking
-/// role.
+/// and how wide it is. `idx` is the job's submission sequence number,
+/// which breaks deadline ties.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct Pending {
     pub(crate) idx: u64,

@@ -23,6 +23,11 @@ pub struct QueuedJob {
     pub job: Job,
 }
 
+/// EDF's selection key: absolute deadline, then submission order.
+fn edf_key(q: &QueuedJob) -> (SimTime, u64) {
+    (q.job.absolute_deadline(), q.seq)
+}
+
 /// Order in which queued jobs are selected to run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum QueueDiscipline {
@@ -76,22 +81,16 @@ impl QueuePolicy {
     }
 
     /// Picks which queued job (by position in `queue`) should be
-    /// considered next. Ties break by submission instant, then by
-    /// submission sequence number — the same order the retired
-    /// trace-index loops used, so selections stay bitwise stable.
+    /// considered next. EDF ties break by submission sequence number, the
+    /// order [`QueuePolicy::backfill_order`] and QoPS's schedulability
+    /// test use too.
     pub fn select_queued(&self, queue: &[QueuedJob]) -> Option<usize> {
         match self.discipline {
             QueueDiscipline::Fifo => (!queue.is_empty()).then_some(0),
             QueueDiscipline::EarliestDeadline => queue
                 .iter()
                 .enumerate()
-                .min_by(|(_, a), (_, b)| {
-                    a.job
-                        .absolute_deadline()
-                        .cmp(&b.job.absolute_deadline())
-                        .then(a.job.submit.cmp(&b.job.submit))
-                        .then(a.seq.cmp(&b.seq))
-                })
+                .min_by_key(|(_, q)| edf_key(q))
                 .map(|(pos, _)| pos),
         }
     }
@@ -102,13 +101,7 @@ impl QueuePolicy {
     /// idle processors.
     pub fn backfill_order(&self, queue: &[QueuedJob]) -> Vec<usize> {
         let mut order: Vec<usize> = (0..queue.len()).collect();
-        order.sort_by(|&a, &b| {
-            queue[a]
-                .job
-                .absolute_deadline()
-                .cmp(&queue[b].job.absolute_deadline())
-                .then(queue[a].seq.cmp(&queue[b].seq))
-        });
+        order.sort_by_key(|&pos| edf_key(&queue[pos]));
         order
     }
 

@@ -12,12 +12,13 @@
 //!   job outcome ([`JobEvent`]) as it resolves;
 //! * [`ClusterRms::drain`] — run the residual workload to completion.
 //!
-//! One [`ExecutionBackend`] wraps the three execution substrates that
+//! One [`ExecutionBackend`] wraps the two execution substrates that
 //! previously each owned a bespoke batch event loop: the proportional-
-//! share engine (Libra/LibraRisk, §3), the space-shared queueing engine
-//! (EDF/FCFS, §4), and the QoPS soft-deadline controller (related work,
-//! §2). [`drive_trace`] is the single generic batch driver: it replays a
-//! trace's arrivals in submit order through the facade.
+//! share engine (Libra/LibraRisk, §3) and the space-shared queueing
+//! engine (EDF/FCFS, §4). The QoPS soft-deadline controller (related
+//! work, §2) is EDF dispatch on the same pool plus a schedulability test
+//! at arrival. [`drive_trace`] is the single generic batch driver: it
+//! replays a trace's arrivals in submit order through the facade.
 //!
 //! # Equivalence contract
 //!
@@ -52,7 +53,7 @@
 
 use crate::policy::ShareAdmission;
 use crate::qops::{schedulable, Pending, QopsConfig};
-use crate::queue::{QueuePolicy, QueuedJob};
+use crate::queue::{QueueDiscipline, QueuePolicy, QueuedJob};
 use crate::report::{
     ChurnStats, JobRecord, Outcome, ReportCollector, ReportSink, SimulationReport,
 };
@@ -61,6 +62,7 @@ use cluster::{Cluster, FaultKind, FaultPlan, NodeId, RecoveryPolicy, SpaceShared
 use obs::{keys, DecisionAudit, Event, GaugeDelta, Recorder, RejectReason, ResolvedKind, Verdict};
 use sim::{SimDuration, SimTime};
 use std::collections::HashMap;
+use std::iter;
 use std::time::Instant;
 use workload::{Job, JobId, Trace};
 
@@ -175,7 +177,7 @@ impl JobEvent {
 }
 
 /// The execution substrate behind the facade: one variant per engine the
-/// paper (and our extensions) evaluate.
+/// paper evaluates.
 // One instance lives per `ClusterRms` (never stored in collections), so
 // the proportional engine's arena headers dominating the enum size is
 // irrelevant; boxing it would only add a pointer chase to the hot path.
@@ -184,10 +186,24 @@ pub enum ExecutionBackend<'p> {
     /// Deadline-based proportional share with decide-at-arrival admission
     /// (Libra, LibraRisk and ablations, §3).
     Proportional(ProportionalBackend<'p>),
-    /// Space-shared queueing (EDF/FCFS, optional backfilling, §4).
+    /// Space-shared queueing (EDF/FCFS, optional backfilling, §4), and
+    /// QoPS-style soft-deadline schedulability control at arrival on the
+    /// same pool (§2).
     Queued(QueuedBackend),
-    /// QoPS-style soft-deadline arrival-time schedulability control (§2).
-    Qops(QopsBackend),
+}
+
+/// Classifies a job too wide to start: wider than the cluster
+/// ([`RejectReason::Width`]) or only than the nodes up
+/// ([`RejectReason::NodeDown`]); `None` when it fits the nodes up.
+fn width_refusal(procs: u32, nodes: usize, up: usize) -> Option<RejectReason> {
+    let procs = procs as usize;
+    if procs > nodes {
+        Some(RejectReason::Width)
+    } else if procs > up {
+        Some(RejectReason::NodeDown)
+    } else {
+        None
+    }
 }
 
 /// Proportional-share backend: the engine plus the admission policy
@@ -310,7 +326,7 @@ impl ProportionalBackend<'_> {
                             d.job,
                             Outcome::Rejected {
                                 at,
-                                reason: self.policy.reject_reason(),
+                                reason: self.reject_reason(&retry),
                             },
                         )),
                     }
@@ -336,6 +352,18 @@ impl ProportionalBackend<'_> {
     /// Whether `id` is resident (admitted and not yet resolved).
     fn holds(&self, id: JobId) -> bool {
         self.seq_of.contains_key(&id)
+    }
+
+    /// Why the policy refused `job`: too wide for the cluster or for the
+    /// nodes up, else the policy's own reason. An arrival and a requeue
+    /// are classified alike.
+    fn reject_reason(&self, job: &Job) -> RejectReason {
+        width_refusal(
+            job.procs,
+            self.engine.cluster().len(),
+            self.engine.up_nodes(),
+        )
+        .unwrap_or_else(|| self.policy.reject_reason())
     }
 
     /// Decides an arrival the engine has been [`Self::sync`]ed to.
@@ -370,13 +398,7 @@ impl ProportionalBackend<'_> {
                 (Decision::Accepted, best)
             }
             None => {
-                let reason = if job.procs as usize > self.engine.cluster().len() {
-                    RejectReason::Width
-                } else if job.procs as usize > self.engine.up_nodes() {
-                    RejectReason::NodeDown
-                } else {
-                    self.policy.reject_reason()
-                };
+                let reason = self.reject_reason(&job);
                 events.push(JobEvent::new(
                     seq,
                     job,
@@ -432,9 +454,13 @@ impl ProportionalBackend<'_> {
 }
 
 /// Space-shared queueing backend: the processor pool, the waiting queue,
-/// and the selection policy.
+/// the selection policy and, under QoPS, the arrival-time test.
 pub struct QueuedBackend {
     pub(crate) policy: QueuePolicy,
+    /// QoPS's schedulability test at arrival. Only [`ClusterRms::qops`]
+    /// sets it, beside EDF selection with neither a selection-time test
+    /// nor backfilling, so the head of the queue blocks.
+    pub(crate) qops: Option<QopsConfig>,
     pub(crate) pool: SpaceSharedCluster,
     pub(crate) queue: Vec<QueuedJob>,
     pub(crate) seq_of: HashMap<JobId, u64>,
@@ -471,12 +497,13 @@ impl QueuedBackend {
     }
 
     /// Applies a node failure at `at`. The displaced job (if the node was
-    /// hosting one) is killed or pushed back onto the queue per
-    /// `recovery` — a space-shared substrate cannot checkpoint, so a
-    /// requeued job restarts from scratch and the selection rule's
-    /// admission test naturally re-evaluates it against what is left of
-    /// its deadline. Queued jobs wider than the surviving capacity can
-    /// never start and are rejected on the spot.
+    /// hosting one) is killed or requeued per `recovery` — a space-shared
+    /// substrate cannot checkpoint, so a requeued job restarts from
+    /// scratch. Under QoPS it must pass the arrival test again, evaluated
+    /// now and so against what is left of its deadline; EDF and FCFS
+    /// queue it, and the selection rule's admission test re-evaluates it.
+    /// Queued jobs wider than the surviving capacity can never start and
+    /// are rejected on the spot.
     fn fail(
         &mut self,
         at: SimTime,
@@ -497,7 +524,12 @@ impl QueuedBackend {
                     RecoveryPolicy::Requeue => {
                         churn.requeues += 1;
                         requeued.entry(seq).or_insert_with(|| job.clone());
-                        self.queue.push(QueuedJob { seq, job });
+                        let refusal = if self.qops.is_some() {
+                            self.refusal(&job, seq, at)
+                        } else {
+                            None
+                        };
+                        self.settle(seq, job, at, refusal, events);
                     }
                 }
             } else {
@@ -594,7 +626,65 @@ impl QueuedBackend {
         self.seq_of.contains_key(&id) || self.queue.iter().any(|q| q.job.id == id)
     }
 
-    /// Queues an arrival once completions before `now` are caught up.
+    /// The verdict on `job` arriving at `now`: a job too wide for the
+    /// nodes up can never start; under QoPS, one that fails the
+    /// schedulability test is over the risk it may take. `None` queues it.
+    fn refusal(&self, job: &Job, seq: u64, now: SimTime) -> Option<RejectReason> {
+        width_refusal(job.procs, self.pool.cluster().len(), self.pool.up_procs()).or_else(|| {
+            let cfg = self.qops?;
+            (!self.is_schedulable(cfg, now, job, seq)).then_some(RejectReason::OverRisk)
+        })
+    }
+
+    /// Queues the job, or resolves it as rejected at `at` for `refusal`.
+    fn settle(
+        &mut self,
+        seq: u64,
+        job: Job,
+        at: SimTime,
+        refusal: Option<RejectReason>,
+        events: &mut Vec<JobEvent>,
+    ) {
+        match refusal {
+            None => self.queue.push(QueuedJob { seq, job }),
+            Some(reason) => events.push(JobEvent::new(seq, job, Outcome::Rejected { at, reason })),
+        }
+    }
+
+    /// The QoPS arrival-time schedulability test: the running jobs'
+    /// estimated finishes, every queued job and `extra` (as `extra_seq`)
+    /// list-scheduled in EDF order against their soft deadlines.
+    fn is_schedulable(&self, cfg: QopsConfig, now: SimTime, extra: &Job, extra_seq: u64) -> bool {
+        let now_s = now.as_secs();
+        let soft = |j: &Job| j.submit.as_secs() + cfg.slack_factor * j.deadline.as_secs();
+        // One free time per processor up: a running job holds its
+        // processors until its *estimated* finish, the rest are free now.
+        let mut free_at: Vec<f64> = self
+            .pool
+            .running()
+            .flat_map(|(job, started)| {
+                let est_finish = started.as_secs() + job.estimate.as_secs();
+                iter::repeat_n(est_finish.max(now_s), job.procs as usize)
+            })
+            .collect();
+        free_at.resize(self.pool.up_procs(), now_s);
+        let pending = self
+            .queue
+            .iter()
+            .map(|q| (q.seq, &q.job))
+            .chain([(extra_seq, extra)])
+            .map(|(idx, j)| Pending {
+                idx,
+                procs: j.procs,
+                remaining_est: j.estimate.as_secs(),
+                abs_deadline: j.absolute_deadline().as_secs(),
+                soft_deadline: soft(j),
+            })
+            .collect();
+        schedulable(now_s, free_at, pending)
+    }
+
+    /// Decides an arrival once completions before `now` are caught up.
     fn submit(
         &mut self,
         seq: u64,
@@ -607,23 +697,9 @@ impl QueuedBackend {
         let started = recording.then(Instant::now);
         let depth_before = self.queue.len();
         let job_id = job.id.0;
-        let decision = if job.procs as usize > self.pool.up_procs() {
-            // Wider than the machine (as currently up): can never start.
-            let reason = if job.procs as usize > self.pool.cluster().len() {
-                RejectReason::Width
-            } else {
-                RejectReason::NodeDown
-            };
-            events.push(JobEvent::new(
-                seq,
-                job,
-                Outcome::Rejected { at: now, reason },
-            ));
-            Decision::Rejected(reason)
-        } else {
-            self.queue.push(QueuedJob { seq, job });
-            Decision::Queued
-        };
+        let refusal = self.refusal(&job, seq, now);
+        self.settle(seq, job, now, refusal, events);
+        let decision = refusal.map_or(Decision::Queued, Decision::Rejected);
         if let Some(rec) = obs {
             if recording {
                 let audit = DecisionAudit {
@@ -639,259 +715,6 @@ impl QueuedBackend {
             }
         }
         self.dispatch(now, events);
-        decision
-    }
-
-    fn drain(&mut self, events: &mut Vec<JobEvent>) {
-        self.catch_up(None, events);
-        assert!(self.queue.is_empty(), "queue drained at end of simulation");
-    }
-}
-
-/// QoPS backend: the processor pool plus the arrival-time schedulability
-/// state (queued and running jobs with their estimated finishes).
-pub struct QopsBackend {
-    pub(crate) cfg: QopsConfig,
-    pub(crate) pool: SpaceSharedCluster,
-    pub(crate) queue: Vec<QueuedJob>,
-    /// Running jobs as `(seq, width, estimated finish)` in start order —
-    /// the processor free-time projection input.
-    pub(crate) running: Vec<(u64, u32, f64)>,
-    pub(crate) seq_of: HashMap<JobId, u64>,
-}
-
-impl QopsBackend {
-    fn catch_up(&mut self, bound: Option<SimTime>, events: &mut Vec<JobEvent>) {
-        while let Some(t) = self.pool.next_completion_time() {
-            if bound.is_some_and(|b| t >= b) {
-                break;
-            }
-            let (job, started, finish) = self.pool.complete_next();
-            // See `ProportionalBackend::advance_engine`: skip a stale
-            // completion whose job already resolved elsewhere.
-            let Some(seq) = self.seq_of.remove(&job.id) else {
-                debug_assert!(false, "completed {} was never mapped", job.id);
-                self.dispatch(finish);
-                continue;
-            };
-            self.running.retain(|(s, _, _)| *s != seq);
-            events.push(JobEvent::new(
-                seq,
-                job,
-                Outcome::Completed { started, finish },
-            ));
-            self.dispatch(finish);
-        }
-    }
-
-    /// The QoPS arrival-time schedulability test (running set's estimated
-    /// free times + every queued job + `extra` appended as `extra_seq`).
-    /// Consulted at submission and again when a displaced job asks to be
-    /// requeued.
-    fn is_schedulable(&self, now: SimTime, extra: &Job, extra_seq: u64) -> bool {
-        let now_s = now.as_secs();
-        let total_procs = self.pool.up_procs();
-        let sf = self.cfg.slack_factor;
-        let soft = |j: &Job| j.submit.as_secs() + sf * j.deadline.as_secs();
-        // Build the processor free-time vector from running jobs'
-        // *estimated* finishes.
-        let mut free_at = vec![now_s; total_procs];
-        let mut cursor = 0usize;
-        for &(_, w, est_finish) in &self.running {
-            for slot in free_at.iter_mut().skip(cursor).take(w as usize) {
-                *slot = est_finish.max(now_s);
-            }
-            cursor += w as usize;
-        }
-        let mut pending: Vec<Pending> = self
-            .queue
-            .iter()
-            .map(|q| Pending {
-                idx: q.seq,
-                procs: q.job.procs,
-                remaining_est: q.job.estimate.as_secs(),
-                abs_deadline: q.job.absolute_deadline().as_secs(),
-                soft_deadline: soft(&q.job),
-            })
-            .collect();
-        pending.push(Pending {
-            idx: extra_seq,
-            procs: extra.procs,
-            remaining_est: extra.estimate.as_secs(),
-            abs_deadline: extra.absolute_deadline().as_secs(),
-            soft_deadline: soft(extra),
-        });
-        schedulable(now_s, free_at, pending)
-    }
-
-    /// Applies a node failure at `at`. A displaced job restarts from
-    /// scratch if requeued, but must pass the schedulability test again —
-    /// evaluated *now*, so effectively against its remaining deadline.
-    fn fail(
-        &mut self,
-        at: SimTime,
-        node: NodeId,
-        recovery: RecoveryPolicy,
-        churn: &mut ChurnStats,
-        requeued: &mut HashMap<u64, Job>,
-        events: &mut Vec<JobEvent>,
-    ) {
-        self.catch_up(Some(at), events);
-        if let Some((job, _started)) = self.pool.fail_node(node, at) {
-            if let Some(seq) = self.seq_of.remove(&job.id) {
-                self.running.retain(|(s, _, _)| *s != seq);
-                match recovery {
-                    RecoveryPolicy::Kill => {
-                        churn.kills += 1;
-                        events.push(JobEvent::new(seq, job, Outcome::Killed { at, node }));
-                    }
-                    RecoveryPolicy::Requeue => {
-                        churn.requeues += 1;
-                        requeued.entry(seq).or_insert_with(|| job.clone());
-                        if job.procs as usize > self.pool.up_procs() {
-                            events.push(JobEvent::new(
-                                seq,
-                                job,
-                                Outcome::Rejected {
-                                    at,
-                                    reason: RejectReason::NodeDown,
-                                },
-                            ));
-                        } else if self.is_schedulable(at, &job, seq) {
-                            self.queue.push(QueuedJob { seq, job });
-                        } else {
-                            events.push(JobEvent::new(
-                                seq,
-                                job,
-                                Outcome::Rejected {
-                                    at,
-                                    reason: RejectReason::OverRisk,
-                                },
-                            ));
-                        }
-                    }
-                }
-            } else {
-                debug_assert!(false, "displaced {} was never mapped", job.id);
-            }
-        }
-        // Queued jobs wider than the surviving capacity can never start.
-        let cap = self.pool.up_procs();
-        let mut i = 0;
-        while i < self.queue.len() {
-            if self.queue[i].job.procs as usize > cap {
-                let entry = self.queue.remove(i);
-                events.push(JobEvent::new(
-                    entry.seq,
-                    entry.job,
-                    Outcome::Rejected {
-                        at,
-                        reason: RejectReason::NodeDown,
-                    },
-                ));
-            } else {
-                i += 1;
-            }
-        }
-        self.dispatch(at);
-    }
-
-    fn restore(&mut self, at: SimTime, node: NodeId, events: &mut Vec<JobEvent>) {
-        self.catch_up(Some(at), events);
-        self.pool.restore_node(node, at);
-        self.dispatch(at);
-    }
-
-    /// Dispatch in EDF order; the head blocks (no backfilling).
-    fn dispatch(&mut self, now: SimTime) {
-        while let Some(pos) = self
-            .queue
-            .iter()
-            .enumerate()
-            .min_by(|(_, a), (_, b)| {
-                a.job
-                    .absolute_deadline()
-                    .cmp(&b.job.absolute_deadline())
-                    .then(a.seq.cmp(&b.seq))
-            })
-            .map(|(p, _)| p)
-        {
-            let entry = &self.queue[pos];
-            if self.pool.can_start(&entry.job) {
-                let entry = self.queue.remove(pos);
-                // Track the *estimated* finish for future admission tests.
-                self.running.push((
-                    entry.seq,
-                    entry.job.procs,
-                    now.as_secs() + entry.job.estimate.as_secs(),
-                ));
-                self.seq_of.insert(entry.job.id, entry.seq);
-                self.pool.start(entry.job, now);
-            } else {
-                break;
-            }
-        }
-    }
-
-    /// Whether `id` is running or waiting in the queue.
-    fn holds(&self, id: JobId) -> bool {
-        self.seq_of.contains_key(&id) || self.queue.iter().any(|q| q.job.id == id)
-    }
-
-    /// Tests an arrival once completions before `now` are caught up.
-    fn submit(
-        &mut self,
-        seq: u64,
-        job: Job,
-        now: SimTime,
-        events: &mut Vec<JobEvent>,
-        obs: Obs<'_>,
-    ) -> Decision {
-        let recording = obs.as_ref().is_some_and(|r| r.enabled());
-        let started = recording.then(Instant::now);
-        let depth_before = self.queue.len();
-        let job_id = job.id.0;
-        let decision = if job.procs as usize > self.pool.up_procs() {
-            let reason = if job.procs as usize > self.pool.cluster().len() {
-                RejectReason::Width
-            } else {
-                RejectReason::NodeDown
-            };
-            events.push(JobEvent::new(
-                seq,
-                job,
-                Outcome::Rejected { at: now, reason },
-            ));
-            Decision::Rejected(reason)
-        } else if self.is_schedulable(now, &job, seq) {
-            self.queue.push(QueuedJob { seq, job });
-            Decision::Queued
-        } else {
-            events.push(JobEvent::new(
-                seq,
-                job,
-                Outcome::Rejected {
-                    at: now,
-                    reason: RejectReason::OverRisk,
-                },
-            ));
-            Decision::Rejected(RejectReason::OverRisk)
-        };
-        if let Some(rec) = obs {
-            if recording {
-                let audit = DecisionAudit {
-                    best_fit_node: None,
-                    gauge: Some(GaugeDelta {
-                        key: "queue_depth",
-                        before: depth_before as f64,
-                        after: self.queue.len() as f64,
-                    }),
-                };
-                let timed = started.map(|t| (t, Instant::now()));
-                note_decision(rec, now, seq, job_id, decision, audit, timed);
-            }
-        }
-        self.dispatch(now);
         decision
     }
 
@@ -983,30 +806,37 @@ impl<'p> ClusterRms<'p> {
     /// A space-shared queueing RMS (EDF, EDF-NoAC, FCFS, backfilling).
     pub fn queued(cluster: Cluster, policy: QueuePolicy) -> Self {
         let policy_name = policy.name().to_string();
-        ClusterRms::new(
-            ExecutionBackend::Queued(QueuedBackend {
-                policy,
-                pool: SpaceSharedCluster::new(cluster),
-                queue: Vec::new(),
-                seq_of: HashMap::new(),
-            }),
-            policy_name,
-        )
+        ClusterRms::space_shared(cluster, policy, None, policy_name)
     }
 
-    /// A QoPS-style soft-deadline RMS.
+    /// A QoPS-style soft-deadline RMS: EDF dispatch on the space-shared
+    /// pool, with the head blocking, and a schedulability test at
+    /// arrival.
     ///
     /// # Panics
     /// Panics if `cfg.slack_factor < 1`.
     pub fn qops(cluster: Cluster, cfg: QopsConfig) -> Self {
         assert!(cfg.slack_factor >= 1.0, "slack factor must be ≥ 1");
-        let policy_name = format!("QoPS(sf={})", cfg.slack_factor);
+        ClusterRms::space_shared(
+            cluster,
+            QueuePolicy::new(QueueDiscipline::EarliestDeadline, false),
+            Some(cfg),
+            format!("QoPS(sf={})", cfg.slack_factor),
+        )
+    }
+
+    fn space_shared(
+        cluster: Cluster,
+        policy: QueuePolicy,
+        qops: Option<QopsConfig>,
+        policy_name: String,
+    ) -> Self {
         ClusterRms::new(
-            ExecutionBackend::Qops(QopsBackend {
-                cfg,
+            ExecutionBackend::Queued(QueuedBackend {
+                policy,
+                qops,
                 pool: SpaceSharedCluster::new(cluster),
                 queue: Vec::new(),
-                running: Vec::new(),
                 seq_of: HashMap::new(),
             }),
             policy_name,
@@ -1097,7 +927,6 @@ impl<'p> ClusterRms<'p> {
         match &self.backend {
             ExecutionBackend::Proportional(b) => b.engine.len(),
             ExecutionBackend::Queued(b) => b.pool.running_jobs() + b.queue.len(),
-            ExecutionBackend::Qops(b) => b.pool.running_jobs() + b.queue.len(),
         }
     }
 
@@ -1107,7 +936,6 @@ impl<'p> ClusterRms<'p> {
         match &self.backend {
             ExecutionBackend::Proportional(b) => b.engine.utilization(),
             ExecutionBackend::Queued(b) => b.pool.utilization(),
-            ExecutionBackend::Qops(b) => b.pool.utilization(),
         }
     }
 
@@ -1151,14 +979,6 @@ impl<'p> ClusterRms<'p> {
                             &mut self.requeued,
                             &mut self.events,
                         ),
-                        ExecutionBackend::Qops(b) => b.fail(
-                            e.at,
-                            e.node,
-                            self.recovery,
-                            &mut self.churn,
-                            &mut self.requeued,
-                            &mut self.events,
-                        ),
                     }
                 }
                 FaultKind::NodeUp => {
@@ -1168,7 +988,6 @@ impl<'p> ClusterRms<'p> {
                             b.restore(e.at, e.node, &mut self.events)
                         }
                         ExecutionBackend::Queued(b) => b.restore(e.at, e.node, &mut self.events),
-                        ExecutionBackend::Qops(b) => b.restore(e.at, e.node, &mut self.events),
                     }
                 }
             }
@@ -1258,10 +1077,6 @@ impl<'p> ClusterRms<'p> {
                 b.catch_up(Some(now), &mut self.events);
                 b.holds(job.id)
             }
-            ExecutionBackend::Qops(b) => {
-                b.catch_up(Some(now), &mut self.events);
-                b.holds(job.id)
-            }
         };
         if in_flight {
             return self.reject_invalid(seq, job, now);
@@ -1270,7 +1085,6 @@ impl<'p> ClusterRms<'p> {
         match &mut self.backend {
             ExecutionBackend::Proportional(b) => b.submit(seq, job, now, &mut self.events, rec),
             ExecutionBackend::Queued(b) => b.submit(seq, job, now, &mut self.events, rec),
-            ExecutionBackend::Qops(b) => b.submit(seq, job, now, &mut self.events, rec),
         }
     }
 
@@ -1324,7 +1138,6 @@ impl<'p> ClusterRms<'p> {
             match &mut self.backend {
                 ExecutionBackend::Proportional(b) => b.catch_up(to, &mut self.events),
                 ExecutionBackend::Queued(b) => b.catch_up(Some(to), &mut self.events),
-                ExecutionBackend::Qops(b) => b.catch_up(Some(to), &mut self.events),
             }
         }
         self.finalize_churn();
@@ -1401,7 +1214,6 @@ impl<'p> ClusterRms<'p> {
         match &mut self.backend {
             ExecutionBackend::Proportional(b) => b.drain(&mut self.events),
             ExecutionBackend::Queued(b) => b.drain(&mut self.events),
-            ExecutionBackend::Qops(b) => b.drain(&mut self.events),
         }
         if let Some(last) = self.events.last() {
             if let Outcome::Completed { finish, .. } = last.record.outcome {
@@ -1450,7 +1262,6 @@ mod tests {
     use super::*;
     use crate::libra::Libra;
     use crate::libra_risk::LibraRisk;
-    use crate::queue::QueueDiscipline;
     use sim::SimDuration;
     use workload::Urgency;
 
@@ -2172,17 +1983,82 @@ mod tests {
         let events: Vec<JobEvent> = rms.drain().collect();
         assert_eq!(events.len(), 1);
         assert_eq!(events[0].record.job, original);
+        // No node is up, so the requeue is refused as `submit` would
+        // refuse the same job: `NodeDown`, not the policy's `NoFit`.
         assert_eq!(
             events[0].record.outcome,
             Outcome::Rejected {
                 at: t(50.0),
-                reason: RejectReason::NoFit
+                reason: RejectReason::NodeDown
             }
         );
         assert_eq!(rms.churn().requeues, 1);
         assert_eq!(rms.churn().requeue_rejects, 1);
         assert_eq!(rms.churn().requeued_fulfilled.hits(), 0);
         assert_eq!(rms.churn().requeued_fulfilled.total(), 1);
+    }
+
+    #[test]
+    fn requeued_gang_wider_than_the_survivors_is_rejected_node_down() {
+        // A 2-wide gang on 2 nodes loses one: the requeue is classified
+        // as `submit` would classify the same job, not as a policy
+        // rejection.
+        let mut rms = ClusterRms::proportional(
+            two_node_cluster(),
+            ProportionalConfig::default(),
+            LibraRisk::paper(),
+        )
+        .with_faults(
+            FaultPlan::from_events(vec![down(50.0, 0)]),
+            RecoveryPolicy::Requeue,
+        );
+        let original = job(0, 0.0, 100.0, 100.0, 2, 1000.0);
+        assert_eq!(rms.submit(original.clone(), t(0.0)), Decision::Accepted);
+        let events: Vec<JobEvent> = rms.drain().collect();
+        assert_eq!(events.len(), 1);
+        assert_eq!(events[0].record.job, original);
+        assert_eq!(
+            events[0].record.outcome,
+            Outcome::Rejected {
+                at: t(50.0),
+                reason: RejectReason::NodeDown
+            }
+        );
+        assert_eq!(rms.churn().requeues, 1);
+        assert_eq!(rms.churn().requeue_rejects, 1);
+    }
+
+    #[test]
+    fn equal_deadlines_start_in_submission_order() {
+        // A blocker holds the one node; two waiters share an absolute
+        // deadline (2 + 98 = 1 + 99 = 100) but carry `submit` fields
+        // opposite to their submission order. Under EDF and QoPS alike
+        // the earlier submission starts first.
+        let cluster = || Cluster::homogeneous(1, 168.0);
+        let rmses = [
+            ClusterRms::queued(
+                cluster(),
+                QueuePolicy::new(QueueDiscipline::EarliestDeadline, true),
+            ),
+            ClusterRms::qops(cluster(), QopsConfig::default()),
+        ];
+        for mut rms in rmses {
+            let name = rms.policy_name().to_string();
+            rms.submit(job(0, 0.0, 10.0, 10.0, 1, 1000.0), t(0.0));
+            for (id, submit, deadline) in [(1, 2.0, 98.0), (2, 1.0, 99.0)] {
+                let waiter = job(id, submit, 10.0, 10.0, 1, deadline);
+                assert_eq!(rms.submit(waiter, t(1.0)), Decision::Queued, "{name}");
+            }
+            let mut started: Vec<(u64, f64)> = rms
+                .drain()
+                .map(|e| match e.record.outcome {
+                    Outcome::Completed { started, .. } => (e.seq, started.as_secs()),
+                    other => panic!("{name}: seq {} resolved as {other:?}", e.seq),
+                })
+                .collect();
+            started.sort_by_key(|&(seq, _)| seq);
+            assert_eq!(started, [(0, 0.0), (1, 10.0), (2, 20.0)], "{name}");
+        }
     }
 
     #[test]

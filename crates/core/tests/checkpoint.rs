@@ -741,3 +741,84 @@ fn golden_checkpoint_fixture_stays_loadable() {
     assert_eq!(rms.submitted(), 60);
     assert_eq!(rms.in_flight(), 0);
 }
+
+/// The QoPS fixture scenario: churn with requeues, cut at the 37th
+/// arrival while two jobs run and two wait in the queue. Pins the
+/// BACKEND section's running-finish list as well as the pool.
+fn golden_qops_run(cut: usize) -> ClusterRms<'static> {
+    let trace = synthetic_trace(60, 7);
+    let cluster = Cluster::homogeneous(8, 168.0);
+    let plan = churn_plan(&trace, 8, 0x9095);
+    let mut rms = PolicyKind::Qops
+        .rms(&cluster)
+        .with_faults(plan, RecoveryPolicy::Requeue);
+    let mut sink = Vec::new();
+    drive(&mut rms, &trace.jobs()[..cut], &mut sink);
+    rms
+}
+
+#[test]
+fn golden_qops_checkpoint_fixture_stays_loadable() {
+    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/golden_qops.ckpt");
+    let cut = 37;
+    let fresh = ckpt::save(&golden_qops_run(cut), None);
+    if std::env::var_os("LIBRISK_REGEN_GOLDEN").is_some() {
+        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+        std::fs::write(&path, &fresh).unwrap();
+    }
+    let committed =
+        std::fs::read(&path).expect("fixture missing — regenerate with LIBRISK_REGEN_GOLDEN=1");
+    assert_eq!(
+        committed, fresh,
+        "QoPS checkpoint bytes for the fixture scenario drifted; if the \
+         wire format changed deliberately, bump ckpt::VERSION and regenerate"
+    );
+
+    let loaded = ckpt::load(&committed).unwrap();
+    assert_eq!(loaded.policy_name(), "QoPS");
+    assert_eq!(loaded.submitted(), cut as u64);
+    assert!(loaded.churn().requeues > 0, "the cut follows requeues");
+    let at = loaded.now();
+
+    // The committed snapshot restores and finishes the run exactly as
+    // the unbroken run does.
+    let cluster = Cluster::homogeneous(8, 168.0);
+    let mut rms = loaded.restore_into(PolicyKind::Qops.rms(&cluster)).unwrap();
+    let trace = synthetic_trace(60, 7);
+    let mut resumed = Vec::new();
+    drive(&mut rms, &trace.jobs()[cut..], &mut resumed);
+    drain_into(&mut rms, &mut resumed);
+    assert_eq!(rms.submitted(), 60);
+    assert_eq!(rms.in_flight(), 0);
+
+    let mut unbroken_rms = golden_qops_run(cut);
+    let mut unbroken = Vec::new();
+    drive(&mut unbroken_rms, &trace.jobs()[cut..], &mut unbroken);
+    drain_into(&mut unbroken_rms, &mut unbroken);
+    let fingerprint = |out: &[(u64, JobRecord)]| -> Vec<_> {
+        out.iter()
+            .map(|(s, r)| (*s, r.job.id, key(&r.outcome)))
+            .collect()
+    };
+    assert_eq!(fingerprint(&resumed), fingerprint(&unbroken));
+    assert_eq!(*rms.churn(), *unbroken_rms.churn());
+
+    // Both halves of the backend were live at the cut: a job submitted
+    // before it started before it (running), another after it (queued).
+    let started: Vec<SimTime> = resumed
+        .iter()
+        .filter(|(seq, _)| *seq < cut as u64)
+        .filter_map(|(_, r)| match r.outcome {
+            Outcome::Completed { started, .. } => Some(started),
+            _ => None,
+        })
+        .collect();
+    assert!(
+        started.iter().any(|s| *s < at),
+        "a job was running at the cut"
+    );
+    assert!(
+        started.iter().any(|s| *s > at),
+        "a job was queued at the cut"
+    );
+}
