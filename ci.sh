@@ -10,6 +10,14 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
+# With LIBRISK_REGEN_GOLDEN set, the golden-fixture tests rewrite the
+# committed fixtures and then pass against what they just wrote, so no
+# gate below would mean anything.
+if [ -n "${LIBRISK_REGEN_GOLDEN+set}" ]; then
+    echo "ci.sh: LIBRISK_REGEN_GOLDEN is set; unset it (fixtures regenerate only on purpose)" >&2
+    exit 1
+fi
+
 echo "== tier-1: build (release) =="
 cargo build --release
 

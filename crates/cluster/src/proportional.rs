@@ -175,8 +175,6 @@ pub struct EngineSnapshot {
     pub busy_integral: f64,
     /// Node-seconds spent down over `[0, last_update]`.
     pub down_integral: f64,
-    /// Per-node delivered reference-seconds.
-    pub node_busy: Vec<f64>,
     /// Per-node down flags.
     pub down: Vec<bool>,
 }
@@ -248,6 +246,11 @@ pub struct ProportionalCluster {
     /// Arena slots resident per node, in admission order (removals
     /// `swap_remove`, mirroring the historical `Vec<JobId>` lists).
     node_jobs: Vec<Vec<u32>>,
+    /// Parallel to `node_jobs`: `node_member[n][p]` is the index `i`
+    /// with `meta.nodes[i] == n` in the resident at `node_jobs[n][p]`,
+    /// swapped along with its entry, so a removal patches the moved
+    /// resident's `slots[i]` without searching its member list.
+    node_member: Vec<Vec<u32>>,
     last_update: SimTime,
     busy_integral: f64,
     /// Node-seconds spent down over `[0, last_update]` — subtracted from
@@ -255,7 +258,6 @@ pub struct ProportionalCluster {
     /// out reads as fully utilised, not half. Stays exactly `0.0` on
     /// fault-free runs, keeping their utilisation bitwise unchanged.
     down_integral: f64,
-    node_busy: Vec<f64>,
     /// Earliest absolute deadline among each node's residents
     /// (`+inf` when empty), maintained at membership changes so the
     /// admission screen reads one packed array instead of walking
@@ -434,10 +436,10 @@ impl ProportionalCluster {
             order: Vec::new(),
             free_slots: Vec::new(),
             node_jobs: vec![Vec::new(); n],
+            node_member: vec![Vec::new(); n],
             last_update: SimTime::ZERO,
             busy_integral: 0.0,
             down_integral: 0.0,
-            node_busy: vec![0.0; n],
             node_min_dl: vec![f64::INFINITY; n],
             set_hash: vec![0; n],
             group_of: speed_class.clone(),
@@ -578,22 +580,31 @@ impl ProportionalCluster {
         s
     }
 
-    /// Rewrites `gang_nodes` with only the live runs, each copied in its
+    /// Packs `gang_nodes` down to only the live runs, each kept in its
     /// member order, and repoints `gang_start`. Called by `admit` once
-    /// dead entries outnumber live ones: the copy costs the live entries,
+    /// dead entries outnumber live ones: the moves cost the live entries,
     /// which the dead ones it reclaims already paid for, so the arena
     /// stays within about twice its live size at amortised O(1) per entry
     /// — also under sustained load that never drains the engine empty.
+    /// Runs move down in arena order, so none is overwritten before it
+    /// has moved; `order` is borrowed for that order and re-sorted by id,
+    /// which keeps the compaction in place and allocation-free.
     fn compact_gang_nodes(&mut self) {
-        let mut packed = Vec::with_capacity(2 * self.gang_live + 16);
-        for &s in &self.order {
+        let mut live = std::mem::take(&mut self.order);
+        live.sort_unstable_by_key(|&s| self.gang_start[s as usize]);
+        let mut packed = 0;
+        for &s in &live {
             let si = s as usize;
             let start = self.gang_start[si] as usize;
-            self.gang_start[si] = packed.len() as u32;
-            packed.extend_from_slice(&self.gang_nodes[start..start + self.width[si] as usize]);
+            let width = self.width[si] as usize;
+            self.gang_nodes.copy_within(start..start + width, packed);
+            self.gang_start[si] = packed as u32;
+            packed += width;
         }
-        debug_assert_eq!(packed.len(), self.gang_live);
-        self.gang_nodes = packed;
+        debug_assert_eq!(packed, self.gang_live);
+        self.gang_nodes.truncate(packed);
+        live.sort_unstable_by_key(|&s| self.ids[s as usize]);
+        self.order = live;
     }
 
     /// Index upkeep for an admission: slot `s` has just joined every
@@ -733,7 +744,8 @@ impl ProportionalCluster {
     ///
     /// # Panics
     /// Panics if the engine state is stale (`now != self.now()`), the node
-    /// count does not match `job.procs`, or a node id repeats.
+    /// count does not match `job.procs`, a node is down, or a node id
+    /// repeats.
     pub fn admit(&mut self, job: Job, nodes: Vec<NodeId>, now: SimTime) {
         assert_eq!(now, self.last_update, "advance() the engine before admit()");
         assert_eq!(
@@ -744,12 +756,6 @@ impl ProportionalCluster {
             job.procs,
             nodes.len()
         );
-        {
-            let mut seen = nodes.clone();
-            seen.sort_unstable();
-            seen.dedup();
-            assert_eq!(seen.len(), nodes.len(), "duplicate node in allocation");
-        }
         let was_clean = self.rates_clean;
         let est = job.estimate.as_secs().max(EPS_WORK);
         let work = job.runtime.as_secs().max(EPS_WORK);
@@ -761,12 +767,16 @@ impl ProportionalCluster {
         self.gang_live += nodes.len();
         let dl = job.absolute_deadline().as_secs();
         let mut slots = Vec::with_capacity(nodes.len());
-        for n in &nodes {
+        for (i, n) in nodes.iter().enumerate() {
             assert!(self.node_is_up(*n), "cannot admit {} onto down {n}", job.id);
             let ni = n.0 as usize;
             let list = &mut self.node_jobs[ni];
+            // The fresh slot sits on no list yet, so finding it at the
+            // tail means this node came earlier in the gang.
+            assert!(list.last() != Some(&s), "duplicate node in allocation");
             slots.push(list.len() as u32);
             list.push(s);
+            self.node_member[ni].push(i as u32);
             self.gang_nodes.push(n.0);
             self.set_hash[ni] ^= slot_mix(s);
             self.node_min_dl[ni] = self.node_min_dl[ni].min(dl);
@@ -854,10 +864,8 @@ impl ProportionalCluster {
     /// * every other survivor's share reads the post-progress estimate,
     ///   exactly as the reference does.
     ///
-    /// Each gang's member list is walked once per advance: `node_busy`
-    /// and the totals accumulate in the same loop (a completing gang
-    /// walks for busy time only). Per node, both sums still receive one
-    /// term per resident in ascending job-id order, so neither moves a bit.
+    /// A surviving gang's member list is walked once per advance, to add
+    /// its share to each member's total; a completing gang walks none.
     pub fn advance_into(&mut self, to: SimTime, out: &mut Vec<CompletedJob>) {
         out.clear();
         assert!(to >= self.last_update, "cannot advance backwards");
@@ -884,12 +892,10 @@ impl ProportionalCluster {
                 self.busy_integral += progress * self.width_f[si];
                 self.remaining_work[si] -= progress;
                 self.remaining_est[si] -= progress;
-                let start = self.gang_start[si] as usize;
-                let members = &self.gang_nodes[start..start + self.width[si] as usize];
-                let done = self.remaining_work[si] <= EPS_WORK;
-                let share = if done {
+                let share = if self.remaining_work[si] <= EPS_WORK {
+                    // A completing job holds no share.
                     completed.push(s);
-                    0.0 // never added: a completing job holds no share
+                    continue;
                 } else if self.remaining_est[si] <= EPS_WORK {
                     // Overrun: the scheduler's belief was exhausted but the
                     // job is still running — re-arm a residual estimate.
@@ -907,18 +913,10 @@ impl ProportionalCluster {
                     share
                 };
                 if self.width[si] == 1 {
-                    let ni = self.node0[si] as usize;
-                    self.node_busy[ni] += progress;
-                    if !done {
-                        self.totals_scratch[ni] += share;
-                    }
-                } else if done {
-                    for &ni in members {
-                        self.node_busy[ni as usize] += progress;
-                    }
+                    self.totals_scratch[self.node0[si] as usize] += share;
                 } else {
-                    for &ni in members {
-                        self.node_busy[ni as usize] += progress;
+                    let start = self.gang_start[si] as usize;
+                    for &ni in &self.gang_nodes[start..start + self.width[si] as usize] {
                         self.totals_scratch[ni as usize] += share;
                     }
                 }
@@ -972,9 +970,6 @@ impl ProportionalCluster {
                 let progress = self.rate[si] * dt;
                 let m = self.meta[si].as_ref().expect("resident has meta");
                 self.busy_integral += progress * m.nodes.len() as f64;
-                for n in &m.nodes {
-                    self.node_busy[n.0 as usize] += progress;
-                }
                 self.remaining_work[si] -= progress;
                 self.remaining_est[si] -= progress;
                 if self.remaining_work[si] <= EPS_WORK {
@@ -1093,35 +1088,34 @@ impl ProportionalCluster {
     }
 
     /// O(1) removal of slot `s` from a node's resident list: `swap_remove`
-    /// at its tracked position, then patch the slot bookkeeping of
-    /// whichever job was moved into the vacated position.
+    /// at its tracked position, then patch the recorded position of
+    /// whichever job was moved into the vacated position, at the member
+    /// index that moved with it.
     fn remove_from_node(&mut self, node: NodeId, pos: usize, s: u32) {
         let ni = node.0 as usize;
         let list = &mut self.node_jobs[ni];
         debug_assert_eq!(list[pos], s, "slot bookkeeping out of sync");
         list.swap_remove(pos);
+        self.node_member[ni].swap_remove(pos);
         self.set_hash[ni] ^= slot_mix(s);
-        let moved = list.get(pos).copied();
-        if let Some(moved) = moved {
+        if let Some(&moved) = self.node_jobs[ni].get(pos) {
+            let i = self.node_member[ni][pos] as usize;
             let m = self.meta[moved as usize]
                 .as_mut()
                 .expect("moved job resident");
-            let p = m
-                .nodes
+            debug_assert_eq!(m.nodes[i], node, "member index out of sync");
+            m.slots[i] = pos as u32;
+        }
+        // Only the job holding the minimum can move it. Min-fold over
+        // f64 is order-independent (deadlines are finite and positive),
+        // so a rebuild over the post-swap list yields the same bits any
+        // other order would.
+        if self.abs_deadline[s as usize] == self.node_min_dl[ni] {
+            let list = &self.node_jobs[ni];
+            self.node_min_dl[ni] = list
                 .iter()
-                .position(|x| *x == node)
-                .expect("moved job listed on node");
-            m.slots[p] = pos as u32;
+                .fold(f64::INFINITY, |m, &r| m.min(self.abs_deadline[r as usize]));
         }
-        // Min-fold over f64 is order-independent (deadlines are finite
-        // and positive), so a rebuild over the post-swap list yields the
-        // same bits any other order would.
-        let mut min_dl = f64::INFINITY;
-        for i in 0..self.node_jobs[ni].len() {
-            let r = self.node_jobs[ni][i] as usize;
-            min_dl = min_dl.min(self.abs_deadline[r]);
-        }
-        self.node_min_dl[ni] = min_dl;
     }
 
     /// The next instant the engine needs to be advanced to: the earliest
@@ -1299,32 +1293,6 @@ impl ProportionalCluster {
             return 0.0;
         }
         self.busy_integral / capacity
-    }
-
-    /// Mean utilisation of one node over `[0, now]` (delivered work over
-    /// elapsed time; allocated-but-idle gang surplus does not count).
-    pub fn node_utilization(&self, node: NodeId) -> f64 {
-        let elapsed = self.last_update.as_secs();
-        if elapsed <= 0.0 {
-            return 0.0;
-        }
-        self.node_busy[node.0 as usize] / elapsed
-    }
-
-    /// Spread between the busiest and idlest node's utilisation — a
-    /// load-imbalance indicator (0 = perfectly balanced).
-    pub fn utilization_imbalance(&self) -> f64 {
-        let elapsed = self.last_update.as_secs();
-        if elapsed <= 0.0 {
-            return 0.0;
-        }
-        let max = self
-            .node_busy
-            .iter()
-            .cloned()
-            .fold(f64::NEG_INFINITY, f64::max);
-        let min = self.node_busy.iter().cloned().fold(f64::INFINITY, f64::min);
-        (max - min) / elapsed
     }
 
     /// Current execution rate of a resident job (reference-seconds per
@@ -1554,7 +1522,6 @@ impl ProportionalCluster {
             last_update: self.last_update,
             busy_integral: self.busy_integral,
             down_integral: self.down_integral,
-            node_busy: self.node_busy.clone(),
             down: self.down.clone(),
         }
     }
@@ -1576,17 +1543,15 @@ impl ProportionalCluster {
         snap: &EngineSnapshot,
     ) -> Result<Self, String> {
         let n = cluster.len();
-        if snap.down.len() != n || snap.node_busy.len() != n {
+        if snap.down.len() != n {
             return Err(format!(
-                "per-node arrays cover {}/{} nodes, cluster has {n}",
-                snap.down.len(),
-                snap.node_busy.len()
+                "down flags cover {} nodes, cluster has {n}",
+                snap.down.len()
             ));
         }
         let mut eng = ProportionalCluster::new(cluster, cfg);
         eng.down = snap.down.clone();
         eng.down_count = snap.down.iter().filter(|d| **d).count();
-        eng.node_busy = snap.node_busy.clone();
         eng.busy_integral = snap.busy_integral;
         eng.down_integral = snap.down_integral;
         eng.last_update = snap.last_update;
@@ -1594,6 +1559,7 @@ impl ProportionalCluster {
         // each list must receive exactly its residents' positions as a
         // permutation of 0..len.
         let mut node_lists: Vec<Vec<u32>> = vec![Vec::new(); n];
+        let mut member_lists: Vec<Vec<u32>> = vec![Vec::new(); n];
         for (slot, r) in snap.residents.iter().enumerate() {
             let s = slot as u32;
             if slot > 0 && snap.residents[slot - 1].job.id >= r.job.id {
@@ -1622,7 +1588,7 @@ impl ProportionalCluster {
             if seen.len() != r.nodes.len() {
                 return Err(format!("{} allocation repeats a node", r.job.id));
             }
-            for (node, &pos) in r.nodes.iter().zip(&r.node_positions) {
+            for (i, (node, &pos)) in r.nodes.iter().zip(&r.node_positions).enumerate() {
                 let ni = node.0 as usize;
                 if ni >= n {
                     return Err(format!("{} hosts on unknown {node}", r.job.id));
@@ -1634,11 +1600,13 @@ impl ProportionalCluster {
                 let pos = pos as usize;
                 if list.len() <= pos {
                     list.resize(pos + 1, u32::MAX);
+                    member_lists[ni].resize(pos + 1, u32::MAX);
                 }
                 if list[pos] != u32::MAX {
                     return Err(format!("{node} position {pos} claimed twice"));
                 }
                 list[pos] = s;
+                member_lists[ni][pos] = i as u32;
                 eng.gang_nodes.push(node.0);
                 eng.set_hash[ni] ^= slot_mix(s);
                 eng.node_min_dl[ni] = eng.node_min_dl[ni].min(dl);
@@ -1665,11 +1633,12 @@ impl ProportionalCluster {
             });
             eng.order.push(s);
         }
-        for (ni, list) in node_lists.into_iter().enumerate() {
+        for (ni, (list, members)) in node_lists.into_iter().zip(member_lists).enumerate() {
             if list.contains(&u32::MAX) {
                 return Err(format!("node {ni} resident positions have a gap"));
             }
             eng.node_jobs[ni] = list;
+            eng.node_member[ni] = members;
         }
         eng.rates_clean = false;
         eng.recompute_rates();
@@ -2138,24 +2107,6 @@ mod tests {
     }
 
     #[test]
-    fn per_node_utilization_tracks_where_work_ran() {
-        let mut e = ProportionalCluster::new(cluster(2), ProportionalConfig::default());
-        // One job on node 0 only; node 1 idles.
-        e.admit(
-            job(0, 0.0, 100.0, 100.0, 1, 100.0),
-            vec![NodeId(0)],
-            SimTime::ZERO,
-        );
-        let done = run_to_completion(&mut e);
-        assert_eq!(done.len(), 1);
-        assert!((e.node_utilization(NodeId(0)) - 1.0).abs() < 1e-6);
-        assert_eq!(e.node_utilization(NodeId(1)), 0.0);
-        assert!((e.utilization_imbalance() - 1.0).abs() < 1e-6);
-        // Cluster-wide utilisation is the mean of the two.
-        assert!((e.utilization() - 0.5).abs() < 1e-6);
-    }
-
-    #[test]
     fn cached_next_event_matches_scan_through_a_busy_run() {
         let mut e = ProportionalCluster::new(cluster(4), ProportionalConfig::default());
         let mut id = 0u64;
@@ -2454,62 +2405,132 @@ mod tests {
         assert_eq!(keys, e.key_count, "group key counts");
     }
 
+    /// One random engine mutation of the churn tests, with job id `id`:
+    /// half the time a gang of up to `max_width` up nodes, placed in
+    /// shuffled node order, with a deadline from a small set so residents
+    /// of one node often share its minimum; otherwise an advance to the
+    /// next event, a node failure or restore, or a snapshot round trip.
+    fn churn_step(e: &mut ProportionalCluster, rng: &mut sim::Rng64, id: u64, max_width: u64) {
+        let nodes = e.cluster.len() as u32;
+        let now = e.now();
+        match rng.below(8) {
+            0..=3 => {
+                let mut up: Vec<NodeId> = (0..nodes)
+                    .map(NodeId)
+                    .filter(|&n| e.node_is_up(n))
+                    .collect();
+                for k in (1..up.len()).rev() {
+                    up.swap(k, rng.below(k as u64 + 1) as usize);
+                }
+                let width = 1 + rng.below(max_width) as usize;
+                if width <= up.len() {
+                    up.truncate(width);
+                    let runtime = rng.uniform(1.0, 400.0);
+                    let deadline = 100.0 * (1 + rng.below(6)) as f64;
+                    let mut j = job(id, 0.0, runtime, runtime, width as u32, deadline);
+                    j.submit = now;
+                    e.admit(j, up, now);
+                }
+            }
+            4 | 5 => {
+                if let Some(t) = e.next_event_time() {
+                    e.advance(t);
+                }
+            }
+            6 => {
+                let n = NodeId(rng.below(u64::from(nodes)) as u32);
+                if e.node_is_up(n) {
+                    e.fail_node(n, now);
+                } else {
+                    e.restore_node(n, now);
+                }
+            }
+            _ => {
+                let snap = e.snapshot();
+                *e = ProportionalCluster::from_snapshot(e.cluster.clone(), *e.config(), &snap)
+                    .expect("a live snapshot restores");
+            }
+        }
+    }
+
     #[test]
     fn set_index_bookkeeping_survives_gang_churn() {
         // Mixed speeds, gangs up to 6 wide, node failures and restores,
-        // and a snapshot round trip every 50 steps.
-        let nodes = 12u32;
-        let mixed = || {
-            Cluster::new(
-                (0..nodes)
-                    .map(|i| Node::new(NodeId(i), [168.0, 336.0, 84.0][i as usize % 3]))
-                    .collect(),
-                168.0,
-            )
-        };
-        let mut e = ProportionalCluster::new(mixed(), ProportionalConfig::default());
+        // and snapshot round trips.
+        let mixed = Cluster::new(
+            (0..12)
+                .map(|i| Node::new(NodeId(i), [168.0, 336.0, 84.0][i as usize % 3]))
+                .collect(),
+            168.0,
+        );
+        let mut e = ProportionalCluster::new(mixed, ProportionalConfig::default());
         assert_index_consistent(&e);
         let mut rng = sim::Rng64::new(11);
         for i in 0..600u64 {
-            let now = e.now();
-            match rng.below(8) {
-                0..=3 => {
-                    let width = 1 + rng.below(6) as usize;
-                    let start = rng.below(u64::from(nodes)) as u32;
-                    let hosts: Vec<NodeId> = (0..nodes)
-                        .map(|k| NodeId((start + k) % nodes))
-                        .filter(|&n| e.node_is_up(n))
-                        .take(width)
-                        .collect();
-                    if hosts.len() == width {
-                        let runtime = rng.uniform(1.0, 400.0);
-                        let mut j = job(i, 0.0, runtime, runtime, width as u32, 1e4);
-                        j.submit = now;
-                        e.admit(j, hosts, now);
-                    }
-                }
-                4 | 5 => {
-                    if let Some(t) = e.next_event_time() {
-                        e.advance(t);
-                    }
-                }
-                6 => {
-                    let n = NodeId(rng.below(u64::from(nodes)) as u32);
-                    if e.node_is_up(n) {
-                        e.fail_node(n, now);
-                    } else {
-                        e.restore_node(n, now);
-                    }
-                }
-                _ => {
-                    if i % 50 == 0 {
-                        let snap = e.snapshot();
-                        e = ProportionalCluster::from_snapshot(mixed(), *e.config(), &snap)
-                            .expect("a live snapshot restores");
-                    }
-                }
-            }
+            churn_step(&mut e, &mut rng, i, 6);
             assert_index_consistent(&e);
+            assert_removal_bookkeeping(&e);
+        }
+    }
+
+    /// The removal bookkeeping against the lists it indexes, with plain
+    /// asserts so release builds check it too: every node-list entry's
+    /// member index names this node in its resident's member list, and
+    /// the position recorded there is the entry's own; every member of
+    /// every resident is listed where it says; and each node's cached
+    /// minimum deadline is the fold over its residents.
+    fn assert_removal_bookkeeping(e: &ProportionalCluster) {
+        for (ni, (list, members)) in e.node_jobs.iter().zip(&e.node_member).enumerate() {
+            assert_eq!(list.len(), members.len(), "node {ni} member index length");
+            for (p, (&s, &i)) in list.iter().zip(members).enumerate() {
+                let m = e.meta[s as usize]
+                    .as_ref()
+                    .expect("listed slot is resident");
+                assert_eq!(
+                    m.nodes[i as usize].0 as usize, ni,
+                    "member index at {ni}[{p}]"
+                );
+                assert_eq!(
+                    m.slots[i as usize] as usize, p,
+                    "recorded position at {ni}[{p}]"
+                );
+            }
+            let min = list
+                .iter()
+                .fold(f64::INFINITY, |m, &s| m.min(e.abs_deadline[s as usize]));
+            assert_eq!(
+                e.node_min_dl[ni].to_bits(),
+                min.to_bits(),
+                "node {ni} min deadline"
+            );
+        }
+        for &s in &e.order {
+            let m = e.meta[s as usize]
+                .as_ref()
+                .expect("ordered slot is resident");
+            for (n, &pos) in m.nodes.iter().zip(&m.slots) {
+                assert_eq!(e.node_jobs[n.0 as usize][pos as usize], s);
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn removal_bookkeeping_survives_wide_gang_churn(
+            nodes in 2usize..10,
+            seed in 0u64..u64::MAX,
+            steps in 1u64..200,
+        ) {
+            // Gangs up to the whole cluster.
+            let mut e = ProportionalCluster::new(cluster(nodes), ProportionalConfig::default());
+            let mut rng = sim::Rng64::new(seed);
+            for i in 0..steps {
+                churn_step(&mut e, &mut rng, i, nodes as u64);
+                assert_removal_bookkeeping(&e);
+                assert_index_consistent(&e);
+            }
         }
     }
 

@@ -1,7 +1,8 @@
 //! Steady-state allocation audit: once its scratch buffers are warm, the
 //! proportional engine's advance path must not touch the heap at all —
 //! no per-event worklists, no per-recompute totals, no completion-buffer
-//! churn. A counting global allocator makes the claim checkable instead
+//! churn — and an admission allocates only the resident's own position
+//! list. A counting global allocator makes the claim checkable instead
 //! of asserted in comments. One test per binary: the allocator is
 //! process-global, so this file intentionally holds a single `#[test]`.
 
@@ -9,6 +10,7 @@ use cluster::proportional::{CompletedJob, ProportionalCluster, ProportionalConfi
 use cluster::{Cluster, NodeId};
 use sim::{SimDuration, SimTime};
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use workload::{Job, JobId, Urgency};
 
@@ -60,35 +62,35 @@ fn steady_state_advance_allocates_nothing() {
         j.runtime = SimDuration::from_secs(runtime);
         engine.admit(j, vec![NodeId((i % nodes) as u32)], SimTime::ZERO);
     }
-    // Warm-up: drain half the events. This sizes every engine-owned
-    // scratch buffer (completion worklist, totals, caller buffer) and
-    // exercises slot releases so `free_slots` has capacity.
+    // Completed jobs are replaced by fresh admissions so residency — and
+    // with it the slot arena — stays in its steady regime, exactly like
+    // the driver's loop. Warm-up: the first 600 replacements, which size
+    // every engine-owned buffer (completion worklist, totals, caller
+    // buffer, free slots) and carry the gang-node arena past two
+    // compactions to its high-water capacity. Measured window: the next
+    // 1,000 event advances, including completions, overrun re-arms and
+    // rate recomputes, and the replacements they trigger, counted apart.
+    // The caller's node list is built outside the count.
     let mut buf: Vec<CompletedJob> = Vec::with_capacity(64);
-    let mut warmed = 0usize;
-    while warmed < 400 {
-        let Some(t) = engine.next_event_time() else {
-            panic!("engine drained during warm-up; grow the job set");
-        };
-        engine.advance_into(t, &mut buf);
-        warmed += 1;
-    }
-    assert!(!engine.is_empty(), "warm-up drained the engine");
-    // Measured window: a long steady-state stretch of event advances,
-    // including completions, overrun re-arms and rate recomputes. Only
-    // the advances are counted; completed jobs are replaced by fresh
-    // (uncounted) admissions so residency — and with it the slot arena —
-    // stays in its steady regime, exactly like the driver's loop.
     let mut advance_allocs = 0u64;
+    let mut admit_allocs = 0u64;
+    let mut admits = 0u64;
     let mut measured = 0usize;
     let mut next_id = 10_000u64;
-    while measured < 400 {
-        let Some(t) = engine.next_event_time() else {
-            break;
-        };
+    let mut host: HashMap<JobId, NodeId> = (0..256u64)
+        .map(|i| (JobId(i), NodeId((i % nodes as u64) as u32)))
+        .collect();
+    while measured < 1_000 {
+        let warm = next_id >= 10_600;
+        let t = engine
+            .next_event_time()
+            .expect("replacements keep the engine busy");
         let before = ALLOCS.load(Ordering::Relaxed);
         engine.advance_into(t, &mut buf);
-        advance_allocs += ALLOCS.load(Ordering::Relaxed) - before;
-        measured += 1;
+        if warm {
+            advance_allocs += ALLOCS.load(Ordering::Relaxed) - before;
+            measured += 1;
+        }
         for done in buf.iter() {
             let i = next_id as usize;
             let runtime = 300.0 + (i as f64 * 7.919) % 700.0;
@@ -97,14 +99,28 @@ fn steady_state_advance_allocates_nothing() {
             let mut j = job(next_id, runtime, (runtime * est_factor).max(1.0), deadline);
             j.submit = engine.now();
             j.runtime = SimDuration::from_secs(runtime);
-            let target = NodeId((done.job.id.0 % nodes as u64) as u32);
-            engine.admit(j, vec![target], engine.now());
+            // The replacement takes the finished job's node, so no node's
+            // resident list outgrows its warm capacity.
+            let node = host.remove(&done.job.id).expect("admitted job has a host");
+            host.insert(j.id, node);
+            let target = vec![node];
+            let before = ALLOCS.load(Ordering::Relaxed);
+            engine.admit(j, target, engine.now());
+            if warm {
+                admit_allocs += ALLOCS.load(Ordering::Relaxed) - before;
+                admits += 1;
+            }
             next_id += 1;
         }
     }
-    assert!(measured > 100, "too few measured advances ({measured})");
     assert_eq!(
         advance_allocs, 0,
         "steady-state advance allocated {advance_allocs} times over {measured} advances"
+    );
+    assert!(admits > 100, "too few measured admissions ({admits})");
+    // One allocation per admission: the resident's position list.
+    assert_eq!(
+        admit_allocs, admits,
+        "steady-state admit allocated {admit_allocs} times over {admits} admissions"
     );
 }

@@ -77,9 +77,11 @@ use workload::{Job, JobId, Urgency};
 /// File magic: identifies a librisk checkpoint container.
 pub const MAGIC: [u8; 8] = *b"LRCKPT01";
 
-/// Current container version. Bumped on any layout change; older
-/// readers reject newer files with [`CkptError::UnsupportedVersion`].
-pub const VERSION: u32 = 1;
+/// Current container version. Bumped on any layout change; a reader
+/// accepts only its own version and refuses any other, older or newer,
+/// with [`CkptError::UnsupportedVersion`]. Version 1 also carried a
+/// per-node delivered-work vector in the proportional BACKEND section.
+pub const VERSION: u32 = 2;
 
 const TAG_META: u32 = 1;
 const TAG_SHARD: u32 = 2;
@@ -102,7 +104,7 @@ pub enum CkptError {
     Io(std::io::Error),
     /// The file does not start with the checkpoint magic.
     BadMagic,
-    /// The container version is newer than this reader understands.
+    /// The container version is not the one this reader understands.
     UnsupportedVersion(u32),
     /// The file ends before the declared structure does (torn write).
     Truncated,
@@ -869,6 +871,12 @@ fn decode_shard(payload: &[u8]) -> Result<ShardSection, CkptError> {
 
 // ---------------------------------------------------------------------
 // BACKEND section (engine canonical state).
+//
+// Proportional: kind byte, residents (job, node list, node positions,
+// start, overruns, remaining actual and estimated work), `last_update`,
+// `busy_integral`, `down_integral`, per-node down flags, seq map.
+// Queued (EDF/FCFS; QoPS adds its running list before the seq map):
+// kind byte, pool, queue, seq map.
 // ---------------------------------------------------------------------
 
 #[derive(Debug)]
@@ -1011,10 +1019,6 @@ fn encode_backend(rms: &ClusterRms<'_>) -> Vec<u8> {
             w.f64(snap.last_update.as_secs());
             w.f64(snap.busy_integral);
             w.f64(snap.down_integral);
-            w.len(snap.node_busy.len());
-            for v in &snap.node_busy {
-                w.f64(*v);
-            }
             w.len(snap.down.len());
             for &d in &snap.down {
                 w.bool(d);
@@ -1077,11 +1081,6 @@ fn decode_backend(payload: &[u8]) -> Result<(u8, BackendSection), CkptError> {
             let last_update = r.time()?;
             let busy_integral = r.f64()?;
             let down_integral = r.f64()?;
-            let n_busy = r.count(8)?;
-            let mut node_busy = Vec::with_capacity(n_busy);
-            for _ in 0..n_busy {
-                node_busy.push(r.f64()?);
-            }
             let n_down = r.count(1)?;
             let mut down = Vec::with_capacity(n_down);
             for _ in 0..n_down {
@@ -1093,7 +1092,6 @@ fn decode_backend(payload: &[u8]) -> Result<(u8, BackendSection), CkptError> {
                     last_update,
                     busy_integral,
                     down_integral,
-                    node_busy,
                     down,
                 },
                 seq_of: get_seq_of(&mut r)?,

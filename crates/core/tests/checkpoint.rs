@@ -23,7 +23,8 @@
 //! A golden fixture (`tests/fixtures/golden.ckpt`) pins the wire format
 //! itself: regenerate with `LIBRISK_REGEN_GOLDEN=1 cargo test -p
 //! librisk --test checkpoint` after a deliberate format change (and
-//! bump `ckpt::VERSION`).
+//! bump `ckpt::VERSION`). `golden_v1.ckpt` keeps a file of the retired
+//! v1 layout, which must be refused by its version.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -239,13 +240,24 @@ proptest! {
 
 #[test]
 fn version_bump_is_rejected_structurally() {
-    let mut bytes = sample_snapshot();
+    // A reader refuses any version but its own by the version word alone,
+    // before it parses a section: the next version, and the retired v1
+    // layout (the golden fixture as committed before BACKEND dropped its
+    // per-node busy vector), which would otherwise misparse as Malformed.
+    let mut next = sample_snapshot();
     // Version is the u32 after the 8-byte magic.
-    bytes[8..12].copy_from_slice(&2u32.to_le_bytes());
-    assert!(matches!(
-        ckpt::load(&bytes),
-        Err(CkptError::UnsupportedVersion(2))
-    ));
+    next[8..12].copy_from_slice(&(ckpt::VERSION + 1).to_le_bytes());
+    let v1 =
+        std::fs::read(Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/golden_v1.ckpt"))
+            .expect("retired v1 fixture");
+    assert_eq!(v1[8..12], 1u32.to_le_bytes(), "the retired fixture is v1");
+    for (bytes, version) in [(next, ckpt::VERSION + 1), (v1, 1)] {
+        match ckpt::load(&bytes) {
+            Err(CkptError::UnsupportedVersion(v)) => assert_eq!(v, version),
+            Err(e) => panic!("v{version} refused as {e}, not as its version"),
+            Ok(_) => panic!("v{version} loaded"),
+        }
+    }
     let mut garbage = sample_snapshot();
     garbage[0] ^= 0xFF;
     assert!(matches!(ckpt::load(&garbage), Err(CkptError::BadMagic)));

@@ -140,7 +140,7 @@ fn usage() -> String {
     format!(
         "usage: experiments <{}> \
          [--jobs N] [--seeds 1,2,3] [--threads N] [--out DIR] [--charts] [--quick]\n\
-         serve only: [--shards N] [--for-secs S]",
+         serve only: [--shards N (1-128)] [--for-secs S]",
         COMMANDS.join("|")
     )
 }
