@@ -157,7 +157,8 @@ done
 echo "== checkpoint smoke: save/restore round trip + crash injection =="
 # The subcommand checkpoints LibraRisk mid-run on the quick churn
 # scenario, restores into a blank RMS, and panics (non-zero exit) if the
-# resumed run diverges from the unbroken one or a flipped bit in the
+# restored RMS re-saves to different bytes (the normal-form law), the
+# resumed run diverges from the unbroken one, or a flipped bit in the
 # snapshot goes undetected — a release-mode end-to-end crash drill on
 # top of the unit gates above.
 cargo run --release -q -p experiments -- checkpoint --quick --out "$obs_out" >/dev/null

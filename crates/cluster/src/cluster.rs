@@ -15,9 +15,18 @@ impl Cluster {
     /// rating job runtimes are expressed against.
     ///
     /// # Panics
-    /// Panics if `nodes` is empty or `reference_rating` is not positive.
+    /// Panics if `nodes` is empty, if a node's id is not its position
+    /// (`nodes[i].id == NodeId(i)`: every lookup indexes by id), or if
+    /// `reference_rating` is not positive.
     pub fn new(nodes: Vec<Node>, reference_rating: f64) -> Self {
         assert!(!nodes.is_empty(), "a cluster needs at least one node");
+        for (i, node) in nodes.iter().enumerate() {
+            assert!(
+                node.id.0 as usize == i,
+                "node at position {i} has id {}; ids must be dense from 0",
+                node.id.0
+            );
+        }
         assert!(reference_rating > 0.0, "reference rating must be > 0");
         Cluster {
             nodes,
@@ -96,5 +105,11 @@ mod tests {
     #[should_panic(expected = "at least one node")]
     fn empty_cluster_rejected() {
         Cluster::new(vec![], 168.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "ids must be dense from 0")]
+    fn non_dense_node_ids_rejected() {
+        Cluster::new(vec![Node::new(NodeId(5), 168.0)], 168.0);
     }
 }

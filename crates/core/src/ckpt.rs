@@ -5,12 +5,12 @@
 //! serialises the *canonical* state of a [`ClusterRms`] — resident and
 //! queued jobs, the admission queue, pending outcome events, the fault
 //! plan cursor, churn aggregates, sequence counters, and optionally an
-//! attached [`TraceRecorder`] ring plus an [`OnlineReport`] summary —
-//! into a versioned, zero-dependency binary format, and rebuilds a
-//! bitwise-identical RMS from it: resuming from a checkpoint taken at
-//! any quiescent instant produces the same decisions, outcomes and
-//! aggregates as the unbroken run (property-tested in
-//! `tests/checkpoint.rs` over every policy, under churn).
+//! [`OnlineReport`] summary — into a versioned, zero-dependency binary
+//! format, and rebuilds a bitwise-identical RMS from it: resuming from
+//! a checkpoint taken at any quiescent instant produces the same
+//! decisions, outcomes and aggregates as the unbroken run
+//! (property-tested in `tests/checkpoint.rs` over every policy, under
+//! churn).
 //!
 //! # Format
 //!
@@ -18,7 +18,7 @@
 //! magic "LRCKPT01" (8 bytes)
 //! version: u32 LE
 //! section count: u32 LE
-//! section*: [tag u32][payload len u64][payload][crc32(payload) u32]
+//! section*: [tag u32][payload len u64][payload][crc32(tag, len, payload) u32]
 //! ```
 //!
 //! Every multi-byte value is little-endian; `f64`s travel as raw IEEE
@@ -51,7 +51,7 @@
 //! the union oracle in `tests/checkpoint.rs`).
 
 use crate::queue::{QueueDiscipline, QueuedJob};
-use crate::report::{ChurnStats, JobRecord, OnlineReport, OnlineReportParts, Outcome};
+use crate::report::{ChurnStats, JobRecord, OnlineReport, Outcome};
 use crate::rms::{ClusterRms, ExecutionBackend, JobEvent};
 use crate::router::ShardedRms;
 use cluster::projection::ShareDiscipline;
@@ -63,9 +63,7 @@ use cluster::{
     FaultEvent, FaultKind, FaultPlan, NodeId, PoolSnapshot, RecoveryPolicy, RunningSnapshot,
     SpaceSharedCluster,
 };
-use obs::event::{DecisionAudit, Event, GaugeDelta, ResolvedKind, TimedEvent, Verdict};
-use obs::registry::Histogram;
-use obs::{keys, Registry, RejectReason, RingSnapshot, TraceRecorder};
+use obs::RejectReason;
 use sim::{SimDuration, SimTime};
 use std::collections::HashMap;
 use std::fmt;
@@ -87,7 +85,7 @@ const TAG_META: u32 = 1;
 const TAG_SHARD: u32 = 2;
 const TAG_BACKEND: u32 = 3;
 const TAG_REPORT: u32 = 4;
-const TAG_RING: u32 = 5;
+// Tag 5 is retired (it held a recorder ring) and refused as unknown.
 const TAG_MANIFEST: u32 = 6;
 
 const KIND_PROPORTIONAL: u8 = 0;
@@ -384,7 +382,10 @@ fn split_sections(bytes: &[u8]) -> Result<Vec<(u32, &[u8])>, CkptError> {
     for _ in 0..n {
         let start = r.pos;
         let tag = r.u32()?;
-        if !(TAG_META..=TAG_MANIFEST).contains(&tag) {
+        if !matches!(
+            tag,
+            TAG_META | TAG_SHARD | TAG_BACKEND | TAG_REPORT | TAG_MANIFEST
+        ) {
             return Err(malformed(format!("unknown section tag {tag}")));
         }
         if sections.iter().any(|(t, _)| *t == tag) {
@@ -1137,26 +1138,26 @@ fn decode_backend(payload: &[u8]) -> Result<(u8, BackendSection), CkptError> {
 // REPORT section.
 // ---------------------------------------------------------------------
 
-fn encode_report(parts: &OnlineReportParts) -> Vec<u8> {
+fn encode_report(report: &OnlineReport) -> Vec<u8> {
     let mut w = Writer::default();
-    put_tally(&mut w, &parts.fulfilled);
-    put_tally(&mut w, &parts.accepted);
-    put_tally(&mut w, &parts.high_fulfilled);
-    put_tally(&mut w, &parts.low_fulfilled);
-    put_stats(&mut w, &parts.slowdown);
-    put_stats(&mut w, &parts.delay);
-    put_stats(&mut w, &parts.response);
-    w.u64(parts.killed);
-    w.len(parts.reject_reasons.len());
-    for v in &parts.reject_reasons {
+    put_tally(&mut w, &report.fulfilled);
+    put_tally(&mut w, &report.accepted);
+    put_tally(&mut w, &report.high_fulfilled);
+    put_tally(&mut w, &report.low_fulfilled);
+    put_stats(&mut w, &report.slowdown);
+    put_stats(&mut w, &report.delay);
+    put_stats(&mut w, &report.response);
+    w.u64(report.killed);
+    w.len(report.reject_reasons.len());
+    for v in &report.reject_reasons {
         w.u64(*v);
     }
-    put_churn(&mut w, &parts.churn);
-    w.f64(parts.utilization);
+    put_churn(&mut w, &report.churn);
+    w.f64(report.utilization);
     w.buf
 }
 
-fn decode_report(payload: &[u8]) -> Result<OnlineReportParts, CkptError> {
+fn decode_report(payload: &[u8]) -> Result<OnlineReport, CkptError> {
     let mut r = Reader::new(payload);
     let fulfilled = get_tally(&mut r)?;
     let accepted = get_tally(&mut r)?;
@@ -1180,7 +1181,7 @@ fn decode_report(payload: &[u8]) -> Result<OnlineReportParts, CkptError> {
     let churn = get_churn(&mut r)?;
     let utilization = r.f64()?;
     r.done()?;
-    Ok(OnlineReportParts {
+    Ok(OnlineReport {
         fulfilled,
         accepted,
         high_fulfilled,
@@ -1196,296 +1197,14 @@ fn decode_report(payload: &[u8]) -> Result<OnlineReportParts, CkptError> {
 }
 
 // ---------------------------------------------------------------------
-// RING section (attached TraceRecorder state).
-// ---------------------------------------------------------------------
-
-fn put_key(w: &mut Writer, key: &'static str) {
-    w.str(key);
-}
-
-fn get_key(r: &mut Reader<'_>) -> Result<&'static str, CkptError> {
-    let key = r.str()?;
-    keys::intern(&key).ok_or_else(|| malformed(format!("unknown metric key {key:?}")))
-}
-
-fn put_event(w: &mut Writer, event: &Event) {
-    match *event {
-        Event::Submit {
-            seq,
-            job,
-            procs,
-            estimate_secs,
-            deadline_secs,
-        } => {
-            w.u8(0);
-            w.u64(seq);
-            w.u64(job);
-            w.u32(procs);
-            w.f64(estimate_secs);
-            w.f64(deadline_secs);
-        }
-        Event::Decision {
-            seq,
-            job,
-            verdict,
-            audit,
-            latency_ns,
-        } => {
-            w.u8(1);
-            w.u64(seq);
-            w.u64(job);
-            match verdict {
-                Verdict::Accepted => w.u8(0),
-                Verdict::Rejected(reason) => {
-                    w.u8(1);
-                    w.u8(reason.index() as u8);
-                }
-                Verdict::Queued => w.u8(2),
-            }
-            match audit.best_fit_node {
-                Some(n) => {
-                    w.u8(1);
-                    w.u32(n);
-                }
-                None => w.u8(0),
-            }
-            match audit.gauge {
-                Some(g) => {
-                    w.u8(1);
-                    put_key(w, g.key);
-                    w.f64(g.before);
-                    w.f64(g.after);
-                }
-                None => w.u8(0),
-            }
-            w.u64(latency_ns);
-        }
-        Event::JobResolved { seq, job, outcome } => {
-            w.u8(2);
-            w.u64(seq);
-            w.u64(job);
-            match outcome {
-                ResolvedKind::Rejected(reason) => {
-                    w.u8(0);
-                    w.u8(reason.index() as u8);
-                }
-                ResolvedKind::Completed => w.u8(1),
-                ResolvedKind::Killed => w.u8(2),
-            }
-        }
-        Event::NodeDown { node } => {
-            w.u8(3);
-            w.u32(node);
-        }
-        Event::NodeUp { node } => {
-            w.u8(4);
-            w.u32(node);
-        }
-        Event::AdvanceSpan {
-            start_secs,
-            end_secs,
-            events,
-        } => {
-            w.u8(5);
-            w.f64(start_secs);
-            w.f64(end_secs);
-            w.u64(events);
-        }
-    }
-}
-
-fn get_event(r: &mut Reader<'_>) -> Result<Event, CkptError> {
-    Ok(match r.u8()? {
-        0 => Event::Submit {
-            seq: r.u64()?,
-            job: r.u64()?,
-            procs: r.u32()?,
-            estimate_secs: r.f64()?,
-            deadline_secs: r.f64()?,
-        },
-        1 => {
-            let seq = r.u64()?;
-            let job = r.u64()?;
-            let verdict = match r.u8()? {
-                0 => Verdict::Accepted,
-                1 => Verdict::Rejected(get_reason(r)?),
-                2 => Verdict::Queued,
-                b => return Err(malformed(format!("invalid verdict tag {b}"))),
-            };
-            let best_fit_node = match r.u8()? {
-                0 => None,
-                1 => Some(r.u32()?),
-                b => return Err(malformed(format!("invalid option tag {b}"))),
-            };
-            let gauge = match r.u8()? {
-                0 => None,
-                1 => Some(GaugeDelta {
-                    key: get_key(r)?,
-                    before: r.f64()?,
-                    after: r.f64()?,
-                }),
-                b => return Err(malformed(format!("invalid option tag {b}"))),
-            };
-            Event::Decision {
-                seq,
-                job,
-                verdict,
-                audit: DecisionAudit {
-                    best_fit_node,
-                    gauge,
-                },
-                latency_ns: r.u64()?,
-            }
-        }
-        2 => Event::JobResolved {
-            seq: r.u64()?,
-            job: r.u64()?,
-            outcome: match r.u8()? {
-                0 => ResolvedKind::Rejected(get_reason(r)?),
-                1 => ResolvedKind::Completed,
-                2 => ResolvedKind::Killed,
-                b => return Err(malformed(format!("invalid resolved kind {b}"))),
-            },
-        },
-        3 => Event::NodeDown { node: r.u32()? },
-        4 => Event::NodeUp { node: r.u32()? },
-        5 => Event::AdvanceSpan {
-            start_secs: r.f64()?,
-            end_secs: r.f64()?,
-            events: r.u64()?,
-        },
-        b => return Err(malformed(format!("invalid event tag {b}"))),
-    })
-}
-
-fn encode_ring(ring: &RingSnapshot, registry: &Registry) -> Vec<u8> {
-    let mut w = Writer::default();
-    w.len(ring.capacity);
-    w.u64(ring.dropped);
-    w.bool(ring.audit_gauges);
-    w.len(ring.events.len());
-    for te in &ring.events {
-        w.f64(te.sim_secs);
-        w.u64(te.wall_ns);
-        put_event(&mut w, &te.event);
-    }
-    let mut counters: Vec<(&'static str, u64)> = registry.counters().collect();
-    counters.sort_unstable_by_key(|(k, _)| *k);
-    w.len(counters.len());
-    for (k, v) in counters {
-        put_key(&mut w, k);
-        w.u64(v);
-    }
-    let mut gauges: Vec<(&'static str, f64)> = registry.gauges().collect();
-    gauges.sort_unstable_by_key(|(k, _)| *k);
-    w.len(gauges.len());
-    for (k, v) in gauges {
-        put_key(&mut w, k);
-        w.f64(v);
-    }
-    let mut histograms: Vec<(&'static str, &Histogram)> = registry.histograms().collect();
-    histograms.sort_unstable_by_key(|(k, _)| *k);
-    w.len(histograms.len());
-    for (k, h) in histograms {
-        put_key(&mut w, k);
-        let bounds = h.bounds();
-        w.len(bounds.len());
-        for b in bounds {
-            w.f64(*b);
-        }
-        let counts = h.bucket_counts();
-        w.len(counts.len());
-        for c in counts {
-            w.u64(*c);
-        }
-        w.f64(h.sum());
-        w.u64(h.count());
-    }
-    w.buf
-}
-
-fn decode_ring(payload: &[u8]) -> Result<(RingSnapshot, Registry), CkptError> {
-    let mut r = Reader::new(payload);
-    // Capacity is a configuration value, not an element count — it may
-    // legitimately exceed the payload size, so no count() bound here.
-    let capacity = usize::try_from(r.u64()?).map_err(|_| malformed("ring capacity overflow"))?;
-    let dropped = r.u64()?;
-    let audit_gauges = r.bool()?;
-    let n_events = r.count(17)?;
-    if n_events > capacity {
-        return Err(malformed("ring holds more events than its capacity"));
-    }
-    let mut events = Vec::with_capacity(n_events);
-    for _ in 0..n_events {
-        let sim_secs = r.f64()?;
-        if sim_secs.is_nan() {
-            return Err(malformed("NaN event timestamp"));
-        }
-        let wall_ns = r.u64()?;
-        let event = get_event(&mut r)?;
-        events.push(TimedEvent {
-            sim_secs,
-            wall_ns,
-            event,
-        });
-    }
-    let mut registry = Registry::new();
-    let n_counters = r.count(9)?;
-    for _ in 0..n_counters {
-        let key = get_key(&mut r)?;
-        let v = r.u64()?;
-        registry.add(key, v);
-    }
-    let n_gauges = r.count(9)?;
-    for _ in 0..n_gauges {
-        let key = get_key(&mut r)?;
-        let v = r.f64()?;
-        registry.set_gauge(key, v);
-    }
-    let n_hist = r.count(9)?;
-    for _ in 0..n_hist {
-        let key = get_key(&mut r)?;
-        let n_bounds = r.count(8)?;
-        let mut bounds = Vec::with_capacity(n_bounds);
-        for _ in 0..n_bounds {
-            bounds.push(r.f64()?);
-        }
-        let bounds = keys::intern_bounds(&bounds)
-            .ok_or_else(|| malformed(format!("unknown histogram bounds for {key:?}")))?;
-        let n_counts = r.count(8)?;
-        let mut counts = Vec::with_capacity(n_counts);
-        for _ in 0..n_counts {
-            counts.push(r.u64()?);
-        }
-        let sum = r.f64()?;
-        let count = r.u64()?;
-        let hist = Histogram::from_parts(bounds, counts, sum, count).map_err(malformed)?;
-        registry.restore_histogram(key, hist);
-    }
-    r.done()?;
-    if capacity == 0 {
-        return Err(malformed("ring capacity must be at least 1"));
-    }
-    Ok((
-        RingSnapshot {
-            capacity,
-            dropped,
-            audit_gauges,
-            events,
-        },
-        registry,
-    ))
-}
-
-// ---------------------------------------------------------------------
 // Checkpoint: save / load / restore.
 // ---------------------------------------------------------------------
 
 /// Serialises the canonical state of an RMS (plus, optionally, the
-/// caller's [`OnlineReport`] sink and any attached recorder ring) into
-/// a checkpoint container. Identical state produces identical bytes —
-/// maps are serialised in sorted order — except for the ring section's
-/// wall-clock stamps.
+/// caller's [`OnlineReport`] sink) into a checkpoint container.
+/// Identical state produces identical bytes — maps are serialised in
+/// sorted order. An attached recorder is not part of that state and is
+/// never saved.
 pub fn save(rms: &ClusterRms<'_>, report: Option<&OnlineReport>) -> Vec<u8> {
     let mut sections = vec![
         (TAG_META, encode_meta(rms)),
@@ -1493,12 +1212,7 @@ pub fn save(rms: &ClusterRms<'_>, report: Option<&OnlineReport>) -> Vec<u8> {
         (TAG_BACKEND, encode_backend(rms)),
     ];
     if let Some(rep) = report {
-        sections.push((TAG_REPORT, encode_report(&rep.to_parts())));
-    }
-    if let Some(rec) = rms.recorder.as_deref() {
-        if let (Some(ring), Some(registry)) = (rec.ring_snapshot(), rec.registry_snapshot()) {
-            sections.push((TAG_RING, encode_ring(&ring, &registry)));
-        }
+        sections.push((TAG_REPORT, encode_report(rep)));
     }
     container(&sections)
 }
@@ -1510,8 +1224,7 @@ pub struct Checkpoint {
     meta: Meta,
     shard: ShardSection,
     backend: BackendSection,
-    report: Option<OnlineReportParts>,
-    ring: Option<(RingSnapshot, Registry)>,
+    report: Option<OnlineReport>,
 }
 
 /// Parses and fully validates a checkpoint container. All structural
@@ -1531,18 +1244,11 @@ pub fn load(bytes: &[u8]) -> Result<Checkpoint, CkptError> {
         return Err(malformed("manifest section in a shard checkpoint"));
     }
     let report = find(TAG_REPORT).map(decode_report).transpose()?;
-    let ring = find(TAG_RING).map(decode_ring).transpose()?;
-    if let Some((snap, registry)) = &ring {
-        // Validate the recorder rebuild once at load so `recorder()`
-        // cannot fail later.
-        TraceRecorder::from_snapshot(snap.clone(), registry.clone()).map_err(malformed)?;
-    }
     Ok(Checkpoint {
         meta,
         shard,
         backend,
         report,
-        ring,
     })
 }
 
@@ -1586,17 +1292,7 @@ impl Checkpoint {
 
     /// The checkpointed [`OnlineReport`] summary, when one was saved.
     pub fn report(&self) -> Option<OnlineReport> {
-        self.report.map(OnlineReport::from_parts)
-    }
-
-    /// Rebuilds the checkpointed [`TraceRecorder`], when a ring was
-    /// saved. The wall-clock epoch restarts at the restore instant;
-    /// simulated timestamps are unaffected.
-    pub fn recorder(&self) -> Option<TraceRecorder> {
-        self.ring.as_ref().map(|(snap, registry)| {
-            TraceRecorder::from_snapshot(snap.clone(), registry.clone())
-                .expect("ring validated at load")
-        })
+        self.report.clone()
     }
 
     /// Verifies `blank` is a freshly-built RMS matching the

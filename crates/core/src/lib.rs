@@ -74,8 +74,7 @@ pub use policy::{PolicyKind, ShareAdmission};
 pub use qops::QopsConfig;
 pub use queue::{QueueDiscipline, QueuePolicy, QueuedJob};
 pub use report::{
-    ChurnStats, JobRecord, OnlineReport, OnlineReportParts, Outcome, ReportCollector, ReportSink,
-    SimulationReport,
+    ChurnStats, JobRecord, OnlineReport, Outcome, ReportCollector, ReportSink, SimulationReport,
 };
 pub use rms::{drive_trace, ClusterRms, Decision, ExecutionBackend, JobEvent};
 pub use router::{job_hash_shard, RouteBy, RouterError, ShardedRms};

@@ -377,19 +377,22 @@ impl ReportSink for ReportCollector {
 /// Accessors mirror [`SimulationReport`]'s; means are Welford means, so
 /// they may differ from the batch report's naive sums in the last few
 /// ulps — everything else (counts, percentages) is identical.
+///
+/// The fields are crate-visible so the checkpoint's REPORT codec reads
+/// and rebuilds a summary directly.
 #[derive(Clone, Debug, Default)]
 pub struct OnlineReport {
-    fulfilled: metrics::Tally,
-    accepted: metrics::Tally,
-    high_fulfilled: metrics::Tally,
-    low_fulfilled: metrics::Tally,
-    slowdown: metrics::OnlineStats,
-    delay: metrics::OnlineStats,
-    response: metrics::OnlineStats,
-    killed: u64,
-    reject_reasons: [u64; RejectReason::ALL.len()],
-    churn: ChurnStats,
-    utilization: f64,
+    pub(crate) fulfilled: metrics::Tally,
+    pub(crate) accepted: metrics::Tally,
+    pub(crate) high_fulfilled: metrics::Tally,
+    pub(crate) low_fulfilled: metrics::Tally,
+    pub(crate) slowdown: metrics::OnlineStats,
+    pub(crate) delay: metrics::OnlineStats,
+    pub(crate) response: metrics::OnlineStats,
+    pub(crate) killed: u64,
+    pub(crate) reject_reasons: [u64; RejectReason::ALL.len()],
+    pub(crate) churn: ChurnStats,
+    pub(crate) utilization: f64,
 }
 
 impl OnlineReport {
@@ -533,71 +536,6 @@ impl OnlineReport {
             self.churn.export_metrics(registry);
         }
     }
-
-    /// Extracts the raw aggregate parts for checkpoint serialisation.
-    /// [`OnlineReport::from_parts`] is the exact inverse, so a
-    /// checkpointed summary resumes bitwise identical.
-    pub fn to_parts(&self) -> OnlineReportParts {
-        OnlineReportParts {
-            fulfilled: self.fulfilled,
-            accepted: self.accepted,
-            high_fulfilled: self.high_fulfilled,
-            low_fulfilled: self.low_fulfilled,
-            slowdown: self.slowdown,
-            delay: self.delay,
-            response: self.response,
-            killed: self.killed,
-            reject_reasons: self.reject_reasons,
-            churn: self.churn,
-            utilization: self.utilization,
-        }
-    }
-
-    /// Rebuilds a summary from checkpointed parts.
-    pub fn from_parts(parts: OnlineReportParts) -> Self {
-        OnlineReport {
-            fulfilled: parts.fulfilled,
-            accepted: parts.accepted,
-            high_fulfilled: parts.high_fulfilled,
-            low_fulfilled: parts.low_fulfilled,
-            slowdown: parts.slowdown,
-            delay: parts.delay,
-            response: parts.response,
-            killed: parts.killed,
-            reject_reasons: parts.reject_reasons,
-            churn: parts.churn,
-            utilization: parts.utilization,
-        }
-    }
-}
-
-/// The raw aggregates behind an [`OnlineReport`], exposed as plain data
-/// so the checkpoint layer can serialise a summary without the report
-/// giving up encapsulation of its update paths.
-#[derive(Clone, Copy, Debug)]
-pub struct OnlineReportParts {
-    /// Deadline fulfilment over all submitted jobs.
-    pub fulfilled: metrics::Tally,
-    /// Acceptance over all submitted jobs.
-    pub accepted: metrics::Tally,
-    /// Fulfilment restricted to high-urgency jobs.
-    pub high_fulfilled: metrics::Tally,
-    /// Fulfilment restricted to low-urgency jobs.
-    pub low_fulfilled: metrics::Tally,
-    /// Welford moments of slowdown over fulfilled jobs.
-    pub slowdown: metrics::OnlineStats,
-    /// Welford moments of deadline delay over completed jobs.
-    pub delay: metrics::OnlineStats,
-    /// Welford moments of response time over completed jobs.
-    pub response: metrics::OnlineStats,
-    /// Jobs killed by node failures.
-    pub killed: u64,
-    /// Rejections by [`RejectReason`], indexed like [`RejectReason::ALL`].
-    pub reject_reasons: [u64; RejectReason::ALL.len()],
-    /// Node-churn degradation aggregates.
-    pub churn: ChurnStats,
-    /// Mean processor utilisation.
-    pub utilization: f64,
 }
 
 impl ReportSink for OnlineReport {

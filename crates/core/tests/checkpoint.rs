@@ -337,15 +337,14 @@ fn restore_refuses_a_mismatched_or_dirty_blank() {
 }
 
 // ---------------------------------------------------------------------
-// Recorder ring + report round-trip.
+// Report round-trip and the recorder's absence from the snapshot.
 // ---------------------------------------------------------------------
 
 #[test]
-fn recorder_ring_and_report_round_trip() {
+fn report_round_trip() {
     let trace = synthetic_trace(30, 9);
     let cluster = Cluster::homogeneous(8, 168.0);
-    let mut rec = TraceRecorder::new(64).with_audit_gauges();
-    let mut rms = PolicyKind::LibraRisk.rms(&cluster).with_recorder(&mut rec);
+    let mut rms = PolicyKind::LibraRisk.rms(&cluster);
     let mut sink = OnlineReport::new();
     for job in &trace.jobs()[..20] {
         for e in rms.advance(job.submit) {
@@ -357,9 +356,10 @@ fn recorder_ring_and_report_round_trip() {
     let bytes = ckpt::save(&rms, Some(&sink));
     drop(rms);
 
-    let loaded = ckpt::load(&bytes).unwrap();
-
-    let report = loaded.report().expect("report section present");
+    let report = ckpt::load(&bytes)
+        .unwrap()
+        .report()
+        .expect("report section present");
     assert_eq!(report.submitted(), sink.submitted());
     assert_eq!(report.accepted(), sink.accepted());
     assert_eq!(report.rejected(), sink.rejected());
@@ -370,22 +370,64 @@ fn recorder_ring_and_report_round_trip() {
         "float moments restore bitwise"
     );
     assert_eq!(report.utilization().to_bits(), sink.utilization().to_bits());
+}
 
-    let restored = loaded.recorder().expect("ring section present");
-    let (orig, back) = (rec.snapshot(), restored.snapshot());
-    assert_eq!(orig.capacity, back.capacity);
-    assert_eq!(orig.dropped, back.dropped);
-    assert_eq!(orig.events.len(), back.events.len());
-    for (a, b) in orig.events.iter().zip(&back.events) {
-        assert_eq!(a.sim_secs.to_bits(), b.sim_secs.to_bits());
-        assert_eq!(a.wall_ns, b.wall_ns);
+/// An attached recorder is not RMS state: the snapshot it was saved
+/// beside is still a normal form, `save(restore(load(b))) == b`.
+#[test]
+fn snapshot_saved_with_a_recorder_is_a_normal_form() {
+    let trace = synthetic_trace(30, 9);
+    let cluster = Cluster::homogeneous(8, 168.0);
+    let mut rec = TraceRecorder::new(64).with_audit_gauges();
+    let mut rms = PolicyKind::LibraRisk.rms(&cluster).with_recorder(&mut rec);
+    let mut sink = OnlineReport::new();
+    for job in &trace.jobs()[..20] {
+        for e in rms.advance(job.submit) {
+            sink.record(e.seq, e.record);
+        }
+        rms.submit(job.clone(), job.submit);
     }
-    let counters = |reg: &obs::Registry| -> Vec<(&'static str, u64)> {
-        let mut v: Vec<_> = reg.counters().collect();
-        v.sort_unstable();
-        v
-    };
-    assert_eq!(counters(rec.registry()), counters(restored.registry()));
+    let bytes = ckpt::save(&rms, Some(&sink));
+    drop(rms);
+    assert!(!rec.is_empty(), "the recorder saw the run");
+
+    let loaded = ckpt::load(&bytes).unwrap();
+    let restored = loaded
+        .restore_into(PolicyKind::LibraRisk.rms(&cluster))
+        .unwrap();
+    assert_eq!(ckpt::save(&restored, loaded.report().as_ref()), bytes);
+}
+
+/// Tag 5 once carried a recorder ring. A CRC-valid section under it is
+/// refused as malformed rather than skipped. The payload is a ring the
+/// retired decoder accepted: capacity 1, nothing dropped, no audit
+/// gauges, no events and an empty registry.
+#[test]
+fn retired_ring_section_is_refused() {
+    let mut payload = Vec::new();
+    payload.extend_from_slice(&1u64.to_le_bytes()); // capacity
+    payload.extend_from_slice(&0u64.to_le_bytes()); // dropped
+    payload.push(0); // audit gauges
+    for _ in 0..4 {
+        payload.extend_from_slice(&0u64.to_le_bytes()); // events, counters, gauges, histograms
+    }
+    let mut section = Vec::new();
+    section.extend_from_slice(&5u32.to_le_bytes());
+    section.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+    section.extend_from_slice(&payload);
+    let crc = ckpt::crc32(&section);
+    section.extend_from_slice(&crc.to_le_bytes());
+
+    let mut bytes = sample_snapshot();
+    // The section count is the u32 after the magic and the version.
+    let count = u32::from_le_bytes(bytes[12..16].try_into().unwrap());
+    bytes[12..16].copy_from_slice(&(count + 1).to_le_bytes());
+    bytes.extend_from_slice(&section);
+    match ckpt::load(&bytes) {
+        Err(CkptError::Malformed(why)) => assert_eq!(why, "unknown section tag 5"),
+        Err(e) => panic!("tag 5 refused as {e}, not as malformed"),
+        Ok(_) => panic!("a tag-5 section loaded"),
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -701,8 +743,7 @@ fn shrink_onto_in_flight_shards_is_refused() {
 // Golden fixture: the committed wire format stays loadable.
 // ---------------------------------------------------------------------
 
-/// The fixture scenario. No recorder ring (wall-clock stamps are not
-/// reproducible); state + report sections only.
+/// The fixture scenario: state and report sections.
 fn golden_bytes() -> Vec<u8> {
     let trace = synthetic_trace(60, 5);
     let cluster = Cluster::homogeneous(8, 168.0);

@@ -1,9 +1,11 @@
 //! Checkpoint probe behind `experiments checkpoint`.
 //!
 //! Reports the snapshot size of the crash-safety layer on the standard
-//! churn scenario and validates the two properties the layer promises,
-//! failing loudly (panic → non-zero exit) if either breaks:
+//! churn scenario and validates the properties the layer promises,
+//! failing loudly (panic → non-zero exit) if any breaks:
 //!
+//! * **normal form**: the restored RMS re-saves to exactly the loaded
+//!   bytes, `save(restore(load(b))) == b`,
 //! * **bitwise resume**: checkpointing mid-run and restoring into a
 //!   blank RMS finishes with exactly the unbroken run's outcomes, and
 //! * **loud corruption**: a flipped bit in the snapshot is detected as
@@ -63,9 +65,10 @@ fn fulfilled_count(records: &[(u64, JobRecord)]) -> u64 {
 ///
 /// # Panics
 ///
-/// If the resumed run diverges from the unbroken run, or a corrupted
-/// snapshot loads — both are crash-safety bugs, never tuning matters,
-/// so the subcommand exits non-zero rather than printing a wrong table.
+/// If the restored RMS re-saves to different bytes, the resumed run
+/// diverges from the unbroken run, or a corrupted snapshot loads — all
+/// are crash-safety bugs, never tuning matters, so the subcommand exits
+/// non-zero rather than printing a wrong table.
 pub fn checkpoint_probe(cfg: &FigureConfig) -> CheckpointProbe {
     let policy = PolicyKind::LibraRisk;
     let scenario = obs_scenario(cfg);
@@ -94,6 +97,10 @@ pub fn checkpoint_probe(cfg: &FigureConfig) -> CheckpointProbe {
         .expect("fresh snapshot must load")
         .restore_into(policy.rms(&cluster))
         .expect("snapshot must restore into a matching blank");
+    assert!(
+        ckpt::save(&rms, None) == bytes,
+        "the restored RMS re-saved to different bytes"
+    );
     drive(&mut rms, &trace.jobs()[cut..], &mut resumed);
     resumed.extend(rms.drain().map(|e| (e.seq, e.record)));
 

@@ -104,72 +104,6 @@ pub fn gauge_histogram(gauge_key: &str) -> Option<(&'static str, &'static [f64])
     }
 }
 
-/// Resolves a serialized key name back to its canonical `&'static str`
-/// — the inverse a checkpoint restore needs, since [`crate::Registry`]
-/// and [`crate::GaugeDelta`] key on interned statics. The vocabulary is
-/// closed (every key the RMS stack can emit is listed here or derived
-/// from [`crate::RejectReason`]); `None` means the name is not ours —
-/// a corrupt or foreign snapshot.
-pub fn intern(name: &str) -> Option<&'static str> {
-    const FIXED: &[&str] = &[
-        DECISIONS,
-        ACCEPTED,
-        REJECTED,
-        QUEUED,
-        RESOLVED,
-        FULFILLED,
-        OVERDUE,
-        KILLED,
-        NODE_DOWN,
-        NODE_UP,
-        PROJECTIONS_RUN_TOTAL,
-        PROJECTIONS_AVOIDED_TOTAL,
-        DECISION_CLASSES_TOTAL,
-        SCREENED_ZERO_RISK_TOTAL,
-        SCREENED_RISKY_TOTAL,
-        UTILIZATION,
-        IN_FLIGHT,
-        DECIDE_LATENCY,
-        SHARE_DIST,
-        RISK_DIST,
-        "obs_events_dropped_total",
-        "rms_churn_node_failures_total",
-        "rms_churn_node_restores_total",
-        "rms_churn_kills_total",
-        "rms_churn_requeues_total",
-        "rms_churn_requeue_rejects_total",
-        "rms_churn_requeued_fulfilled_pct",
-        "peak_share",
-        "cluster_risk",
-        "queue_depth",
-    ];
-    if let Some(k) = FIXED.iter().find(|k| **k == name) {
-        return Some(k);
-    }
-    if let Some(k) = crate::reason::RejectReason::ALL
-        .iter()
-        .map(|r| r.counter_key())
-        .find(|k| *k == name)
-    {
-        return Some(k);
-    }
-    crate::phase::intern_key(name)
-}
-
-/// Resolves a serialized bucket-bound table back to the canonical
-/// static it must alias — the histogram analogue of [`intern`].
-pub fn intern_bounds(bounds: &[f64]) -> Option<&'static [f64]> {
-    [
-        DECIDE_LATENCY_BOUNDS,
-        SHARE_BOUNDS,
-        RISK_BOUNDS,
-        PHASE_NS_BOUNDS,
-        MAILBOX_DEPTH_BOUNDS,
-    ]
-    .into_iter()
-    .find(|b| *b == bounds)
-}
-
 /// Scrape-page `# HELP` text for a metric key, when we have one.
 /// Plain one-liners here; [`crate::Registry::to_prometheus`] escapes
 /// backslashes and newlines per the exposition grammar on the way out.

@@ -43,8 +43,6 @@ pub mod serve;
 
 pub use event::{DecisionAudit, Event, GaugeDelta, ResolvedKind, TimedEvent, Verdict};
 pub use reason::RejectReason;
-pub use recorder::{
-    merge_traces, MergedTrace, NoopRecorder, Recorder, RingSnapshot, TraceRecorder,
-};
+pub use recorder::{merge_traces, MergedTrace, NoopRecorder, Recorder, TraceRecorder};
 pub use registry::{Histogram, Registry};
 pub use serve::{HealthReport, ShardHealth, TelemetryHub, TelemetryServer};

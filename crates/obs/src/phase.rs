@@ -597,26 +597,6 @@ fn histogram(bounds: &'static [f64], buckets: &[AtomicU64], sum: u64, count: u64
         .expect("a global bucket table matches its bounds")
 }
 
-/// Resolves a profiler metric name back to its canonical static key
-/// (the [`crate::keys::intern`] extension for the phase vocabulary).
-pub fn intern_key(name: &str) -> Option<&'static str> {
-    for m in &PHASE_META {
-        for k in [m.ns_key, m.calls_key, m.hist_key] {
-            if k == name {
-                return Some(k);
-            }
-        }
-    }
-    for k in COUNTER_KEYS {
-        if k == name {
-            return Some(k);
-        }
-    }
-    [MAILBOX_DEPTH_KEY, crate::keys::MAILBOX_DEPTH_LAST]
-        .into_iter()
-        .find(|k| *k == name)
-}
-
 /// Scrape-page HELP text for a profiler metric key (the
 /// [`crate::keys::help`] extension for the phase vocabulary).
 pub fn help_key(name: &str) -> Option<&'static str> {
@@ -794,10 +774,6 @@ mod tests {
             assert_eq!(h.sum(), reg.counter(Phase::AdvanceTotal.ns_key()) as f64);
             assert!(reg.histogram(MAILBOX_DEPTH_KEY).is_some());
             assert_eq!(reg.gauge(crate::keys::MAILBOX_DEPTH_LAST), Some(2.0));
-            // Every exported key is in the closed intern vocabulary.
-            for (k, _) in reg.counters() {
-                assert!(crate::keys::intern(k).is_some(), "unknown key {k}");
-            }
             let text = reg.to_prometheus();
             assert!(text.contains("phase_progress_pass_ns_total"));
             assert!(text.contains("phase_progress_pass_ns_bucket{le=\"+Inf\"} 1"));

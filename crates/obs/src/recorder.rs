@@ -47,20 +47,6 @@ pub trait Recorder {
     fn wants_audit_gauges(&self) -> bool {
         false
     }
-
-    /// The ring's canonical state, if this recorder keeps one — lets a
-    /// checkpointing caller snapshot an *attached* (hence mutably
-    /// borrowed) recorder through the hook trait. Defaults to `None`
-    /// (nothing to checkpoint).
-    fn ring_snapshot(&self) -> Option<RingSnapshot> {
-        None
-    }
-
-    /// An owned copy of the recorder's registry, if it keeps one —
-    /// the checkpoint companion of [`Recorder::ring_snapshot`].
-    fn registry_snapshot(&self) -> Option<Registry> {
-        None
-    }
 }
 
 /// The default recorder: records nothing, reports itself disabled.
@@ -158,43 +144,6 @@ impl TraceRecorder {
         events
     }
 
-    /// Extracts the ring's canonical state for checkpointing. The
-    /// registry travels separately (see [`TraceRecorder::registry`]).
-    pub fn snapshot(&self) -> RingSnapshot {
-        RingSnapshot {
-            capacity: self.capacity,
-            dropped: self.dropped,
-            audit_gauges: self.audit_gauges,
-            events: self.buf.iter().copied().collect(),
-        }
-    }
-
-    /// Rebuilds a recorder from a snapshot plus its deserialized
-    /// registry. The wall-clock epoch restarts at the restore instant —
-    /// restored events keep their recorded `wall_ns`, new events stamp
-    /// from the new epoch, so wall offsets are only comparable within
-    /// one process lifetime (simulated stamps are unaffected).
-    pub fn from_snapshot(snap: RingSnapshot, registry: Registry) -> Result<Self, String> {
-        if snap.capacity == 0 {
-            return Err("ring capacity must be at least 1".into());
-        }
-        if snap.events.len() > snap.capacity {
-            return Err(format!(
-                "{} events exceed ring capacity {}",
-                snap.events.len(),
-                snap.capacity
-            ));
-        }
-        Ok(TraceRecorder {
-            capacity: snap.capacity,
-            buf: snap.events.into(),
-            dropped: snap.dropped,
-            registry,
-            epoch: Instant::now(),
-            audit_gauges: snap.audit_gauges,
-        })
-    }
-
     /// Serialises the retained events as JSONL (one event per line).
     pub fn to_jsonl(&self) -> String {
         crate::export::jsonl(self.events())
@@ -231,28 +180,6 @@ impl Recorder for TraceRecorder {
     fn wants_audit_gauges(&self) -> bool {
         self.audit_gauges
     }
-
-    fn ring_snapshot(&self) -> Option<RingSnapshot> {
-        Some(self.snapshot())
-    }
-
-    fn registry_snapshot(&self) -> Option<Registry> {
-        Some(self.registry.clone())
-    }
-}
-
-/// Canonical state of a [`TraceRecorder`] ring: everything a restore
-/// needs except the registry, which is snapshotted separately.
-#[derive(Clone, Debug, PartialEq)]
-pub struct RingSnapshot {
-    /// Maximum events retained.
-    pub capacity: usize,
-    /// Events evicted by overflow so far.
-    pub dropped: u64,
-    /// Whether per-decision audit gauges were sampled.
-    pub audit_gauges: bool,
-    /// Retained events, oldest first.
-    pub events: Vec<TimedEvent>,
 }
 
 /// One merged view over N per-shard recorder rings.

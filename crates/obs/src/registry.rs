@@ -47,12 +47,8 @@ impl Histogram {
         self.count += 1;
     }
 
-    /// Upper bucket bounds (the final `+Inf` bucket is implicit).
-    pub fn bounds(&self) -> &'static [f64] {
-        self.bounds
-    }
-
-    /// Per-bucket observation counts; one longer than [`Histogram::bounds`].
+    /// Per-bucket observation counts; one longer than the bounds (the
+    /// final `+Inf` bucket is implicit).
     pub fn bucket_counts(&self) -> &[u64] {
         &self.counts
     }
@@ -76,9 +72,8 @@ impl Histogram {
         }
     }
 
-    /// Rebuilds a histogram from raw parts (serializer round-trip).
-    /// `bounds` must be one of the canonical static tables (see
-    /// [`crate::keys::intern_bounds`]); `counts` must be one longer.
+    /// Rebuilds a histogram from raw parts (the profiler's global bucket
+    /// tables). `counts` must be one longer than `bounds`.
     pub fn from_parts(
         bounds: &'static [f64],
         counts: Vec<u64>,
@@ -229,23 +224,8 @@ impl Registry {
         self.counters.is_empty() && self.gauges.is_empty() && self.histograms.is_empty()
     }
 
-    /// Every counter, in registration order.
-    pub fn counters(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
-        self.counters.iter().copied()
-    }
-
-    /// Every gauge, in registration order.
-    pub fn gauges(&self) -> impl Iterator<Item = (&'static str, f64)> + '_ {
-        self.gauges.iter().copied()
-    }
-
-    /// Every histogram, in registration order.
-    pub fn histograms(&self) -> impl Iterator<Item = (&'static str, &Histogram)> + '_ {
-        self.histograms.iter().map(|(k, h)| (*k, h))
-    }
-
-    /// Installs a deserialized histogram under `key`, replacing any
-    /// existing one (registry restore is whole-state, not additive).
+    /// Installs a prebuilt histogram under `key`, replacing any existing
+    /// one (not additive, unlike [`Registry::merge`]).
     pub fn restore_histogram(&mut self, key: &'static str, h: Histogram) {
         let i = find(&mut self.histograms, key, || Histogram::new(h.bounds));
         self.histograms[i].1 = h;

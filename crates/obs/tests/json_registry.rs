@@ -1,8 +1,8 @@
 //! Robustness coverage for the zero-dep JSON parser and the metrics
 //! registry's merge semantics.
 //!
-//! The parser feeds CI smoke steps and (via checkpoint manifests) crash
-//! recovery, so it must be total: any byte soup yields `Ok` or a
+//! The parser validates the `trace` and `timeline` exports in CI smoke
+//! steps, so it must be total: any byte soup yields `Ok` or a
 //! structured `Err`, never a panic. The registry's merge has two
 //! deliberate sharp edges — histogram bounds mismatches are *loud*
 //! (panic rather than silently misbin) and gauges are last-write-wins —
@@ -123,31 +123,4 @@ fn gauge_merge_is_last_write_wins_across_a_chain() {
     // A merge from a registry without the gauge leaves it untouched.
     acc.merge(&Registry::new());
     assert_eq!(acc.gauge("util"), Some(0.4));
-}
-
-#[test]
-fn key_interning_roundtrips_the_closed_vocabulary() {
-    for key in [
-        obs::keys::DECISIONS,
-        obs::keys::UTILIZATION,
-        obs::keys::DECIDE_LATENCY,
-        "obs_events_dropped_total",
-        "queue_depth",
-        "peak_share",
-        "cluster_risk",
-    ] {
-        assert_eq!(obs::keys::intern(key), Some(key));
-    }
-    for reason in obs::RejectReason::ALL {
-        assert_eq!(
-            obs::keys::intern(reason.counter_key()),
-            Some(reason.counter_key())
-        );
-    }
-    assert_eq!(obs::keys::intern("not_one_of_ours"), None);
-    assert_eq!(
-        obs::keys::intern_bounds(obs::keys::SHARE_BOUNDS),
-        Some(obs::keys::SHARE_BOUNDS)
-    );
-    assert_eq!(obs::keys::intern_bounds(&[12.5]), None);
 }
