@@ -32,7 +32,7 @@ for i in $(seq 1 20); do
     cargo test -q -p obs --lib phase >/dev/null || { echo "obs::phase failed on repetition $i"; exit 1; }
 done
 
-echo "== differential + crash-safety gates: librisk and cluster suites (release) =="
+echo "== differential + crash-safety gates: librisk, cluster and experiments suites (release) =="
 # Both crates' whole test suites re-run in release mode, one run per
 # crate: optimisation must not perturb a single bit.
 #
@@ -55,8 +55,13 @@ echo "== differential + crash-safety gates: librisk and cluster suites (release)
 #   snapshot or a resumed run.
 # * The hostile-input rejections, the recorder identity and allocation
 #   gates, and the doctests.
+# * The experiments crate's unit tests, whose lap-tile coverage check
+#   (`quick_profile_covers_the_advance_bracket`) means most in the
+#   optimised build, where the advance path is shortest against the
+#   profiler's clock reads.
 cargo test --release -q -p librisk
 cargo test --release -q -p cluster
+cargo test --release -q -p experiments --lib
 
 echo "== differential: Libra at full size (release) =="
 # Libra and Libra-SS over the paper-100k and churn-requeue inputs at

@@ -39,10 +39,10 @@
 //!
 //! The advance hot path is allocation-free: share totals, the per-slot
 //! share scratch, and the completion/victim worklists are engine-owned
-//! buffers reused across calls, and rate recomputation is skipped
-//! entirely for zero-width advances (the state it would recompute from is
-//! unchanged, so the skip is bitwise inert — this batches same-instant
-//! event storms into one recompute).
+//! buffers reused across calls. The per-node share totals are kept exact
+//! at every change, but rates and the next event gap are derived only
+//! when something reads them (see `settle`), so an instant's advance,
+//! admissions and failure evictions share one rate pass.
 
 use crate::cluster::Cluster;
 use crate::node::NodeId;
@@ -292,23 +292,27 @@ pub struct ProportionalCluster {
     /// merge with only when its shrunk set's bucket is counted.
     key_count: Vec<u32>,
     /// Minimum event-gap candidate over all residents, computed as a
-    /// running min during the rate recompute (which already visits every
-    /// resident), making [`ProportionalCluster::next_event_time`] a pure
-    /// O(1) read. Valid whenever `rates_clean`.
+    /// running min by recompute pass 2 (which already visits every
+    /// resident). Valid whenever `rates_clean`; a reader settles first
+    /// (see `settle`), after which
+    /// [`ProportionalCluster::next_event_time`] is an O(1) read.
     next_dt: f64,
     /// `true` while `rate`/`next_dt` match the current resident state and
-    /// `last_update`. Zero-width advances leave every recompute input
-    /// untouched, so they skip the recompute entirely — the flag is what
-    /// makes same-instant event batches cost one recompute, not one each.
+    /// `last_update`. Every writer (a sweeping advance, `admit`, an
+    /// evicting `fail_node`) lowers it and leaves pass 2 to the next
+    /// reader, so all the changes of one instant share one pass 2; a
+    /// zero-width advance changes no input and leaves it alone.
     rates_clean: bool,
-    /// `true` while `share_scratch`/`totals_scratch` hold the values the
-    /// last *fast-path* recompute produced (every node's lane, zero for
-    /// unoccupied nodes). [`ProportionalCluster::recompute_rates_reference`]
-    /// computes its totals into a local buffer — it produces bitwise the
-    /// same rates but leaves the engine scratch stale, so incremental
-    /// paths that extend the scratch (`admit`'s pass-1 shortcut, the
-    /// share-total read) must check this flag, not just
-    /// `rates_clean`, and fall back to a full recompute when it is down.
+    /// `true` while `share_scratch`/`totals_scratch` hold the pass-1
+    /// values of the current resident state at `last_update`: each
+    /// resident's Eq. 1 share, and per node the from-zero ascending-id
+    /// fold of its residents' shares (zero for unoccupied nodes). Every
+    /// fast-path writer keeps them so. [`ProportionalCluster::recompute_rates_reference`]
+    /// computes its totals into a local buffer — bitwise the same rates,
+    /// but it leaves the engine scratch stale, so paths that extend or
+    /// read the scratch (`admit`'s append, `settle`, the share-total
+    /// read) check this flag and rerun pass 1 (or read the lists) when
+    /// it is down.
     scratch_valid: bool,
     /// Reusable worklist for completions discovered by the progress pass.
     completed_scratch: Vec<u32>,
@@ -756,7 +760,6 @@ impl ProportionalCluster {
             job.procs,
             nodes.len()
         );
-        let was_clean = self.rates_clean;
         let est = job.estimate.as_secs().max(EPS_WORK);
         let work = job.runtime.as_secs().max(EPS_WORK);
         if self.gang_nodes.len() - self.gang_live > self.gang_live {
@@ -810,13 +813,13 @@ impl ProportionalCluster {
                 pos
             }
         };
-        // Incremental pass 1: when the totals are clean at this instant
-        // and the new job's id sorts last (ids are issued monotonically,
-        // so this is the common case), the reference's from-zero job-id
-        // order sum over each of its nodes is exactly the old clean
-        // total plus the new share — same left-fold, same bits. Any
-        // other case falls back to the full recompute.
-        if was_clean && self.scratch_valid && pos + 1 == self.order.len() {
+        // Pass 1 only; pass 2 waits for the next reader. When the
+        // totals are current and the new job's id sorts last (ids are
+        // issued monotonically, so this is the common case), the
+        // reference's from-zero job-id order sum over each of its nodes
+        // is exactly the old total plus the new share — same left-fold,
+        // same bits. Any other case reruns pass 1.
+        if self.scratch_valid && pos + 1 == self.order.len() {
             let now_s = now.as_secs();
             let rd = (self.abs_deadline[si] - now_s).max(EPS_DEADLINE);
             let share = self.remaining_est[si].max(EPS_WORK) / rd;
@@ -825,11 +828,10 @@ impl ProportionalCluster {
             for gi in start..start + self.width[si] as usize {
                 self.totals_scratch[self.gang_nodes[gi] as usize] += share;
             }
-            self.recompute_pass2();
         } else {
-            self.rates_clean = false;
-            self.recompute_rates();
+            self.recompute_pass1();
         }
+        self.rates_clean = false;
     }
 
     /// Advances the engine to `to`, returning jobs whose actual work
@@ -847,8 +849,10 @@ impl ProportionalCluster {
     ///
     /// One sweep over `order` (ascending job id) applies progress and
     /// builds recompute pass 1 — every survivor's Eq. 1 share at `to`,
-    /// summed into the per-node totals — so only pass 2 runs afterwards,
-    /// whatever the sweep completed or re-armed. Bitwise equal to
+    /// summed into the per-node totals — and leaves pass 2 to the next
+    /// reader of rates, whatever the sweep completed or re-armed. The
+    /// sweep itself reads every rate, so it settles pending ones (at the
+    /// old instant) first. Bitwise equal to
     /// [`ProportionalCluster::advance_reference`], which sums the totals
     /// from zero over the survivors in ascending job-id order *after*
     /// removing the completed jobs:
@@ -869,10 +873,10 @@ impl ProportionalCluster {
     pub fn advance_into(&mut self, to: SimTime, out: &mut Vec<CompletedJob>) {
         out.clear();
         assert!(to >= self.last_update, "cannot advance backwards");
-        // Phase-profiler lap boundary: marks below attribute wall time
-        // *within* this call only; the resync discards whatever the
-        // caller spent since its last mark.
-        obs::phase::lap_resync();
+        // Phase-profiler lap boundary: the caller's dispatch since its
+        // last mark (the catch-up loop's event pop, or the bracket's
+        // open) joins the event-pop tile.
+        obs::phase::lap_mark(obs::phase::Phase::EventHeapPop);
         let dt = (to - self.last_update).as_secs();
         let now = to;
         // `0 * dt` adds exactly 0.0 for positive dt, but skipping the
@@ -882,6 +886,7 @@ impl ProportionalCluster {
             self.down_integral += self.down_count as f64 * dt;
         }
         if dt > 0.0 && !self.order.is_empty() {
+            self.settle();
             let now_s = now.as_secs();
             let mut completed = std::mem::take(&mut self.completed_scratch);
             completed.clear();
@@ -933,19 +938,12 @@ impl ProportionalCluster {
             }
             self.completed_scratch = completed;
             obs::phase::lap_mark(obs::phase::Phase::CompletionEmit);
-            self.last_update = now;
             // Totals and shares are current for exactly the survivors
-            // (see above) — run pass 2 only.
+            // (see above); rates wait for their next reader.
             self.scratch_valid = true;
-            self.recompute_pass2();
+            self.rates_clean = false;
         }
         self.last_update = now;
-        if !self.rates_clean {
-            self.recompute_rates();
-        }
-        // Covers `recompute_pass2`; on a zero-width advance it absorbs
-        // only the entry/guard sliver.
-        obs::phase::lap_mark(obs::phase::Phase::RecomputeSweep);
     }
 
     /// Reference implementation of [`ProportionalCluster::advance`]: the
@@ -957,6 +955,7 @@ impl ProportionalCluster {
     /// integrals, and event times.
     pub fn advance_reference(&mut self, to: SimTime) -> Vec<CompletedJob> {
         assert!(to >= self.last_update, "cannot advance backwards");
+        self.settle();
         let dt = (to - self.last_update).as_secs();
         let now = to;
         if dt > 0.0 && self.down_count > 0 {
@@ -1012,9 +1011,10 @@ impl ProportionalCluster {
     /// freed). The node stops being an admission target until
     /// [`ProportionalCluster::restore_node`]; evicted jobs are returned
     /// with their progress state for the caller's recovery policy. The
-    /// engine keeps no cache to invalidate: the eviction ends in a full
-    /// rate recompute, and every later admission test reads the live
-    /// resident lists and down flags.
+    /// engine keeps no cache to invalidate: an eviction reruns recompute
+    /// pass 1, leaving pass 2 to the next reader of rates (so the
+    /// caller's re-admissions at this instant share it), and every later
+    /// admission test reads the live resident lists and down flags.
     ///
     /// # Panics
     /// Panics if the engine state is stale (`now != self.now()`) or the
@@ -1044,9 +1044,10 @@ impl ProportionalCluster {
                 overruns: r.overruns,
             });
         }
+        if !victims.is_empty() {
+            self.recompute_pass1();
+        }
         self.victims_scratch = victims;
-        self.rates_clean = false;
-        self.recompute_rates();
         displaced
     }
 
@@ -1122,26 +1123,30 @@ impl ProportionalCluster {
     /// of any job's actual completion, estimated-work exhaustion, deadline
     /// crossing, or the configured quantum. `None` when idle.
     ///
-    /// O(1): reads the event-gap minimum the last rate recompute tracked
-    /// while it was visiting every resident anyway. The retired full scan
-    /// survives as [`ProportionalCluster::next_event_time_scan`]; the two
-    /// are bitwise identical (property-tested in
+    /// Settles pending rates first (recompute pass 2, once per instant
+    /// however many changes preceded it), then reads the event-gap
+    /// minimum pass 2 tracked while it was visiting every resident
+    /// anyway: O(1) when the rates are already settled. The retired full
+    /// scan survives as [`ProportionalCluster::next_event_time_scan`];
+    /// the two are bitwise identical (property-tested in
     /// `tests/proptest_engine.rs`).
-    pub fn next_event_time(&self) -> Option<SimTime> {
+    pub fn next_event_time(&mut self) -> Option<SimTime> {
         if self.order.is_empty() {
             return None;
         }
-        debug_assert!(self.rates_clean, "next_event_time on dirty rates");
+        self.settle();
         Some(self.last_update + SimDuration::from_secs(bound_event_gap(self.next_dt)))
     }
 
     /// Reference implementation of [`ProportionalCluster::next_event_time`]:
-    /// a full scan over resident jobs. Kept for differential tests and as
-    /// the pre-change baseline in benchmarks.
+    /// a full scan over resident jobs, reading the rates as they stand.
+    /// Kept as an independent oracle for differential tests, so it never
+    /// settles: call it after a reader has (debug builds assert so).
     pub fn next_event_time_scan(&self) -> Option<SimTime> {
         if self.order.is_empty() {
             return None;
         }
+        debug_assert!(self.rates_clean, "next_event_time_scan on unsettled rates");
         let now = self.last_update.as_secs();
         let mut dt = f64::INFINITY;
         for &s in &self.order {
@@ -1178,16 +1183,17 @@ impl ProportionalCluster {
     }
 
     /// The node's Eq. 2 resident share total at the current instant,
-    /// served from the last rate recompute's per-node totals when they
-    /// are clean (the recompute already summed exactly these floored
-    /// shares while deriving rates). The accumulation order differs from
+    /// served from the per-node totals recompute pass 1 keeps exact at
+    /// every change (already summed from exactly these floored shares)
+    /// whenever they are valid, settled rates or not; read from the
+    /// resident list otherwise. The accumulation order differs from
     /// [`ProportionalCluster::node_total_share`] (global job-id order vs
     /// resident-list order), so the result may differ in the last ulp —
     /// fine for margin-bearing consumers like the zero-risk screen, not
     /// for bitwise-pinned ones.
     pub fn node_share_total_now(&self, node: NodeId) -> f64 {
         let ni = node.0 as usize;
-        if self.rates_clean && self.scratch_valid {
+        if self.scratch_valid {
             self.totals_scratch[ni]
         } else {
             self.node_total_share(node, None)
@@ -1296,8 +1302,9 @@ impl ProportionalCluster {
     }
 
     /// Current execution rate of a resident job (reference-seconds per
-    /// second), if resident.
-    pub fn rate_of(&self, id: JobId) -> Option<f64> {
+    /// second), if resident. Settles pending rates first.
+    pub fn rate_of(&mut self, id: JobId) -> Option<f64> {
+        self.settle();
         self.slot_of(id).map(|si| self.rate[si])
     }
 
@@ -1306,19 +1313,34 @@ impl ProportionalCluster {
         self.slot_of(id).map(|si| self.remaining_est[si])
     }
 
-    /// Recomputes every resident's rate from current beliefs and tracks
-    /// the event-gap minimum on the way. Allocation-free: the per-node
-    /// totals and per-slot shares live in engine-owned scratch.
-    ///
-    /// Both passes iterate `order` (ascending job id), so every f64
-    /// accumulation happens in the reference implementation's order and
-    /// the results are bitwise identical to
-    /// [`ProportionalCluster::recompute_rates_reference`].
-    fn recompute_rates(&mut self) {
+    /// Derives pending rates and the event-gap minimum: recompute pass 2
+    /// from the kept totals, after pass 1 when the scratch is stale. A
+    /// no-op once settled, so every reader calls it and an instant's
+    /// changes (advance sweep, admissions, evictions) share one pass 2.
+    /// Bitwise inert: pass 2 is a pure function of the totals, shares,
+    /// remaining work, deadlines and `last_update`, so one run after the
+    /// instant's last change writes what an eager run after each change
+    /// would have written last.
+    fn settle(&mut self) {
+        if self.rates_clean {
+            return;
+        }
+        if !self.scratch_valid {
+            self.recompute_pass1();
+        }
+        self.recompute_pass2();
+        obs::phase::lap_mark(obs::phase::Phase::RecomputeSweep);
+    }
+
+    /// Recompute pass 1: every live slot's Eq. 1 share from current
+    /// beliefs, summed into the per-node totals in the reference's
+    /// ascending job-id order (float sums are fold-order-sensitive), so
+    /// the rates pass 2 derives from them are bitwise identical to
+    /// [`ProportionalCluster::recompute_rates_reference`]. Leaves pass 2
+    /// pending. Allocation-free: totals and shares live in engine-owned
+    /// scratch.
+    fn recompute_pass1(&mut self) {
         let now = self.last_update.as_secs();
-        // Pass 1: every live slot's Eq. 1 share from current beliefs,
-        // summed into the per-node totals in the reference's ascending
-        // job-id order (float sums are fold-order-sensitive).
         self.totals_scratch.fill(0.0);
         for &s in &self.order {
             let si = s as usize;
@@ -1335,14 +1357,13 @@ impl ProportionalCluster {
             }
         }
         self.scratch_valid = true;
-        self.recompute_pass2();
+        self.rates_clean = false;
     }
 
     /// Pass 2 of the rate recompute: rates (gang = min over member
     /// nodes) and the running event-gap minimum, consuming the per-node
-    /// totals and per-slot shares pass 1 left in engine scratch. Split
-    /// out so the advance progress loop can fuse pass 1 into its own
-    /// sweep (see [`ProportionalCluster::advance_into`]).
+    /// totals and per-slot shares pass 1 left in engine scratch. Run
+    /// only by `settle`.
     fn recompute_pass2(&mut self) {
         let now = self.last_update.as_secs();
         let strict = matches!(self.cfg.discipline, ShareDiscipline::Strict);
@@ -1445,7 +1466,7 @@ impl ProportionalCluster {
     }
 
     /// Reference implementation of the engine's private rate recompute
-    /// (`recompute_rates`): fresh totals allocation,
+    /// (`recompute_pass1` + `recompute_pass2`): fresh totals allocation,
     /// no single-node fast path, and the event-gap minimum recovered by a
     /// separate full scan. Kept as the differential-test oracle.
     pub fn recompute_rates_reference(&mut self) {
@@ -1527,12 +1548,13 @@ impl ProportionalCluster {
     }
 
     /// Rebuilds an engine from a snapshot. Canonical state is injected
-    /// verbatim; every derived structure — rates, per-node share
-    /// totals, event-gap minimum, min-deadline and set-hash summaries,
-    /// the resident-set index, scratch — is recomputed from it. Rates recompute by the same
-    /// from-zero ascending-job-id fold every live recompute uses, so the
-    /// restored engine is bitwise equal to the one the snapshot was
-    /// taken from.
+    /// verbatim; every derived structure — per-node share totals,
+    /// min-deadline and set-hash summaries, the resident-set index,
+    /// scratch — is recomputed from it, and rates and the event-gap
+    /// minimum are left for the first reader to settle. The totals are
+    /// the same from-zero ascending-job-id fold every live recompute
+    /// uses, so the restored engine is bitwise equal to the one the
+    /// snapshot was taken from.
     ///
     /// Returns a description of the first violated invariant instead of
     /// panicking, so checkpoint restore can surface corruption as a
@@ -1640,8 +1662,7 @@ impl ProportionalCluster {
             eng.node_jobs[ni] = list;
             eng.node_member[ni] = members;
         }
-        eng.rates_clean = false;
-        eng.recompute_rates();
+        eng.recompute_pass1();
         Ok(eng)
     }
 }
@@ -2087,7 +2108,7 @@ mod tests {
 
     #[test]
     fn idle_engine_has_no_next_event() {
-        let e = ProportionalCluster::new(cluster(1), ProportionalConfig::default());
+        let mut e = ProportionalCluster::new(cluster(1), ProportionalConfig::default());
         assert!(e.next_event_time().is_none());
         assert_eq!(e.utilization(), 0.0);
     }

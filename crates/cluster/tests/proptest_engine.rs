@@ -147,7 +147,7 @@ proptest! {
         // exactly onto events (completions, overrun re-arms).
         let cfg = ProportionalConfig { discipline: disc };
         let mut engine = ProportionalCluster::new(Cluster::homogeneous(4, 168.0), cfg);
-        let check = |e: &ProportionalCluster, ctx: &str| {
+        let check = |e: &mut ProportionalCluster, ctx: &str| {
             assert_eq!(
                 e.next_event_time().map(|t| t.as_secs().to_bits()),
                 e.next_event_time_scan().map(|t| t.as_secs().to_bits()),
@@ -160,20 +160,20 @@ proptest! {
             j.submit = now;
             let nodes: Vec<NodeId> = (0..r.procs).map(NodeId).collect();
             engine.admit(j, nodes, now);
-            check(&engine, "after admit");
+            check(&mut engine, "after admit");
             // Advance a random fraction of the proposed gap (0 → no-op
             // advance, 1 lands exactly on the event so completions and
             // overrun re-arms are exercised too).
             if let Some(next) = engine.next_event_time() {
                 let dt = (next - now).as_secs() * gap.min(1.0);
                 engine.advance(now + SimDuration::from_secs(dt));
-                check(&engine, "after advance");
+                check(&mut engine, "after advance");
             }
         }
         // Drain to idle, checking at every event.
         let mut guard = 0;
         while let Some(t) = engine.next_event_time() {
-            check(&engine, "while draining");
+            check(&mut engine, "while draining");
             engine.advance(t);
             guard += 1;
             prop_assert!(guard < 200_000, "engine failed to converge");
@@ -544,7 +544,7 @@ proptest! {
         let mut single = ProportionalCluster::new(Cluster::homogeneous(4, 168.0), cfg);
         let mut buf = Vec::new();
         let ids: Vec<u64> = (0..raws.len() as u64).collect();
-        let check = |b: &ProportionalCluster, s: &ProportionalCluster, ids: &[u64], ctx: &str| {
+        let check = |b: &mut ProportionalCluster, s: &mut ProportionalCluster, ids: &[u64], ctx: &str| {
             assert_eq!(
                 b.next_event_time().map(|t| t.as_secs().to_bits()),
                 s.next_event_time_scan().map(|t| t.as_secs().to_bits()),
@@ -576,7 +576,8 @@ proptest! {
             let nodes: Vec<NodeId> = (0..r.procs).map(NodeId).collect();
             batched.admit(j.clone(), nodes.clone(), now);
             single.admit(j, nodes, now);
-            check(&batched, &single, &ids, "after admit");
+            single.recompute_rates_reference();
+            check(&mut batched, &mut single, &ids, "after admit");
             if let Some(next) = batched.next_event_time() {
                 let dt = (next - now).as_secs() * gap.min(1.0);
                 let to = now + SimDuration::from_secs(dt);
@@ -597,7 +598,7 @@ proptest! {
                     .map(|d| (d.job.id.0, d.finish.as_secs().to_bits()))
                     .collect();
                 prop_assert_eq!(batched_done, single_done, "completions diverged");
-                check(&batched, &single, &ids, "after same-instant batch");
+                check(&mut batched, &mut single, &ids, "after same-instant batch");
             }
         }
         // Drain both to idle through their respective paths, with a
@@ -617,7 +618,7 @@ proptest! {
                 .map(|d| (d.job.id.0, d.finish.as_secs().to_bits()))
                 .collect();
             prop_assert_eq!(batched_done, single_done, "drain completions diverged");
-            check(&batched, &single, &ids, "while draining");
+            check(&mut batched, &mut single, &ids, "while draining");
             guard += 1;
             prop_assert!(guard < 200_000, "engines failed to converge");
         }
@@ -667,7 +668,12 @@ fn cluster16(kind: u32) -> Cluster {
 /// Bitwise view of everything the fast and reference paths must agree
 /// on: every rate, the cached and scanned next event, and the snapshot
 /// (whose `Debug` form prints each f64 in round-trip precision).
-fn assert_twins(fast: &ProportionalCluster, twin: &ProportionalCluster, ids: u64, ctx: &str) {
+fn assert_twins(
+    fast: &mut ProportionalCluster,
+    twin: &mut ProportionalCluster,
+    ids: u64,
+    ctx: &str,
+) {
     for id in 0..ids {
         let id = JobId(id);
         assert_eq!(
@@ -724,14 +730,14 @@ proptest! {
             fast.admit(j.clone(), nodes.clone(), now);
             twin.admit(j, nodes, now);
             twin.recompute_rates_reference();
-            assert_twins(&fast, &twin, ids, "after admit");
+            assert_twins(&mut fast, &mut twin, ids, "after admit");
             if let Some(next) = fast.next_event_time() {
                 let dt = (next - now).as_secs() * gaps[i % gaps.len()].min(1.0);
                 let to = now + SimDuration::from_secs(dt);
                 fast.advance_into(to, &mut buf);
                 let want = twin.advance_reference(to);
                 prop_assert_eq!(done_bits(&buf), done_bits(&want), "completions diverged");
-                assert_twins(&fast, &twin, ids, "after advance");
+                assert_twins(&mut fast, &mut twin, ids, "after advance");
             }
         }
         let mut guard = 0;
@@ -739,7 +745,7 @@ proptest! {
             fast.advance_into(t, &mut buf);
             let want = twin.advance_reference(t);
             prop_assert_eq!(done_bits(&buf), done_bits(&want), "drain completions diverged");
-            assert_twins(&fast, &twin, ids, "while draining");
+            assert_twins(&mut fast, &mut twin, ids, "while draining");
             guard += 1;
             prop_assert!(guard < 200_000, "engines failed to converge");
         }
@@ -756,6 +762,16 @@ enum SetOp {
     Fail(u32),
     Restore(u32),
     Snapshot,
+}
+
+/// The first `width` up nodes from `offset` on, if that many are up.
+fn up_gang(e: &ProportionalCluster, offset: u32, width: u32) -> Option<Vec<NodeId>> {
+    let nodes: Vec<NodeId> = (0..16)
+        .map(|k| NodeId((offset + k) % 16))
+        .filter(|&n| e.node_is_up(n))
+        .take(width as usize)
+        .collect();
+    (nodes.len() == width as usize).then_some(nodes)
 }
 
 fn set_op() -> impl Strategy<Value = SetOp> {
@@ -788,12 +804,7 @@ proptest! {
             let now = engine.now();
             match op {
                 SetOp::Admit(r) => {
-                    let nodes: Vec<NodeId> = (0..16)
-                        .map(|k| NodeId((r.offset + k) % 16))
-                        .filter(|&n| engine.node_is_up(n))
-                        .take(r.width as usize)
-                        .collect();
-                    if nodes.len() == r.width as usize {
+                    if let Some(nodes) = up_gang(&engine, r.offset, r.width) {
                         let est = r.runtime * r.est_factor;
                         let mut j = job(i as u64, r.runtime, est, r.width, r.deadline);
                         j.submit = now;
@@ -886,7 +897,7 @@ proptest! {
             }
         }
         twin.recompute_rates_reference();
-        assert_twins(&fast, &twin, ids, "after admission");
+        assert_twins(&mut fast, &mut twin, ids, "after admission");
         let (mut buf, mut both) = (Vec::new(), 0);
         let mut guard = 0;
         while let Some(t) = fast.next_event_time() {
@@ -900,7 +911,7 @@ proptest! {
                 d.iter().map(|d| (d.job.id.0, d.finish.as_secs().to_bits())).collect()
             };
             prop_assert_eq!(bits(&buf), bits(&want), "completions diverged");
-            assert_twins(&fast, &twin, ids, "after advance");
+            assert_twins(&mut fast, &mut twin, ids, "after advance");
             let survivors_rearmed = overruns(&fast) > overruns_before;
             if survivors_rearmed && !buf.is_empty() {
                 both += 1;
@@ -909,5 +920,176 @@ proptest! {
             prop_assert!(guard < 200_000, "engines failed to converge");
         }
         prop_assert!(both > 0, "no advance completed and re-armed jobs together");
+    }
+}
+
+/// One step of the settle-on-read interleaving: an admission with the
+/// next id, a node failure whose evicted gangs are (when `requeue`)
+/// re-admitted at the same instant under their own ids, which need not
+/// sort last, a restore, an advance by a fraction of the twin's event
+/// gap (`0` is zero-width), or a read of one kind of derived state.
+#[derive(Debug, Clone)]
+enum LazyOp {
+    Admit(WideJob),
+    Fail { node: u32, requeue: bool },
+    Restore(u32),
+    Advance(f64),
+    Read(u8),
+}
+
+fn lazy_op() -> impl Strategy<Value = LazyOp> {
+    // Zero-width advances get their own arm so they are not rare.
+    prop_oneof![
+        wide_job().prop_map(LazyOp::Admit),
+        wide_job().prop_map(LazyOp::Admit),
+        (0u32..16, 0u32..4).prop_map(|(node, r)| LazyOp::Fail {
+            node,
+            requeue: r > 0
+        }),
+        (0u32..16).prop_map(LazyOp::Restore),
+        (0.0..1.5f64).prop_map(LazyOp::Advance),
+        Just(LazyOp::Advance(0.0)),
+        (0u8..3).prop_map(LazyOp::Read),
+        (0u8..3).prop_map(LazyOp::Read),
+    ]
+}
+
+/// Each node's Eq. 2 share total as the from-zero fold of its
+/// residents' shares in ascending job-id order, from the snapshot.
+fn share_fold(e: &ProportionalCluster) -> Vec<f64> {
+    let snap = e.snapshot();
+    let now = snap.last_update.as_secs();
+    let mut totals = vec![0.0; 16];
+    for r in &snap.residents {
+        let rd = (r.job.absolute_deadline().as_secs() - now).max(projection::EPS_DEADLINE);
+        let share = r.remaining_est.max(projection::EPS_WORK) / rd;
+        for n in &r.nodes {
+            totals[n.0 as usize] += share;
+        }
+    }
+    totals
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+    #[test]
+    fn lazily_settled_rates_match_the_reference_bitwise(
+        ops in proptest::collection::vec(lazy_op(), 1..64),
+        kind in 0u32..3,
+        disc in discipline(),
+    ) {
+        // The engine derives rates and the next event only when one is
+        // read, while a twin recomputes them through the reference paths
+        // after every change. Advances take their target from the twin,
+        // so the engine often advances on unsettled rates; reads land at
+        // random points, after any mix of admissions (in order, and the
+        // out-of-order re-admissions of a requeue), evictions, restores
+        // and zero- or positive-width advances.
+        let cfg = ProportionalConfig { discipline: disc };
+        let mut fast = ProportionalCluster::new(cluster16(kind), cfg);
+        let mut twin = ProportionalCluster::new(cluster16(kind), cfg);
+        let (mut next_id, mut buf) = (0u64, Vec::new());
+        for (i, op) in ops.iter().enumerate() {
+            let now = fast.now();
+            match op {
+                LazyOp::Admit(r) => {
+                    if let Some(nodes) = up_gang(&fast, r.offset, r.width) {
+                        let est = r.runtime * r.est_factor;
+                        let mut j = job(next_id, r.runtime, est, r.width, r.deadline);
+                        j.submit = now;
+                        next_id += 1;
+                        fast.admit(j.clone(), nodes.clone(), now);
+                        twin.admit(j, nodes, now);
+                        twin.recompute_rates_reference();
+                    }
+                }
+                LazyOp::Fail { node, requeue } => {
+                    let node = NodeId(*node);
+                    if fast.node_is_up(node) {
+                        let evicted = fast.fail_node(node, now);
+                        twin.fail_node(node, now);
+                        twin.recompute_rates_reference();
+                        for d in evicted.iter().filter(|_| *requeue) {
+                            // The recovery policy's retry: the work left,
+                            // against what is left of the deadline.
+                            let left = d.job.absolute_deadline() - now;
+                            let nodes = up_gang(&fast, d.job.id.0 as u32, d.job.procs);
+                            let (true, Some(nodes)) = (left.is_positive(), nodes) else {
+                                continue;
+                            };
+                            let retry = Job {
+                                submit: now,
+                                runtime: SimDuration::from_secs(d.remaining_work),
+                                estimate: SimDuration::from_secs(d.remaining_est),
+                                deadline: left,
+                                ..d.job.clone()
+                            };
+                            fast.admit(retry.clone(), nodes.clone(), now);
+                            twin.admit(retry, nodes, now);
+                            twin.recompute_rates_reference();
+                        }
+                    }
+                }
+                LazyOp::Restore(n) => {
+                    if !fast.node_is_up(NodeId(*n)) {
+                        fast.restore_node(NodeId(*n), now);
+                        twin.restore_node(NodeId(*n), now);
+                    }
+                }
+                LazyOp::Advance(frac) => {
+                    if let Some(next) = twin.next_event_time_scan() {
+                        let dt = (next - now).as_secs() * frac.min(1.0);
+                        let to = now + SimDuration::from_secs(dt);
+                        fast.advance_into(to, &mut buf);
+                        let want = twin.advance_reference(to);
+                        let bits = |d: &[cluster::CompletedJob]| -> Vec<(u64, u64)> {
+                            d.iter().map(|d| (d.job.id.0, d.finish.as_secs().to_bits())).collect()
+                        };
+                        prop_assert_eq!(bits(&buf), bits(&want), "completions diverged at op {}", i);
+                    }
+                }
+                LazyOp::Read(0) => {
+                    let fold = share_fold(&fast);
+                    for (n, want) in fold.iter().enumerate() {
+                        prop_assert_eq!(
+                            fast.node_share_total_now(NodeId(n as u32)).to_bits(),
+                            want.to_bits(),
+                            "share total of node {} at op {}",
+                            n,
+                            i
+                        );
+                    }
+                }
+                LazyOp::Read(1) => {
+                    for id in 0..next_id {
+                        let id = JobId(id);
+                        prop_assert_eq!(
+                            fast.rate_of(id).map(f64::to_bits),
+                            twin.rate_of(id).map(f64::to_bits),
+                            "rate of {} at op {}",
+                            id,
+                            i
+                        );
+                    }
+                }
+                LazyOp::Read(_) => {
+                    let bits = |t: Option<SimTime>| t.map(|t| t.as_secs().to_bits());
+                    prop_assert_eq!(
+                        bits(fast.next_event_time()),
+                        bits(twin.next_event_time_scan()),
+                        "next event at op {}",
+                        i
+                    );
+                }
+            }
+            prop_assert_eq!(
+                format!("{:?}", fast.snapshot()),
+                format!("{:?}", twin.snapshot()),
+                "snapshot diverged at op {} ({:?})",
+                i,
+                op
+            );
+        }
+        assert_twins(&mut fast, &mut twin, next_id, "at the end");
     }
 }

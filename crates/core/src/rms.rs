@@ -259,8 +259,8 @@ impl ProportionalBackend<'_> {
                 },
             ));
         }
-        obs::phase::lap_mark(obs::phase::Phase::CompletionEmit);
         self.completed_buf = completed;
+        obs::phase::lap_mark(obs::phase::Phase::CompletionEmit);
     }
 
     /// Applies a node failure at `at`: the engine is advanced to the
@@ -276,8 +276,7 @@ impl ProportionalBackend<'_> {
         requeued: &mut HashMap<u64, Job>,
         events: &mut Vec<JobEvent>,
     ) {
-        self.catch_up(at, events);
-        self.advance_engine(at, events);
+        self.sync(at, events);
         for d in self.engine.fail_node(node, at) {
             let Some(seq) = self.seq_of.remove(&d.job.id) else {
                 debug_assert!(false, "displaced {} was never mapped", d.job.id);
@@ -336,14 +335,14 @@ impl ProportionalBackend<'_> {
     }
 
     fn restore(&mut self, at: SimTime, node: NodeId, events: &mut Vec<JobEvent>) {
-        self.catch_up(at, events);
-        self.advance_engine(at, events);
+        self.sync(at, events);
         self.engine.restore_node(node, at);
     }
 
-    /// Brings the engine to an arrival at `now`: every internal event
-    /// up to it, then the arrival-instant advance the batch loop
-    /// performed at every dispatched event (dt ≥ 0).
+    /// Brings the engine to `now`, an arrival, fault or restore
+    /// instant: every internal event up to it, then the instant's own
+    /// advance the batch loop performed at every dispatched event
+    /// (dt ≥ 0).
     fn sync(&mut self, now: SimTime, events: &mut Vec<JobEvent>) {
         self.catch_up(now, events);
         self.advance_engine(now, events);

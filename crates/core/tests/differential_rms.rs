@@ -422,7 +422,8 @@ fn decisions_agree_with_streamed_outcomes() {
 }
 
 /// The full reference-oracle loop, hand-rolled: `decide_reference` +
-/// `advance_reference` + `next_event_time_scan` driving a bare
+/// `recompute_rates_reference` + `advance_reference` +
+/// `next_event_time_scan` driving a bare
 /// `ProportionalCluster`, compared outcome-for-outcome (bitwise instants)
 /// against the unified driver running the incremental paths end to end.
 /// This is the whole-pipeline version of the per-layer differentials: if
@@ -492,7 +493,10 @@ fn hand_rolled_reference_loop_matches_unified_driver() {
             }
             complete(&mut engine, now, &mut reference);
             match policy.decide_reference(&engine, job) {
-                Some(nodes) => engine.admit(job.clone(), nodes, now),
+                Some(nodes) => {
+                    engine.admit(job.clone(), nodes, now);
+                    engine.recompute_rates_reference();
+                }
                 None => {
                     reference.insert(job.id.0, (0, now.as_secs().to_bits(), 0));
                 }

@@ -258,13 +258,14 @@ mod tests {
 
     /// The lap-tiled advance phases must cover ≥ 90 % of the
     /// `advance_total` bracket on a profiled replay of the golden trace
-    /// (trace seed 11, deadline seed 12; its first 250 jobs). Less means
-    /// a hot phase lost its lap mark, and the per-phase keys `/metrics`
-    /// serves would misattribute the advance path's time. An unprofiled
-    /// replay runs first, so first-touch costs that fall between lap
-    /// marks in the first sampled stretch do not count against the
-    /// tiling: without it the check failed in about one run in ten on a
-    /// shared 2-vCPU host.
+    /// (trace seed 11, deadline seed 12; its first 250 jobs), and each
+    /// must hold some time. Less means a stretch of the advance path
+    /// went untiled or a phase lost its lap mark, and the per-phase keys
+    /// `/metrics` serves would misattribute the advance path's time. An
+    /// unprofiled replay runs first, so first-touch costs that fall
+    /// between lap marks in the first sampled stretch do not count
+    /// against the tiling: without it the check failed in about one run
+    /// in ten on a shared 2-vCPU host.
     #[test]
     fn quick_profile_covers_the_advance_bracket() {
         use librisk::rms::drive_trace;
@@ -287,16 +288,19 @@ mod tests {
             let snap = phase::snapshot();
             phase::reset();
             let advance = snap.counter(Phase::AdvanceTotal.ns_key());
-            let tiled: u64 = [
+            let tiles = [
                 Phase::EventHeapPop,
                 Phase::ProgressPass,
                 Phase::RecomputeSweep,
                 Phase::CompletionEmit,
-            ]
-            .iter()
-            .map(|p| snap.counter(p.ns_key()))
-            .sum();
+            ];
+            let tiled: u64 = tiles.iter().map(|p| snap.counter(p.ns_key())).sum();
             assert!(advance > 0, "no advance bracket was sampled");
+            // A lost mark hands its time to the next tile, which the
+            // coverage sum cannot see; an empty tile can.
+            for p in tiles {
+                assert!(snap.counter(p.ns_key()) > 0, "the {p:?} tile is empty");
+            }
             assert!(
                 tiled as f64 >= 0.90 * advance as f64,
                 "lap tiles cover {tiled} of {advance} ns of the advance bracket"

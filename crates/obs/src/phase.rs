@@ -62,12 +62,15 @@ pub const N_COUNTERS: usize = 5;
 /// A named hot-path phase.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Phase {
-    /// `next_event_time` queries driving the catch-up loop.
+    /// `next_event_time` queries driving the catch-up loop, and the
+    /// dispatch from each into the engine's advance.
     EventHeapPop = 0,
     /// The ordered progress sweep inside `advance_into` (busy
     /// integrals, completion/re-arm detection, fused share totals).
     ProgressPass = 1,
-    /// Rate recomputation (`recompute_pass2` / `recompute_rates`).
+    /// Rate recomputation: recompute pass 2 (after pass 1 when the
+    /// engine's scratch is stale), run wherever rates are first read
+    /// after a change — mostly inside `next_event_time`.
     RecomputeSweep = 2,
     /// Turning engine completions into streamed job events.
     CompletionEmit = 3,
@@ -389,22 +392,6 @@ pub fn observe_mailbox_depth(chunks: usize) {
     DEPTH_LAST.store(chunks as u64, Ordering::Relaxed);
 }
 
-/// Restarts an *armed* lap clock at "now" without attributing anything
-/// — the boundary the next [`lap_mark`] measures from. On an unarmed
-/// stretch (no sampled [`advance_span`] open) this is a branch, not a
-/// clock read.
-#[inline]
-pub fn lap_resync() {
-    if !enabled() {
-        return;
-    }
-    LOCAL.with(|l| {
-        if l.0.lap.get().is_some() {
-            l.0.lap.set(Some(Instant::now()));
-        }
-    });
-}
-
 /// Attributes the time since the previous lap boundary to `p` and
 /// becomes the next boundary. With no armed boundary (unsampled
 /// stretch) nothing happens — not even a clock read — so tiles only
@@ -643,7 +630,6 @@ mod tests {
         // No with_profiler: the default state is off.
         let _g = profiler_lock();
         assert!(!enabled());
-        lap_resync();
         lap_mark(Phase::ProgressPass);
         add(Counter::KernelBails, 3);
         let _s = span(Phase::VerdictKernel);
