@@ -71,6 +71,25 @@ echo "== differential: Libra at full size (release) =="
 # there.
 cargo test --release -q -p experiments --test end_to_end -- --ignored
 
+echo "== reproducibility: results/*.csv from this tree (release) =="
+# Every published table must be what the code produces: a full-size
+# `experiments all` run writes exactly the committed CSV names, each
+# byte-identical to its committed file. The tables are deterministic
+# (seeded, and identical at any --threads), so any difference is a
+# moved number; a change that moves one on purpose regenerates
+# results/ and says why.
+results_out="$(mktemp -d /tmp/results_check.XXXXXX)"
+trap 'rm -rf "$results_out"' EXIT
+cargo run --release -q -p experiments -- all --out "$results_out" >/dev/null 2>"$results_out/run.log" \
+    || { cat "$results_out/run.log"; echo "experiments all failed"; exit 1; }
+diff <(cd results && ls -- *.csv) <(cd "$results_out" && ls -- *.csv) \
+    || { echo "experiments all writes a different set of CSVs than results/ holds"; exit 1; }
+for f in results/*.csv; do
+    cmp "$f" "$results_out/${f#results/}" \
+        || { echo "$f differs from what this tree produces"; exit 1; }
+done
+rm -rf "$results_out"
+
 echo "== ledger oracles: benchmark workloads at full size (release) =="
 # Each BENCHMARK.json workload replays once, traced, through the
 # ledger's full oracle set: the seed-1 pins, the drive_trace bitwise

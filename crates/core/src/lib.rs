@@ -50,10 +50,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod car;
 pub mod ckpt;
 pub mod libra;
-pub mod libra_budget;
 pub mod libra_risk;
 pub mod policy;
 pub mod qops;
@@ -62,13 +60,11 @@ pub mod report;
 pub mod rms;
 pub mod router;
 
-pub use car::{computation_at_risk, CarAnalysis, CarMeasure};
 pub use ckpt::{
     load, restore_sharded, save, save_sharded, write_atomic, Checkpoint, CheckpointStore,
     CkptError, Manifest,
 };
 pub use libra::Libra;
-pub use libra_budget::{BudgetModel, LibraBudget, PricingModel};
 pub use libra_risk::{LibraRisk, NodeOrdering};
 pub use policy::{PolicyKind, ShareAdmission};
 pub use qops::QopsConfig;

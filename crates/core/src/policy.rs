@@ -108,8 +108,9 @@ pub trait ShareAdmission {
 }
 
 /// A mutable borrow of a policy is itself a policy — lets callers keep
-/// ownership (to read accumulated state after the run, as the budget
-/// figures do) while the RMS facade drives the borrow.
+/// ownership (to read the policy's state after the run, as the decision
+/// proptests and the facade's gauge-sampling test do) while the RMS
+/// facade drives the borrow.
 impl<T: ShareAdmission + ?Sized> ShareAdmission for &mut T {
     fn name(&self) -> String {
         (**self).name()

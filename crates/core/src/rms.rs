@@ -1023,23 +1023,16 @@ impl<'p> ClusterRms<'p> {
     /// [`Job::validate`]) are rejected here, before any backend state is
     /// touched: an RMS front-end faces untrusted submissions, and a
     /// nonsensical SLA must produce a verdict, not a panic deep inside an
-    /// engine. So is a submission at a non-finite `now`, which is
-    /// rejected at the current clock and moves neither the clock nor the
-    /// fault plan, and a job whose id is still in flight (resident,
-    /// running or queued once the backend has caught up to `now`): it
-    /// would otherwise collide with its namesake's bookkeeping. All
-    /// three reject with [`RejectReason::InvalidJob`].
-    ///
-    /// # Panics
-    /// Panics if a finite `now` precedes an earlier submission or advance.
+    /// engine. So is a submission at a non-finite `now`, or at a `now`
+    /// before an earlier submission or advance, which is rejected at the
+    /// current clock and moves neither the clock nor the fault plan, and
+    /// a job whose id is still in flight (resident, running or queued
+    /// once the backend has caught up to `now`): it would otherwise
+    /// collide with its namesake's bookkeeping. All three reject with
+    /// [`RejectReason::InvalidJob`].
     pub fn submit(&mut self, job: Job, now: SimTime) -> Decision {
-        let finite_now = now.as_secs().is_finite();
-        let now = if finite_now {
-            assert!(
-                now >= self.now,
-                "submissions must be monotone in time ({now:?} < {:?})",
-                self.now
-            );
+        let valid_now = now.as_secs().is_finite() && now >= self.now;
+        let now = if valid_now {
             self.now = now;
             self.apply_faults_through(now);
             now
@@ -1062,7 +1055,7 @@ impl<'p> ClusterRms<'p> {
                 );
             }
         }
-        if !finite_now || job.validate().is_err() {
+        if !valid_now || job.validate().is_err() {
             return self.reject_invalid(seq, job, now);
         }
         // Catch up to the arrival first, so a job that resolved by `now`
@@ -1118,20 +1111,13 @@ impl<'p> ClusterRms<'p> {
     /// would observe, so extra calls at intermediate instants never
     /// change results.
     ///
-    /// A non-finite `to` is treated like a submission at a non-finite
-    /// instant: it moves neither the clock nor the fault plan, and only
-    /// the outcomes already buffered stream out.
-    ///
-    /// # Panics
-    /// Panics if a finite `to` precedes an earlier submission or advance.
+    /// A non-finite `to`, or a `to` before an earlier submission or
+    /// advance, is treated like a submission at such an instant: it
+    /// moves neither the clock nor the fault plan, and only the outcomes
+    /// already buffered stream out.
     pub fn advance(&mut self, to: SimTime) -> impl Iterator<Item = JobEvent> + '_ {
         let from = self.now;
-        if to.as_secs().is_finite() {
-            assert!(
-                to >= self.now,
-                "cannot advance backwards ({to:?} < {:?})",
-                self.now
-            );
+        if to.as_secs().is_finite() && to >= self.now {
             self.now = to;
             self.apply_faults_through(to);
             match &mut self.backend {
@@ -1692,14 +1678,36 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "monotone")]
     fn submissions_cannot_go_backwards() {
         let mut rms = ClusterRms::queued(
             Cluster::homogeneous(1, 168.0),
             QueuePolicy::new(QueueDiscipline::Fifo, false),
         );
-        rms.submit(job(0, 10.0, 1.0, 1.0, 1, 10.0), t(10.0));
-        rms.submit(job(1, 5.0, 1.0, 1.0, 1, 10.0), t(5.0));
+        assert_eq!(
+            rms.submit(job(0, 10.0, 1.0, 1.0, 1, 10.0), t(10.0)),
+            Decision::Queued
+        );
+        assert_eq!(
+            rms.submit(job(1, 5.0, 1.0, 1.0, 1, 10.0), t(5.0)),
+            Decision::Rejected(RejectReason::InvalidJob)
+        );
+        assert_eq!(rms.now(), t(10.0), "a backwards submission moved the clock");
+        // A backwards advance streams only what is buffered: the
+        // rejection, not job 0's completion at 11 s.
+        let early: Vec<JobEvent> = rms.advance(t(5.0)).collect();
+        assert_eq!(rms.now(), t(10.0), "a backwards advance moved the clock");
+        assert_eq!(early.len(), 1);
+        assert_eq!(
+            early[0].record.outcome,
+            Outcome::Rejected {
+                at: t(10.0),
+                reason: RejectReason::InvalidJob
+            }
+        );
+        let mut seqs: Vec<u64> = early.iter().map(|e| e.seq).collect();
+        seqs.extend(rms.drain().map(|e| e.seq));
+        seqs.sort_unstable();
+        assert_eq!(seqs, vec![0, 1], "each submission resolves exactly once");
     }
 
     #[test]

@@ -295,10 +295,9 @@ impl<'p> ShardedRms<'p> {
     /// Routes one arrival to its shard and returns the shard's
     /// irrevocable decision. Runs entirely on the caller's thread — the
     /// shard decides synchronously, exactly as an unsharded
-    /// [`ClusterRms::submit`] would over the shard's sub-cluster.
-    ///
-    /// # Panics
-    /// Panics if `now` precedes an earlier submission or advance.
+    /// [`ClusterRms::submit`] would over the shard's sub-cluster, which
+    /// also rejects a `now` before the shard's clock as
+    /// [`RejectReason::InvalidJob`](obs::RejectReason::InvalidJob).
     pub fn submit(&mut self, job: Job, now: SimTime) -> Decision {
         self.submit_routed(job, now).1
     }
@@ -318,10 +317,9 @@ impl<'p> ShardedRms<'p> {
     /// Advances every shard to `to` and returns the merged stream of
     /// resolved outcomes, in resolution-timestamp order with global
     /// submission-order `seq`s. See [`ShardedRms::advance_with`] for the
-    /// streaming form.
-    ///
-    /// # Panics
-    /// Panics if `to` precedes an earlier submission or advance.
+    /// streaming form. A shard whose clock is already past `to` stays
+    /// where it is and streams only its buffered outcomes, as
+    /// [`ClusterRms::advance`] does.
     pub fn advance(&mut self, to: SimTime) -> Result<Vec<JobEvent>, RouterError> {
         let mut out = Vec::new();
         self.advance_with(to, |e| out.push(e))?;

@@ -1,7 +1,8 @@
 //! Hostile input: a job whose times are not finite, or a submission at a
-//! non-finite instant, must end in an `InvalidJob` rejection that leaves
-//! the clock where it was, never in a panic or an endless drain; an
-//! advance to a non-finite instant must leave the clock where it was too.
+//! non-finite instant or at one before the clock, must end in an
+//! `InvalidJob` rejection that leaves the clock where it was, never in a
+//! panic or an endless drain; an advance to a non-finite instant or to
+//! one before the clock must leave the clock where it was too.
 
 use cluster::Cluster;
 use librisk::prelude::*;
@@ -26,11 +27,14 @@ proptest! {
 
     #[test]
     fn non_finite_times_are_rejected_and_drain_returns(
-        // Bit k set: field k (runtime, estimate, deadline, the job's
-        // submit time, the submission instant) is infinite; at least one
-        // is. The matching bit of `negative` picks its sign.
-        infinite in 1u32..32,
+        // Bit k < 5 set: field k (runtime, estimate, deadline, the job's
+        // submit time, the submission instant) is infinite. The matching
+        // bit of `negative` picks its sign. Bit 5 set: a finite
+        // submission instant is `back` seconds before the clock. At least
+        // one bit is set.
+        infinite in 1u32..64,
         negative in 0u32..32,
+        back in 0.001..1_000.0f64,
         runtime in 1.0..500.0f64,
         est_factor in 0.2..4.0f64,
         deadline_factor in 1.0..6.0f64,
@@ -55,7 +59,8 @@ proptest! {
             pick(1, runtime * est_factor),
             pick(2, runtime * deadline_factor),
         );
-        let now = SimTime::from_secs(pick(4, at));
+        let instant = if infinite & (1 << 5) == 0 { at } else { at - back };
+        let now = SimTime::from_secs(pick(4, instant));
         prop_assert_eq!(
             rms.submit(hostile, now),
             Decision::Rejected(RejectReason::InvalidJob)
@@ -72,14 +77,20 @@ proptest! {
 
     #[test]
     fn non_finite_advance_moves_nothing_and_later_submits_decide(
-        negative in any::<bool>(),
+        // 0: +∞, 1: −∞, 2: `back` seconds before the clock.
+        target in 0u32..3,
+        back in 0.001..1_000.0f64,
         runtime in 1.0..500.0f64,
         est_factor in 0.2..4.0f64,
         deadline_factor in 1.0..6.0f64,
         at in 0.0..1_000.0f64,
         gap in 0.0..2_000.0f64,
     ) {
-        let to = SimTime::from_secs(if negative { f64::NEG_INFINITY } else { f64::INFINITY });
+        let to = SimTime::from_secs(match target {
+            0 => f64::INFINITY,
+            1 => f64::NEG_INFINITY,
+            _ => at - back,
+        });
         let first = job(0, at, runtime, runtime * est_factor, runtime * deadline_factor);
         // Wider than the cluster: its rejection is buffered at `at`.
         let mut wide = job(1, at, runtime, runtime * est_factor, runtime * deadline_factor);

@@ -513,50 +513,6 @@ pub fn churn(cfg: &FigureConfig) -> Figure {
     }
 }
 
-/// Computation-at-Risk profile of the paper's policies at the default
-/// scenario: the related work's own lens (§2, Kleban & Clearwater) —
-/// 95 % value-at-risk and expected shortfall of the expansion factor and
-/// the realised deadline-delay metric.
-pub fn risk_profile_table(cfg: &FigureConfig) -> Table {
-    use librisk::{computation_at_risk, CarMeasure};
-    let mut t = Table::new(
-        "Computation-at-Risk profile (default scenario, trace estimates, level 0.95)",
-        &["policy", "measure", "mean", "VaR(95%)", "shortfall", "jobs"],
-    );
-    let f = metrics::table::fmt_f;
-    for policy in PolicyKind::PAPER {
-        for measure in [CarMeasure::ExpansionFactor, CarMeasure::DeadlineDelay] {
-            let mut mean = metrics::OnlineStats::new();
-            let mut var = metrics::OnlineStats::new();
-            let mut shortfall = metrics::OnlineStats::new();
-            let mut jobs = metrics::OnlineStats::new();
-            for &seed in &cfg.seeds {
-                let scenario = Scenario {
-                    jobs: cfg.jobs,
-                    seed,
-                    ..Default::default()
-                };
-                let report = scenario.run(policy);
-                if let Some(car) = computation_at_risk(&report, measure, 0.95) {
-                    mean.push(car.mean);
-                    var.push(car.value_at_risk);
-                    shortfall.push(car.expected_shortfall);
-                    jobs.push(car.jobs as f64);
-                }
-            }
-            t.push_row(vec![
-                policy.name().to_string(),
-                format!("{measure:?}"),
-                f(mean.mean(), 2),
-                f(var.mean(), 2),
-                f(shortfall.mean(), 2),
-                f(jobs.mean(), 0),
-            ]);
-        }
-    }
-    t
-}
-
 /// Seed-sensitivity check: the default scenario across many seeds, with
 /// mean ± 95 % CI per policy. The paper runs a single real trace; this
 /// table shows how much of our measured gaps is workload noise (spoiler:
@@ -666,90 +622,6 @@ pub fn trace_analysis_tables(cfg: &FigureConfig) -> Vec<Table> {
         ),
         classes,
     ]
-}
-
-/// Budget-gated admission (the economic half of the original Libra
-/// system, ref \[14\] of the paper): revenue and fulfilment when every job
-/// carries a budget against Libra's published cost function. Shows that
-/// the risk-aware deadline test also earns more — it wastes less of the
-/// budget-feasible demand.
-pub fn budget_table(cfg: &FigureConfig) -> Table {
-    use cluster::proportional::ProportionalConfig;
-    use librisk::{
-        drive_trace, BudgetModel, ClusterRms, Libra, LibraBudget, LibraRisk, OnlineReport,
-        PricingModel,
-    };
-
-    let mut t = Table::new(
-        "Budget-gated admission (Libra economy, trace estimates)",
-        &[
-            "policy",
-            "fulfilled %",
-            "accepted",
-            "budget-rejected",
-            "revenue (k)",
-        ],
-    );
-    let f = metrics::table::fmt_f;
-    enum Inner {
-        Libra,
-        LibraRisk,
-    }
-    for (label, inner) in [
-        ("Libra+Budget", Inner::Libra),
-        ("LibraRisk+Budget", Inner::LibraRisk),
-    ] {
-        let mut fulfilled = metrics::OnlineStats::new();
-        let mut accepted = metrics::OnlineStats::new();
-        let mut budget_rejected = metrics::OnlineStats::new();
-        let mut revenue = metrics::OnlineStats::new();
-        for &seed in &cfg.seeds {
-            let scenario = Scenario {
-                jobs: cfg.jobs,
-                seed,
-                ..Default::default()
-            };
-            let trace = scenario.build_trace();
-            let budgets = BudgetModel::default()
-                .assign(&mut sim::Rng64::new(seed).split("budgets"), trace.jobs());
-            let cluster = scenario.cluster();
-            let cfg_engine = ProportionalConfig::default();
-            // Stream through the RMS facade with a *borrowed* policy so
-            // the accumulated economy (revenue, budget rejections) stays
-            // readable after the run.
-            let stream = |policy: &mut (dyn librisk::ShareAdmission + Send)| {
-                let mut rms = ClusterRms::proportional(cluster.clone(), cfg_engine, policy);
-                let mut sink = OnlineReport::new();
-                drive_trace(&mut rms, &trace, &mut sink);
-                sink
-            };
-            let (report, rev, brej) = match inner {
-                Inner::Libra => {
-                    let mut p = LibraBudget::new(Libra::new(), PricingModel::default(), budgets);
-                    let r = stream(&mut p);
-                    (r, p.revenue(), p.budget_rejections())
-                }
-                Inner::LibraRisk => {
-                    let mut p =
-                        LibraBudget::new(LibraRisk::paper(), PricingModel::default(), budgets);
-                    let r = stream(&mut p);
-                    (r, p.revenue(), p.budget_rejections())
-                }
-            };
-            fulfilled.push(report.fulfilled_pct());
-            accepted.push(report.accepted() as f64);
-            budget_rejected.push(brej as f64);
-            revenue.push(rev / 1000.0);
-        }
-        t.push_row(vec![
-            label.to_string(),
-            f(fulfilled.mean(), 1),
-            f(accepted.mean(), 0),
-            f(budget_rejected.mean(), 0),
-            f(revenue.mean(), 0),
-        ]);
-    }
-    t
 }
 
 /// A summary table over the *whole* policy catalogue at the default
@@ -905,22 +777,6 @@ mod tests {
         assert_eq!(tables.len(), 4);
         assert!(tables[0].title().contains("Runtime"));
         assert!(tables[3].to_markdown().contains("GrossOver"));
-    }
-
-    #[test]
-    fn budget_table_reports_both_policies() {
-        let t = budget_table(&tiny_cfg());
-        assert_eq!(t.row_count(), 2);
-        let md = t.to_markdown();
-        assert!(md.contains("Libra+Budget"));
-        assert!(md.contains("LibraRisk+Budget"));
-    }
-
-    #[test]
-    fn risk_profile_table_covers_policies_and_measures() {
-        let t = risk_profile_table(&tiny_cfg());
-        assert_eq!(t.row_count(), 6); // 3 policies × 2 measures
-        assert!(t.to_markdown().contains("ExpansionFactor"));
     }
 
     #[test]

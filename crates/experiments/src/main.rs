@@ -8,6 +8,7 @@
 
 use experiments::figures::{self, FigureConfig};
 use experiments::report;
+use metrics::Table;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -105,8 +106,6 @@ const COMMANDS: &[&str] = &[
     "robustness",
     "heterogeneity",
     "churn",
-    "budget",
-    "risk-profile",
     "convergence",
     "summary",
     "trace-stats",
@@ -130,8 +129,6 @@ const ALL: &[&str] = &[
     "robustness",
     "heterogeneity",
     "churn",
-    "budget",
-    "risk-profile",
     "convergence",
     "summary",
 ];
@@ -171,41 +168,43 @@ fn emit_figure(fig: &figures::Figure, out: &Option<PathBuf>, charts: bool) {
     }
 }
 
+/// Prints `table` as markdown and, with `--out`, writes it to
+/// `file_name` in that directory.
+fn emit_table(table: &Table, file_name: &str, out: &Option<PathBuf>) {
+    print!("{}", table.to_markdown());
+    if let Some(dir) = out {
+        let path = dir.join(file_name);
+        match report::write_table_csv(table, &path) {
+            Ok(()) => eprintln!("wrote {}", path.display()),
+            Err(e) => eprintln!("cannot write CSV: {e}"),
+        }
+    }
+}
+
 /// The body of one subcommand; `None` for a name with no handler, and
 /// for `all`, which `main` expands into [`ALL`].
 fn handler(which: &str) -> Option<fn(&Args)> {
     let run: fn(&Args) = match which {
         "trace-stats" => |args| {
             let cfg = &args.cfg;
-            let t = figures::trace_stats_table(cfg);
-            print!("{}", t.to_markdown());
+            emit_table(
+                &figures::trace_stats_table(cfg),
+                "trace_stats.csv",
+                &args.out,
+            );
             if args.charts {
                 for table in figures::trace_analysis_tables(cfg) {
                     println!();
                     print!("{}", table.to_markdown());
                 }
             }
-            if let Some(dir) = &args.out {
-                let path = dir.join("trace_stats.csv");
-                if let Err(e) = report::write_table_csv(&t, &path) {
-                    eprintln!("cannot write CSV: {e}");
-                } else {
-                    eprintln!("wrote {}", path.display());
-                }
-            }
         },
         "summary" => |args| {
-            let cfg = &args.cfg;
-            let t = figures::policy_summary_table(cfg);
-            print!("{}", t.to_markdown());
-            if let Some(dir) = &args.out {
-                let path = dir.join("policy_summary.csv");
-                if let Err(e) = report::write_table_csv(&t, &path) {
-                    eprintln!("cannot write CSV: {e}");
-                } else {
-                    eprintln!("wrote {}", path.display());
-                }
-            }
+            emit_table(
+                &figures::policy_summary_table(&args.cfg),
+                "policy_summary.csv",
+                &args.out,
+            )
         },
         "fig1" => |args| emit_figure(&figures::fig1(&args.cfg), &args.out, args.charts),
         "fig2" => |args| emit_figure(&figures::fig2(&args.cfg), &args.out, args.charts),
@@ -218,30 +217,11 @@ fn handler(which: &str) -> Option<fn(&Args)> {
         }
         "churn" => |args| emit_figure(&figures::churn(&args.cfg), &args.out, args.charts),
         "convergence" => |args| {
-            let cfg = &args.cfg;
-            let t = figures::convergence_table(cfg);
-            print!("{}", t.to_markdown());
-            if let Some(dir) = &args.out {
-                let path = dir.join("convergence.csv");
-                if let Err(e) = report::write_table_csv(&t, &path) {
-                    eprintln!("cannot write CSV: {e}");
-                } else {
-                    eprintln!("wrote {}", path.display());
-                }
-            }
-        },
-        "budget" => |args| {
-            let cfg = &args.cfg;
-            let t = figures::budget_table(cfg);
-            print!("{}", t.to_markdown());
-            if let Some(dir) = &args.out {
-                let path = dir.join("budget.csv");
-                if let Err(e) = report::write_table_csv(&t, &path) {
-                    eprintln!("cannot write CSV: {e}");
-                } else {
-                    eprintln!("wrote {}", path.display());
-                }
-            }
+            emit_table(
+                &figures::convergence_table(&args.cfg),
+                "convergence.csv",
+                &args.out,
+            )
         },
         "timeline" => |args| {
             let cfg = &args.cfg;
@@ -405,19 +385,6 @@ fn handler(which: &str) -> Option<fn(&Args)> {
                 Err(e) => {
                     eprintln!("serve failed: {e}");
                     std::process::exit(1);
-                }
-            }
-        },
-        "risk-profile" => |args| {
-            let cfg = &args.cfg;
-            let t = figures::risk_profile_table(cfg);
-            print!("{}", t.to_markdown());
-            if let Some(dir) = &args.out {
-                let path = dir.join("risk_profile.csv");
-                if let Err(e) = report::write_table_csv(&t, &path) {
-                    eprintln!("cannot write CSV: {e}");
-                } else {
-                    eprintln!("wrote {}", path.display());
                 }
             }
         },

@@ -1,15 +1,9 @@
 //! Integration tests for the extension systems built around the paper:
-//! QoPS soft deadlines, EDF backfilling, the Libra budget economy,
-//! Computation-at-Risk analytics, and the projection ablation.
+//! QoPS soft deadlines, EDF backfilling and the projection ablation.
 
 use experiments::{EstimateRegime, Scenario};
 use librisk::prelude::*;
-use librisk::{
-    computation_at_risk, BudgetModel, CarMeasure, Libra, LibraBudget, LibraRisk, PricingModel,
-    QopsConfig,
-};
-use sim::Rng64;
-use std::collections::HashMap;
+use librisk::QopsConfig;
 
 fn scenario(jobs: usize) -> Scenario {
     Scenario {
@@ -56,95 +50,6 @@ fn backfilling_never_hurts_waiting_narrow_jobs_much() {
     );
     // And fulfilment stays in the same neighbourhood or better.
     assert!(backfill.fulfilled_pct() >= plain.fulfilled_pct() - 2.0);
-}
-
-#[test]
-fn budget_gate_composes_with_both_share_policies() {
-    let s = scenario(300);
-    let trace = s.build_trace();
-    let budgets = BudgetModel::default().assign(&mut Rng64::new(3), trace.jobs());
-    let cluster = s.cluster();
-    let cfg = cluster::proportional::ProportionalConfig::default();
-
-    let mut libra = LibraBudget::new(Libra::new(), PricingModel::default(), budgets.clone());
-    let libra_report =
-        ClusterRms::proportional(cluster.clone(), cfg, &mut libra).run_to_report(&trace);
-    let mut risk = LibraBudget::new(LibraRisk::paper(), PricingModel::default(), budgets);
-    let risk_report =
-        ClusterRms::proportional(cluster.clone(), cfg, &mut risk).run_to_report(&trace);
-
-    // Identical budgets → identical budget-rejection counts (the gate
-    // fires before the share policy sees the job).
-    assert_eq!(libra.budget_rejections(), risk.budget_rejections());
-    assert!(
-        libra.budget_rejections() > 0,
-        "some users must be priced out"
-    );
-    // The risk test monetises the budget-feasible remainder at least as
-    // well as the share test.
-    assert!(risk.revenue() >= libra.revenue());
-    assert!(risk_report.accepted() >= libra_report.accepted());
-    // Revenue only comes from accepted jobs.
-    assert!(risk.revenue() > 0.0);
-    assert_eq!(
-        libra_report.submitted(),
-        libra_report.accepted() + libra_report.rejected()
-    );
-}
-
-#[test]
-fn budget_gate_passes_the_inner_reject_reason_through() {
-    let s = scenario(400);
-    let trace = s.build_trace();
-    let cluster = s.cluster();
-    let cfg = cluster::proportional::ProportionalConfig::default();
-    let plain =
-        ClusterRms::proportional(cluster.clone(), cfg, LibraRisk::paper()).run_to_report(&trace);
-
-    // An empty budget map leaves every budget unlimited: the gate never
-    // fires, so each rejection is the inner policy's, with its reason.
-    let mut open = LibraBudget::new(LibraRisk::paper(), PricingModel::default(), HashMap::new());
-    let open_report =
-        ClusterRms::proportional(cluster.clone(), cfg, &mut open).run_to_report(&trace);
-    assert_eq!(open.budget_rejections(), 0);
-    assert!(plain.rejected_for(RejectReason::OverRisk) > 0);
-    assert_eq!(
-        open_report.rejections_by_reason(),
-        plain.rejections_by_reason()
-    );
-
-    // With every budget at zero the gate turns every job away, and the
-    // closed reason set reports that as `NoFit`.
-    let broke: HashMap<JobId, f64> = trace.jobs().iter().map(|j| (j.id, 0.0)).collect();
-    let mut gated = LibraBudget::new(LibraRisk::paper(), PricingModel::default(), broke);
-    let gated_report =
-        ClusterRms::proportional(cluster.clone(), cfg, &mut gated).run_to_report(&trace);
-    assert!(gated_report.rejected() > 0);
-    assert_eq!(
-        gated_report.rejected_for(RejectReason::NoFit),
-        gated_report.rejected()
-    );
-}
-
-#[test]
-fn car_profile_is_consistent_with_the_report() {
-    let report = scenario(300).run(PolicyKind::LibraRisk);
-    let car =
-        computation_at_risk(&report, CarMeasure::ExpansionFactor, 0.95).expect("jobs completed");
-    assert_eq!(car.jobs, report.accepted());
-    // The mean expansion factor over completed jobs must dominate the
-    // fulfilled-only average slowdown report metric is computed over a
-    // subset — but both are ≥ 1.
-    assert!(car.mean >= 1.0);
-    assert!(report.avg_slowdown() >= 1.0);
-    // Tail ordering.
-    assert!(car.value_at_risk >= car.mean * 0.5);
-    assert!(car.expected_shortfall >= car.value_at_risk);
-
-    // The realised deadline-delay measure floors at 1 (Eq. 4).
-    let dd = computation_at_risk(&report, CarMeasure::DeadlineDelay, 0.5).unwrap();
-    assert!(dd.mean >= 1.0);
-    assert!(dd.value_at_risk >= 1.0);
 }
 
 #[test]
