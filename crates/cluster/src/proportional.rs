@@ -39,10 +39,11 @@
 //!
 //! The advance hot path is allocation-free: share totals, the per-slot
 //! share scratch, and the completion/victim worklists are engine-owned
-//! buffers reused across calls. The per-node share totals are kept exact
-//! at every change, but rates and the next event gap are derived only
-//! when something reads them (see `settle`), so an instant's advance,
-//! admissions and failure evictions share one rate pass.
+//! buffers reused across calls. The share totals (one per resident-set
+//! group, see `totals_scratch`) are kept exact at every change, but
+//! rates and the next event gap are derived only when something reads
+//! them (see `settle`), so an instant's advance, admissions and failure
+//! evictions share one rate pass.
 
 use crate::cluster::Cluster;
 use crate::node::NodeId;
@@ -232,6 +233,16 @@ pub struct ProportionalCluster {
     /// their run behind as dead entries; `admit` compacts the arena once
     /// dead entries outnumber live ones (see `compact_gang_nodes`).
     gang_nodes: Vec<u32>,
+    /// Parallel to `gang_nodes`: slot `s`'s **cover**, the distinct
+    /// resident-set groups its members belong to, in no particular order,
+    /// occupies `cover[gang_start[s]..gang_start[s] + cover_len[s]]` —
+    /// the head of the slot's own run, which always has room, since a
+    /// gang covers at most as many groups as it has members. Both
+    /// recompute passes walk the cover instead of the member nodes.
+    /// `split_groups` and `merge_groups` keep every cover exact.
+    cover: Vec<u32>,
+    /// Groups in each slot's cover (see [`Self::cover`]).
+    cover_len: Vec<u32>,
     /// Live entries of `gang_nodes`: the summed width of resident slots.
     gang_live: usize,
     /// Per-slot Eq. 1 share computed by recompute pass 1 and consumed by
@@ -305,9 +316,9 @@ pub struct ProportionalCluster {
     rates_clean: bool,
     /// `true` while `share_scratch`/`totals_scratch` hold the pass-1
     /// values of the current resident state at `last_update`: each
-    /// resident's Eq. 1 share, and per node the from-zero ascending-id
-    /// fold of its residents' shares (zero for unoccupied nodes). Every
-    /// fast-path writer keeps them so. [`ProportionalCluster::recompute_rates_reference`]
+    /// resident's Eq. 1 share, and per resident-set group the from-zero
+    /// ascending-id fold of its residents' shares (zero for the empty
+    /// groups). Every fast-path writer keeps them so. [`ProportionalCluster::recompute_rates_reference`]
     /// computes its totals into a local buffer — bitwise the same rates,
     /// but it leaves the engine scratch stale, so paths that extend or
     /// read the scratch (`admit`'s append, `settle`, the share-total
@@ -318,8 +329,13 @@ pub struct ProportionalCluster {
     completed_scratch: Vec<u32>,
     /// Reusable worklist for `fail_node` victims.
     victims_scratch: Vec<u32>,
-    /// Reusable per-node share totals for the recompute passes, zeroed
-    /// with one `fill` per recompute.
+    /// Eq. 2 share totals for the recompute passes, indexed by
+    /// resident-set group (`group_of`), not by node: node `n`'s total is
+    /// `totals_scratch[group_of[n]]`. The nodes of one group hold the
+    /// same residents, so the ascending-id fold of their shares is one
+    /// value, and each resident adds its share once per covered group.
+    /// Zeroed with one `fill` per pass 1; entries of free group ids are
+    /// garbage.
     totals_scratch: Vec<f64>,
     /// Per-node down flags. A down node hosts no jobs and must never be
     /// an admission target.
@@ -434,6 +450,8 @@ impl ProportionalCluster {
             node0: Vec::new(),
             gang_start: Vec::new(),
             gang_nodes: Vec::new(),
+            cover: Vec::new(),
+            cover_len: Vec::new(),
             gang_live: 0,
             share_scratch: Vec::new(),
             meta: Vec::new(),
@@ -579,14 +597,15 @@ impl ProportionalCluster {
         self.width_f.push(0.0);
         self.node0.push(0);
         self.gang_start.push(0);
+        self.cover_len.push(0);
         self.share_scratch.push(0.0);
         self.meta.push(None);
         s
     }
 
-    /// Packs `gang_nodes` down to only the live runs, each kept in its
-    /// member order, and repoints `gang_start`. Called by `admit` once
-    /// dead entries outnumber live ones: the moves cost the live entries,
+    /// Packs `gang_nodes` and `cover` down to only the live runs, each
+    /// kept in its order, and repoints `gang_start`. Called by `admit`
+    /// once dead entries outnumber live ones: the moves cost the live entries,
     /// which the dead ones it reclaims already paid for, so the arena
     /// stays within about twice its live size at amortised O(1) per entry
     /// — also under sustained load that never drains the engine empty.
@@ -602,11 +621,14 @@ impl ProportionalCluster {
             let start = self.gang_start[si] as usize;
             let width = self.width[si] as usize;
             self.gang_nodes.copy_within(start..start + width, packed);
+            let covered = self.cover_len[si] as usize;
+            self.cover.copy_within(start..start + covered, packed);
             self.gang_start[si] = packed as u32;
             packed += width;
         }
         debug_assert_eq!(packed, self.gang_live);
         self.gang_nodes.truncate(packed);
+        self.cover.truncate(packed);
         live.sort_unstable_by_key(|&s| self.ids[s as usize]);
         self.order = live;
     }
@@ -618,6 +640,11 @@ impl ProportionalCluster {
     /// splits, its gang members moving to a new id together (they held
     /// one set before and add the same slot). The new set's key is
     /// counted, and a covered group's old key uncounted.
+    ///
+    /// Covers: the new slot covers the touched groups' destinations.
+    /// When a group `g` splits into `g` and `to`, every other resident of
+    /// `g` sits on both halves, so `to` joins its cover; it is found on
+    /// the gang's first member in `g`.
     fn split_groups(&mut self, nodes: &[NodeId], s: u32) {
         let mut touched = std::mem::take(&mut self.touched_groups);
         touched.clear();
@@ -647,6 +674,21 @@ impl ProportionalCluster {
             };
             self.key_count[key_bucket(buckets, self.set_hash[n], class)] += 1;
         }
+        let start = self.gang_start[s as usize] as usize;
+        for (k, &(g, n)) in touched.iter().enumerate() {
+            let to = self.group_scratch[g as usize];
+            self.cover[start + k] = to;
+            if to != g {
+                for &r in &self.node_jobs[n as usize] {
+                    if r != s {
+                        let r = r as usize;
+                        self.cover[self.gang_start[r] as usize + self.cover_len[r] as usize] = to;
+                        self.cover_len[r] += 1;
+                    }
+                }
+            }
+        }
+        self.cover_len[s as usize] = touched.len() as u32;
         for n in nodes {
             let ni = n.0 as usize;
             let g = self.group_of[ni];
@@ -672,6 +714,10 @@ impl ProportionalCluster {
     /// that already holds the shrunk set. Each group is settled at its
     /// first member in `nodes`, and every member then moves to where its
     /// group went, so the walk stays linear in the gang width.
+    ///
+    /// Covers: when `g` merges into `into`, the residents left on `g`'s
+    /// first member hold the shrunk set, so they already cover `into`;
+    /// `g` is swap-removed from their covers.
     fn merge_groups(&mut self, nodes: &[NodeId], s: u32) {
         let mut touched = std::mem::take(&mut self.touched_groups);
         touched.clear();
@@ -689,6 +735,18 @@ impl ProportionalCluster {
                     self.group_size[into as usize] += self.group_size[g as usize];
                     self.group_size[g as usize] = 0;
                     self.free_groups.push(g);
+                    for &t in &self.node_jobs[r] {
+                        let t = t as usize;
+                        let (start, len) =
+                            (self.gang_start[t] as usize, self.cover_len[t] as usize);
+                        let run = &mut self.cover[start..start + len];
+                        let k = run
+                            .iter()
+                            .position(|&c| c == g)
+                            .expect("a resident covers its nodes' group");
+                        run[k] = run[len - 1];
+                        self.cover_len[t] -= 1;
+                    }
                 }
                 self.group_scratch[g as usize] = into + 1;
             }
@@ -781,6 +839,7 @@ impl ProportionalCluster {
             list.push(s);
             self.node_member[ni].push(i as u32);
             self.gang_nodes.push(n.0);
+            self.cover.push(0);
             self.set_hash[ni] ^= slot_mix(s);
             self.node_min_dl[ni] = self.node_min_dl[ni].min(dl);
         }
@@ -818,15 +877,19 @@ impl ProportionalCluster {
         // issued monotonically, so this is the common case), the
         // reference's from-zero job-id order sum over each of its nodes
         // is exactly the old total plus the new share — same left-fold,
-        // same bits. Any other case reruns pass 1.
+        // same bits. Each touched group `g` moved its gang members to
+        // `to` (`g` itself when the gang covered all of it), so `to`'s
+        // total is `g`'s plus the share, and `g`'s stays put. A fresh
+        // `to` is no touched group, so no total is read after its write.
+        // Any other case reruns pass 1.
         if self.scratch_valid && pos + 1 == self.order.len() {
             let now_s = now.as_secs();
             let rd = (self.abs_deadline[si] - now_s).max(EPS_DEADLINE);
             let share = self.remaining_est[si].max(EPS_WORK) / rd;
             self.share_scratch[si] = share;
-            let start = self.gang_start[si] as usize;
-            for gi in start..start + self.width[si] as usize {
-                self.totals_scratch[self.gang_nodes[gi] as usize] += share;
+            for &(g, n) in &self.touched_groups {
+                let to = self.group_of[n as usize] as usize;
+                self.totals_scratch[to] = self.totals_scratch[g as usize] + share;
             }
         } else {
             self.recompute_pass1();
@@ -849,7 +912,7 @@ impl ProportionalCluster {
     ///
     /// One sweep over `order` (ascending job id) applies progress and
     /// builds recompute pass 1 — every survivor's Eq. 1 share at `to`,
-    /// summed into the per-node totals — and leaves pass 2 to the next
+    /// summed into the group totals — and leaves pass 2 to the next
     /// reader of rates, whatever the sweep completed or re-armed. The
     /// sweep itself reads every rate, so it settles pending ones (at the
     /// old instant) first. Bitwise equal to
@@ -868,8 +931,14 @@ impl ProportionalCluster {
     /// * every other survivor's share reads the post-progress estimate,
     ///   exactly as the reference does.
     ///
-    /// A surviving gang's member list is walked once per advance, to add
-    /// its share to each member's total; a completing gang walks none.
+    /// The fold runs over the groups before the completions leave them.
+    /// That moves no bit: a group a removal merges into another already
+    /// holds the same survivors, hence the same total, and a group it
+    /// empties holds `0.0`.
+    ///
+    /// A surviving gang's cover is walked once per advance, to add its
+    /// share to each covered group's total; a completing gang walks
+    /// none.
     pub fn advance_into(&mut self, to: SimTime, out: &mut Vec<CompletedJob>) {
         out.clear();
         assert!(to >= self.last_update, "cannot advance backwards");
@@ -917,13 +986,9 @@ impl ProportionalCluster {
                     self.share_scratch[si] = share;
                     share
                 };
-                if self.width[si] == 1 {
-                    self.totals_scratch[self.node0[si] as usize] += share;
-                } else {
-                    let start = self.gang_start[si] as usize;
-                    for &ni in &self.gang_nodes[start..start + self.width[si] as usize] {
-                        self.totals_scratch[ni as usize] += share;
-                    }
+                let start = self.gang_start[si] as usize;
+                for &g in &self.cover[start..start + self.cover_len[si] as usize] {
+                    self.totals_scratch[g as usize] += share;
                 }
             }
             obs::phase::lap_mark(obs::phase::Phase::ProgressPass);
@@ -1183,7 +1248,7 @@ impl ProportionalCluster {
     }
 
     /// The node's Eq. 2 resident share total at the current instant,
-    /// served from the per-node totals recompute pass 1 keeps exact at
+    /// served from the group totals recompute pass 1 keeps exact at
     /// every change (already summed from exactly these floored shares)
     /// whenever they are valid, settled rates or not; read from the
     /// resident list otherwise. The accumulation order differs from
@@ -1192,9 +1257,8 @@ impl ProportionalCluster {
     /// fine for margin-bearing consumers like the zero-risk screen, not
     /// for bitwise-pinned ones.
     pub fn node_share_total_now(&self, node: NodeId) -> f64 {
-        let ni = node.0 as usize;
         if self.scratch_valid {
-            self.totals_scratch[ni]
+            self.totals_scratch[self.group_of[node.0 as usize] as usize]
         } else {
             self.node_total_share(node, None)
         }
@@ -1333,9 +1397,12 @@ impl ProportionalCluster {
     }
 
     /// Recompute pass 1: every live slot's Eq. 1 share from current
-    /// beliefs, summed into the per-node totals in the reference's
-    /// ascending job-id order (float sums are fold-order-sensitive), so
-    /// the rates pass 2 derives from them are bitwise identical to
+    /// beliefs, summed into the totals of the groups it covers in the
+    /// reference's ascending job-id order (float sums are
+    /// fold-order-sensitive). Every node of a group holds the same
+    /// residents, so its per-node fold in the reference is this group
+    /// fold term for term, and the rates pass 2 derives from them are
+    /// bitwise identical to
     /// [`ProportionalCluster::recompute_rates_reference`]. Leaves pass 2
     /// pending. Allocation-free: totals and shares live in engine-owned
     /// scratch.
@@ -1347,13 +1414,9 @@ impl ProportionalCluster {
             let rd = (self.abs_deadline[si] - now).max(EPS_DEADLINE);
             let share = self.remaining_est[si].max(EPS_WORK) / rd;
             self.share_scratch[si] = share;
-            if self.width[si] == 1 {
-                self.totals_scratch[self.node0[si] as usize] += share;
-            } else {
-                let start = self.gang_start[si] as usize;
-                for &ni in &self.gang_nodes[start..start + self.width[si] as usize] {
-                    self.totals_scratch[ni as usize] += share;
-                }
+            let start = self.gang_start[si] as usize;
+            for &g in &self.cover[start..start + self.cover_len[si] as usize] {
+                self.totals_scratch[g as usize] += share;
             }
         }
         self.scratch_valid = true;
@@ -1361,7 +1424,7 @@ impl ProportionalCluster {
     }
 
     /// Pass 2 of the rate recompute: rates (gang = min over member
-    /// nodes) and the running event-gap minimum, consuming the per-node
+    /// nodes) and the running event-gap minimum, consuming the group
     /// totals and per-slot shares pass 1 left in engine scratch. Run
     /// only by `settle`.
     fn recompute_pass2(&mut self) {
@@ -1372,7 +1435,7 @@ impl ProportionalCluster {
             let si = s as usize;
             let rate = if self.width[si] == 1 {
                 let ni = self.node0[si] as usize;
-                let total = self.totals_scratch[ni];
+                let total = self.totals_scratch[self.group_of[ni] as usize];
                 let denom = if strict { total.max(1.0) } else { total };
                 self.share_scratch[si] / denom * self.speeds[ni]
             } else {
@@ -1396,7 +1459,8 @@ impl ProportionalCluster {
     }
 
     /// A gang's rate: the min over its member nodes of
-    /// `share / denom * speed`, from the totals pass 1 left in scratch.
+    /// `share / denom * speed`, from the group totals pass 1 left in
+    /// scratch.
     ///
     /// With one speed for every node, the min is the busiest member's:
     /// IEEE division by a positive denominator and multiplication by a
@@ -1404,51 +1468,31 @@ impl ProportionalCluster {
     /// exact result never rounds below a smaller one), and the member
     /// holding the max denominator yields exactly its own bits — so one
     /// max over the member totals and one division replace a division
-    /// per member without moving a bit. Both folds skip NaN (the max
-    /// through its `>` test, the min through `f64::min`), so NaN totals
-    /// drop out of either alike. The member-wise loop stays for mixed
-    /// speeds and for the degenerate denominators (zero, infinite, or no
-    /// non-NaN total) and shares (NaN) where the argument does not hold.
-    ///
-    /// The max runs as four independent `>` accumulators over strided
-    /// members, combined at the end, so the compare chain no longer
-    /// serialises the walk. That equals the serial fold bitwise: a max
-    /// over non-NaN values is exact and independent of grouping, `>`
-    /// skips NaN in every accumulator alike, and the one case where
-    /// order could pick different bits — a `+0.0`/`-0.0` tie — yields a
-    /// zero denominator either way (the member-wise fallback under
-    /// `WorkConserving`, `1.0` under `Strict`).
+    /// per member without moving a bit. The member totals are exactly
+    /// the totals of the covered groups, so the max runs over the cover,
+    /// in its own order: a max over non-NaN values is exact and
+    /// independent of order, and the one order-sensitive case, a
+    /// `+0.0`/`-0.0` tie, gives a zero denominator (the member-wise
+    /// fallback under `WorkConserving`, `1.0` under `Strict`) either
+    /// way. Both folds skip NaN (the max through its `>` test, the min
+    /// through `f64::min`), so NaN totals drop out of either alike. The
+    /// member-wise loop stays for mixed speeds and for the degenerate
+    /// denominators (zero, infinite, or no non-NaN total) and shares
+    /// (NaN) where the argument does not hold.
     #[inline]
     fn gang_rate(&self, si: usize, strict: bool) -> f64 {
         let share = self.share_scratch[si];
         let start = self.gang_start[si] as usize;
-        let members = &self.gang_nodes[start..start + self.width[si] as usize];
         let denom_of = |total: f64| if strict { total.max(1.0) } else { total };
         if let Some(speed) = self.uniform_speed {
             // `t > m` skips a NaN total just as `f64::max` would, but
             // lowers to one max instruction instead of a NaN-aware
             // select sequence on the fold's dependency chain.
-            let totals = &self.totals_scratch;
-            let mut acc = [f64::NEG_INFINITY; 4];
-            let mut quads = members.chunks_exact(4);
-            for q in &mut quads {
-                for k in 0..4 {
-                    let t = totals[q[k] as usize];
-                    if t > acc[k] {
-                        acc[k] = t;
-                    }
-                }
-            }
-            for (k, &ni) in quads.remainder().iter().enumerate() {
-                let t = totals[ni as usize];
-                if t > acc[k] {
-                    acc[k] = t;
-                }
-            }
-            let mut busiest = acc[0];
-            for &a in &acc[1..] {
-                if a > busiest {
-                    busiest = a;
+            let mut busiest = f64::NEG_INFINITY;
+            for &g in &self.cover[start..start + self.cover_len[si] as usize] {
+                let t = self.totals_scratch[g as usize];
+                if t > busiest {
+                    busiest = t;
                 }
             }
             let denom = denom_of(busiest);
@@ -1458,9 +1502,10 @@ impl ProportionalCluster {
             }
         }
         let mut rate = f64::INFINITY;
-        for &ni in members {
+        for &ni in &self.gang_nodes[start..start + self.width[si] as usize] {
             let ni = ni as usize;
-            rate = rate.min(share / denom_of(self.totals_scratch[ni]) * self.speeds[ni]);
+            let total = self.totals_scratch[self.group_of[ni] as usize];
+            rate = rate.min(share / denom_of(total) * self.speeds[ni]);
         }
         rate
     }
@@ -1548,9 +1593,9 @@ impl ProportionalCluster {
     }
 
     /// Rebuilds an engine from a snapshot. Canonical state is injected
-    /// verbatim; every derived structure — per-node share totals,
-    /// min-deadline and set-hash summaries, the resident-set index,
-    /// scratch — is recomputed from it, and rates and the event-gap
+    /// verbatim; every derived structure — group share totals,
+    /// min-deadline and set-hash summaries, the resident-set index and
+    /// covers, scratch — is recomputed from it, and rates and the event-gap
     /// minimum are left for the first reader to settle. The totals are
     /// the same from-zero ascending-job-id fold every live recompute
     /// uses, so the restored engine is bitwise equal to the one the
@@ -1630,12 +1675,14 @@ impl ProportionalCluster {
                 list[pos] = s;
                 member_lists[ni][pos] = i as u32;
                 eng.gang_nodes.push(node.0);
+                eng.cover.push(0);
                 eng.set_hash[ni] ^= slot_mix(s);
                 eng.node_min_dl[ni] = eng.node_min_dl[ni].min(dl);
             }
             // Replaying each resident's admission split rebuilds the
             // index: splits depend only on group ids and sizes, never on
-            // list order.
+            // list order. The covers of earlier residents are rebuilt
+            // below, once the node lists they are found through exist.
             eng.split_groups(&r.nodes, s);
             eng.ids[slot] = r.job.id;
             eng.remaining_work[slot] = r.remaining_work;
@@ -1661,6 +1708,18 @@ impl ProportionalCluster {
             }
             eng.node_jobs[ni] = list;
             eng.node_member[ni] = members;
+        }
+        for slot in 0..snap.residents.len() {
+            let start = eng.gang_start[slot] as usize;
+            let mut len = 0;
+            for k in start..start + eng.width[slot] as usize {
+                let g = eng.group_of[eng.gang_nodes[k] as usize];
+                if !eng.cover[start..start + len].contains(&g) {
+                    eng.cover[start + len] = g;
+                    len += 1;
+                }
+            }
+            eng.cover_len[slot] = len as u32;
         }
         eng.recompute_pass1();
         Ok(eng)
@@ -1842,7 +1901,7 @@ mod tests {
             let share = e.share_scratch[si];
             let m = e.meta[si].as_ref().unwrap();
             m.nodes.iter().fold(f64::INFINITY, |rate, n| {
-                let total = e.totals_scratch[n.0 as usize];
+                let total = e.totals_scratch[e.group_of[n.0 as usize] as usize];
                 let denom = if strict { total.max(1.0) } else { total };
                 rate.min(share / denom * e.cluster.speed_factor(*n))
             })
@@ -1858,10 +1917,28 @@ mod tests {
         for (c, uniform) in [(cluster(3), true), (mixed, false)] {
             let mut e = ProportionalCluster::new(c, ProportionalConfig::default());
             assert_eq!(e.uniform_speed.is_some(), uniform);
+            // Totals are per resident-set group: one-node residents on
+            // two of the gang's members put its three members in three
+            // groups, so each case sets each member's total on its own.
+            e.admit(
+                job(1, 0.0, 100.0, 100.0, 1, 400.0),
+                vec![NodeId(0)],
+                SimTime::ZERO,
+            );
+            e.admit(
+                job(2, 0.0, 100.0, 100.0, 1, 400.0),
+                vec![NodeId(1)],
+                SimTime::ZERO,
+            );
             e.admit(
                 job(0, 0.0, 100.0, 100.0, 3, 400.0),
                 vec![NodeId(2), NodeId(0), NodeId(1)],
                 SimTime::ZERO,
+            );
+            let groups = [0, 1, 2].map(|n| e.group_of[n]);
+            assert!(
+                groups[0] != groups[1] && groups[1] != groups[2] && groups[0] != groups[2],
+                "members share a group: {groups:?}"
             );
             let si = e.slot_of(JobId(0)).unwrap();
             // (share, member totals): a zero share over zero totals (the
@@ -1881,7 +1958,9 @@ mod tests {
             ];
             for (share, totals) in cases {
                 e.share_scratch[si] = share;
-                e.totals_scratch.copy_from_slice(&totals);
+                for (&g, &total) in groups.iter().zip(&totals) {
+                    e.totals_scratch[g as usize] = total;
+                }
                 for strict in [false, true] {
                     assert_eq!(
                         e.gang_rate(si, strict).to_bits(),
@@ -2390,7 +2469,10 @@ mod tests {
     /// The index's bookkeeping against its partition: sizes count the
     /// members, the free list holds exactly the memberless ids, each
     /// speed class names the group of its empty nodes (none when it has
-    /// no empty node), and the scratch is clear between calls.
+    /// no empty node), and the scratch is clear between calls. Each
+    /// resident's cover is the set of its members' groups, and while the
+    /// pass-1 scratch is valid every node's group total is bitwise the
+    /// ascending-id fold of its residents' shares.
     fn assert_index_consistent(e: &ProportionalCluster) {
         let n = e.cluster.len();
         let mut size = vec![0u32; n];
@@ -2424,6 +2506,41 @@ mod tests {
             }
         }
         assert_eq!(keys, e.key_count, "group key counts");
+        for &s in &e.order {
+            let si = s as usize;
+            let start = e.gang_start[si] as usize;
+            let mut cover = e.cover[start..start + e.cover_len[si] as usize].to_vec();
+            cover.sort_unstable();
+            let mut want: Vec<u32> = e.meta[si]
+                .as_ref()
+                .expect("ordered slot is resident")
+                .nodes
+                .iter()
+                .map(|m| e.group_of[m.0 as usize])
+                .collect();
+            want.sort_unstable();
+            want.dedup();
+            assert_eq!(cover, want, "cover of {}", e.ids[si]);
+        }
+        if e.scratch_valid {
+            let now = e.last_update.as_secs();
+            let mut fold = vec![0.0f64; n];
+            for &s in &e.order {
+                let si = s as usize;
+                let rd = (e.abs_deadline[si] - now).max(EPS_DEADLINE);
+                let share = e.remaining_est[si].max(EPS_WORK) / rd;
+                for m in &e.meta[si].as_ref().expect("ordered slot is resident").nodes {
+                    fold[m.0 as usize] += share;
+                }
+            }
+            for (ni, want) in fold.iter().enumerate() {
+                assert_eq!(
+                    e.totals_scratch[e.group_of[ni] as usize].to_bits(),
+                    want.to_bits(),
+                    "group total of node {ni}"
+                );
+            }
+        }
     }
 
     /// One random engine mutation of the churn tests, with job id `id`:

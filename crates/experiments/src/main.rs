@@ -9,8 +9,54 @@
 use experiments::figures::{self, FigureConfig};
 use experiments::report;
 use metrics::Table;
+use std::fmt;
+use std::io::{self, Write};
 use std::path::PathBuf;
 use std::process::ExitCode;
+use std::sync::atomic::{AtomicBool, Ordering};
+
+/// Set once a write found its pipe closed: the reader wants no more
+/// output (`experiments all | head -1`).
+static OUTPUT_CLOSED: AtomicBool = AtomicBool::new(false);
+
+/// Writes to stdout, or to stderr with `to_stderr`: the one sink of
+/// every line the binary prints. A closed pipe sets [`OUTPUT_CLOSED`]
+/// and drops this and every later write, so the output ends quietly
+/// and `main` runs no further subcommand; any other write error panics,
+/// as `print!` would.
+fn emit(to_stderr: bool, args: fmt::Arguments) {
+    if OUTPUT_CLOSED.load(Ordering::Relaxed) {
+        return;
+    }
+    let written = if to_stderr {
+        io::stderr().lock().write_fmt(args)
+    } else {
+        io::stdout().lock().write_fmt(args)
+    };
+    match written {
+        Err(e) if e.kind() == io::ErrorKind::BrokenPipe => {
+            OUTPUT_CLOSED.store(true, Ordering::Relaxed)
+        }
+        Err(e) => panic!("failed printing: {e}"),
+        Ok(()) => {}
+    }
+}
+
+/// `print!` through [`emit`].
+macro_rules! out {
+    ($($arg:tt)*) => { emit(false, format_args!($($arg)*)) };
+}
+
+/// `println!` through [`emit`].
+macro_rules! outln {
+    () => { emit(false, format_args!("\n")) };
+    ($($arg:tt)*) => { emit(false, format_args!("{}\n", format_args!($($arg)*))) };
+}
+
+/// `eprintln!` through [`emit`].
+macro_rules! errln {
+    ($($arg:tt)*) => { emit(true, format_args!("{}\n", format_args!($($arg)*))) };
+}
 
 struct Args {
     command: String,
@@ -144,26 +190,26 @@ fn usage() -> String {
 
 fn emit_figure(fig: &figures::Figure, out: &Option<PathBuf>, charts: bool) {
     if charts {
-        print!("{}", report::figure_to_markdown_with_charts(fig));
+        out!("{}", report::figure_to_markdown_with_charts(fig));
     } else {
-        print!("{}", report::figure_to_markdown(fig));
+        out!("{}", report::figure_to_markdown(fig));
     }
     if let Some(dir) = out {
         match report::write_figure_csv(fig, dir) {
             Ok(paths) => {
                 for p in paths {
-                    eprintln!("wrote {}", p.display());
+                    errln!("wrote {}", p.display());
                 }
             }
-            Err(e) => eprintln!("cannot write CSVs: {e}"),
+            Err(e) => errln!("cannot write CSVs: {e}"),
         }
         match report::write_figure_svg(fig, dir) {
             Ok(paths) => {
                 for p in paths {
-                    eprintln!("wrote {}", p.display());
+                    errln!("wrote {}", p.display());
                 }
             }
-            Err(e) => eprintln!("cannot write SVGs: {e}"),
+            Err(e) => errln!("cannot write SVGs: {e}"),
         }
     }
 }
@@ -171,12 +217,12 @@ fn emit_figure(fig: &figures::Figure, out: &Option<PathBuf>, charts: bool) {
 /// Prints `table` as markdown and, with `--out`, writes it to
 /// `file_name` in that directory.
 fn emit_table(table: &Table, file_name: &str, out: &Option<PathBuf>) {
-    print!("{}", table.to_markdown());
+    out!("{}", table.to_markdown());
     if let Some(dir) = out {
         let path = dir.join(file_name);
         match report::write_table_csv(table, &path) {
-            Ok(()) => eprintln!("wrote {}", path.display()),
-            Err(e) => eprintln!("cannot write CSV: {e}"),
+            Ok(()) => errln!("wrote {}", path.display()),
+            Err(e) => errln!("cannot write CSV: {e}"),
         }
     }
 }
@@ -194,8 +240,8 @@ fn handler(which: &str) -> Option<fn(&Args)> {
             );
             if args.charts {
                 for table in figures::trace_analysis_tables(cfg) {
-                    println!();
-                    print!("{}", table.to_markdown());
+                    outln!();
+                    out!("{}", table.to_markdown());
                 }
             }
         },
@@ -229,24 +275,24 @@ fn handler(which: &str) -> Option<fn(&Args)> {
             let policy = librisk::PolicyKind::LibraRisk;
             let scenario = obs_run::obs_scenario(cfg);
             let t = obs_run::timeline(&scenario, policy);
-            println!(
+            outln!(
                 "# Gauge timeline — {policy:?} under churn, {} jobs\n",
                 t.jobs
             );
-            println!("| curve | points |");
-            println!("| --- | --- |");
-            println!("| utilization | {} |", t.utilization.len());
-            println!("| in-flight / nodes | {} |", t.in_flight.len());
+            outln!("| curve | points |");
+            outln!("| --- | --- |");
+            outln!("| utilization | {} |", t.utilization.len());
+            outln!("| in-flight / nodes | {} |", t.in_flight.len());
             if let Some(g) = &t.gauge {
-                println!("| {} | {} |", g.name(), g.len());
+                outln!("| {} | {} |", g.name(), g.len());
             }
             if let Some(dir) = &args.out {
                 let path = dir.join("timeline.svg");
                 match std::fs::create_dir_all(dir)
                     .and_then(|()| std::fs::write(&path, t.to_svg(policy)))
                 {
-                    Ok(()) => eprintln!("wrote {}", path.display()),
-                    Err(e) => eprintln!("cannot write SVG: {e}"),
+                    Ok(()) => errln!("wrote {}", path.display()),
+                    Err(e) => errln!("cannot write SVG: {e}"),
                 }
             }
         },
@@ -257,18 +303,18 @@ fn handler(which: &str) -> Option<fn(&Args)> {
             let scenario = obs_run::obs_scenario(cfg);
             let (rec, report) = obs_run::trace_run(&scenario, policy, 1 << 16);
             if let Err(e) = obs_run::validate_exports(&rec) {
-                eprintln!("export validation failed: {e}");
+                errln!("export validation failed: {e}");
                 std::process::exit(1);
             }
-            println!("# Decision trace — {policy:?} under churn\n");
-            println!("| metric | value |");
-            println!("| --- | --- |");
-            println!("| events retained | {} |", rec.len());
-            println!("| events dropped | {} |", rec.dropped());
-            println!("| submitted | {} |", report.submitted());
-            println!("| fulfilled | {} |", report.fulfilled());
-            println!("| rejected | {} |", report.rejected());
-            println!(
+            outln!("# Decision trace — {policy:?} under churn\n");
+            outln!("| metric | value |");
+            outln!("| --- | --- |");
+            outln!("| events retained | {} |", rec.len());
+            outln!("| events dropped | {} |", rec.dropped());
+            outln!("| submitted | {} |", report.submitted());
+            outln!("| fulfilled | {} |", report.fulfilled());
+            outln!("| rejected | {} |", report.rejected());
+            outln!(
                 "| decisions counted | {} |",
                 rec.registry().counter(obs::keys::DECISIONS)
             );
@@ -276,12 +322,12 @@ fn handler(which: &str) -> Option<fn(&Args)> {
                 let write = |name: &str, body: String| {
                     let path = dir.join(name);
                     match std::fs::write(&path, body) {
-                        Ok(()) => eprintln!("wrote {}", path.display()),
-                        Err(e) => eprintln!("cannot write {name}: {e}"),
+                        Ok(()) => errln!("wrote {}", path.display()),
+                        Err(e) => errln!("cannot write {name}: {e}"),
                     }
                 };
                 if let Err(e) = std::fs::create_dir_all(dir) {
-                    eprintln!("cannot create {}: {e}", dir.display());
+                    errln!("cannot create {}: {e}", dir.display());
                 } else {
                     write("events.jsonl", rec.to_jsonl());
                     write("trace.json", rec.to_chrome_trace());
@@ -293,11 +339,11 @@ fn handler(which: &str) -> Option<fn(&Args)> {
             let cfg = &args.cfg;
             use experiments::shard_scaling;
             let rows = shard_scaling::shard_scaling(cfg);
-            println!("# Sharded router — fulfilled vs shard count\n");
-            println!("| shards | jobs | fulfilled | oracle fulfilled | identity |");
-            println!("| --- | --- | --- | --- | --- |");
+            outln!("# Sharded router — fulfilled vs shard count\n");
+            outln!("| shards | jobs | fulfilled | oracle fulfilled | identity |");
+            outln!("| --- | --- | --- | --- | --- |");
             for r in &rows {
-                println!(
+                outln!(
                     "| {} | {} | {} | {} | {} |",
                     r.shards,
                     r.jobs,
@@ -308,7 +354,7 @@ fn handler(which: &str) -> Option<fn(&Args)> {
             }
             if let Some(dir) = &args.out {
                 if let Err(e) = std::fs::create_dir_all(dir) {
-                    eprintln!("cannot create {}: {e}", dir.display());
+                    errln!("cannot create {}: {e}", dir.display());
                 } else {
                     for (name, body) in [
                         ("shard_scaling.csv", shard_scaling::shard_scaling_csv(&rows)),
@@ -316,8 +362,8 @@ fn handler(which: &str) -> Option<fn(&Args)> {
                     ] {
                         let path = dir.join(name);
                         match std::fs::write(&path, body) {
-                            Ok(()) => eprintln!("wrote {}", path.display()),
-                            Err(e) => eprintln!("cannot write {name}: {e}"),
+                            Ok(()) => errln!("wrote {}", path.display()),
+                            Err(e) => errln!("cannot write {name}: {e}"),
                         }
                     }
                 }
@@ -327,16 +373,16 @@ fn handler(which: &str) -> Option<fn(&Args)> {
             let cfg = &args.cfg;
             use experiments::checkpoint_run;
             let probe = checkpoint_run::checkpoint_probe(cfg);
-            println!("# Checkpoint/restore — LibraRisk under churn\n");
-            println!("| metric | value |");
-            println!("| --- | --- |");
-            println!("| jobs (snapshot at) | {} ({}) |", probe.jobs, probe.cut);
-            println!("| snapshot size | {} bytes |", probe.snapshot_bytes);
-            println!(
+            outln!("# Checkpoint/restore — LibraRisk under churn\n");
+            outln!("| metric | value |");
+            outln!("| --- | --- |");
+            outln!("| jobs (snapshot at) | {} ({}) |", probe.jobs, probe.cut);
+            outln!("| snapshot size | {} bytes |", probe.snapshot_bytes);
+            outln!(
                 "| resumed == unbroken | ok ({} fulfilled) |",
                 probe.fulfilled
             );
-            println!(
+            outln!(
                 "| corruption detected | {} |",
                 if probe.corruption_detected {
                     "ok"
@@ -346,12 +392,12 @@ fn handler(which: &str) -> Option<fn(&Args)> {
             );
             if let Some(dir) = &args.out {
                 if let Err(e) = std::fs::create_dir_all(dir) {
-                    eprintln!("cannot create {}: {e}", dir.display());
+                    errln!("cannot create {}: {e}", dir.display());
                 } else {
                     let path = dir.join("checkpoint.csv");
                     match std::fs::write(&path, probe.to_csv()) {
-                        Ok(()) => eprintln!("wrote {}", path.display()),
-                        Err(e) => eprintln!("cannot write checkpoint.csv: {e}"),
+                        Ok(()) => errln!("wrote {}", path.display()),
+                        Err(e) => errln!("cannot write checkpoint.csv: {e}"),
                     }
                 }
             }
@@ -367,13 +413,13 @@ fn handler(which: &str) -> Option<fn(&Args)> {
             };
             match telemetry_run::serve(&opts) {
                 Ok(s) => {
-                    println!("# Telemetry serve — {} shards\n", opts.shards);
-                    println!("| metric | value |");
-                    println!("| --- | --- |");
-                    println!("| submitted | {} |", s.submitted);
-                    println!("| fulfilled | {} |", s.fulfilled);
-                    println!("| publish rounds | {} |", s.publishes);
-                    println!(
+                    outln!("# Telemetry serve — {} shards\n", opts.shards);
+                    outln!("| metric | value |");
+                    outln!("| --- | --- |");
+                    outln!("| submitted | {} |", s.submitted);
+                    outln!("| fulfilled | {} |", s.fulfilled);
+                    outln!("| publish rounds | {} |", s.publishes);
+                    outln!(
                         "| ended by | {} |",
                         if s.shut_down_remotely {
                             "GET /shutdown"
@@ -383,7 +429,7 @@ fn handler(which: &str) -> Option<fn(&Args)> {
                     );
                 }
                 Err(e) => {
-                    eprintln!("serve failed: {e}");
+                    errln!("serve failed: {e}");
                     std::process::exit(1);
                 }
             }
@@ -397,20 +443,23 @@ fn main() -> ExitCode {
     let args = match parse_args() {
         Ok(a) => a,
         Err(e) => {
-            eprintln!("{e}");
+            errln!("{e}");
             return ExitCode::FAILURE;
         }
     };
     let cmd = args.command.as_str();
     if !COMMANDS.contains(&cmd) {
-        eprintln!("unknown command {cmd}\n{}", usage());
+        errln!("unknown command {cmd}\n{}", usage());
         return ExitCode::FAILURE;
     }
     let one = [cmd];
     let start = std::time::Instant::now();
     for which in if cmd == "all" { ALL } else { &one } {
+        if OUTPUT_CLOSED.load(Ordering::Relaxed) {
+            break;
+        }
         handler(which).expect("every listed command has a handler")(&args);
-        eprintln!("[{which} done at {:.1}s]", start.elapsed().as_secs_f64());
+        errln!("[{which} done at {:.1}s]", start.elapsed().as_secs_f64());
     }
     ExitCode::SUCCESS
 }
