@@ -225,13 +225,6 @@ health="$(curl -fsS "http://$addr/healthz")"
 curl -fsS "http://$addr/shutdown" >/dev/null
 wait "$serve_pid" || { echo "serve exited non-zero after /shutdown"; exit 1; }
 
-echo "== timing gates: overhead of inert features (release) =="
-# An empty fault plan, the noop and ring recorders, and the phase
-# profiler must each cost the unified driver only a bounded share of its
-# throughput on the 2,000-job golden trace (interleaved rounds; bounds in
-# the test file). Wall-clock tests: release only, one at a time.
-cargo test --release -q -p librisk --test overhead_gates -- --ignored --test-threads=1
-
 echo "== perf floor: ledger throughput vs baseline.json =="
 # One untraced ledger replay each of `paper-100k` (the unified driver)
 # and `sharded-batch` (the shard router), against half the jobs_per_s
@@ -267,5 +260,12 @@ if printf '%s\n' "$perf_out" | grep -q '^PERF_REGRESSION '; then
     fi
     echo "perf floor: WARNING only (set CI_PERF_STRICT=1 to fail on this)"
 fi
+
+echo "== timing gates: overhead of inert features (release) =="
+# An empty fault plan, the noop and ring recorders, and the phase
+# profiler must each cost the unified driver only a bounded share of its
+# throughput on the 2,000-job golden trace (interleaved rounds; bounds in
+# the test file). Wall-clock tests: release only, one at a time.
+cargo test --release -q -p librisk --test overhead_gates -- --ignored --test-threads=1
 
 echo "ci.sh: OK"

@@ -29,13 +29,14 @@
 //! Residents live in a slot arena: scalar hot fields (`rate`,
 //! `remaining_work`, `remaining_est`, cached deadline) are struct-of-arrays
 //! vectors indexed by a stable slot, and the cold per-job state (the `Job`
-//! itself, node list, bookkeeping) sits in a parallel `meta` arena touched
-//! only on structural events. Iteration order is fixed by `order`, the
-//! live slots sorted by ascending `JobId` — exactly the order the previous
-//! `BTreeMap` storage iterated in, so every floating-point reduction
-//! (share totals, busy integrals, event-gap minima) accumulates in the
-//! same sequence and stays bitwise identical to the retained
-//! [`ProportionalCluster::advance_reference`] oracle.
+//! itself, start instant, overrun count) sits in a parallel `meta` arena
+//! touched only on structural events. A gang's member nodes are kept
+//! once, as its run in a flat arena (`gang_nodes`). Iteration order is
+//! fixed by `order`, the live slots sorted by ascending `JobId` — exactly
+//! the order the previous `BTreeMap` storage iterated in, so every
+//! floating-point reduction (share totals, busy integrals, event-gap
+//! minima) accumulates in the same sequence and stays bitwise identical
+//! to the retained [`ProportionalCluster::advance_reference`] oracle.
 //!
 //! The advance hot path is allocation-free: share totals, the per-slot
 //! share scratch, and the completion/victim worklists are engine-owned
@@ -185,10 +186,6 @@ pub struct EngineSnapshot {
 #[derive(Clone, Debug)]
 struct ResidentMeta {
     job: Job,
-    nodes: Vec<NodeId>,
-    /// `slots[i]` is this job's index within `node_jobs[nodes[i]]`,
-    /// maintained across `swap_remove` so removal never scans the list.
-    slots: Vec<u32>,
     started: SimTime,
     overruns: u32,
 }
@@ -214,24 +211,18 @@ pub struct ProportionalCluster {
     remaining_est: Vec<f64>,
     /// Cached `job.absolute_deadline().as_secs()`.
     abs_deadline: Vec<f64>,
-    /// Cached `job.estimate.as_secs()` (overrun re-arm input).
-    estimate_secs: Vec<f64>,
-    /// Gang width; `1` selects the single-node fast path.
+    /// Gang width: the length of the slot's run in [`Self::gang_nodes`].
     width: Vec<u32>,
-    /// Gang width as f64 (busy-integral multiplier, cached to keep the
-    /// progress loop free of int→float conversions).
-    width_f: Vec<f64>,
-    /// First (and for `width == 1`, only) node of the gang.
-    node0: Vec<u32>,
     /// Start of the gang's member-node run in [`Self::gang_nodes`].
     gang_start: Vec<u32>,
     /// Flat arena of gang member-node indices: slot `s` occupies
     /// `gang_nodes[gang_start[s]..gang_start[s] + width[s]]`, in
-    /// allocation order — the same order `meta[s].nodes` holds, so hot
-    /// loops walking the arena visit nodes in the reference order without
-    /// the `meta` box + `Vec` double indirection. Released slots leave
-    /// their run behind as dead entries; `admit` compacts the arena once
-    /// dead entries outnumber live ones (see `compact_gang_nodes`).
+    /// allocation order. The run is the one record of a gang's members:
+    /// removal, the index upkeep, the reference oracles and `snapshot`
+    /// all read it. A released slot's run stays intact until the slot is
+    /// reused (`merge_groups` reads it after the release) and is left
+    /// behind as dead entries; `admit` compacts the arena once dead
+    /// entries outnumber live ones (see `compact_gang_nodes`).
     gang_nodes: Vec<u32>,
     /// Parallel to `gang_nodes`: slot `s`'s **cover**, the distinct
     /// resident-set groups its members belong to, in no particular order,
@@ -255,13 +246,10 @@ pub struct ProportionalCluster {
     order: Vec<u32>,
     free_slots: Vec<u32>,
     /// Arena slots resident per node, in admission order (removals
-    /// `swap_remove`, mirroring the historical `Vec<JobId>` lists).
+    /// `swap_remove`, mirroring the historical `Vec<JobId>` lists). A
+    /// removal finds its entry by scanning the list: lists are short (a
+    /// mean of 1.6 entries per node on `paper-100k`, 3.1 on `overload-4x`).
     node_jobs: Vec<Vec<u32>>,
-    /// Parallel to `node_jobs`: `node_member[n][p]` is the index `i`
-    /// with `meta.nodes[i] == n` in the resident at `node_jobs[n][p]`,
-    /// swapped along with its entry, so a removal patches the moved
-    /// resident's `slots[i]` without searching its member list.
-    node_member: Vec<Vec<u32>>,
     last_update: SimTime,
     busy_integral: f64,
     /// Node-seconds spent down over `[0, last_update]` — subtracted from
@@ -314,17 +302,6 @@ pub struct ProportionalCluster {
     /// reader, so all the changes of one instant share one pass 2; a
     /// zero-width advance changes no input and leaves it alone.
     rates_clean: bool,
-    /// `true` while `share_scratch`/`totals_scratch` hold the pass-1
-    /// values of the current resident state at `last_update`: each
-    /// resident's Eq. 1 share, and per resident-set group the from-zero
-    /// ascending-id fold of its residents' shares (zero for the empty
-    /// groups). Every fast-path writer keeps them so. [`ProportionalCluster::recompute_rates_reference`]
-    /// computes its totals into a local buffer — bitwise the same rates,
-    /// but it leaves the engine scratch stale, so paths that extend or
-    /// read the scratch (`admit`'s append, `settle`, the share-total
-    /// read) check this flag and rerun pass 1 (or read the lists) when
-    /// it is down.
-    scratch_valid: bool,
     /// Reusable worklist for completions discovered by the progress pass.
     completed_scratch: Vec<u32>,
     /// Reusable worklist for `fail_node` victims.
@@ -335,7 +312,10 @@ pub struct ProportionalCluster {
     /// same residents, so the ascending-id fold of their shares is one
     /// value, and each resident adds its share once per covered group.
     /// Zeroed with one `fill` per pass 1; entries of free group ids are
-    /// garbage.
+    /// garbage. Between public calls the totals and `share_scratch`
+    /// always hold the pass-1 values of the current residents at
+    /// `last_update` (zero for the empty groups): every writer, the
+    /// reference oracles included, leaves them so.
     totals_scratch: Vec<f64>,
     /// Per-node down flags. A down node hosts no jobs and must never be
     /// an admission target.
@@ -444,10 +424,7 @@ impl ProportionalCluster {
             remaining_work: Vec::new(),
             remaining_est: Vec::new(),
             abs_deadline: Vec::new(),
-            estimate_secs: Vec::new(),
             width: Vec::new(),
-            width_f: Vec::new(),
-            node0: Vec::new(),
             gang_start: Vec::new(),
             gang_nodes: Vec::new(),
             cover: Vec::new(),
@@ -458,7 +435,6 @@ impl ProportionalCluster {
             order: Vec::new(),
             free_slots: Vec::new(),
             node_jobs: vec![Vec::new(); n],
-            node_member: vec![Vec::new(); n],
             last_update: SimTime::ZERO,
             busy_integral: 0.0,
             down_integral: 0.0,
@@ -474,7 +450,6 @@ impl ProportionalCluster {
             key_count,
             next_dt: f64::INFINITY,
             rates_clean: true,
-            scratch_valid: true,
             completed_scratch: Vec::new(),
             victims_scratch: Vec::new(),
             totals_scratch: vec![0.0; n],
@@ -592,10 +567,7 @@ impl ProportionalCluster {
         self.remaining_work.push(0.0);
         self.remaining_est.push(0.0);
         self.abs_deadline.push(0.0);
-        self.estimate_secs.push(0.0);
         self.width.push(0);
-        self.width_f.push(0.0);
-        self.node0.push(0);
         self.gang_start.push(0);
         self.cover_len.push(0);
         self.share_scratch.push(0.0);
@@ -634,7 +606,7 @@ impl ProportionalCluster {
     }
 
     /// Index upkeep for an admission: slot `s` has just joined every
-    /// node of `nodes` and no other. No node outside the gang holds the
+    /// node of its run and no other. No node outside the gang holds the
     /// fresh slot, so no two groups can merge; each group the gang
     /// touches keeps its id if the gang covers all of it and otherwise
     /// splits, its gang members moving to a new id together (they held
@@ -645,13 +617,15 @@ impl ProportionalCluster {
     /// When a group `g` splits into `g` and `to`, every other resident of
     /// `g` sits on both halves, so `to` joins its cover; it is found on
     /// the gang's first member in `g`.
-    fn split_groups(&mut self, nodes: &[NodeId], s: u32) {
+    fn split_groups(&mut self, s: u32) {
         let mut touched = std::mem::take(&mut self.touched_groups);
         touched.clear();
-        for n in nodes {
-            let g = self.group_of[n.0 as usize];
+        let start = self.gang_start[s as usize] as usize;
+        let run = start..start + self.width[s as usize] as usize;
+        for &n in &self.gang_nodes[run.clone()] {
+            let g = self.group_of[n as usize];
             if self.group_scratch[g as usize] == 0 {
-                touched.push((g, n.0));
+                touched.push((g, n));
             }
             self.group_scratch[g as usize] += 1;
         }
@@ -674,7 +648,6 @@ impl ProportionalCluster {
             };
             self.key_count[key_bucket(buckets, self.set_hash[n], class)] += 1;
         }
-        let start = self.gang_start[s as usize] as usize;
         for (k, &(g, n)) in touched.iter().enumerate() {
             let to = self.group_scratch[g as usize];
             self.cover[start + k] = to;
@@ -689,8 +662,8 @@ impl ProportionalCluster {
             }
         }
         self.cover_len[s as usize] = touched.len() as u32;
-        for n in nodes {
-            let ni = n.0 as usize;
+        for &n in &self.gang_nodes[run] {
+            let ni = n as usize;
             let g = self.group_of[ni];
             let to = self.group_scratch[g as usize];
             if to != g {
@@ -706,26 +679,27 @@ impl ProportionalCluster {
     }
 
     /// Index upkeep for a removal: slot `s` has just left every node of
-    /// `nodes`. Every member of a touched group held `s`, so each
-    /// touched group lies wholly inside the gang and keeps its members;
-    /// only its set shrank. Two touched groups cannot now hold the same
+    /// its run, which its release leaves in place. Every member of a
+    /// touched group held `s`, so each touched group lies wholly inside
+    /// the gang and keeps its members; only its set shrank. Two touched groups cannot now hold the same
     /// set (both held `s`, so their old sets would have been equal too),
     /// so the only possible merge is with the one group outside the gang
     /// that already holds the shrunk set. Each group is settled at its
-    /// first member in `nodes`, and every member then moves to where its
+    /// first member in the run, and every member then moves to where its
     /// group went, so the walk stays linear in the gang width.
     ///
     /// Covers: when `g` merges into `into`, the residents left on `g`'s
     /// first member hold the shrunk set, so they already cover `into`;
     /// `g` is swap-removed from their covers.
-    fn merge_groups(&mut self, nodes: &[NodeId], s: u32) {
+    fn merge_groups(&mut self, s: u32) {
         let mut touched = std::mem::take(&mut self.touched_groups);
         touched.clear();
-        for n in nodes {
-            let r = n.0 as usize;
+        let start = self.gang_start[s as usize] as usize;
+        for k in start..start + self.width[s as usize] as usize {
+            let r = self.gang_nodes[k] as usize;
             let g = self.group_of[r];
             if self.group_scratch[g as usize] == 0 {
-                touched.push((g, n.0));
+                touched.push((g, r as u32));
                 let (buckets, class) = (self.key_count.len(), self.speed_class[r]);
                 self.key_count[key_bucket(buckets, self.set_hash[r] ^ slot_mix(s), class)] -= 1;
                 let into = self.holder_of_shrunk_set(r, g);
@@ -780,9 +754,7 @@ impl ProportionalCluster {
             .iter()
             .min_by_key(|&&t| self.width[t as usize])
             .expect("the shrunk set is nonempty");
-        let start = self.gang_start[t as usize] as usize;
-        let members = &self.gang_nodes[start..start + self.width[t as usize] as usize];
-        members
+        self.members(t as usize)
             .iter()
             .map(|&m| m as usize)
             .find(|&m| {
@@ -824,41 +796,33 @@ impl ProportionalCluster {
             self.compact_gang_nodes();
         }
         let s = self.alloc_slot();
-        self.gang_start[s as usize] = self.gang_nodes.len() as u32;
+        let si = s as usize;
+        self.gang_start[si] = self.gang_nodes.len() as u32;
+        self.width[si] = nodes.len() as u32;
         self.gang_live += nodes.len();
         let dl = job.absolute_deadline().as_secs();
-        let mut slots = Vec::with_capacity(nodes.len());
-        for (i, n) in nodes.iter().enumerate() {
+        for n in &nodes {
             assert!(self.node_is_up(*n), "cannot admit {} onto down {n}", job.id);
             let ni = n.0 as usize;
             let list = &mut self.node_jobs[ni];
             // The fresh slot sits on no list yet, so finding it at the
             // tail means this node came earlier in the gang.
             assert!(list.last() != Some(&s), "duplicate node in allocation");
-            slots.push(list.len() as u32);
             list.push(s);
-            self.node_member[ni].push(i as u32);
             self.gang_nodes.push(n.0);
             self.cover.push(0);
             self.set_hash[ni] ^= slot_mix(s);
             self.node_min_dl[ni] = self.node_min_dl[ni].min(dl);
         }
-        self.split_groups(&nodes, s);
+        self.split_groups(s);
         let id = job.id;
-        let si = s as usize;
         self.ids[si] = id;
         self.rate[si] = 0.0;
         self.remaining_work[si] = work;
         self.remaining_est[si] = est;
         self.abs_deadline[si] = dl;
-        self.estimate_secs[si] = job.estimate.as_secs();
-        self.width[si] = nodes.len() as u32;
-        self.width_f[si] = nodes.len() as f64;
-        self.node0[si] = nodes[0].0;
         self.meta[si] = Some(ResidentMeta {
             job,
-            nodes,
-            slots,
             started: now,
             overruns: 0,
         });
@@ -872,17 +836,16 @@ impl ProportionalCluster {
                 pos
             }
         };
-        // Pass 1 only; pass 2 waits for the next reader. When the
-        // totals are current and the new job's id sorts last (ids are
-        // issued monotonically, so this is the common case), the
-        // reference's from-zero job-id order sum over each of its nodes
-        // is exactly the old total plus the new share — same left-fold,
-        // same bits. Each touched group `g` moved its gang members to
-        // `to` (`g` itself when the gang covered all of it), so `to`'s
-        // total is `g`'s plus the share, and `g`'s stays put. A fresh
-        // `to` is no touched group, so no total is read after its write.
-        // Any other case reruns pass 1.
-        if self.scratch_valid && pos + 1 == self.order.len() {
+        // Pass 1 only; pass 2 waits for the next reader. When the new
+        // job's id sorts last (ids are issued monotonically, so this is
+        // the common case), the reference's from-zero job-id order sum
+        // over each of its nodes is exactly the old total plus the new
+        // share — same left-fold, same bits. Each touched group `g` moved
+        // its gang members to `to` (`g` itself when the gang covered all
+        // of it), so `to`'s total is `g`'s plus the share, and `g`'s stays
+        // put. A fresh `to` is no touched group, so no total is read
+        // after its write. Any other case reruns pass 1.
+        if pos + 1 == self.order.len() {
             let now_s = now.as_secs();
             let rd = (self.abs_deadline[si] - now_s).max(EPS_DEADLINE);
             let share = self.remaining_est[si].max(EPS_WORK) / rd;
@@ -963,7 +926,7 @@ impl ProportionalCluster {
             for &s in &self.order {
                 let si = s as usize;
                 let progress = self.rate[si] * dt;
-                self.busy_integral += progress * self.width_f[si];
+                self.busy_integral += progress * f64::from(self.width[si]);
                 self.remaining_work[si] -= progress;
                 self.remaining_est[si] -= progress;
                 let share = if self.remaining_work[si] <= EPS_WORK {
@@ -973,9 +936,10 @@ impl ProportionalCluster {
                 } else if self.remaining_est[si] <= EPS_WORK {
                     // Overrun: the scheduler's belief was exhausted but the
                     // job is still running — re-arm a residual estimate.
-                    let re = (RESIDUAL_FRACTION * self.estimate_secs[si]).max(RESIDUAL_FLOOR);
+                    let m = self.meta[si].as_mut().expect("resident has meta");
+                    m.overruns += 1;
+                    let re = (RESIDUAL_FRACTION * m.job.estimate.as_secs()).max(RESIDUAL_FLOOR);
                     self.remaining_est[si] = re;
-                    self.meta[si].as_mut().expect("resident has meta").overruns += 1;
                     let rd = (self.abs_deadline[si] - now_s).max(EPS_DEADLINE);
                     let share = re.max(EPS_WORK) / rd;
                     self.share_scratch[si] = share;
@@ -1005,16 +969,15 @@ impl ProportionalCluster {
             obs::phase::lap_mark(obs::phase::Phase::CompletionEmit);
             // Totals and shares are current for exactly the survivors
             // (see above); rates wait for their next reader.
-            self.scratch_valid = true;
             self.rates_clean = false;
         }
         self.last_update = now;
     }
 
     /// Reference implementation of [`ProportionalCluster::advance`]: the
-    /// pre-arena algorithm shape — fresh worklist allocations, a
-    /// per-resident walk of `meta` node lists, and an unconditional full
-    /// rate recompute even for zero-width steps. Kept as the
+    /// pre-arena algorithm shape — fresh worklist allocations, removals
+    /// after the sweep, and an unconditional full rate recompute even for
+    /// zero-width steps. Kept as the
     /// differential-test oracle; an engine driven exclusively through
     /// this path produces bitwise identical rates, completions,
     /// integrals, and event times.
@@ -1032,16 +995,16 @@ impl ProportionalCluster {
                 let s = self.order[idx];
                 let si = s as usize;
                 let progress = self.rate[si] * dt;
-                let m = self.meta[si].as_ref().expect("resident has meta");
-                self.busy_integral += progress * m.nodes.len() as f64;
+                self.busy_integral += progress * f64::from(self.width[si]);
                 self.remaining_work[si] -= progress;
                 self.remaining_est[si] -= progress;
                 if self.remaining_work[si] <= EPS_WORK {
                     completed_slots.push(s);
                 } else if self.remaining_est[si] <= EPS_WORK {
+                    let m = self.meta[si].as_mut().expect("resident has meta");
                     self.remaining_est[si] =
-                        (RESIDUAL_FRACTION * self.estimate_secs[si]).max(RESIDUAL_FLOOR);
-                    self.meta[si].as_mut().expect("resident has meta").overruns += 1;
+                        (RESIDUAL_FRACTION * m.job.estimate.as_secs()).max(RESIDUAL_FLOOR);
+                    m.overruns += 1;
                 }
             }
         }
@@ -1146,32 +1109,26 @@ impl ProportionalCluster {
         self.free_slots.push(s);
         self.gang_live -= self.width[s as usize] as usize;
         let r = self.meta[s as usize].take().expect("released job resident");
-        for (n, &slot) in r.nodes.iter().zip(&r.slots) {
-            self.remove_from_node(*n, slot as usize, s);
+        let start = self.gang_start[s as usize] as usize;
+        for k in start..start + self.width[s as usize] as usize {
+            self.remove_from_node(self.gang_nodes[k] as usize, s);
         }
-        self.merge_groups(&r.nodes, s);
+        self.merge_groups(s);
         r
     }
 
-    /// O(1) removal of slot `s` from a node's resident list: `swap_remove`
-    /// at its tracked position, then patch the recorded position of
-    /// whichever job was moved into the vacated position, at the member
-    /// index that moved with it.
-    fn remove_from_node(&mut self, node: NodeId, pos: usize, s: u32) {
-        let ni = node.0 as usize;
+    /// Removes slot `s` from node `ni`'s resident list: `swap_remove` at
+    /// the slot's position, found by scanning the (short) list, so the
+    /// last resident takes its place and the list order every share fold
+    /// and snapshot reads is the one the lists have always had.
+    fn remove_from_node(&mut self, ni: usize, s: u32) {
         let list = &mut self.node_jobs[ni];
-        debug_assert_eq!(list[pos], s, "slot bookkeeping out of sync");
+        let pos = list
+            .iter()
+            .position(|&r| r == s)
+            .expect("a resident sits on its members' lists");
         list.swap_remove(pos);
-        self.node_member[ni].swap_remove(pos);
         self.set_hash[ni] ^= slot_mix(s);
-        if let Some(&moved) = self.node_jobs[ni].get(pos) {
-            let i = self.node_member[ni][pos] as usize;
-            let m = self.meta[moved as usize]
-                .as_mut()
-                .expect("moved job resident");
-            debug_assert_eq!(m.nodes[i], node, "member index out of sync");
-            m.slots[i] = pos as u32;
-        }
         // Only the job holding the minimum can move it. Min-fold over
         // f64 is order-independent (deadlines are finite and positive),
         // so a rebuild over the post-swap list yields the same bits any
@@ -1249,24 +1206,19 @@ impl ProportionalCluster {
 
     /// The node's Eq. 2 resident share total at the current instant,
     /// served from the group totals recompute pass 1 keeps exact at
-    /// every change (already summed from exactly these floored shares)
-    /// whenever they are valid, settled rates or not; read from the
-    /// resident list otherwise. The accumulation order differs from
+    /// every change (already summed from exactly these floored shares),
+    /// settled rates or not. The accumulation order differs from
     /// [`ProportionalCluster::node_total_share`] (global job-id order vs
     /// resident-list order), so the result may differ in the last ulp —
     /// fine for margin-bearing consumers like the zero-risk screen, not
     /// for bitwise-pinned ones.
     pub fn node_share_total_now(&self, node: NodeId) -> f64 {
-        if self.scratch_valid {
-            self.totals_scratch[self.group_of[node.0 as usize] as usize]
-        } else {
-            self.node_total_share(node, None)
-        }
+        self.totals_scratch[self.group_of[node.0 as usize] as usize]
     }
 
     /// `(abs_deadline, remaining_est.max(EPS_WORK))` bit patterns of one
     /// arena slot — the projection-visible state of a resident, exactly
-    /// as [`ProportionalCluster::node_projection_into`] would emit it.
+    /// as [`ProportionalCluster::node_projection`] emits it.
     /// Read a node's slots through [`ProportionalCluster::node_slots`]
     /// with the engine borrowed: a completion or removal frees a slot for
     /// reuse, so a slot index held across a mutation may name another
@@ -1284,40 +1236,14 @@ impl ProportionalCluster {
     /// remaining *estimated* work and absolute deadlines, plus optionally
     /// a tentative new job (whose estimate is taken in full).
     pub fn node_projection(&self, node: NodeId, extra: Option<&Job>) -> Vec<ProjectedJob> {
-        let mut out = Vec::new();
-        self.node_projection_into(node, extra, &mut out);
-        out
-    }
-
-    /// [`ProportionalCluster::node_projection`] into a caller-owned buffer
-    /// (cleared first) — the allocation-free variant for admission hot
-    /// paths holding a `ProjectionWorkspace`. Returns the earliest
-    /// resident absolute deadline (`+∞` when nothing is resident), picked
-    /// up in the same pass so pre-kernel screens (see
-    /// `projection::screens_zero_risk`) need no second walk. The
-    /// tentative `extra` job is appended to `out` but excluded from the
-    /// returned minimum — it is per-candidate, not node state.
-    pub fn node_projection_into(
-        &self,
-        node: NodeId,
-        extra: Option<&Job>,
-        out: &mut Vec<ProjectedJob>,
-    ) -> f64 {
-        out.clear();
-        let mut min_dl = f64::INFINITY;
-        for &s in &self.node_jobs[node.0 as usize] {
-            let si = s as usize;
-            let abs_deadline = self.abs_deadline[si];
-            min_dl = min_dl.min(abs_deadline);
-            out.push(ProjectedJob {
-                remaining_est: self.remaining_est[si].max(EPS_WORK),
-                abs_deadline,
-            });
-        }
-        if let Some(j) = extra {
-            out.push(projected_job(j));
-        }
-        min_dl
+        self.node_jobs[node.0 as usize]
+            .iter()
+            .map(|&s| ProjectedJob {
+                remaining_est: self.remaining_est[s as usize].max(EPS_WORK),
+                abs_deadline: self.abs_deadline[s as usize],
+            })
+            .chain(extra.map(projected_job))
+            .collect()
     }
 
     /// The Eq. 1 share a not-yet-admitted job would require, evaluated at
@@ -1378,9 +1304,9 @@ impl ProportionalCluster {
     }
 
     /// Derives pending rates and the event-gap minimum: recompute pass 2
-    /// from the kept totals, after pass 1 when the scratch is stale. A
-    /// no-op once settled, so every reader calls it and an instant's
-    /// changes (advance sweep, admissions, evictions) share one pass 2.
+    /// from the totals pass 1 keeps exact. A no-op once settled, so
+    /// every reader calls it and an instant's changes (advance sweep,
+    /// admissions, evictions) share one pass 2.
     /// Bitwise inert: pass 2 is a pure function of the totals, shares,
     /// remaining work, deadlines and `last_update`, so one run after the
     /// instant's last change writes what an eager run after each change
@@ -1388,9 +1314,6 @@ impl ProportionalCluster {
     fn settle(&mut self) {
         if self.rates_clean {
             return;
-        }
-        if !self.scratch_valid {
-            self.recompute_pass1();
         }
         self.recompute_pass2();
         obs::phase::lap_mark(obs::phase::Phase::RecomputeSweep);
@@ -1419,28 +1342,20 @@ impl ProportionalCluster {
                 self.totals_scratch[g as usize] += share;
             }
         }
-        self.scratch_valid = true;
         self.rates_clean = false;
     }
 
     /// Pass 2 of the rate recompute: rates (gang = min over member
-    /// nodes) and the running event-gap minimum, consuming the group
-    /// totals and per-slot shares pass 1 left in engine scratch. Run
-    /// only by `settle`.
+    /// nodes, a lone node being a one-member gang) and the running
+    /// event-gap minimum, consuming the group totals and per-slot shares
+    /// pass 1 left in engine scratch. Run only by `settle`.
     fn recompute_pass2(&mut self) {
         let now = self.last_update.as_secs();
         let strict = matches!(self.cfg.discipline, ShareDiscipline::Strict);
         let mut min_dt = f64::INFINITY;
         for &s in &self.order {
             let si = s as usize;
-            let rate = if self.width[si] == 1 {
-                let ni = self.node0[si] as usize;
-                let total = self.totals_scratch[self.group_of[ni] as usize];
-                let denom = if strict { total.max(1.0) } else { total };
-                self.share_scratch[si] / denom * self.speeds[ni]
-            } else {
-                self.gang_rate(si, strict)
-            };
+            let rate = self.gang_rate(si, strict);
             // The share (and hence the rate) can underflow to exactly
             // zero when a co-resident share is astronomically inflated;
             // `event_dt` and the projection kernel tolerate that.
@@ -1460,7 +1375,8 @@ impl ProportionalCluster {
 
     /// A gang's rate: the min over its member nodes of
     /// `share / denom * speed`, from the group totals pass 1 left in
-    /// scratch.
+    /// scratch. A one-node job's cover is its node's group, so its rate
+    /// is that node's `share / denom * speed`, bit for bit.
     ///
     /// With one speed for every node, the min is the busiest member's:
     /// IEEE division by a positive denominator and multiplication by a
@@ -1502,7 +1418,7 @@ impl ProportionalCluster {
             }
         }
         let mut rate = f64::INFINITY;
-        for &ni in &self.gang_nodes[start..start + self.width[si] as usize] {
+        for &ni in self.members(si) {
             let ni = ni as usize;
             let total = self.totals_scratch[self.group_of[ni] as usize];
             rate = rate.min(share / denom_of(total) * self.speeds[ni]);
@@ -1510,10 +1426,18 @@ impl ProportionalCluster {
         rate
     }
 
+    /// The member nodes of slot `si`'s gang, in allocation order.
+    fn members(&self, si: usize) -> &[u32] {
+        let start = self.gang_start[si] as usize;
+        &self.gang_nodes[start..start + self.width[si] as usize]
+    }
+
     /// Reference implementation of the engine's private rate recompute
-    /// (`recompute_pass1` + `recompute_pass2`): fresh totals allocation,
-    /// no single-node fast path, and the event-gap minimum recovered by a
-    /// separate full scan. Kept as the differential-test oracle.
+    /// (`recompute_pass1` + `recompute_pass2`): per-node totals in a
+    /// fresh allocation, no resident-set groups or covers, and the
+    /// event-gap minimum recovered by a separate full scan. Kept as the
+    /// differential-test oracle. It installs its rates, then rebuilds
+    /// the engine's pass-1 scratch, which the fast paths extend and read.
     pub fn recompute_rates_reference(&mut self) {
         let now = self.last_update.as_secs();
         let mut totals = vec![0.0f64; self.cluster.len()];
@@ -1521,24 +1445,22 @@ impl ProportionalCluster {
             let si = s as usize;
             let rd = (self.abs_deadline[si] - now).max(EPS_DEADLINE);
             let share = self.remaining_est[si].max(EPS_WORK) / rd;
-            let m = self.meta[si].as_ref().expect("resident has meta");
-            for n in &m.nodes {
-                totals[n.0 as usize] += share;
+            for &n in self.members(si) {
+                totals[n as usize] += share;
             }
         }
         for &s in &self.order {
             let si = s as usize;
             let rd = (self.abs_deadline[si] - now).max(EPS_DEADLINE);
             let share = self.remaining_est[si].max(EPS_WORK) / rd;
-            let m = self.meta[si].as_ref().expect("resident has meta");
             let mut rate = f64::INFINITY;
-            for n in &m.nodes {
-                let total = totals[n.0 as usize];
+            for &n in self.members(si) {
+                let total = totals[n as usize];
                 let denom = match self.cfg.discipline {
                     ShareDiscipline::Strict => total.max(1.0),
                     ShareDiscipline::WorkConserving => total,
                 };
-                let node_rate = share / denom * self.cluster.speed_factor(*n);
+                let node_rate = share / denom * self.cluster.speed_factor(NodeId(n));
                 rate = rate.min(node_rate);
             }
             debug_assert!(rate.is_finite() && rate >= 0.0);
@@ -1555,12 +1477,9 @@ impl ProportionalCluster {
                 now,
             ));
         }
+        self.recompute_pass1();
         self.next_dt = min_dt;
         self.rates_clean = true;
-        // The totals above lived in a local buffer: the engine scratch is
-        // now stale relative to `rate`/`next_dt`, and incremental
-        // consumers must rebuild it before extending it.
-        self.scratch_valid = false;
     }
 
     /// Extracts the canonical engine state (see [`EngineSnapshot`]).
@@ -1574,10 +1493,17 @@ impl ProportionalCluster {
                 .map(|&s| {
                     let si = s as usize;
                     let m = self.meta[si].as_ref().expect("resident has meta");
+                    let members = self.members(si);
                     ResidentSnapshot {
                         job: m.job.clone(),
-                        nodes: m.nodes.clone(),
-                        node_positions: m.slots.clone(),
+                        nodes: members.iter().map(|&n| NodeId(n)).collect(),
+                        node_positions: members
+                            .iter()
+                            .map(|&n| {
+                                let list = &self.node_jobs[n as usize];
+                                list.iter().position(|&r| r == s).expect("listed") as u32
+                            })
+                            .collect(),
                         started: m.started,
                         overruns: m.overruns,
                         remaining_work: self.remaining_work[si],
@@ -1626,7 +1552,6 @@ impl ProportionalCluster {
         // each list must receive exactly its residents' positions as a
         // permutation of 0..len.
         let mut node_lists: Vec<Vec<u32>> = vec![Vec::new(); n];
-        let mut member_lists: Vec<Vec<u32>> = vec![Vec::new(); n];
         for (slot, r) in snap.residents.iter().enumerate() {
             let s = slot as u32;
             if slot > 0 && snap.residents[slot - 1].job.id >= r.job.id {
@@ -1649,13 +1574,14 @@ impl ProportionalCluster {
             let real_s = eng.alloc_slot();
             debug_assert_eq!(real_s, s, "blank engine allocates slots in order");
             eng.gang_start[slot] = eng.gang_nodes.len() as u32;
+            eng.width[slot] = r.nodes.len() as u32;
             let mut seen = r.nodes.clone();
             seen.sort_unstable();
             seen.dedup();
             if seen.len() != r.nodes.len() {
                 return Err(format!("{} allocation repeats a node", r.job.id));
             }
-            for (i, (node, &pos)) in r.nodes.iter().zip(&r.node_positions).enumerate() {
+            for (node, &pos) in r.nodes.iter().zip(&r.node_positions) {
                 let ni = node.0 as usize;
                 if ni >= n {
                     return Err(format!("{} hosts on unknown {node}", r.job.id));
@@ -1667,13 +1593,11 @@ impl ProportionalCluster {
                 let pos = pos as usize;
                 if list.len() <= pos {
                     list.resize(pos + 1, u32::MAX);
-                    member_lists[ni].resize(pos + 1, u32::MAX);
                 }
                 if list[pos] != u32::MAX {
                     return Err(format!("{node} position {pos} claimed twice"));
                 }
                 list[pos] = s;
-                member_lists[ni][pos] = i as u32;
                 eng.gang_nodes.push(node.0);
                 eng.cover.push(0);
                 eng.set_hash[ni] ^= slot_mix(s);
@@ -1683,31 +1607,24 @@ impl ProportionalCluster {
             // index: splits depend only on group ids and sizes, never on
             // list order. The covers of earlier residents are rebuilt
             // below, once the node lists they are found through exist.
-            eng.split_groups(&r.nodes, s);
+            eng.split_groups(s);
             eng.ids[slot] = r.job.id;
             eng.remaining_work[slot] = r.remaining_work;
             eng.remaining_est[slot] = r.remaining_est;
             eng.abs_deadline[slot] = dl;
-            eng.estimate_secs[slot] = r.job.estimate.as_secs();
-            eng.width[slot] = r.nodes.len() as u32;
             eng.gang_live += r.nodes.len();
-            eng.width_f[slot] = r.nodes.len() as f64;
-            eng.node0[slot] = r.nodes[0].0;
             eng.meta[slot] = Some(ResidentMeta {
                 job: r.job.clone(),
-                nodes: r.nodes.clone(),
-                slots: r.node_positions.clone(),
                 started: r.started,
                 overruns: r.overruns,
             });
             eng.order.push(s);
         }
-        for (ni, (list, members)) in node_lists.into_iter().zip(member_lists).enumerate() {
+        for (ni, list) in node_lists.into_iter().enumerate() {
             if list.contains(&u32::MAX) {
                 return Err(format!("node {ni} resident positions have a gap"));
             }
             eng.node_jobs[ni] = list;
-            eng.node_member[ni] = members;
         }
         for slot in 0..snap.residents.len() {
             let start = eng.gang_start[slot] as usize;
@@ -1899,11 +1816,10 @@ mod tests {
         // `recompute_rates_reference` folds it.
         fn member_wise(e: &ProportionalCluster, si: usize, strict: bool) -> f64 {
             let share = e.share_scratch[si];
-            let m = e.meta[si].as_ref().unwrap();
-            m.nodes.iter().fold(f64::INFINITY, |rate, n| {
-                let total = e.totals_scratch[e.group_of[n.0 as usize] as usize];
+            e.members(si).iter().fold(f64::INFINITY, |rate, &n| {
+                let total = e.totals_scratch[e.group_of[n as usize] as usize];
                 let denom = if strict { total.max(1.0) } else { total };
-                rate.min(share / denom * e.cluster.speed_factor(*n))
+                rate.min(share / denom * e.cluster.speed_factor(NodeId(n)))
             })
         }
         let mixed = Cluster::new(
@@ -2259,39 +2175,33 @@ mod tests {
     fn swap_remove_keeps_slots_consistent() {
         let mut e = ProportionalCluster::new(cluster(2), ProportionalConfig::default());
         // Five jobs on node 0 with staggered finishes, one gang job over
-        // both nodes: removals exercise the slot-patching path.
+        // both nodes: removals from the middle of node 0's list move its
+        // last entry into the leaver's place. Equal estimates give equal
+        // shares, so the staggered runtimes finish one at a time.
         for i in 0..5 {
             e.admit(
-                job(
-                    i,
-                    0.0,
-                    10.0 + 10.0 * i as f64,
-                    10.0 + 10.0 * i as f64,
-                    1,
-                    500.0,
-                ),
+                job(i, 0.0, 10.0 + 10.0 * i as f64, 60.0, 1, 500.0),
                 vec![NodeId(0)],
                 SimTime::ZERO,
             );
         }
         e.admit(
-            job(9, 0.0, 25.0, 25.0, 2, 500.0),
+            job(9, 0.0, 25.0, 60.0, 2, 500.0),
             vec![NodeId(0), NodeId(1)],
             SimTime::ZERO,
         );
-        let mut done = 0;
+        let mut lists = vec![(0..5).chain([9]).map(JobId).collect(), vec![JobId(9)]];
+        let mut advances_completing = 0;
         while let Some(next) = e.next_event_time() {
-            done += e.advance(next).len();
-            // Slot invariant: every resident's recorded slot points at
-            // itself in the node list.
-            for &s in &e.order {
-                let m = e.meta[s as usize].as_ref().unwrap();
-                for (n, &slot) in m.nodes.iter().zip(&m.slots) {
-                    assert_eq!(e.node_jobs[n.0 as usize][slot as usize], s);
-                }
+            let done = e.advance(next);
+            advances_completing += usize::from(!done.is_empty());
+            for c in done {
+                swap_remove_from_lists(&mut lists, c.job.id);
             }
+            assert_lists_match(&e, &lists);
+            assert_removal_bookkeeping(&e);
         }
-        assert_eq!(done, 6);
+        assert_eq!(advances_completing, 6, "one completion per advance");
         assert!(on_node(&e, 0).is_empty());
         assert!(on_node(&e, 1).is_empty());
     }
@@ -2470,9 +2380,8 @@ mod tests {
     /// members, the free list holds exactly the memberless ids, each
     /// speed class names the group of its empty nodes (none when it has
     /// no empty node), and the scratch is clear between calls. Each
-    /// resident's cover is the set of its members' groups, and while the
-    /// pass-1 scratch is valid every node's group total is bitwise the
-    /// ascending-id fold of its residents' shares.
+    /// resident's cover is the set of its members' groups, and every
+    /// node's group total is current (see `assert_share_totals_current`).
     fn assert_index_consistent(e: &ProportionalCluster) {
         let n = e.cluster.len();
         let mut size = vec![0u32; n];
@@ -2511,35 +2420,58 @@ mod tests {
             let start = e.gang_start[si] as usize;
             let mut cover = e.cover[start..start + e.cover_len[si] as usize].to_vec();
             cover.sort_unstable();
-            let mut want: Vec<u32> = e.meta[si]
-                .as_ref()
-                .expect("ordered slot is resident")
-                .nodes
+            let mut want: Vec<u32> = e
+                .members(si)
                 .iter()
-                .map(|m| e.group_of[m.0 as usize])
+                .map(|&m| e.group_of[m as usize])
                 .collect();
             want.sort_unstable();
             want.dedup();
             assert_eq!(cover, want, "cover of {}", e.ids[si]);
         }
-        if e.scratch_valid {
-            let now = e.last_update.as_secs();
-            let mut fold = vec![0.0f64; n];
-            for &s in &e.order {
-                let si = s as usize;
-                let rd = (e.abs_deadline[si] - now).max(EPS_DEADLINE);
-                let share = e.remaining_est[si].max(EPS_WORK) / rd;
-                for m in &e.meta[si].as_ref().expect("ordered slot is resident").nodes {
-                    fold[m.0 as usize] += share;
-                }
+        assert_share_totals_current(e);
+    }
+
+    /// The pass-1 scratch is current: every node's served share total is
+    /// bitwise the from-zero ascending-id fold of its residents' Eq. 1
+    /// shares at `last_update`, the fold the reference recompute sums.
+    fn assert_share_totals_current(e: &ProportionalCluster) {
+        let now = e.last_update.as_secs();
+        let mut fold = vec![0.0f64; e.cluster.len()];
+        for &s in &e.order {
+            let si = s as usize;
+            let rd = (e.abs_deadline[si] - now).max(EPS_DEADLINE);
+            let share = e.remaining_est[si].max(EPS_WORK) / rd;
+            for &m in e.members(si) {
+                fold[m as usize] += share;
             }
-            for (ni, want) in fold.iter().enumerate() {
-                assert_eq!(
-                    e.totals_scratch[e.group_of[ni] as usize].to_bits(),
-                    want.to_bits(),
-                    "group total of node {ni}"
-                );
+        }
+        for (ni, want) in fold.iter().enumerate() {
+            assert_eq!(
+                e.node_share_total_now(NodeId(ni as u32)).to_bits(),
+                want.to_bits(),
+                "share total of node {ni} at {}",
+                e.last_update
+            );
+        }
+    }
+
+    /// Takes `id` out of every modelled node list the way the engine's
+    /// removal must: the list's last entry moves into its place.
+    fn swap_remove_from_lists(lists: &mut [Vec<JobId>], id: JobId) {
+        for list in lists {
+            if let Some(p) = list.iter().position(|&j| j == id) {
+                list.swap_remove(p);
             }
+        }
+    }
+
+    /// The engine's per-node resident lists, order included, against a
+    /// model of them: the order is scheduler-visible (Libra's share fold,
+    /// projections and checkpoint positions read it).
+    fn assert_lists_match(e: &ProportionalCluster, lists: &[Vec<JobId>]) {
+        for (n, want) in lists.iter().enumerate() {
+            assert_eq!(&on_node(e, n as u32), want, "resident list of node {n}");
         }
     }
 
@@ -2548,7 +2480,14 @@ mod tests {
     /// shuffled node order, with a deadline from a small set so residents
     /// of one node often share its minimum; otherwise an advance to the
     /// next event, a node failure or restore, or a snapshot round trip.
-    fn churn_step(e: &mut ProportionalCluster, rng: &mut sim::Rng64, id: u64, max_width: u64) {
+    /// `lists` models the per-node resident lists through every step.
+    fn churn_step(
+        e: &mut ProportionalCluster,
+        lists: &mut [Vec<JobId>],
+        rng: &mut sim::Rng64,
+        id: u64,
+        max_width: u64,
+    ) {
         let nodes = e.cluster.len() as u32;
         let now = e.now();
         match rng.below(8) {
@@ -2567,18 +2506,25 @@ mod tests {
                     let deadline = 100.0 * (1 + rng.below(6)) as f64;
                     let mut j = job(id, 0.0, runtime, runtime, width as u32, deadline);
                     j.submit = now;
+                    for n in &up {
+                        lists[n.0 as usize].push(j.id);
+                    }
                     e.admit(j, up, now);
                 }
             }
             4 | 5 => {
                 if let Some(t) = e.next_event_time() {
-                    e.advance(t);
+                    for c in e.advance(t) {
+                        swap_remove_from_lists(lists, c.job.id);
+                    }
                 }
             }
             6 => {
                 let n = NodeId(rng.below(u64::from(nodes)) as u32);
                 if e.node_is_up(n) {
-                    e.fail_node(n, now);
+                    for d in e.fail_node(n, now) {
+                        swap_remove_from_lists(lists, d.job.id);
+                    }
                 } else {
                     e.restore_node(n, now);
                 }
@@ -2603,34 +2549,28 @@ mod tests {
         );
         let mut e = ProportionalCluster::new(mixed, ProportionalConfig::default());
         assert_index_consistent(&e);
+        let mut lists = vec![Vec::new(); 12];
         let mut rng = sim::Rng64::new(11);
         for i in 0..600u64 {
-            churn_step(&mut e, &mut rng, i, 6);
+            churn_step(&mut e, &mut lists, &mut rng, i, 6);
             assert_index_consistent(&e);
             assert_removal_bookkeeping(&e);
+            assert_lists_match(&e, &lists);
         }
     }
 
-    /// The removal bookkeeping against the lists it indexes, with plain
-    /// asserts so release builds check it too: every node-list entry's
-    /// member index names this node in its resident's member list, and
-    /// the position recorded there is the entry's own; every member of
-    /// every resident is listed where it says; and each node's cached
-    /// minimum deadline is the fold over its residents.
+    /// The node lists against the gang runs, with plain asserts so
+    /// release builds check it too: every node-list entry is a resident
+    /// whose run names the node; each resident sits exactly once on each
+    /// of its members' lists; and each node's cached minimum deadline is
+    /// the fold over its list.
     fn assert_removal_bookkeeping(e: &ProportionalCluster) {
-        for (ni, (list, members)) in e.node_jobs.iter().zip(&e.node_member).enumerate() {
-            assert_eq!(list.len(), members.len(), "node {ni} member index length");
-            for (p, (&s, &i)) in list.iter().zip(members).enumerate() {
-                let m = e.meta[s as usize]
-                    .as_ref()
-                    .expect("listed slot is resident");
-                assert_eq!(
-                    m.nodes[i as usize].0 as usize, ni,
-                    "member index at {ni}[{p}]"
-                );
-                assert_eq!(
-                    m.slots[i as usize] as usize, p,
-                    "recorded position at {ni}[{p}]"
+        for (ni, list) in e.node_jobs.iter().enumerate() {
+            for (p, &s) in list.iter().enumerate() {
+                assert!(e.meta[s as usize].is_some(), "listed slot at {ni}[{p}]");
+                assert!(
+                    e.members(s as usize).contains(&(ni as u32)),
+                    "{ni}[{p}] lists a gang that does not cover it"
                 );
             }
             let min = list
@@ -2643,11 +2583,9 @@ mod tests {
             );
         }
         for &s in &e.order {
-            let m = e.meta[s as usize]
-                .as_ref()
-                .expect("ordered slot is resident");
-            for (n, &pos) in m.nodes.iter().zip(&m.slots) {
-                assert_eq!(e.node_jobs[n.0 as usize][pos as usize], s);
+            for &n in e.members(s as usize) {
+                let listed = e.node_jobs[n as usize].iter().filter(|&&r| r == s).count();
+                assert_eq!(listed, 1, "{} on node {n}", e.ids[s as usize]);
             }
         }
     }
@@ -2663,12 +2601,41 @@ mod tests {
         ) {
             // Gangs up to the whole cluster.
             let mut e = ProportionalCluster::new(cluster(nodes), ProportionalConfig::default());
+            let mut lists = vec![Vec::new(); nodes];
             let mut rng = sim::Rng64::new(seed);
             for i in 0..steps {
-                churn_step(&mut e, &mut rng, i, nodes as u64);
+                churn_step(&mut e, &mut lists, &mut rng, i, nodes as u64);
                 assert_removal_bookkeeping(&e);
                 assert_index_consistent(&e);
+                assert_lists_match(&e, &lists);
             }
+        }
+    }
+
+    #[test]
+    fn reference_paths_leave_the_share_totals_current() {
+        // An engine driven only through the oracles: gangs admitted at
+        // each instant, then either a lone reference recompute or a
+        // reference advance to the next event. The fast paths read and
+        // extend the share totals after either, so both must leave them
+        // current.
+        let mut e = ProportionalCluster::new(cluster(6), ProportionalConfig::default());
+        let mut rng = sim::Rng64::new(5);
+        for i in 0..300u64 {
+            let now = e.now();
+            let width = 1 + rng.below(3) as u32;
+            let first = rng.below(6) as u32;
+            let nodes = (0..width).map(|k| NodeId((first + 2 * k) % 6)).collect();
+            let mut j = job(i, 0.0, rng.uniform(1.0, 300.0), 150.0, width, 400.0);
+            j.submit = now;
+            e.admit(j, nodes, now);
+            if i % 3 == 0 {
+                e.recompute_rates_reference();
+            } else {
+                let to = e.next_event_time().expect("a job is resident");
+                e.advance_reference(to);
+            }
+            assert_share_totals_current(&e);
         }
     }
 

@@ -66,8 +66,10 @@ const SNAPSHOT_RING: usize = 256;
 /// Drives a sharded LibraRisk fleet over a synthetic workload while
 /// serving live telemetry over HTTP, then lingers so scrapers can read
 /// the final state. Prints `TELEMETRY_ADDR=<ip:port>` on stdout before
-/// the drive starts. A shard count outside 1 to the machine's node
-/// count is a usage error, returned before anything is bound or built.
+/// the drive starts; a stdout that cannot take the line (a reader that
+/// closed the pipe) loses it and the drive goes on. A shard count
+/// outside 1 to the machine's node count is a usage error, returned
+/// before anything is bound or built.
 pub fn serve(opts: &ServeOptions) -> Result<ServeSummary, String> {
     let machine = Cluster::sdsc_sp2().len();
     if !(1..=machine).contains(&opts.shards) {
@@ -92,7 +94,7 @@ pub fn serve(opts: &ServeOptions) -> Result<ServeSummary, String> {
     let hub = Arc::new(TelemetryHub::new());
     let server = TelemetryServer::bind("127.0.0.1:0", Arc::clone(&hub))
         .map_err(|e| format!("cannot bind telemetry server: {e}"))?;
-    println!("TELEMETRY_ADDR={}", server.local_addr());
+    let _ = writeln!(std::io::stdout(), "TELEMETRY_ADDR={}", server.local_addr());
     let _ = std::io::stdout().flush();
 
     phase::reset();

@@ -68,9 +68,8 @@ pub enum Phase {
     /// The ordered progress sweep inside `advance_into` (busy
     /// integrals, completion/re-arm detection, fused share totals).
     ProgressPass = 1,
-    /// Rate recomputation: recompute pass 2 (after pass 1 when the
-    /// engine's scratch is stale), run wherever rates are first read
-    /// after a change — mostly inside `next_event_time`.
+    /// Rate recomputation: recompute pass 2, run wherever rates are
+    /// first read after a change — mostly inside `next_event_time`.
     RecomputeSweep = 2,
     /// Turning engine completions into streamed job events.
     CompletionEmit = 3,
